@@ -249,6 +249,8 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
     q, s = codebook_of(config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     trials = args.trials if args.trials is not None else int(config.get("trials", 200))
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     schemes = tuple(config.get("schemes", ["thbt", "thbt_brpss", "hfbs", "ffbs"]))
     scen = parse_paths(config["paths"]) if "paths" in config else ChannelScenario()
     snr_grid = tuple(float(v) for v in config.get("snr_grid_db", [10.0]))
@@ -284,7 +286,8 @@ def cmd_sweep(config: dict, args) -> int:
         svg_name = f"{kind}.svg"
         _sweep_svg(kind, rows, out / svg_name)
         outputs.append(svg_name)
-    write_manifest(out / "manifest.json", config, spec.seed, outputs)
+    ran = dict(config, trials=spec.trials, seed=spec.seed)   # after CLI overrides
+    write_manifest(out / "manifest.json", ran, spec.seed, outputs)
     print(f"{kind}: {len(rows)} rows -> {out / csv_name}")
     return 0
 

@@ -228,6 +228,8 @@ class TrackingChannel:
         rhi = max(scen.nlos_range_range[1], rlo)
         self.scatterers = [(rng.uniform(lo, hi), rng.uniform(rlo, rhi))
                            for _ in range(scen.n_nlos)]
+        # the scatterers stay put for the whole run, so steer at them once
+        self.nlos_steering = [steering(cfg, om_s, r_s) for om_s, r_s in self.scatterers]
 
     def at_block(self, block: int, rng: np.random.Generator):
         """Returns (h, omega_true, zeta_true, los_gain)."""
@@ -237,8 +239,8 @@ class TrackingChannel:
         g1 = crandn(rng) if self.scen.fading else 1.0 + 0j
         h = g1 * steering(self.cfg, omega, zeta)
         amp = math.sqrt(self.scen.nlos_gain_var)
-        for om_s, r_s in self.scatterers:
-            h = h + amp * crandn(rng) * steering(self.cfg, om_s, r_s)
+        for a_s in self.nlos_steering:
+            h = h + amp * crandn(rng) * a_s
         return h, omega, zeta, g1
 
 

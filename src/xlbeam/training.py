@@ -6,6 +6,14 @@ parallel, one pilot per beam).  Stage 2 spends no pilots: for every
 hybrid codeword it reassembles the already-measured RF outputs and
 applies the codeword's digital row.  Noise drawn in stage 1 is therefore
 reused verbatim by every codeword that shares a sweep index.
+
+Stage-1 noise is drawn per RF-chain output, M x N_RF values per sweep,
+instead of per antenna (M x N) and then projected.  The two have the same
+law: each DFT beam has M unit-modulus entries, so one beam applied to
+CN(0, sigma^2) antenna noise gives CN(0, M sigma^2).  Outputs of
+different beams see the noise of different pilots, and outputs of
+different RF chains see disjoint antennas, so all M x N_RF noise terms
+are independent.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ class Stage1Sweep:
 
     z: np.ndarray = field(repr=False)        # (M, N_RF) complex
     signal: np.ndarray = field(repr=False)   # noiseless part
-    noise: np.ndarray = field(repr=False)    # RF-chain noise actually added
+    noise: np.ndarray = field(repr=False)    # added; i.i.d. CN(0, M sigma^2) per RF output
     pilots: int = 0
 
 
@@ -118,9 +126,7 @@ def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
     if noise_power > 0.0:
         if rng is None:
             raise ValueError("noisy sweep needs an rng")
-        eta = crandn(rng, (m, cfg.n_antennas)) * math.sqrt(noise_power)
-        eta_blocks = eta.reshape(m, n_rf, m)
-        noise = np.einsum("im,mti->mt", sub_book.matrix.conj(), eta_blocks)
+        noise = crandn(rng, (m, n_rf)) * math.sqrt(m * noise_power)
     else:
         noise = np.zeros_like(signal)
     return Stage1Sweep(z=signal + noise, signal=signal, noise=noise, pilots=m)

@@ -1,8 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from xlbeam import ArrayConfig, build_hybrid_codebook, build_subarray_codebook
-from xlbeam.training import design_all
+# One BLAS thread per test process, as in the benchmark.  This must run
+# before numpy is imported; an explicit setting in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from xlbeam import ArrayConfig, build_hybrid_codebook, build_subarray_codebook  # noqa: E402
+from xlbeam.training import design_all  # noqa: E402
 
 PAPER_WAVELENGTH = 0.003
 

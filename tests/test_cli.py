@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from xlbeam.cli import main
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
@@ -67,6 +69,8 @@ class TestSweep:
         assert ",6," in text              # trials column reflects the override
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
+        assert manifest["config"]["trials"] == 6     # what ran, not the file's 50
+        assert manifest["config"]["seed"] == 11
 
     def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", sweep_config(experiment="nope"))
@@ -75,6 +79,16 @@ class TestSweep:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("from_cli", [True, False])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one(self, tmp_path, capsys, trials, from_cli):
+        cfg = write_config(tmp_path, "cfg.json",
+                           sweep_config() if from_cli else sweep_config(trials=trials))
+        override = ["--trials", str(trials)] if from_cli else []
+        assert main(["--config", cfg, *override, "--out", str(tmp_path / "x"),
+                     "sweep"]) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_missing_key_path_reported(self, tmp_path, capsys):
         bad = sweep_config()
         del bad["codebook"]["s"]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from xlbeam import tracking
+from xlbeam.arrays import crandn, steering
 from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_snr,
                             overhead_report, positioning_cdf, refinement_grid,
                             require_keys, run_trials, svg_line_plot,
@@ -108,6 +110,31 @@ class TestTrackingExperiment:
                                                   "ffbt_proxy", "perfect_csi"}
         budgets = {r["scheme"]: r["pilots_per_block"] for r in time_rows}
         assert budgets == {"nfbt": 1, "brpss": 1, "hfns": 5, "ffbt_proxy": 3}
+
+    def test_scatterer_cache_keeps_rows(self, cfg128, desk_workspace, monkeypatch):
+        # the cached scatterer steering vectors must reproduce, bit for bit,
+        # the channel that steers at every scatterer on every block
+        class UncachedChannel(tracking.TrackingChannel):
+            def at_block(self, block, rng):
+                pos = self.traj.position(block)
+                zeta = float(np.hypot(pos[0], pos[1]))
+                omega = float(pos[1] / zeta)
+                g1 = crandn(rng) if self.scen.fading else 1.0 + 0j
+                h = g1 * steering(self.cfg, omega, zeta)
+                amp = math.sqrt(self.scen.nlos_gain_var)
+                for om_s, r_s in self.scatterers:
+                    h = h + amp * crandn(rng) * steering(self.cfg, om_s, r_s)
+                return h, omega, zeta, g1
+
+        traj = Trajectory(start=(20.0, 20.0), velocity=(-2.0, -2.0), dt=0.05,
+                          n_blocks=8)
+        spec = desk_spec(cfg128, schemes=("nfbt", "brpss", "hfns", "ffbt_proxy"),
+                         trials=1, seed=5, snr_grid_db=(0.0,), trajectory=traj,
+                         tracker=TrackerConfig(dt=0.05, n_blocks=8),
+                         tracking_scenario=TrackingScenario())
+        cached = tracking_experiment(spec)
+        monkeypatch.setattr(tracking, "TrackingChannel", UncachedChannel)
+        assert tracking_experiment(spec) == cached
 
 
 class TestOverheadReport:

@@ -7,7 +7,7 @@ from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
                     baseline_ffbs, baseline_hfbs, gain_loss_bound,
                     rough_position, run_thbt, sample_channel,
                     stage1_sweep, stage2_select, steering_far, synthesize)
-from xlbeam.arrays import snr_db_to_noise_power
+from xlbeam.arrays import crandn, snr_db_to_noise_power
 
 
 class TestStage1:
@@ -44,6 +44,52 @@ class TestStage1:
         sweep = stage1_sweep(cfg128, sub, h, noise_power=0.1, rng=rng)
         assert np.array_equal(sweep.z, sweep.signal + sweep.noise)
         assert np.any(sweep.noise != 0)
+
+
+def projected_sweep_noise(cfg, sub, noise_power, rng):
+    """Reference stage-1 noise: CN(0, sigma^2) on all M x N antenna samples
+    of the sweep (one row per pilot), projected through each DFT beam."""
+    m, n_rf = cfg.m_per_sub, cfg.n_rf
+    eta = crandn(rng, (m, cfg.n_antennas)) * math.sqrt(noise_power)
+    return np.einsum("im,mti->mt", sub.matrix.conj(), eta.reshape(m, n_rf, m))
+
+
+class TestStage1NoiseLaw:
+    """The RF-output draw against the antenna-domain projection it replaces.
+
+    Both must give i.i.d. circular CN(0, M sigma^2) entries.  With K = 3000
+    sweeps of M x N_RF = 128 entries at N=128, normalised by M sigma^2, the
+    pooled power has standard error 1/sqrt(128 K) = 0.0016 and one entry's
+    power 1/sqrt(K) = 0.018; one entry's pseudo-variance has RMS magnitude
+    sqrt(2/K) = 0.026 and one off-diagonal correlation sqrt(1/K) = 0.018.
+    For i.i.d. circular entries each bound below fails, over all entries
+    and pairs, with probability under 1e-4.
+    """
+
+    SWEEPS = 3000
+    NOISE_POWER = 0.1
+
+    @pytest.mark.parametrize("draw", ["direct", "projected"])
+    def test_second_moments(self, cfg128, desk_workspace, draw):
+        _, sub, _ = desk_workspace
+        rng = np.random.default_rng(2024)
+        h = np.zeros(cfg128.n_antennas, dtype=complex)
+        if draw == "direct":
+            samples = [stage1_sweep(cfg128, sub, h, self.NOISE_POWER, rng).z
+                       for _ in range(self.SWEEPS)]
+        else:
+            samples = [projected_sweep_noise(cfg128, sub, self.NOISE_POWER, rng)
+                       for _ in range(self.SWEEPS)]
+        n = np.stack(samples).reshape(self.SWEEPS, -1)
+        n = n / math.sqrt(cfg128.m_per_sub * self.NOISE_POWER)
+
+        power = np.mean(np.abs(n) ** 2, axis=0)
+        assert abs(power.mean() - 1.0) < 0.01
+        assert np.all(np.abs(power - 1.0) < 0.1)
+        assert np.all(np.abs(np.mean(n * n, axis=0)) < 0.1)
+        corr = (n.T @ n.conj()) / self.SWEEPS / np.sqrt(np.outer(power, power))
+        off = corr[~np.eye(corr.shape[0], dtype=bool)]
+        assert np.max(np.abs(off)) < 0.1
 
 
 class TestReuse:
