@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from xlbeam import (ArrayConfig, build_subarray_codebook,
-                    calibrate_measurement_cov, run_brpss_only, run_tracking,
+from xlbeam import (ArrayConfig, brpss_step, build_subarray_codebook,
+                    calibrate_measurement_cov, nfbt_step, run_blocks,
                     snr_db_to_noise_power)
 from xlbeam.harness import svg_line_plot, write_csv
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
@@ -38,12 +38,11 @@ tcfg = TrackerConfig(dt=traj.dt, n_blocks=traj.n_blocks, meas_cov=meas_cov,
 n_seeds = 25
 gains = {"filtered": [], "per_block": []}
 for seed in range(n_seeds):
-    rng = np.random.default_rng(seed)
-    log = run_tracking(cfg, sub, traj, tcfg, noise, rng, scen)
-    gains["filtered"].append([b.gain for b in log])
-    rng = np.random.default_rng(seed)
-    log = run_brpss_only(cfg, sub, traj, tcfg, noise, rng, scen)
-    gains["per_block"].append([b.gain for b in log])
+    for name, step in (("filtered", nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])),
+                       ("per_block", brpss_step(cfg, traj.start, noise))):
+        rng = np.random.default_rng(seed)
+        log = run_blocks(cfg, sub, traj, tcfg, noise, rng, scen, step)
+        gains[name].append([b.gain for b in log])
 
 t_s = [(i + 1) * traj.dt for i in range(traj.n_blocks)]
 rows = []

@@ -13,17 +13,16 @@ from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
                         build_far_codebook, build_hybrid_codebook,
                         build_near_codebook, build_subarray_codebook,
-                        codeword_params, validate_quantization)
-from .combining import (CombinerPair, alignment_gain, beam_center, chirp_sum,
-                        design_hybrid, flat_top_gain, gain_loss_bound, gain_map,
-                        hybrid_beam_gain, quantize_pointing, subarray_pointing)
+                        validate_quantization)
+from .combining import (CombinerPair, alignment_gain, beam_center, design_hybrid,
+                        gain_loss_bound, gain_map, hybrid_beam_gain,
+                        quantize_pointing, subarray_pointing)
 from .refinement import (RefinementResult, estimate_offsets, initial_kb,
-                         measure_subarrays, phase_differences, psp_band_ok,
-                         psp_model_oracle, refine, run_brpss)
-from .tracking import (TrackerConfig, TrackingScenario, TrackState, Trajectory,
-                       calibrate_measurement_cov, filter_update, filtered_channel,
-                       measure_block, predict, run_brpss_only, run_ffbt_proxy,
-                       run_hfns, run_tracking)
+                         measure_subarrays, phase_differences, refine, run_brpss)
+from .tracking import (StepResult, TrackerConfig, TrackingScenario, TrackState,
+                       Trajectory, brpss_step, calibrate_measurement_cov,
+                       ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
+                       measure_block, nfbt_step, predict, run_blocks)
 from .training import (Stage1Sweep, TrainedDesign, TrainingResult, assemble_reused,
                        baseline_ffbs, baseline_hfbs, design_all, rough_position,
                        run_thbt, stage1_sweep, stage2_select)

@@ -178,14 +178,6 @@ class PathParams:
     def is_far(self) -> bool:
         return math.isinf(self.range_m)
 
-    def validate_region(self, cfg: ArrayConfig) -> None:
-        """Reject near-field ranges below the model validity floor."""
-        if not self.is_far and self.range_m < cfg.range_floor:
-            raise ValueError(
-                f"path range {self.range_m:.4g} m below validity floor "
-                f"{cfg.range_floor:.4g} m"
-            )
-
 
 @dataclass(frozen=True)
 class ChannelScenario:
@@ -219,6 +211,11 @@ class ChannelRealization:
     @property
     def los(self) -> PathParams:
         return self.paths[0]
+
+
+def h_of(channel) -> np.ndarray:
+    """The channel vector of a realization, or the given vector itself."""
+    return channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
 
 
 def crandn(rng: np.random.Generator, shape=()) -> np.ndarray:

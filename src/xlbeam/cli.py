@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
-from .codebooks import validate_quantization
+from .codebooks import build_subarray_codebook, validate_quantization
 from .harness.experiments import (ExperimentSpec, gain_vs_distance, gain_vs_snr,
                                   overhead_report, positioning_cdf,
                                   refinement_grid, tracking_experiment, workspace)
@@ -24,7 +24,8 @@ from .harness.io import (ConfigError, fail, load_config, require_keys, write_csv
                          write_manifest)
 from .harness.svgplot import svg_line_plot
 from .refinement import run_brpss
-from .tracking import TrackerConfig, TrackingScenario, Trajectory
+from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
+                       run_blocks, tracker_for_run)
 from .training import run_thbt
 
 
@@ -51,18 +52,33 @@ def parse_paths(node: dict) -> ChannelScenario:
         raise ConfigError(f"bad paths description: {exc}") from exc
 
 
+def integer_of(value, key: str, minimum: int) -> int:
+    """A config integer: bools, floats and strings are configuration errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def seed_of(node: dict, args, default=0) -> int:
+    """The run's seed: ``--seed`` if given, else the config node's."""
+    seed = args.seed if args.seed is not None else node.get("seed", default)
+    return integer_of(seed, "seed", 0)
+
+
 SCENARIO_KEYS = ["scenario.n_antennas", "scenario.n_rf", "scenario.wavelength",
                  "scenario.paths.count", "scenario.paths.gain_vars",
                  "scenario.paths.angle_range", "scenario.paths.range_range",
                  "scenario.snr_db"]
 
 
-def scenario_of(config: dict) -> tuple[ArrayConfig, ChannelScenario, float, int]:
+def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float, int]:
     require_keys(config, SCENARIO_KEYS)
     node = config["scenario"]
     cfg = parse_array(node)
     scen = parse_paths(node["paths"])
-    seed = int(node.get("seed", config.get("seed", 0)))
+    seed = seed_of(node, args, config.get("seed", 0))
     return cfg, scen, float(node["snr_db"]), seed
 
 
@@ -76,10 +92,8 @@ def codebook_of(config: dict) -> tuple[int, int]:
 
 
 def cmd_train(config: dict, args) -> int:
-    cfg, scen, snr_db, seed = scenario_of(config)
+    cfg, scen, snr_db, seed = scenario_of(config, args)
     q, s = codebook_of(config)
-    if args.seed is not None:
-        seed = args.seed
     book, sub_book, design = workspace(cfg, q, s)
     rng = np.random.default_rng(seed)
     channel = sample_channel(cfg, rng, scen)
@@ -113,10 +127,8 @@ def cmd_train(config: dict, args) -> int:
 
 
 def cmd_refine(config: dict, args) -> int:
-    cfg, scen, snr_db, seed = scenario_of(config)
+    cfg, scen, snr_db, seed = scenario_of(config, args)
     require_keys(config, ["coarse.omega", "coarse.range_m"])
-    if args.seed is not None:
-        seed = args.seed
     coarse_omega = float(config["coarse"]["omega"])
     raw_range = config["coarse"]["range_m"]
     coarse_range = math.inf if raw_range in (None, "inf") else float(raw_range)
@@ -178,25 +190,12 @@ def cmd_track(config: dict, args) -> int:
     traj = trajectory_of(config)
     tcfg = tracker_config_of(config, traj)
     scen = tracking_scenario_of(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = seed_of(config, args)
     noise = snr_db_to_noise_power(float(config["snr_db"]), cfg)
-    if tcfg.meas_cov is None:
-        from .tracking import calibrate_measurement_cov
-
-        mid = traj.position(traj.n_blocks // 2)
-        zeta = float(np.hypot(mid[0], mid[1]))
-        cov = calibrate_measurement_cov(cfg, noise, zeta, float(mid[1] / zeta),
-                                        scen, seed=seed ^ 0xC0FFEE)
-        tcfg = TrackerConfig(dt=tcfg.dt, n_blocks=tcfg.n_blocks,
-                             accel_intensity=tcfg.accel_intensity, meas_cov=cov,
-                             init_cov_diag=tcfg.init_cov_diag,
-                             innovation_gate=tcfg.innovation_gate)
-    from .codebooks import build_subarray_codebook
-    from .tracking import run_tracking
-
-    rng = np.random.default_rng(seed)
-    log = run_tracking(cfg, build_subarray_codebook(cfg), traj, tcfg, noise, rng,
-                       scen)
+    tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
+    step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
+    log = run_blocks(cfg, build_subarray_codebook(cfg), traj, tcfg, noise,
+                     np.random.default_rng(seed), scen, step)
     rows = []
     for b in log:
         rows.append({
@@ -247,10 +246,9 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
                           f"(choose from {sorted(EXPERIMENTS)})")
     cfg = parse_array(config["array"])
     q, s = codebook_of(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(config.get("trials", 200))
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    seed = seed_of(config, args)
+    trials = integer_of(args.trials if args.trials is not None
+                        else config.get("trials", 200), "trials", 1)
     schemes = tuple(config.get("schemes", ["thbt", "thbt_brpss", "hfbs", "ffbs"]))
     scen = parse_paths(config["paths"]) if "paths" in config else ChannelScenario()
     snr_grid = tuple(float(v) for v in config.get("snr_grid_db", [10.0]))
@@ -357,7 +355,7 @@ def cmd_report(config: dict, args) -> int:
                           "codebook.q", "codebook.s"])
     cfg = parse_array(config["array"])
     q, s = codebook_of(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = seed_of(config, args)
     rows = overhead_report(cfg, q, s, measure=not args.no_measure, seed=seed)
     out = Path(args.out)
     write_csv(out / "overheads.csv", rows,

@@ -88,7 +88,7 @@ class HybridCodebook:
     theta: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)        # (Q, S)
     below_floor: np.ndarray = field(repr=False)      # (Q, S) bool
-    matrix: np.ndarray | None = field(repr=False)    # (N, QS+Q) or None if lazy
+    matrix: np.ndarray = field(repr=False)           # (N, QS+Q)
 
     @property
     def n_columns(self) -> int:
@@ -119,22 +119,11 @@ class HybridCodebook:
         return (q - 1) * self.n_rings + s
 
     def column(self, p: int) -> np.ndarray:
-        """Column p, computed on demand when the codebook is lazy."""
-        if self.matrix is not None:
-            return self.matrix[:, p - 1]
-        cw = self.params(p)
-        if cw.is_far:
-            return steering_far(self.cfg, cw.theta)
-        return steering_near(self.cfg, cw.theta, cw.distance, validate=False)
-
-    def iter_columns(self):
-        """Lazy column generator for sweeps too large to keep in memory."""
-        for p in range(1, self.n_columns + 1):
-            yield self.column(p)
+        """Column p (1-based)."""
+        return self.matrix[:, p - 1]
 
 
-def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int,
-                          eager: bool = True) -> HybridCodebook:
+def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     """Build the hybrid codebook {near block, far block} with Q*S+Q columns.
 
     ``s = 0`` degenerates to the far-only codebook of Q columns.
@@ -146,18 +135,11 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int,
     # strict comparison up to rounding: the deepest ring at the angle grid
     # point nearest broadside sits essentially on the floor
     below = dist < cfg.range_floor * (1.0 - 1e-12)
-    matrix = None
-    if eager:
-        far = build_far_codebook(cfg, q)
-        matrix = far if s == 0 else np.concatenate(
-            [build_near_codebook(cfg, q, s), far], axis=1)
+    far = build_far_codebook(cfg, q)
+    matrix = far if s == 0 else np.concatenate(
+        [build_near_codebook(cfg, q, s), far], axis=1)
     return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta,
                           distances=dist, below_floor=below, matrix=matrix)
-
-
-def codeword_params(book: HybridCodebook, p: int) -> CodewordParams:
-    """Module-level alias for :meth:`HybridCodebook.params`."""
-    return book.params(p)
 
 
 @dataclass(frozen=True)

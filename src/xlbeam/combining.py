@@ -172,28 +172,3 @@ def gain_map(cfg: ArrayConfig, u: np.ndarray, omegas, ranges) -> list[dict]:
             rows.append({"omega": float(omega), "r": float(r),
                          "gain": hybrid_beam_gain(cfg, u, float(omega), float(r))})
     return rows
-
-
-def chirp_sum(count: int, k: float, b: float, offset: int = 0) -> complex:
-    """Brute-force quadratic-phase sum over one index window.
-
-    ``sum_{n = offset+1}^{offset+count} exp(j*pi*(k*n^2 + b*n))`` — the
-    reference oracle for all flat-top and phase-progression claims.
-    """
-    n = np.arange(offset + 1, offset + count + 1)
-    return complex(np.exp(1j * np.pi * (k * n * n + b * n)).sum())
-
-
-def flat_top_gain(cfg: ArrayConfig, k: float, b_sub: float, omega: float) -> float:
-    """Stationary-phase flat-top model of a subarray's chirp beam.
-
-    ``sqrt(1/(-k))`` for omega inside ``[b_sub + 2kM, b_sub + 2k]`` (k < 0)
-    and 0 outside; callers with k > 0 conjugate first.
-    """
-    if k >= 0:
-        raise ValueError("flat-top model needs k < 0 (conjugate the chirp first)")
-    m = cfg.m_per_sub
-    lo, hi = b_sub + 2.0 * k * m, b_sub + 2.0 * k
-    if lo <= omega <= hi:
-        return math.sqrt(1.0 / -k)
-    return 0.0

@@ -19,15 +19,14 @@ from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
 from ..refinement import run_brpss
-from ..tracking import (TrackerConfig, TrackingScenario, Trajectory,
-                        calibrate_measurement_cov, run_brpss_only, run_ffbt_proxy,
-                        run_hfns, run_tracking, spectral_efficiency)
+from ..tracking import (TrackerConfig, TrackingScenario, Trajectory, brpss_step,
+                        ffbt_proxy_step, hfns_step, nfbt_step, run_blocks,
+                        spectral_efficiency, tracker_for_run)
 from ..training import (TrainedDesign, baseline_ffbs, baseline_hfbs, design_all,
                         run_thbt)
-from .runner import run_trials
+from .runner import run_trials, trial_rng
 
 TRAINING_SCHEMES = ("thbt", "thbt_brpss", "hfbs", "ffbs")
-TRACKING_SCHEMES = ("nfbt", "brpss", "hfns", "ffbt_proxy")
 
 QUANTILE_GRID = [round(0.01 * i, 2) for i in range(101)]
 
@@ -263,34 +262,33 @@ def refinement_grid(spec: ExperimentSpec, q_grid: tuple[int, ...] = (),
     return rows
 
 
-TRACKING_PILOTS = {"nfbt": 1, "hfns": 5, "brpss": 1, "ffbt_proxy": 3}
+# scheme -> (pilots per block, step factory).  The budget is what every run's
+# spent pilots are checked against and what overhead_report quotes.
+TRACKING_SCHEMES = {
+    "nfbt": (1, lambda spec, design, noise, tcfg: nfbt_step(
+        spec.cfg, tcfg, noise, [*spec.trajectory.start, 0.0, 0.0])),
+    "hfns": (5, lambda spec, design, noise, tcfg: hfns_step(
+        spec.cfg, design, spec.trajectory.start, noise)),
+    "brpss": (1, lambda spec, design, noise, tcfg: brpss_step(
+        spec.cfg, spec.trajectory.start, noise)),
+    "ffbt_proxy": (3, lambda spec, design, noise, tcfg: ffbt_proxy_step(
+        design.book, spec.trajectory.start, noise)),
+}
 
 
 def _tracking_run(spec: ExperimentSpec, scheme: str, noise: float, tcfg,
                   seed_idx: int):
-    cfg = spec.cfg
-    book, sub_book, design = workspace(cfg, spec.n_angles, spec.n_rings)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
-                                                       spawn_key=(seed_idx,)))
-    traj = spec.trajectory
-    scen = spec.tracking_scenario
-    if scheme == "nfbt":
-        return run_tracking(cfg, sub_book, traj, tcfg, noise, rng, scen)
-    if scheme == "brpss":
-        return run_brpss_only(cfg, sub_book, traj, tcfg, noise, rng, scen)
-    if scheme == "hfns":
-        return run_hfns(cfg, book, design, traj, tcfg, noise, rng, scen)
-    if scheme == "ffbt_proxy":
-        return run_ffbt_proxy(cfg, book, sub_book, traj, tcfg, noise, rng, scen)
-    raise ValueError(f"unknown tracking scheme: {scheme}")
+    _, sub_book, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
+    step = TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg)
+    return run_blocks(spec.cfg, sub_book, spec.trajectory, tcfg, noise,
+                      trial_rng(spec.seed, seed_idx), spec.tracking_scenario, step)
 
 
 def _perfect_csi_se(spec: ExperimentSpec, noise: float, seed_idx: int) -> float:
     """Mean spectral efficiency with the true geometry every block."""
     cfg = spec.cfg
     _, sub_book, _ = workspace(cfg, spec.n_angles, spec.n_rings)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
-                                                       spawn_key=(seed_idx,)))
+    rng = trial_rng(spec.seed, seed_idx)
     from ..tracking import TrackingChannel
 
     chan = TrackingChannel(cfg, spec.trajectory, spec.tracking_scenario, rng)
@@ -299,21 +297,6 @@ def _perfect_csi_se(spec: ExperimentSpec, noise: float, seed_idx: int) -> float:
         h, om_t, ze_t, _ = chan.at_block(i, rng)
         ses.append(spectral_efficiency(cfg, sub_book, h, om_t, ze_t, noise))
     return float(np.mean(ses))
-
-
-def tracker_for_run(spec: ExperimentSpec, noise: float) -> TrackerConfig:
-    """Fill in the measurement covariance by calibration when unset."""
-    tcfg = spec.tracker
-    if tcfg.meas_cov is not None:
-        return tcfg
-    traj = spec.trajectory
-    mid = traj.position(traj.n_blocks // 2)
-    zeta = float(np.hypot(mid[0], mid[1]))
-    omega = float(mid[1] / zeta)
-    cov = calibrate_measurement_cov(spec.cfg, noise, zeta, omega,
-                                    spec.tracking_scenario,
-                                    seed=spec.seed ^ 0xC0FFEE)
-    return replace(tcfg, meas_cov=cov)
 
 
 def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -325,14 +308,16 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     primary_snr = spec.snr_grid_db[0]
     for snr_db in spec.snr_grid_db:
         noise = snr_db_to_noise_power(snr_db, spec.cfg)
-        tcfg = tracker_for_run(spec, noise)
+        tcfg = tracker_for_run(spec.cfg, spec.tracker, spec.trajectory,
+                               spec.tracking_scenario, noise, spec.seed)
         for scheme in schemes:
             logs = [_tracking_run(spec, scheme, noise, tcfg, s)
                     for s in range(spec.trials)]
             gains = np.array([[b.gain for b in log] for log in logs])
             ses = np.array([[b.se_bits for b in log] for log in logs])
             pilots = {b.pilots for log in logs for b in log}
-            if pilots != {TRACKING_PILOTS[scheme]}:
+            budget = TRACKING_SCHEMES[scheme][0]
+            if pilots != {budget}:
                 raise AssertionError(
                     f"{scheme} pilot accounting drifted: {sorted(pilots)}")
             if snr_db == primary_snr:
@@ -343,14 +328,14 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
                         "mean_gain": float(gains[:, j].mean()),
                         "mean_se_bits": float(ses[:, j].mean()),
                         "seeds": spec.trials,
-                        "pilots_per_block": TRACKING_PILOTS[scheme],
+                        "pilots_per_block": budget,
                     })
             rows.append({
                 "experiment": "tracking_se_vs_snr", "scheme": scheme,
                 "snr_db": snr_db, "t_s": "",
                 "mean_gain": float(gains.mean()),
                 "mean_se_bits": float(ses.mean()), "seeds": spec.trials,
-                "pilots_per_block": TRACKING_PILOTS[scheme],
+                "pilots_per_block": budget,
             })
         upper = np.mean([_perfect_csi_se(spec, noise, s) for s in range(spec.trials)])
         rows.append({
@@ -397,8 +382,7 @@ def overhead_report(cfg: ArrayConfig, q: int, s: int,
         {"table": "tracking", "scheme": scheme, "formula": str(per_block),
          "parameters": "per block", "pilots": per_block,
          "implemented": True}
-        for scheme, per_block in (("nfbt", 1), ("hfns", 5), ("brpss", 1),
-                                  ("ffbt_proxy", 3))
+        for scheme, (per_block, _) in TRACKING_SCHEMES.items()
     ]
     if measure:
         measured = _measured_overheads(cfg, q, s, seed)
@@ -442,8 +426,5 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
         ("training", "thbt_brpss"): thbt.pilots + ref.pilots,
         ("training", "hfbs"): hfbs.pilots,
         ("training", "ffbs"): ffbs.pilots,
-        ("tracking", "nfbt"): per_block["nfbt"],
-        ("tracking", "hfns"): per_block["hfns"],
-        ("tracking", "brpss"): per_block["brpss"],
-        ("tracking", "ffbt_proxy"): per_block["ffbt_proxy"],
+        **{("tracking", scheme): n for scheme, n in per_block.items()},
     }

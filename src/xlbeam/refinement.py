@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .arrays import ArrayConfig, ChannelRealization, FAR_FIELD, crandn
-from .combining import chirp_sum
+from .arrays import ArrayConfig, FAR_FIELD, crandn, h_of
 
 
 def initial_kb(cfg: ArrayConfig, omega: float, r: float) -> tuple[float, float]:
@@ -44,9 +42,8 @@ def measure_subarrays(cfg: ArrayConfig, channel, k: float, b: float,
                       rng: np.random.Generator | None = None,
                       x: complex = 1.0) -> np.ndarray:
     """One pilot through the chirp combiner; returns the N_RF outputs."""
-    h = channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
     w = refinement_combiner(cfg, k, b)
-    h_blocks = h.reshape(cfg.n_rf, cfg.m_per_sub)
+    h_blocks = h_of(channel).reshape(cfg.n_rf, cfg.m_per_sub)
     z = np.einsum("tm,tm->t", w.conj(), h_blocks) * x
     if noise_power > 0.0:
         if rng is None:
@@ -141,64 +138,3 @@ def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: floa
         return RefinementResult(k=k0, b=b0, omega=coarse_omega,
                                 range_m=coarse_range, refined=False)
     return result
-
-
-# ---------------------------------------------------------------------------
-# analytic signal-model oracle
-
-
-def psp_band_ok(cfg: ArrayConfig, dk: float, db: float,
-                include_phase_bound: bool = False) -> bool:
-    """Check the offsets against the flat-top validity conditions.
-
-    The peak-shift condition requires ``|phi_t + w| <= 1/M`` over the
-    chirp bandwidth for every subarray; ``include_phase_bound`` adds the
-    quadratic-phase condition ``|(M+1)w/2 - w^2/(4 dk)| <= 1/2``.
-    """
-    m, n_rf = cfg.m_per_sub, cfg.n_rf
-    if dk == 0.0:
-        return abs(db) <= 1.0 / m
-    ends = np.array([2.0 * dk * m, 2.0 * dk])
-    for t in range(1, n_rf + 1):
-        phi = db + 2.0 * dk * m * (t - 1)
-        if np.max(np.abs(phi + ends)) > 1.0 / m:
-            return False
-    if include_phase_bound:
-        w = np.linspace(min(ends), max(ends), 64)
-        if np.max(np.abs((m + 1) * w / 2.0 - w * w / (4.0 * dk))) > 0.5:
-            return False
-    return True
-
-
-def psp_model_oracle(cfg: ArrayConfig, dk: float, db: float, t: int) -> complex:
-    """Analytic factorization of subarray t's chirp sum, by quadrature.
-
-    Evaluates ``g_bar * C(t) * B(phi_t)`` for the normalized sum
-    ``sum_m exp(j*pi*(dk*(m+(t-1)M)^2 + db*(m+(t-1)M)))``.  Exists to
-    validate the phase model against :func:`chirp_sum`; a vanishing dk
-    falls back to the exact geometric series.
-    """
-    m = cfg.m_per_sub
-    if dk == 0.0:
-        return chirp_sum(m, 0.0, db, offset=(t - 1) * m)
-    if dk > 0.0:
-        return complex(np.conj(psp_model_oracle(cfg, -dk, -db, t)))
-
-    phi_t = db + 2.0 * dk * m * (t - 1)
-    g_bar = (1.0 / (2.0 * math.sqrt(-dk))) * np.exp(1j * np.pi * ((m + 1) * db / 2.0 - 0.25))
-    dkt = dk * m * m
-    dbt = (db + dk * (m + 1)) * m
-    c_t = np.exp(1j * np.pi * (dkt * (t - 1) ** 2 + dbt * (t - 1)))
-
-    def integrand(w, part):
-        p = np.exp(1j * np.pi * ((m + 1) * w / 2.0 - w * w / (4.0 * dk)))
-        arg = (np.pi * phi_t + np.pi * w) / 2.0
-        s = math.sin(arg)
-        a = m if abs(s) < 1e-14 else math.sin(m * arg) / s
-        val = p * a
-        return val.real if part == 0 else val.imag
-
-    lo, hi = 2.0 * dk * m, 2.0 * dk
-    re, _ = quad(integrand, lo, hi, args=(0,), limit=400)
-    im, _ = quad(integrand, lo, hi, args=(1,), limit=400)
-    return complex(g_bar * c_t * (re + 1j * im))

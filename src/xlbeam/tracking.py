@@ -3,15 +3,19 @@ phase-shift refinement per block, and Kalman fusion.
 
 The state is Cartesian ``[x, y, vx, vy]`` in the array frame (array on
 the y-axis, boresight along +x).  The refinement output is converted to
-a Cartesian position measurement, so the filter is linear; a Jacobian
-hook is kept for a polar-measurement variant.
+a Cartesian position measurement, so the filter is linear.
+
+Every scheme runs in one block loop (:func:`run_blocks`): the loop draws
+the block's channel and scores the beam, and a per-scheme step
+(:func:`nfbt_step` and the baselines) spends the pilots and updates the
+estimate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,6 +124,12 @@ def polar_to_cartesian(omega: float, r: float) -> np.ndarray:
     return np.array([r * math.cos(theta), r * math.sin(theta)])
 
 
+def omega_range(pos) -> tuple[float, float]:
+    """(omega, range) of a Cartesian position."""
+    zeta = float(np.hypot(pos[0], pos[1]))
+    return float(pos[1] / zeta), zeta
+
+
 def measure_block(cfg: ArrayConfig, channel, zeta_pred: float, theta_pred: float,
                   noise_power: float, rng: np.random.Generator) -> Measurement:
     """Refine around the predicted geometry with a single pilot.
@@ -136,11 +146,6 @@ def measure_block(cfg: ArrayConfig, channel, zeta_pred: float, theta_pred: float
     return Measurement(position=pos, omega=res.omega, range_m=res.range_m, ok=ok)
 
 
-def measurement_jacobian(state: TrackState) -> np.ndarray:
-    """Jacobian hook: the Cartesian position measurement is linear."""
-    return MEAS_MATRIX
-
-
 def filter_update(pred: TrackState, meas_pos: np.ndarray,
                   tcfg: TrackerConfig) -> TrackState:
     """Kalman position update in Joseph form.
@@ -150,7 +155,7 @@ def filter_update(pred: TrackState, meas_pos: np.ndarray,
     """
     if tcfg.meas_cov is None:
         raise ValueError("filter_update needs a calibrated meas_cov")
-    h = measurement_jacobian(pred)
+    h = MEAS_MATRIX
     r = np.asarray(tcfg.meas_cov, dtype=float)
     s = h @ pred.cov @ h.T + r
     try:
@@ -170,7 +175,7 @@ def filter_update(pred: TrackState, meas_pos: np.ndarray,
 def innovation_distance(pred: TrackState, meas_pos: np.ndarray,
                         tcfg: TrackerConfig) -> float:
     """Squared Mahalanobis distance of a measurement from the prediction."""
-    h = measurement_jacobian(pred)
+    h = MEAS_MATRIX
     s = h @ pred.cov @ h.T + np.asarray(tcfg.meas_cov, dtype=float)
     innov = meas_pos - h @ pred.x
     return float(innov @ np.linalg.solve(s, innov))
@@ -233,9 +238,7 @@ class TrackingChannel:
 
     def at_block(self, block: int, rng: np.random.Generator):
         """Returns (h, omega_true, zeta_true, los_gain)."""
-        pos = self.traj.position(block)
-        zeta = float(np.hypot(pos[0], pos[1]))
-        omega = float(pos[1] / zeta)
+        omega, zeta = omega_range(self.traj.position(block))
         g1 = crandn(rng) if self.scen.fading else 1.0 + 0j
         h = g1 * steering(self.cfg, omega, zeta)
         amp = math.sqrt(self.scen.nlos_gain_var)
@@ -276,8 +279,24 @@ def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, zeta: float,
     return cov + 1e-6 * np.eye(2)
 
 
+def tracker_for_run(cfg: ArrayConfig, tcfg: TrackerConfig, traj: Trajectory,
+                    scen: TrackingScenario, noise_power: float,
+                    seed: int) -> TrackerConfig:
+    """Fill in the measurement covariance by calibration when unset.
+
+    The calibration runs at the mid-trajectory geometry, on a stream
+    derived from the run's seed.
+    """
+    if tcfg.meas_cov is not None:
+        return tcfg
+    omega, zeta = omega_range(traj.position(traj.n_blocks // 2))
+    cov = calibrate_measurement_cov(cfg, noise_power, zeta, omega, scen,
+                                    seed=seed ^ 0xC0FFEE)
+    return replace(tcfg, meas_cov=cov)
+
+
 # ---------------------------------------------------------------------------
-# per-block logs and scheme runners
+# the block loop and the per-scheme steps
 
 
 @dataclass
@@ -309,27 +328,71 @@ def spectral_efficiency(cfg: ArrayConfig, sub_book: SubarrayCodebook,
     return math.log2(1.0 + sig / noise_power)
 
 
-def run_tracking(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
-                 tcfg: TrackerConfig, noise_power: float,
-                 rng: np.random.Generator,
-                 scen: TrackingScenario = TrackingScenario(),
-                 init_state: np.ndarray | None = None) -> list[BlockLog]:
-    """Kalman-filtered tracking: predict, measure (1 pilot), fuse, log.
+@dataclass(frozen=True)
+class StepResult:
+    """What one scheme did in one block.
 
-    Failures in measurement or gating never abort the run; the block
-    degrades to a prediction-only update.
+    ``beam`` is scored against the true geometry; the spectral-efficiency
+    combiner is designed at (``omega``, ``range_m``).
+    """
+
+    beam: np.ndarray
+    omega: float
+    range_m: float
+    pilots: int
+    predicted: np.ndarray | None
+    measured: np.ndarray | None
+    filtered: np.ndarray
+
+    @classmethod
+    def pointing(cls, beam: np.ndarray, omega: float, range_m: float,
+                 pilots: int) -> StepResult:
+        """A filterless step: the geometry it points at is its only estimate."""
+        pos = polar_to_cartesian(omega, range_m) if math.isfinite(range_m) else None
+        return cls(beam=beam, omega=omega, range_m=range_m, pilots=pilots,
+                   predicted=None, measured=pos,
+                   filtered=pos if pos is not None else np.full(2, np.nan))
+
+
+def run_blocks(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
+               tcfg: TrackerConfig, noise_power: float, rng: np.random.Generator,
+               scen: TrackingScenario, step) -> list[BlockLog]:
+    """Run one tracking scheme over the trajectory, block by block.
+
+    Each block draws the channel, hands it to ``step(h, rng)`` (the
+    scheme's pilots and estimate update; it returns a :class:`StepResult`),
+    then scores the pointed beam against the true geometry.
     """
     chan = TrackingChannel(cfg, traj, scen, rng)
-    if init_state is None:
-        init_state = np.array([traj.start[0], traj.start[1], 0.0, 0.0])
-    state = TrackState(x=np.asarray(init_state, dtype=float),
-                       cov=np.diag(tcfg.init_cov_diag), block=0)
     logrows = []
     for i in range(1, tcfg.n_blocks + 1):
+        h, om_t, ze_t, _ = chan.at_block(i, rng)
+        out = step(h, rng)
+        gain = hybrid_beam_gain(cfg, out.beam, om_t, ze_t)
+        se = spectral_efficiency(cfg, sub_book, h, out.omega, out.range_m, noise_power)
+        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
+                                predicted=out.predicted, measured=out.measured,
+                                filtered=out.filtered, gain=gain, se_bits=se,
+                                pilots=out.pilots))
+    return logrows
+
+
+def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
+              init_state: np.ndarray):
+    """Kalman-filtered tracking: predict, measure (1 pilot), gate, fuse.
+
+    ``init_state`` is ``[x, y, vx, vy]`` before the first block.  Failures
+    in measurement or gating never abort the run; the block degrades to a
+    prediction-only update.
+    """
+    state = TrackState(x=np.asarray(init_state, dtype=float),
+                       cov=np.diag(tcfg.init_cov_diag), block=0)
+
+    def step(h, rng):
+        nonlocal state
         state = predict(state, tcfg)
         pred_pos = state.position.copy()
         zeta_p, theta_p = state.polar()
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
         meas = measure_block(cfg, h, zeta_p, theta_p, noise_power, rng)
         accepted = meas.ok
         if accepted and tcfg.innovation_gate is not None:
@@ -337,68 +400,47 @@ def run_tracking(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
         if accepted:
             state = filter_update(state, meas.position, tcfg)
         state.assert_valid()
-        f = filtered_channel(cfg, state)
-        gain = hybrid_beam_gain(cfg, f, om_t, ze_t)
         zf, tf = state.polar()
-        se = spectral_efficiency(cfg, sub_book, h, math.sin(tf), zf, noise_power)
-        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
-                                predicted=pred_pos,
-                                measured=meas.position if meas.ok else None,
-                                filtered=state.position.copy(), gain=gain,
-                                se_bits=se, pilots=meas.pilots))
-    return logrows
+        return StepResult(beam=filtered_channel(cfg, state), omega=math.sin(tf),
+                          range_m=zf, pilots=meas.pilots, predicted=pred_pos,
+                          measured=meas.position if meas.ok else None,
+                          filtered=state.position.copy())
+
+    return step
 
 
-def run_brpss_only(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
-                   tcfg: TrackerConfig, noise_power: float,
-                   rng: np.random.Generator,
-                   scen: TrackingScenario = TrackingScenario()) -> list[BlockLog]:
+def brpss_step(cfg: ArrayConfig, start, noise_power: float):
     """Filterless baseline: the previous block's estimate is the prediction.
 
     Any mathematically valid refinement output (including a far-field
     reading) becomes the next state; there is no kinematic model and no
     gating, which is exactly what the comparison is about.
     """
-    chan = TrackingChannel(cfg, traj, scen, rng)
-    start = np.asarray(traj.start, dtype=float)
-    est_omega = float(start[1] / np.hypot(*start))
-    est_range = float(np.hypot(*start))
-    logrows = []
-    for i in range(1, tcfg.n_blocks + 1):
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
+    est_omega, est_range = omega_range(start)
+
+    def step(h, rng):
+        nonlocal est_omega, est_range
         res = run_brpss(cfg, h, est_omega, est_range, noise_power, rng)
         if res.refined and abs(res.omega) <= 1.0:
             est_omega, est_range = res.omega, res.range_m
-        f = steering_quadratic(cfg, est_omega, est_range)
-        gain = hybrid_beam_gain(cfg, f, om_t, ze_t)
-        se = spectral_efficiency(cfg, sub_book, h, est_omega, est_range, noise_power)
-        pos = (polar_to_cartesian(est_omega, est_range)
-               if math.isfinite(est_range) else None)
-        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
-                                predicted=None, measured=pos,
-                                filtered=pos if pos is not None else np.full(2, np.nan),
-                                gain=gain, se_bits=se, pilots=1))
-    return logrows
+        return StepResult.pointing(steering_quadratic(cfg, est_omega, est_range),
+                                   est_omega, est_range, pilots=1)
+
+    return step
 
 
-def run_hfns(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
-             traj: Trajectory, tcfg: TrackerConfig, noise_power: float,
-             rng: np.random.Generator,
-             scen: TrackingScenario = TrackingScenario()) -> list[BlockLog]:
+def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float):
     """Neighbor search in the hybrid codebook: 5 pilots per block.
 
     Tests the previous best codeword plus its four grid neighbors (angle
     and distance neighbors for near cells; the four nearest angles for
     far cells), each through its trained hybrid combiner.
     """
-    chan = TrackingChannel(cfg, traj, scen, rng)
-    start = np.asarray(traj.start, dtype=float)
-    ze0 = float(np.hypot(*start))
-    om0 = float(start[1] / ze0)
-    p_best = nearest_codeword(book, om0, ze0)
-    logrows = []
-    for i in range(1, tcfg.n_blocks + 1):
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
+    book = design.book
+    p_best = nearest_codeword(book, *omega_range(start))
+
+    def step(h, rng):
+        nonlocal p_best
         cands = neighbor_codewords(book, p_best)
         powers = []
         for p in cands:
@@ -411,17 +453,37 @@ def run_hfns(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
             powers.append(abs(y) ** 2)
         p_best = cands[int(np.argmax(powers))]
         cw = book.params(p_best)
-        f = book.column(p_best)
-        gain = hybrid_beam_gain(cfg, f, om_t, ze_t)
-        se = spectral_efficiency(cfg, design.sub_book, h, cw.theta, cw.distance,
-                                 noise_power)
-        pos = (polar_to_cartesian(cw.theta, cw.distance)
-               if math.isfinite(cw.distance) else None)
-        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
-                                predicted=None, measured=pos,
-                                filtered=pos if pos is not None else np.full(2, np.nan),
-                                gain=gain, se_bits=se, pilots=len(cands)))
-    return logrows
+        return StepResult.pointing(book.column(p_best), cw.theta, cw.distance,
+                                   pilots=len(cands))
+
+    return step
+
+
+def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
+    """Far-field neighbor-search stand-in: 3 ideal plane-wave pilots per block.
+
+    This proxies a far-field tracker with the plane-wave sweep machinery
+    already present; it is not a reproduction of any specific external
+    tracker and is labeled accordingly in outputs.
+    """
+    q_best = book.params(nearest_codeword(book, omega_range(start)[0], FAR_FIELD)).q
+
+    def step(h, rng):
+        nonlocal q_best
+        cands = [q for q in (q_best - 1, q_best, q_best + 1)
+                 if 1 <= q <= book.n_angles]
+        powers = []
+        for q in cands:
+            y = np.vdot(book.column(book.index_of(q, None)), h)
+            if noise_power > 0.0:
+                y = y + crandn(rng) * math.sqrt(noise_power)
+            powers.append(abs(y) ** 2)
+        q_best = cands[int(np.argmax(powers))]
+        return StepResult.pointing(book.column(book.index_of(q_best, None)),
+                                   float(book.theta[q_best - 1]), FAR_FIELD,
+                                   pilots=len(cands))
+
+    return step
 
 
 def nearest_codeword(book: HybridCodebook, omega: float, r: float) -> int:
@@ -463,42 +525,3 @@ def neighbor_codewords(book: HybridCodebook, p: int) -> list[int]:
         if c not in seen:
             seen.append(c)
     return seen[:5]
-
-
-def run_ffbt_proxy(cfg: ArrayConfig, book: HybridCodebook, sub_book: SubarrayCodebook,
-                   traj: Trajectory, tcfg: TrackerConfig, noise_power: float,
-                   rng: np.random.Generator,
-                   scen: TrackingScenario = TrackingScenario()) -> list[BlockLog]:
-    """Far-field neighbor-search stand-in: 3 ideal plane-wave pilots per block.
-
-    This proxies a far-field tracker with the plane-wave sweep machinery
-    already present; it is not a reproduction of any specific external
-    tracker and is labeled accordingly in outputs.
-    """
-    chan = TrackingChannel(cfg, traj, scen, rng)
-    start = np.asarray(traj.start, dtype=float)
-    om0 = float(start[1] / np.hypot(*start))
-    q_best = int(np.clip(round((om0 * book.n_angles + 1 + book.n_angles) / 2), 1,
-                         book.n_angles))
-    logrows = []
-    for i in range(1, tcfg.n_blocks + 1):
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
-        cands = [q for q in (q_best - 1, q_best, q_best + 1)
-                 if 1 <= q <= book.n_angles]
-        powers = []
-        for q in cands:
-            col = book.column(book.index_of(q, None))
-            y = np.vdot(col, h)
-            if noise_power > 0.0:
-                y = y + crandn(rng) * math.sqrt(noise_power)
-            powers.append(abs(y) ** 2)
-        q_best = cands[int(np.argmax(powers))]
-        f = book.column(book.index_of(q_best, None))
-        gain = hybrid_beam_gain(cfg, f, om_t, ze_t)
-        se = spectral_efficiency(cfg, sub_book, h, float(book.theta[q_best - 1]),
-                                 FAR_FIELD, noise_power)
-        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
-                                predicted=None, measured=None,
-                                filtered=np.full(2, np.nan), gain=gain,
-                                se_bits=se, pilots=len(cands)))
-    return logrows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, ChannelRealization, crandn
+from .arrays import ArrayConfig, ChannelRealization, crandn, h_of
 from .codebooks import HybridCodebook, SubarrayCodebook
 from .combining import CombinerPair, quantize_pointing, subarray_centers
 
@@ -86,8 +86,6 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 
     m_idx = quantize_pointing(psi.reshape(-1), sub_book).reshape(p_total, n_rf) - 1
 
-    if book.matrix is None:
-        raise ValueError("design_all needs an eagerly built codebook")
     fc = np.empty((p_total, n_rf), dtype=complex)
     bh = sub_book.matrix.conj().T                                   # (M, M)
     for t in range(n_rf):
@@ -168,8 +166,7 @@ def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
              channel: ChannelRealization | np.ndarray, noise_power: float = 0.0,
              rng: np.random.Generator | None = None) -> TrainingResult:
     """Full two-stage training: M pilots swept, zero pilots in stage 2."""
-    h = channel.h if isinstance(channel, ChannelRealization) else channel
-    sweep = stage1_sweep(cfg, design.sub_book, h, noise_power, rng)
+    sweep = stage1_sweep(cfg, design.sub_book, h_of(channel), noise_power, rng)
     return stage2_select(book, design, sweep)
 
 
@@ -183,8 +180,6 @@ def baseline_hfbs(cfg: ArrayConfig, book: HybridCodebook,
     This is the upper-overhead baseline; it observes each codeword
     directly and is not constrained by the partially-connected hardware.
     """
-    if book.matrix is None:
-        raise ValueError("baseline_hfbs needs an eagerly built codebook")
     # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
     y = (h_of(channel).conj() @ book.matrix).conj() * x
     if noise_power > 0.0:
@@ -204,8 +199,6 @@ def baseline_ffbs(cfg: ArrayConfig, book: HybridCodebook,
                   rng: np.random.Generator | None = None,
                   x: complex = 1.0) -> TrainingResult:
     """Far-field-only sweep: Q ideal pilots over the plane-wave block."""
-    if book.matrix is None:
-        raise ValueError("baseline_ffbs needs an eagerly built codebook")
     qs = book.n_angles * book.n_rings
     y = (h_of(channel).conj() @ book.matrix[:, qs:]).conj() * x
     if noise_power > 0.0:
@@ -217,7 +210,3 @@ def baseline_ffbs(cfg: ArrayConfig, book: HybridCodebook,
     omega, rng_m = rough_position(book, p_best)
     return TrainingResult(scheme="ffbs", best_index=p_best, rough_omega=omega,
                           rough_range=rng_m, powers=powers, pilots=book.n_angles)
-
-
-def h_of(channel) -> np.ndarray:
-    return channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)

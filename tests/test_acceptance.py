@@ -13,12 +13,12 @@ import pytest
 from xlbeam import (ArrayConfig, ChannelScenario, build_subarray_codebook,
                     gain_loss_bound, quantize_pointing, rayleigh_distance,
                     run_brpss, steering_near, subarray_pointing)
-from xlbeam.combining import chirp_sum
+from oracles import chirp_sum
 from xlbeam.harness import ExperimentSpec, overhead_report
 from xlbeam.harness.experiments import (evaluate_training_trial,
                                         tracking_experiment)
 from xlbeam.harness.runner import run_trials
-from xlbeam.refinement import psp_band_ok
+from oracles import psp_band_ok
 from xlbeam.tracking import (TrackerConfig, TrackingScenario, TrackState,
                              Trajectory, filter_update, predict)
 from xlbeam.training import stage1_sweep, stage2_select

@@ -79,8 +79,11 @@ class TestSweep:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("from_cli", [True, False])
-    @pytest.mark.parametrize("trials", [0, -1])
+    # argparse already types --trials as an integer, so the non-integer
+    # values are config-only
+    @pytest.mark.parametrize("trials, from_cli", [
+        (0, True), (0, False), (-1, True), (-1, False),
+        ("abc", False), (2.7, False), (True, False)])
     def test_trials_below_one(self, tmp_path, capsys, trials, from_cli):
         cfg = write_config(tmp_path, "cfg.json",
                            sweep_config() if from_cli else sweep_config(trials=trials))
@@ -88,6 +91,12 @@ class TestConfigErrors:
         assert main(["--config", cfg, *override, "--out", str(tmp_path / "x"),
                      "sweep"]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", 2.7, True, -1])
+    def test_seed_not_a_nonnegative_integer(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, "cfg.json", sweep_config(seed=seed))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_missing_key_path_reported(self, tmp_path, capsys):
         bad = sweep_config()

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlbeam import (ArrayConfig, build_far_codebook, build_hybrid_codebook,
-                    build_near_codebook, build_subarray_codebook, codeword_params,
-                    steering_far, steering_near, validate_quantization)
+                    build_near_codebook, build_subarray_codebook, steering_far,
+                    steering_near, validate_quantization)
 from xlbeam.codebooks import angle_grid, distance_grid
 
 
@@ -94,7 +94,7 @@ class TestHybridCodebook:
     def test_worked_example_codeword_index(self, full_workspace):
         book, _, _ = full_workspace
         p = 255 * 11 + 6
-        cw = codeword_params(book, p)
+        cw = book.params(p)
         assert (cw.q, cw.s) == (256, 6)
         assert cw.theta == pytest.approx(-1 / 512, abs=0)
         assert cw.distance == pytest.approx(11.26395703125, rel=1e-12)
@@ -104,15 +104,6 @@ class TestHybridCodebook:
         for p in range(1, book.n_columns + 1):
             cw = book.params(p)
             assert book.index_of(cw.q, cw.s) == p
-
-    def test_lazy_columns_match_eager(self, cfg128):
-        eager = build_hybrid_codebook(cfg128, 16, 2)
-        lazy = build_hybrid_codebook(cfg128, 16, 2, eager=False)
-        assert lazy.matrix is None
-        for p in (1, 7, 16 * 2, 16 * 2 + 5):
-            assert np.allclose(lazy.column(p), eager.matrix[:, p - 1], rtol=1e-12)
-        cols = list(lazy.iter_columns())
-        assert len(cols) == eager.n_columns
 
     def test_below_floor_flags(self, desk_workspace):
         book, _, _ = desk_workspace

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import chirp_sum, flat_top_gain
 from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, beam_center,
-                    build_subarray_codebook, chirp_sum, design_hybrid,
-                    flat_top_gain, gain_loss_bound, hybrid_beam_gain,
-                    quantize_pointing, rayleigh_distance, steering_far,
-                    steering_near, subarray_pointing)
+                    build_subarray_codebook, design_hybrid, gain_loss_bound,
+                    hybrid_beam_gain, quantize_pointing, rayleigh_distance,
+                    steering_far, steering_near, subarray_pointing)
 from xlbeam.arrays import PathParams, QuadraticPhase
 
 EXAMPLE_THETA = -1 / 512

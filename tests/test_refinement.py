@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, chirp_sum,
-                    estimate_offsets, initial_kb, measure_subarrays,
-                    phase_differences, psp_band_ok, psp_model_oracle, refine,
+from oracles import chirp_sum, psp_band_ok, psp_model_oracle
+from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, estimate_offsets,
+                    initial_kb, measure_subarrays, phase_differences, refine,
                     run_brpss, steering_near, steering_quadratic)
 from xlbeam.refinement import wrap_pi
 

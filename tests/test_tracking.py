@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from xlbeam import (FAR_FIELD, build_subarray_codebook,
-                    calibrate_measurement_cov, design_hybrid, filter_update,
-                    filtered_channel, hybrid_beam_gain, measure_block, predict,
-                    rayleigh_distance, run_brpss_only, run_ffbt_proxy, run_hfns,
-                    run_tracking, steering_far, steering_near)
+from xlbeam import (FAR_FIELD, brpss_step, build_subarray_codebook,
+                    calibrate_measurement_cov, design_hybrid, ffbt_proxy_step,
+                    filter_update, filtered_channel, hfns_step, hybrid_beam_gain,
+                    measure_block, nfbt_step, predict, rayleigh_distance,
+                    run_blocks, steering_far, steering_near)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
                              Trajectory, nearest_codeword, neighbor_codewords,
                              process_noise, transition_matrix)
@@ -15,6 +15,7 @@ from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
 PAPER_TRAJ = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),
                         velocity=(-5.0, -5.0 * math.sqrt(3)),
                         dt=0.05, n_blocks=180)
+AT_REST = [*PAPER_TRAJ.start, 0.0, 0.0]
 
 
 def make_tracker(n_blocks=10, **kw):
@@ -151,8 +152,9 @@ class TestRunTracking:
         sub = build_subarray_codebook(cfg512)
         tcfg = TrackerConfig(dt=0.05, n_blocks=30, meas_cov=np.eye(2) * 1e-4)
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_tracking(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
-                           np.random.default_rng(1), scen)
+        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+                         np.random.default_rng(1), scen,
+                         nfbt_step(cfg512, tcfg, 0.0, AT_REST))
         assert len(log) == 30
         assert all(b.gain >= 0.99 for b in log)
         assert all(b.pilots == 1 for b in log)
@@ -182,8 +184,9 @@ class TestRunTracking:
         scen = TrackingScenario(fading=False, n_nlos=0)
         init = np.array([PAPER_TRAJ.start[0], PAPER_TRAJ.start[1],
                          PAPER_TRAJ.velocity[0], PAPER_TRAJ.velocity[1]])
-        log = run_tracking(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
-                           np.random.default_rng(2), scen, init_state=init)
+        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+                         np.random.default_rng(2), scen,
+                         nfbt_step(cfg512, tcfg, 0.0, init))
         for b in log:
             assert np.allclose(b.filtered, b.truth, atol=1e-9)
 
@@ -211,25 +214,28 @@ class TestBaselines:
         sub = build_subarray_codebook(cfg512)
         tcfg = TrackerConfig(dt=0.05, n_blocks=20, meas_cov=np.eye(2))
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_brpss_only(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
-                             np.random.default_rng(3), scen)
+        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+                         np.random.default_rng(3), scen,
+                         brpss_step(cfg512, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 1 for b in log)
         assert all(b.gain >= 0.98 for b in log)
 
     def test_hfns_pilots(self, cfg512, full_workspace):
         book, sub, design = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_hfns(cfg512, book, design, PAPER_TRAJ, tcfg, 0.0,
-                       np.random.default_rng(4),
-                       TrackingScenario(fading=False, n_nlos=0))
+        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+                         np.random.default_rng(4),
+                         TrackingScenario(fading=False, n_nlos=0),
+                         hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 5 for b in log)
 
     def test_ffbt_proxy_pilots(self, cfg512, full_workspace):
         book, sub, _ = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_ffbt_proxy(cfg512, book, sub, PAPER_TRAJ, tcfg, 0.0,
-                             np.random.default_rng(5),
-                             TrackingScenario(fading=False, n_nlos=0))
+        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+                         np.random.default_rng(5),
+                         TrackingScenario(fading=False, n_nlos=0),
+                         ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 3 for b in log)
 
     def test_neighbor_sets(self, full_workspace):
