@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD,
                      PathParams, QuadraticPhase, crandn, element_distance,
-                     rayleigh_distance, receive, sample_channel,
+                     rayleigh_distance, sample_channel,
                      snr_db_to_noise_power, steering, steering_far, steering_near,
                      steering_quadratic, synthesize)
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
@@ -24,7 +24,7 @@ from .tracking import (StepResult, TrackerConfig, TrackingScenario, TrackState,
                        ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
                        measure_block, nfbt_step, predict, run_blocks)
 from .training import (Stage1Sweep, TrainedDesign, TrainingResult, assemble_reused,
-                       baseline_ffbs, baseline_hfbs, design_all, rough_position,
-                       run_thbt, stage1_sweep, stage2_select)
+                       baseline_ffbs, baseline_hfbs, design_all, run_thbt,
+                       stage1_sweep, stage2_select)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -248,34 +248,6 @@ def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
     return ChannelRealization(paths=paths, h=synthesize(cfg, paths))
 
 
-def receive(h: np.ndarray, w: np.ndarray, v: np.ndarray | None = None,
-            x: complex = 1.0, noise_power: float = 0.0,
-            rng: np.random.Generator | None = None):
-    """Hybrid-combined observation of one pilot.
-
-    ``w`` is the N_RF x N analog combiner and ``v`` the optional 1 x N_RF
-    digital row.  Returns ``v W h x + v W eta`` (scalar) or, with ``v``
-    omitted, the N_RF RF-chain outputs ``W h x + W eta``.  Zero noise
-    power draws nothing from the generator.
-    """
-    w = np.asarray(w)
-    h = np.asarray(h)
-    if w.ndim != 2 or w.shape[1] != h.shape[0]:
-        raise ValueError(f"analog combiner shape {w.shape} incompatible with h ({h.shape[0]},)")
-    out = w @ (h * x)
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy receive needs an rng")
-        eta = crandn(rng, h.shape[0]) * math.sqrt(noise_power)
-        out = out + w @ eta
-    if v is None:
-        return out
-    v = np.asarray(v)
-    if v.shape[-1] != w.shape[0]:
-        raise ValueError(f"digital combiner shape {v.shape} incompatible with {w.shape[0]} RF chains")
-    return v @ out
-
-
 def snr_db_to_noise_power(snr_db: float, cfg: ArrayConfig) -> float:
     """Map a nominal SNR to the per-antenna noise variance sigma^2.
 

@@ -17,7 +17,8 @@ import numpy as np
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
 from .codebooks import build_subarray_codebook, validate_quantization
-from .harness.experiments import (ExperimentSpec, gain_vs_distance, gain_vs_snr,
+from .harness.experiments import (TRACKING_SCHEMES, TRAINING_SCHEMES,
+                                  ExperimentSpec, gain_vs_distance, gain_vs_snr,
                                   overhead_report, positioning_cdf,
                                   refinement_grid, tracking_experiment, workspace)
 from .harness.io import (ConfigError, fail, load_config, require_keys, write_csv,
@@ -29,29 +30,6 @@ from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
 from .training import run_thbt
 
 
-def parse_array(node: dict) -> ArrayConfig:
-    try:
-        return ArrayConfig(n_antennas=int(node["n_antennas"]),
-                           n_rf=int(node["n_rf"]),
-                           wavelength=float(node["wavelength"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad array description: {exc}") from exc
-
-
-def parse_paths(node: dict) -> ChannelScenario:
-    try:
-        return ChannelScenario(
-            n_paths=int(node["count"]),
-            gain_vars=tuple(float(v) for v in node["gain_vars"]),
-            angle_range=tuple(float(v) for v in node["angle_range"]),
-            range_range=tuple(float(v) for v in node["range_range"]),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad paths description: {exc}") from exc
-
-
 def integer_of(value, key: str, minimum: int) -> int:
     """A config integer: bools, floats and strings are configuration errors."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -61,10 +39,42 @@ def integer_of(value, key: str, minimum: int) -> int:
     return value
 
 
+def integers_of(values, key: str, minimum: int) -> tuple[int, ...]:
+    """A config list of integers, each checked by ``integer_of``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(integer_of(v, key, minimum) for v in values)
+
+
 def seed_of(node: dict, args, default=0) -> int:
     """The run's seed: ``--seed`` if given, else the config node's."""
     seed = args.seed if args.seed is not None else node.get("seed", default)
     return integer_of(seed, "seed", 0)
+
+
+def parse_array(node: dict, where: str) -> ArrayConfig:
+    """The array described by config node ``where``."""
+    n_antennas = integer_of(node["n_antennas"], f"{where}.n_antennas", 1)
+    n_rf = integer_of(node["n_rf"], f"{where}.n_rf", 1)
+    try:
+        return ArrayConfig(n_antennas=n_antennas, n_rf=n_rf,
+                           wavelength=float(node["wavelength"]))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad array description: {exc}") from exc
+
+
+def parse_paths(node: dict, where: str) -> ChannelScenario:
+    """The multipath scenario described by config node ``where``."""
+    n_paths = integer_of(node["count"], f"{where}.count", 1)
+    try:
+        return ChannelScenario(
+            n_paths=n_paths,
+            gain_vars=tuple(float(v) for v in node["gain_vars"]),
+            angle_range=tuple(float(v) for v in node["angle_range"]),
+            range_range=tuple(float(v) for v in node["range_range"]),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad paths description: {exc}") from exc
 
 
 SCENARIO_KEYS = ["scenario.n_antennas", "scenario.n_rf", "scenario.wavelength",
@@ -76,15 +86,16 @@ SCENARIO_KEYS = ["scenario.n_antennas", "scenario.n_rf", "scenario.wavelength",
 def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float, int]:
     require_keys(config, SCENARIO_KEYS)
     node = config["scenario"]
-    cfg = parse_array(node)
-    scen = parse_paths(node["paths"])
+    cfg = parse_array(node, "scenario")
+    scen = parse_paths(node["paths"], "scenario.paths")
     seed = seed_of(node, args, config.get("seed", 0))
     return cfg, scen, float(node["snr_db"]), seed
 
 
 def codebook_of(config: dict) -> tuple[int, int]:
     require_keys(config, ["codebook.q", "codebook.s"])
-    return int(config["codebook"]["q"]), int(config["codebook"]["s"])
+    node = config["codebook"]
+    return integer_of(node["q"], "codebook.q", 1), integer_of(node["s"], "codebook.s", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +164,17 @@ def cmd_refine(config: dict, args) -> int:
 def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
     node = config.get("tracker", {})
     cov = node.get("meas_cov")
+    gate = node.get("innovation_gate", 13.8)
+    if gate is not None and (isinstance(gate, bool)
+                             or not isinstance(gate, (int, float))):
+        raise ConfigError(f"tracker.innovation_gate must be a number or null, "
+                          f"got {gate!r}")
     return TrackerConfig(
         dt=traj.dt, n_blocks=traj.n_blocks,
         accel_intensity=float(node.get("accel_intensity", 1.0)),
         meas_cov=None if cov is None else np.asarray(cov, dtype=float),
         init_cov_diag=tuple(node.get("init_cov_diag", (1.0, 1.0, 25.0, 25.0))),
-        innovation_gate=node.get("innovation_gate", 13.8),
+        innovation_gate=gate,
     )
 
 
@@ -168,16 +184,20 @@ def trajectory_of(config: dict) -> Trajectory:
     node = config["trajectory"]
     return Trajectory(start=tuple(float(v) for v in node["start"]),
                       velocity=tuple(float(v) for v in node["velocity"]),
-                      dt=float(node["dt"]), n_blocks=int(node["blocks"]))
+                      dt=float(node["dt"]),
+                      n_blocks=integer_of(node["blocks"], "trajectory.blocks", 1))
 
 
 def tracking_scenario_of(config: dict) -> TrackingScenario:
     node = config.get("tracking_channel", {})
     kwargs = {}
     if "fading" in node:
-        kwargs["fading"] = bool(node["fading"])
+        if not isinstance(node["fading"], bool):
+            raise ConfigError(f"tracking_channel.fading must be true or false, "
+                              f"got {node['fading']!r}")
+        kwargs["fading"] = node["fading"]
     if "n_nlos" in node:
-        kwargs["n_nlos"] = int(node["n_nlos"])
+        kwargs["n_nlos"] = integer_of(node["n_nlos"], "tracking_channel.n_nlos", 0)
     if "nlos_gain_var" in node:
         kwargs["nlos_gain_var"] = float(node["nlos_gain_var"])
     return TrackingScenario(**kwargs)
@@ -186,7 +206,7 @@ def tracking_scenario_of(config: dict) -> TrackingScenario:
 def cmd_track(config: dict, args) -> int:
     require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
                           "snr_db"])
-    cfg = parse_array(config["array"])
+    cfg = parse_array(config["array"], "array")
     traj = trajectory_of(config)
     tcfg = tracker_config_of(config, traj)
     scen = tracking_scenario_of(config)
@@ -244,16 +264,22 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment: {kind} "
                           f"(choose from {sorted(EXPERIMENTS)})")
-    cfg = parse_array(config["array"])
+    cfg = parse_array(config["array"], "array")
     q, s = codebook_of(config)
     seed = seed_of(config, args)
     trials = integer_of(args.trials if args.trials is not None
                         else config.get("trials", 200), "trials", 1)
-    schemes = tuple(config.get("schemes", ["thbt", "thbt_brpss", "hfbs", "ffbs"]))
-    scen = parse_paths(config["paths"]) if "paths" in config else ChannelScenario()
+    known = TRACKING_SCHEMES if kind == "tracking" else TRAINING_SCHEMES
+    schemes = config.get("schemes", list(known))
+    if not isinstance(schemes, list) or not all(
+            isinstance(name, str) and name in known for name in schemes):
+        raise ConfigError(f"schemes must be a list of {kind} schemes "
+                          f"(choose from {list(known)}), got {schemes!r}")
+    scen = (parse_paths(config["paths"], "paths") if "paths" in config
+            else ChannelScenario())
     snr_grid = tuple(float(v) for v in config.get("snr_grid_db", [10.0]))
     extras = {}
-    kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=schemes, trials=trials,
+    kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=tuple(schemes), trials=trials,
                   seed=seed, workers=args.threads, snr_grid_db=snr_grid,
                   scenario=scen)
     if "r_max_grid" in config:
@@ -264,12 +290,12 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
         kwargs["tracker"] = tracker_config_of(config, traj)
         kwargs["tracking_scenario"] = tracking_scenario_of(config)
     if kind == "refinement_grid":
-        extras["q_grid"] = tuple(int(v) for v in config.get("q_grid", []))
-        extras["s_grid"] = tuple(int(v) for v in config.get("s_grid", []))
+        extras["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)
+        extras["s_grid"] = integers_of(config.get("s_grid", []), "s_grid", 0)
         if "fixed_q" in config:
-            extras["fixed_q"] = int(config["fixed_q"])
+            extras["fixed_q"] = integer_of(config["fixed_q"], "fixed_q", 1)
         if "fixed_s" in config:
-            extras["fixed_s"] = int(config["fixed_s"])
+            extras["fixed_s"] = integer_of(config["fixed_s"], "fixed_s", 0)
     return kind, ExperimentSpec(**kwargs), extras
 
 
@@ -316,7 +342,7 @@ def _sweep_svg(kind: str, rows: list[dict], path) -> None:
 def cmd_codebook(config: dict, args) -> int:
     require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
                           "codebook.q", "codebook.s"])
-    cfg = parse_array(config["array"])
+    cfg = parse_array(config["array"], "array")
     q, s = codebook_of(config)
     book, _, _ = workspace(cfg, q, s)
     report = validate_quantization(cfg, q, s)
@@ -353,7 +379,7 @@ def cmd_codebook(config: dict, args) -> int:
 def cmd_report(config: dict, args) -> int:
     require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
                           "codebook.q", "codebook.s"])
-    cfg = parse_array(config["array"])
+    cfg = parse_array(config["array"], "array")
     q, s = codebook_of(config)
     seed = seed_of(config, args)
     rows = overhead_report(cfg, q, s, measure=not args.no_measure, seed=seed)

@@ -112,16 +112,14 @@ class CombinerPair:
 
 
 def design_hybrid(cfg: ArrayConfig, sub_book: SubarrayCodebook, omega: float,
-                  r: float, target: np.ndarray | None = None,
-                  quantize: bool = True) -> CombinerPair:
+                  r: float, quantize: bool = True) -> CombinerPair:
     """Design the per-subarray beams and matched digital row for (omega, r).
 
     The geometry always comes from the stated (omega, r) — for codebook
     columns these are the generating parameters, never re-estimated from
-    the vector.  ``target`` overrides the vector the digital row is
-    matched to (defaults to the steering vector at the same geometry).
-    ``quantize=False`` keeps the continuous subarray beams instead of
-    snapping to the DFT grid.
+    the vector.  The digital row is matched to the steering vector at the
+    same geometry.  ``quantize=False`` keeps the continuous subarray beams
+    instead of snapping to the DFT grid.
     """
     m = cfg.m_per_sub
     psi = subarray_pointing(cfg, omega, r)
@@ -132,8 +130,7 @@ def design_hybrid(cfg: ArrayConfig, sub_book: SubarrayCodebook, omega: float,
         midx = None
         n = np.arange(m)
         w_blocks = np.exp(-1j * np.pi * n[None, :] * psi[:, None])
-    if target is None:
-        target = steering(cfg, omega, r, validate=False)
+    target = steering(cfg, omega, r, validate=False)
     wu = np.einsum("tm,tm->t", w_blocks, target.reshape(cfg.n_rf, m))
     norm = np.linalg.norm(wu)
     if norm == 0.0:

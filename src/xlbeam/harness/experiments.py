@@ -13,20 +13,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..arrays import (ArrayConfig, ChannelScenario, sample_channel,
-                      snr_db_to_noise_power)
+from ..arrays import (ArrayConfig, ChannelRealization, ChannelScenario,
+                      sample_channel, snr_db_to_noise_power)
 from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook,
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
 from ..refinement import run_brpss
 from ..tracking import (TrackerConfig, TrackingScenario, Trajectory, brpss_step,
-                        ffbt_proxy_step, hfns_step, nfbt_step, run_blocks,
-                        spectral_efficiency, tracker_for_run)
-from ..training import (TrainedDesign, baseline_ffbs, baseline_hfbs, design_all,
-                        run_thbt)
+                        ffbt_proxy_step, hfns_step, nfbt_step, polar_to_cartesian,
+                        run_blocks, spectral_efficiency, tracker_for_run)
+from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
+                        design_all, run_thbt)
 from .runner import run_trials, trial_rng
-
-TRAINING_SCHEMES = ("thbt", "thbt_brpss", "hfbs", "ffbs")
 
 QUANTILE_GRID = [round(0.01 * i, 2) for i in range(101)]
 
@@ -71,22 +69,71 @@ def clear_workspace_cache() -> None:
 # per-trial scheme evaluation
 
 
-def estimate_position(omega: float, r: float) -> np.ndarray | None:
-    if not math.isfinite(r) or abs(omega) > 1.0:
-        return None
-    theta = math.asin(omega)
-    return np.array([r * math.cos(theta), r * math.sin(theta)])
-
-
 def _position_error(channel, omega: float, r: float) -> float:
-    est = estimate_position(omega, r)
-    if est is None:
+    """Distance from the (omega, r) estimate to the line of sight; inf
+    when the estimate has no finite position."""
+    if not math.isfinite(r) or abs(omega) > 1.0:
         return math.inf
     los = channel.los
-    truth = estimate_position(los.omega, los.range_m)
-    if truth is None:
-        return math.inf
-    return float(np.linalg.norm(est - truth))
+    return float(np.linalg.norm(polar_to_cartesian(omega, r)
+                                - polar_to_cartesian(los.omega, los.range_m)))
+
+
+@dataclass
+class _TrainingTrial:
+    """One channel draw and what every training scheme measures it with."""
+
+    cfg: ArrayConfig
+    book: HybridCodebook
+    sub_book: SubarrayCodebook
+    design: TrainedDesign
+    channel: ChannelRealization
+    noise: float
+    rng: np.random.Generator
+    _thbt: TrainingResult | None = None
+
+    @property
+    def thbt(self) -> TrainingResult:
+        """The trial's one two-stage run, shared by thbt and thbt_brpss.
+
+        Not a functools.cached_property: before Python 3.12 that holds one
+        lock for all instances, which would serialise worker threads."""
+        if self._thbt is None:
+            self._thbt = run_thbt(self.cfg, self.book, self.design,
+                                  self.channel, self.noise, self.rng)
+        return self._thbt
+
+    def continuous_beam(self, omega: float, r: float) -> np.ndarray:
+        """The hybrid beam designed with continuous subarray beams at (omega, r)."""
+        return design_hybrid(self.cfg, self.sub_book, omega, r,
+                             quantize=False).combined_vector()
+
+    def swept(self, res: TrainingResult) -> tuple:
+        """A sweep baseline points its winning codeword."""
+        return (self.book.column(res.best_index), res.rough_omega,
+                res.rough_range, res.pilots)
+
+
+def _refined(t: _TrainingTrial) -> tuple:
+    """thbt's estimate refined with one pilot; omega is clipped once, before
+    both the beam and the position error use it."""
+    ref = run_brpss(t.cfg, t.channel, t.thbt.rough_omega, t.thbt.rough_range,
+                    t.noise, t.rng)
+    omega = float(np.clip(ref.omega, -1.0, 1.0))
+    return (t.continuous_beam(omega, ref.range_m), omega, ref.range_m,
+            t.thbt.pilots + ref.pilots)
+
+
+# scheme -> estimator(trial) -> (beam, omega, range, pilots spent), in the
+# order the schemes draw from a trial's rng.  The lambdas look the training
+# functions up when called, so rebinding a module attribute reaches them.
+TRAINING_SCHEMES = {
+    "thbt": lambda t: (t.continuous_beam(t.thbt.rough_omega, t.thbt.rough_range),
+                       t.thbt.rough_omega, t.thbt.rough_range, t.thbt.pilots),
+    "thbt_brpss": _refined,
+    "hfbs": lambda t: t.swept(baseline_hfbs(t.cfg, t.book, t.channel, t.noise, t.rng)),
+    "ffbs": lambda t: t.swept(baseline_ffbs(t.cfg, t.book, t.channel, t.noise, t.rng)),
+}
 
 
 def evaluate_training_trial(spec: ExperimentSpec, noise_power: float,
@@ -94,57 +141,23 @@ def evaluate_training_trial(spec: ExperimentSpec, noise_power: float,
                             schemes: tuple[str, ...]) -> dict:
     """One channel draw, all requested schemes measured on it.
 
-    Scheme order is fixed so the trial's RNG stream is reproducible for a
-    given scheme set.  The reported beam for the hardware-constrained
-    schemes is the continuous hybrid design at the estimated geometry;
-    the sweep baselines report their winning codeword.
+    Every scheme is scored the same way: the alignment gain of the beam it
+    points and the position error of the (omega, r) it reports.  Scheme
+    order is fixed by ``TRAINING_SCHEMES`` so the trial's RNG stream is
+    reproducible for a given scheme set.
     """
     cfg = spec.cfg
     book, sub_book, design = workspace(cfg, spec.n_angles, spec.n_rings)
-    channel = sample_channel(cfg, rng, scenario)
+    trial = _TrainingTrial(cfg, book, sub_book, design,
+                           sample_channel(cfg, rng, scenario), noise_power, rng)
     out = {}
-
-    thbt_res = None
-    for scheme in TRAINING_SCHEMES:
-        if scheme not in schemes:
-            continue
-        if scheme in ("thbt", "thbt_brpss") and thbt_res is None:
-            thbt_res = run_thbt(cfg, book, design, channel, noise_power, rng)
-        if scheme == "thbt":
-            pair = design_hybrid(cfg, sub_book, thbt_res.rough_omega,
-                                 thbt_res.rough_range, quantize=False)
-            out["thbt"] = {
-                "gain": alignment_gain(cfg, channel.paths, pair.combined_vector()),
-                "error_m": _position_error(channel, thbt_res.rough_omega,
-                                           thbt_res.rough_range),
-                "pilots": thbt_res.pilots,
-            }
-        elif scheme == "thbt_brpss":
-            ref = run_brpss(cfg, channel, thbt_res.rough_omega,
-                            thbt_res.rough_range, noise_power, rng)
-            omega = float(np.clip(ref.omega, -1.0, 1.0))
-            pair = design_hybrid(cfg, sub_book, omega, ref.range_m, quantize=False)
-            out["thbt_brpss"] = {
-                "gain": alignment_gain(cfg, channel.paths, pair.combined_vector()),
-                "error_m": _position_error(channel, ref.omega, ref.range_m),
-                "pilots": thbt_res.pilots + ref.pilots,
-            }
-        elif scheme == "hfbs":
-            res = baseline_hfbs(cfg, book, channel, noise_power, rng)
-            out["hfbs"] = {
-                "gain": alignment_gain(cfg, channel.paths,
-                                       book.column(res.best_index)),
-                "error_m": _position_error(channel, res.rough_omega,
-                                           res.rough_range),
-                "pilots": res.pilots,
-            }
-        elif scheme == "ffbs":
-            res = baseline_ffbs(cfg, book, channel, noise_power, rng)
-            out["ffbs"] = {
-                "gain": alignment_gain(cfg, channel.paths,
-                                       book.column(res.best_index)),
-                "error_m": math.inf,      # a plane-wave pick carries no range
-                "pilots": res.pilots,
+    for scheme, estimate in TRAINING_SCHEMES.items():
+        if scheme in schemes:
+            beam, omega, r, pilots = estimate(trial)
+            out[scheme] = {
+                "gain": alignment_gain(cfg, trial.channel.paths, beam),
+                "error_m": _position_error(trial.channel, omega, r),
+                "pilots": pilots,
             }
     return out
 
@@ -153,49 +166,44 @@ def evaluate_training_trial(spec: ExperimentSpec, noise_power: float,
 # experiment drivers
 
 
-def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
-    """Mean aligned gain per scheme across the SNR grid."""
-    rows = []
-    for snr_db in spec.snr_grid_db:
-        noise = snr_db_to_noise_power(snr_db, spec.cfg)
+def _gain_sweep(spec: ExperimentSpec, experiment: str, points) -> list[dict]:
+    """Mean aligned gain per scheme at each swept point.
 
-        def worker(i, rng, _noise=noise):
-            return evaluate_training_trial(spec, _noise, spec.scenario, rng,
-                                           spec.schemes)
+    ``points`` holds one (row fields, noise power, channel scenario) per
+    point; every point runs the same trials.
+    """
+    rows = []
+    for fields, noise, scenario in points:
+        def worker(i, rng, _noise=noise, _scen=scenario):
+            return evaluate_training_trial(spec, _noise, _scen, rng, spec.schemes)
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         for scheme in spec.schemes:
             gains = np.array([r[scheme]["gain"] for r in results])
             rows.append({
-                "experiment": "gain_vs_snr", "scheme": scheme, "snr_db": snr_db,
+                "experiment": experiment, "scheme": scheme, **fields,
                 "mean_gain": float(gains.mean()), "std_gain": float(gains.std()),
                 "trials": spec.trials, "pilots": results[0][scheme]["pilots"],
             })
     return rows
+
+
+def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
+    """Mean aligned gain per scheme across the SNR grid."""
+    return _gain_sweep(spec, "gain_vs_snr", [
+        ({"snr_db": snr_db}, snr_db_to_noise_power(snr_db, spec.cfg), spec.scenario)
+        for snr_db in spec.snr_grid_db])
 
 
 def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
     """Mean aligned gain per scheme as the range upper bound varies."""
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
-    rows = []
-    for r_max in spec.r_max_grid:
-        scenario = replace(spec.scenario,
-                           range_range=(spec.scenario.range_range[0], r_max))
-
-        def worker(i, rng, _scen=scenario):
-            return evaluate_training_trial(spec, noise, _scen, rng, spec.schemes)
-
-        results = run_trials(worker, spec.trials, spec.seed, spec.workers)
-        for scheme in spec.schemes:
-            gains = np.array([r[scheme]["gain"] for r in results])
-            rows.append({
-                "experiment": "gain_vs_distance", "scheme": scheme,
-                "r_max_m": r_max, "snr_db": snr_db,
-                "mean_gain": float(gains.mean()), "std_gain": float(gains.std()),
-                "trials": spec.trials, "pilots": results[0][scheme]["pilots"],
-            })
-    return rows
+    r_min = spec.scenario.range_range[0]
+    return _gain_sweep(spec, "gain_vs_distance", [
+        ({"r_max_m": r_max, "snr_db": snr_db}, noise,
+         replace(spec.scenario, range_range=(r_min, r_max)))
+        for r_max in spec.r_max_grid])
 
 
 def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
@@ -398,14 +406,11 @@ def overhead_report(cfg: ArrayConfig, q: int, s: int,
 
 def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
     """Count pilots actually consumed by one run of each implemented scheme."""
-    book, sub_book, design = workspace(cfg, q, s)
-    rng = np.random.default_rng(seed)
     noise = snr_db_to_noise_power(10.0, cfg)
-    channel = sample_channel(cfg, rng)
-    thbt = run_thbt(cfg, book, design, channel, noise, rng)
-    ref = run_brpss(cfg, channel, thbt.rough_omega, thbt.rough_range, noise, rng)
-    hfbs = baseline_hfbs(cfg, book, channel, noise, rng)
-    ffbs = baseline_ffbs(cfg, book, channel, noise, rng)
+    spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s,
+                          schemes=tuple(TRAINING_SCHEMES))
+    trained = evaluate_training_trial(spec, noise, spec.scenario,
+                                      np.random.default_rng(seed), spec.schemes)
 
     blocks = 3
     traj = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),
@@ -422,9 +427,6 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
         counts = {b.pilots for b in log}
         per_block[scheme] = counts.pop() if len(counts) == 1 else sorted(counts)
     return {
-        ("training", "thbt"): thbt.pilots,
-        ("training", "thbt_brpss"): thbt.pilots + ref.pilots,
-        ("training", "hfbs"): hfbs.pilots,
-        ("training", "ffbs"): ffbs.pilots,
+        **{("training", scheme): r["pilots"] for scheme, r in trained.items()},
         **{("tracking", scheme): n for scheme, n in per_block.items()},
     }

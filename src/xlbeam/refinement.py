@@ -39,12 +39,11 @@ def refinement_combiner(cfg: ArrayConfig, k: float, b: float) -> np.ndarray:
 
 def measure_subarrays(cfg: ArrayConfig, channel, k: float, b: float,
                       noise_power: float = 0.0,
-                      rng: np.random.Generator | None = None,
-                      x: complex = 1.0) -> np.ndarray:
+                      rng: np.random.Generator | None = None) -> np.ndarray:
     """One pilot through the chirp combiner; returns the N_RF outputs."""
     w = refinement_combiner(cfg, k, b)
     h_blocks = h_of(channel).reshape(cfg.n_rf, cfg.m_per_sub)
-    z = np.einsum("tm,tm->t", w.conj(), h_blocks) * x
+    z = np.einsum("tm,tm->t", w.conj(), h_blocks)
     if noise_power > 0.0:
         if rng is None:
             raise ValueError("noisy measurement needs an rng")

@@ -115,12 +115,11 @@ class TrainingResult:
 
 def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
                  noise_power: float = 0.0,
-                 rng: np.random.Generator | None = None,
-                 x: complex = 1.0) -> Stage1Sweep:
+                 rng: np.random.Generator | None = None) -> Stage1Sweep:
     """Sweep all M DFT beams; every subarray applies beam m on pilot m."""
     m, n_rf = cfg.m_per_sub, cfg.n_rf
     h_blocks = np.asarray(h).reshape(n_rf, m).T                     # (M, N_RF)
-    signal = (sub_book.matrix.conj().T @ h_blocks) * x              # (M, N_RF)
+    signal = sub_book.matrix.conj().T @ h_blocks                    # (M, N_RF)
     if noise_power > 0.0:
         if rng is None:
             raise ValueError("noisy sweep needs an rng")
@@ -151,15 +150,9 @@ def stage2_select(book: HybridCodebook, design: TrainedDesign,
     y = (design.v * zz).sum(axis=1)
     powers = np.abs(y) ** 2
     p_best = int(np.argmax(powers)) + 1                             # argmax = first max
-    omega, rng_m = rough_position(book, p_best)
-    return TrainingResult(scheme="thbt", best_index=p_best, rough_omega=omega,
-                          rough_range=rng_m, powers=powers, pilots=sweep.pilots)
-
-
-def rough_position(book: HybridCodebook, p: int) -> tuple[float, float]:
-    """Coarse (omega, range) read off the winning codeword's grid cell."""
-    cw = book.params(p)
-    return cw.theta, cw.distance
+    cw = book.params(p_best)
+    return TrainingResult(scheme="thbt", best_index=p_best, rough_omega=cw.theta,
+                          rough_range=cw.distance, powers=powers, pilots=sweep.pilots)
 
 
 def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
@@ -170,43 +163,40 @@ def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
     return stage2_select(book, design, sweep)
 
 
+def _column_sweep(book: HybridCodebook, channel, noise_power: float,
+                  rng: np.random.Generator | None, first: int,
+                  scheme: str) -> TrainingResult:
+    """One ideal codeword-matched pilot per column, from 0-based column
+    ``first`` to the last; the winner's grid cell is the coarse estimate."""
+    # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
+    y = (h_of(channel).conj() @ book.matrix[:, first:]).conj()
+    if noise_power > 0.0:
+        if rng is None:
+            raise ValueError("noisy sweep needs an rng")
+        y = y + crandn(rng, y.shape[0]) * math.sqrt(noise_power)
+    powers = np.abs(y) ** 2
+    p_best = first + int(np.argmax(powers)) + 1
+    cw = book.params(p_best)
+    return TrainingResult(scheme=scheme, best_index=p_best, rough_omega=cw.theta,
+                          rough_range=cw.distance, powers=powers, pilots=y.shape[0])
+
+
 def baseline_hfbs(cfg: ArrayConfig, book: HybridCodebook,
                   channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  x: complex = 1.0) -> TrainingResult:
+                  rng: np.random.Generator | None = None) -> TrainingResult:
     """Exhaustive sweep: one ideal codeword-matched pilot per column.
 
     This is the upper-overhead baseline; it observes each codeword
     directly and is not constrained by the partially-connected hardware.
     """
-    # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
-    y = (h_of(channel).conj() @ book.matrix).conj() * x
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy sweep needs an rng")
-        y = y + crandn(rng, book.n_columns) * math.sqrt(noise_power)
-    powers = np.abs(y) ** 2
-    p_best = int(np.argmax(powers)) + 1
-    omega, rng_m = rough_position(book, p_best)
-    return TrainingResult(scheme="hfbs", best_index=p_best, rough_omega=omega,
-                          rough_range=rng_m, powers=powers, pilots=book.n_columns)
+    return _column_sweep(book, channel, noise_power, rng, 0, "hfbs")
 
 
 def baseline_ffbs(cfg: ArrayConfig, book: HybridCodebook,
                   channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  x: complex = 1.0) -> TrainingResult:
+                  rng: np.random.Generator | None = None) -> TrainingResult:
     """Far-field-only sweep: Q ideal pilots over the plane-wave block."""
-    qs = book.n_angles * book.n_rings
-    y = (h_of(channel).conj() @ book.matrix[:, qs:]).conj() * x
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy sweep needs an rng")
-        y = y + crandn(rng, book.n_angles) * math.sqrt(noise_power)
-    powers = np.abs(y) ** 2
-    p_best = qs + int(np.argmax(powers)) + 1
-    omega, rng_m = rough_position(book, p_best)
-    return TrainingResult(scheme="ffbs", best_index=p_best, rough_omega=omega,
-                          rough_range=rng_m, powers=powers, pilots=book.n_angles)
+    return _column_sweep(book, channel, noise_power, rng,
+                         book.n_angles * book.n_rings, "ffbs")

@@ -1,8 +1,11 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from xlbeam.cli import main
+from xlbeam.cli import (experiment_spec_of, main, parse_array, scenario_of,
+                        tracker_config_of, tracking_scenario_of, trajectory_of)
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
 DESK_PATHS = {"count": 3, "gain_vars": [1.0, 0.01, 0.01],
@@ -28,6 +31,41 @@ def sweep_config(trials=12, **extra):
     }
     cfgdict.update(extra)
     return cfgdict
+
+
+def track_config(**extra):
+    cfgdict = {
+        "array": dict(DESK_ARRAY), "snr_db": 10, "seed": 4,
+        "trajectory": {"start": [8.0, 8.0], "velocity": [-0.5, -0.5],
+                       "dt": 0.05, "blocks": 12},
+        "tracker": {"innovation_gate": 13.8},
+        "tracking_channel": {"fading": False, "n_nlos": 0},
+    }
+    cfgdict.update(extra)
+    return cfgdict
+
+
+# name -> (subcommand, a valid config it reads)
+BASE_CONFIGS = {
+    "track": ("track", track_config()),
+    "sweep": ("sweep", sweep_config()),
+    "refinement_grid": ("sweep", sweep_config(
+        experiment="refinement_grid", schemes=["thbt_brpss"], q_grid=[128],
+        s_grid=[3], fixed_q=128, fixed_s=3)),
+    "train": ("train", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
+                        "codebook": {"q": 128, "s": 3}}),
+}
+
+
+def with_key(cfgdict, key, value):
+    """A deep copy of the config with the dotted ``key`` set to ``value``."""
+    out = json.loads(json.dumps(cfgdict))
+    *parents, leaf = key.split(".")
+    node = out
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return out
 
 
 class TestSweep:
@@ -98,6 +136,57 @@ class TestConfigErrors:
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    # (base config, key, value): each value must be rejected while the
+    # config is read, before anything runs
+    @pytest.mark.parametrize("base, key, value", [
+        ("track", "trajectory.blocks", 2.5),
+        ("track", "trajectory.blocks", 0),
+        ("track", "array.n_antennas", 128.6),
+        ("track", "tracking_channel.n_nlos", 1.7),
+        ("track", "tracking_channel.n_nlos", -1),
+        ("sweep", "codebook.q", 128.9),
+        ("sweep", "codebook.s", "3"),
+        ("sweep", "array.n_antennas", 128.6),
+        ("sweep", "array.n_rf", True),
+        ("sweep", "paths.count", 2.5),
+        ("refinement_grid", "q_grid", [128, 192.5]),
+        ("refinement_grid", "s_grid", [3, -1]),
+        ("refinement_grid", "fixed_q", 128.5),
+        ("refinement_grid", "fixed_s", "3"),
+        ("train", "scenario.paths.count", 1.5),
+    ])
+    def test_integer_keys(self, tmp_path, capsys, base, key, value):
+        command, cfgdict = BASE_CONFIGS[base]
+        cfg = write_config(tmp_path, "cfg.json", with_key(cfgdict, key, value))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fading", ["no", 0, 1, None])
+    def test_fading_not_a_bool(self, tmp_path, capsys, fading):
+        cfg = write_config(tmp_path, "cfg.json", with_key(
+            track_config(), "tracking_channel.fading", fading))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 2
+        assert "tracking_channel.fading" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate", ["abc", True, [13.8]])
+    def test_innovation_gate_not_a_number(self, tmp_path, capsys, gate):
+        cfg = write_config(tmp_path, "cfg.json", with_key(
+            track_config(), "tracker.innovation_gate", gate))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 2
+        assert "tracker.innovation_gate" in capsys.readouterr().err
+
+    def test_innovation_gate_null_disables_gating(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", with_key(
+            track_config(), "tracker.innovation_gate", None))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 0
+
+    @pytest.mark.parametrize("schemes", [["thbt", "bogus"], ["nfbt"], "thbt"])
+    def test_unknown_scheme(self, tmp_path, capsys, schemes):
+        # a tracking scheme is unknown to a training experiment
+        cfg = write_config(tmp_path, "cfg.json", sweep_config(schemes=schemes))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
+        assert "schemes" in capsys.readouterr().err
+
     def test_missing_key_path_reported(self, tmp_path, capsys):
         bad = sweep_config()
         del bad["codebook"]["s"]
@@ -149,14 +238,7 @@ class TestSingleRuns:
         assert result["pilots"] == 1
 
     def test_track(self, tmp_path):
-        cfgdict = {
-            "array": DESK_ARRAY, "snr_db": 10, "seed": 4,
-            "trajectory": {"start": [8.0, 8.0], "velocity": [-0.5, -0.5],
-                           "dt": 0.05, "blocks": 12},
-            "tracker": {"innovation_gate": 13.8},
-            "tracking_channel": {"fading": False, "n_nlos": 0},
-        }
-        cfg = write_config(tmp_path, "cfg.json", cfgdict)
+        cfg = write_config(tmp_path, "cfg.json", track_config())
         out = tmp_path / "res"
         assert main(["--config", cfg, "--out", str(out), "track"]) == 0
         lines = (out / "track_blocks.csv").read_text().splitlines()
@@ -185,3 +267,31 @@ class TestSingleRuns:
         text = (out / "overheads.csv").read_text()
         assert "training,hfbs,Q*(S+1),\"\"" not in text   # no stray quoting
         assert "6144" in text and "548" in text and "129" in text
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED_CONFIGS) >= 8
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_is_accepted(path):
+    # read each shipped config the way its subcommand does, without running it
+    config = json.loads(path.read_text())
+    args = argparse.Namespace(seed=None, trials=None, threads=1)
+    if "experiment" in config:
+        kind, spec, _ = experiment_spec_of(config, args)
+        assert kind == config["experiment"]
+        assert spec.trials == config["trials"]
+        assert spec.schemes == tuple(config["schemes"])
+    elif "scenario" in config:
+        _, _, _, seed = scenario_of(config, args)
+        assert seed == config["scenario"]["seed"]
+    else:
+        parse_array(config["array"], "array")
+        traj = trajectory_of(config)
+        assert traj.n_blocks == config["trajectory"]["blocks"]
+        tracker_config_of(config, traj)
+        tracking_scenario_of(config)

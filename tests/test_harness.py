@@ -1,16 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xlbeam import tracking
 from xlbeam.arrays import crandn, steering
-from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_snr,
-                            overhead_report, positioning_cdf, refinement_grid,
-                            require_keys, run_trials, svg_line_plot,
+from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
+                            gain_vs_snr, overhead_report, positioning_cdf,
+                            refinement_grid, require_keys, run_trials, svg_line_plot,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
+from xlbeam.harness import experiments
 from xlbeam.harness.experiments import evaluate_training_trial
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
@@ -70,6 +72,44 @@ class TestTrainingExperiments:
         out2 = evaluate_training_trial(spec, 1e-4, spec.scenario, trial_rng(5, 0),
                                        spec.schemes)
         assert out1 == out2
+
+    def test_gain_vs_distance_point_is_gain_vs_snr(self, cfg128, desk_workspace):
+        # one range bound: the same trials as gain_vs_snr on a scenario
+        # with that bound
+        spec = desk_spec(cfg128, r_max_grid=(12.0,))
+        bounded = replace(spec.scenario,
+                          range_range=(spec.scenario.range_range[0], 12.0))
+        by_distance = gain_vs_distance(spec)
+        by_snr = gain_vs_snr(replace(spec, scenario=bounded))
+        assert [r["r_max_m"] for r in by_distance] == [12.0] * 4
+        for r in by_distance:
+            del r["r_max_m"]
+            r["experiment"] = "gain_vs_snr"
+        assert by_distance == by_snr
+
+    def test_gain_vs_distance_workers_do_not_change_results(self, cfg128,
+                                                            desk_workspace):
+        spec = desk_spec(cfg128, r_max_grid=(12.0, 40.0))
+        assert gain_vs_distance(spec) == gain_vs_distance(replace(spec, workers=2))
+
+    @pytest.mark.parametrize("name", ["run_thbt", "run_brpss", "baseline_hfbs",
+                                      "baseline_ffbs", "design_hybrid"])
+    def test_schemes_look_up_functions_when_called(self, cfg128, desk_workspace,
+                                                   monkeypatch, name):
+        # a rebound module attribute (as a tracer installs) must be the one
+        # the training-scheme table calls
+        calls = []
+        original = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+        spec = desk_spec(cfg128)
+        evaluate_training_trial(spec, 1e-4, spec.scenario, trial_rng(5, 0),
+                                spec.schemes)
+        assert calls
 
     def test_refinement_grid_rows(self, cfg512):
         from xlbeam.arrays import ChannelScenario

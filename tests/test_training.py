@@ -5,7 +5,7 @@ import pytest
 
 from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
                     baseline_ffbs, baseline_hfbs, gain_loss_bound,
-                    rough_position, run_thbt, sample_channel,
+                    run_thbt, sample_channel,
                     stage1_sweep, stage2_select, steering_far, synthesize)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
 
@@ -184,21 +184,22 @@ class TestSelection:
 class TestRoughPosition:
     def test_worked_example_values(self, full_workspace):
         book, _, _ = full_workspace
-        omega, r = rough_position(book, 255 * 11 + 6)
+        cw = book.params(255 * 11 + 6)
+        omega, r = cw.theta, cw.distance
         assert omega == pytest.approx(-1 / 512, abs=0)
         assert r == pytest.approx(11.26395703125, rel=1e-12)
 
     def test_far_marker(self, desk_workspace):
         book, _, _ = desk_workspace
-        omega, r = rough_position(book, book.index_of(7, None))
-        assert math.isinf(r)
+        assert math.isinf(book.params(book.index_of(7, None)).distance)
 
     def test_round_trip_matches_column(self, cfg128, desk_workspace):
         from xlbeam import steering_near
 
         book, _, _ = desk_workspace
         p = book.index_of(64, 1)
-        omega, r = rough_position(book, p)
+        cw = book.params(p)
+        omega, r = cw.theta, cw.distance
         assert np.allclose(steering_near(cfg128, omega, r, validate=False),
                            book.column(p), rtol=1e-12)
 
