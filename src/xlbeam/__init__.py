@@ -16,9 +16,9 @@ from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
                         validate_quantization)
 from .combining import (CombinerPair, alignment_gain, beam_center, design_hybrid,
                         gain_loss_bound, gain_map, hybrid_beam_gain,
-                        quantize_pointing, subarray_pointing)
-from .refinement import (RefinementResult, estimate_offsets, initial_kb,
-                         measure_subarrays, phase_differences, refine, run_brpss)
+                        quantize_pointing, subarray_outputs, subarray_pointing)
+from .refinement import (RefinementResult, estimate_offsets, measure_subarrays,
+                         phase_differences, refine, run_brpss)
 from .tracking import (StepResult, TrackerConfig, TrackingScenario, TrackState,
                        Trajectory, brpss_step, calibrate_measurement_cov,
                        ffbt_proxy_step, filter_update, filtered_channel, hfns_step,

@@ -152,12 +152,16 @@ class QuadraticPhase:
         r = -cfg.wavelength * (1.0 - omega * omega) / (4.0 * self.k)
         return omega, r
 
+    def phasor(self, cfg: ArrayConfig) -> np.ndarray:
+        """The unit-modulus chirp ``exp(j*pi*(k*n^2 + b*n))``, n = 1..N."""
+        n = np.arange(1, cfg.n_antennas + 1)
+        return np.exp(1j * np.pi * (self.k * n * n + self.b * n))
+
 
 def steering_quadratic(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
     """Chirp approximation of the steering vector; exact in the far field."""
-    qp = QuadraticPhase.from_geometry(cfg, omega, r)
-    n = np.arange(1, cfg.n_antennas + 1)
-    return np.exp(1j * np.pi * (qp.k * n * n + qp.b * n)) / math.sqrt(cfg.n_antennas)
+    return (QuadraticPhase.from_geometry(cfg, omega, r).phasor(cfg)
+            / math.sqrt(cfg.n_antennas))
 
 
 @dataclass(frozen=True)

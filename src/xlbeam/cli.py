@@ -46,6 +46,22 @@ def integers_of(values, key: str, minimum: int) -> tuple[int, ...]:
     return tuple(integer_of(v, key, minimum) for v in values)
 
 
+def number_of(value, key: str) -> float:
+    """A config number: bools, strings, lists and non-finite values are
+    configuration errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def numbers_of(values, key: str) -> tuple[float, ...]:
+    """A config list of numbers, each checked by ``number_of``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(number_of(v, key) for v in values)
+
+
 def seed_of(node: dict, args, default=0) -> int:
     """The run's seed: ``--seed`` if given, else the config node's."""
     seed = args.seed if args.seed is not None else node.get("seed", default)
@@ -54,6 +70,7 @@ def seed_of(node: dict, args, default=0) -> int:
 
 def parse_array(node: dict, where: str) -> ArrayConfig:
     """The array described by config node ``where``."""
+    require_keys(node, ["n_antennas", "n_rf", "wavelength"], where)
     n_antennas = integer_of(node["n_antennas"], f"{where}.n_antennas", 1)
     n_rf = integer_of(node["n_rf"], f"{where}.n_rf", 1)
     try:
@@ -65,6 +82,7 @@ def parse_array(node: dict, where: str) -> ArrayConfig:
 
 def parse_paths(node: dict, where: str) -> ChannelScenario:
     """The multipath scenario described by config node ``where``."""
+    require_keys(node, ["count", "gain_vars", "angle_range", "range_range"], where)
     n_paths = integer_of(node["count"], f"{where}.count", 1)
     try:
         return ChannelScenario(
@@ -77,19 +95,13 @@ def parse_paths(node: dict, where: str) -> ChannelScenario:
         raise ConfigError(f"bad paths description: {exc}") from exc
 
 
-SCENARIO_KEYS = ["scenario.n_antennas", "scenario.n_rf", "scenario.wavelength",
-                 "scenario.paths.count", "scenario.paths.gain_vars",
-                 "scenario.paths.angle_range", "scenario.paths.range_range",
-                 "scenario.snr_db"]
-
-
 def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float, int]:
-    require_keys(config, SCENARIO_KEYS)
-    node = config["scenario"]
+    node = config.get("scenario")
     cfg = parse_array(node, "scenario")
-    scen = parse_paths(node["paths"], "scenario.paths")
-    seed = seed_of(node, args, config.get("seed", 0))
-    return cfg, scen, float(node["snr_db"]), seed
+    scen = parse_paths(node.get("paths"), "scenario.paths")
+    require_keys(node, ["snr_db"], "scenario")
+    snr_db = number_of(node["snr_db"], "scenario.snr_db")
+    return cfg, scen, snr_db, seed_of(node, args, config.get("seed", 0))
 
 
 def codebook_of(config: dict) -> tuple[int, int]:
@@ -204,14 +216,14 @@ def tracking_scenario_of(config: dict) -> TrackingScenario:
 
 
 def cmd_track(config: dict, args) -> int:
-    require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
-                          "snr_db"])
-    cfg = parse_array(config["array"], "array")
+    cfg = parse_array(config.get("array"), "array")
+    require_keys(config, ["snr_db"])
+    snr_db = number_of(config["snr_db"], "snr_db")
     traj = trajectory_of(config)
     tcfg = tracker_config_of(config, traj)
     scen = tracking_scenario_of(config)
     seed = seed_of(config, args)
-    noise = snr_db_to_noise_power(float(config["snr_db"]), cfg)
+    noise = snr_db_to_noise_power(snr_db, cfg)
     tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
     log = run_blocks(cfg, build_subarray_codebook(cfg), traj, tcfg, noise,
@@ -257,14 +269,13 @@ CSV_COLUMNS = {
 }
 
 
-def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
-    require_keys(config, ["experiment", "array.n_antennas", "array.n_rf",
-                          "array.wavelength", "codebook.q", "codebook.s"])
+def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
+    require_keys(config, ["experiment"])
     kind = config["experiment"]
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment: {kind} "
                           f"(choose from {sorted(EXPERIMENTS)})")
-    cfg = parse_array(config["array"], "array")
+    cfg = parse_array(config.get("array"), "array")
     q, s = codebook_of(config)
     seed = seed_of(config, args)
     trials = integer_of(args.trials if args.trials is not None
@@ -277,31 +288,30 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec, dict]:
                           f"(choose from {list(known)}), got {schemes!r}")
     scen = (parse_paths(config["paths"], "paths") if "paths" in config
             else ChannelScenario())
-    snr_grid = tuple(float(v) for v in config.get("snr_grid_db", [10.0]))
-    extras = {}
+    snr_grid = numbers_of(config.get("snr_grid_db", [10.0]), "snr_grid_db")
     kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=tuple(schemes), trials=trials,
                   seed=seed, workers=args.threads, snr_grid_db=snr_grid,
                   scenario=scen)
     if "r_max_grid" in config:
-        kwargs["r_max_grid"] = tuple(float(v) for v in config["r_max_grid"])
+        kwargs["r_max_grid"] = numbers_of(config["r_max_grid"], "r_max_grid")
     if kind == "tracking":
         traj = trajectory_of(config)
         kwargs["trajectory"] = traj
         kwargs["tracker"] = tracker_config_of(config, traj)
         kwargs["tracking_scenario"] = tracking_scenario_of(config)
     if kind == "refinement_grid":
-        extras["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)
-        extras["s_grid"] = integers_of(config.get("s_grid", []), "s_grid", 0)
+        kwargs["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)
+        kwargs["s_grid"] = integers_of(config.get("s_grid", []), "s_grid", 0)
         if "fixed_q" in config:
-            extras["fixed_q"] = integer_of(config["fixed_q"], "fixed_q", 1)
+            kwargs["fixed_q"] = integer_of(config["fixed_q"], "fixed_q", 1)
         if "fixed_s" in config:
-            extras["fixed_s"] = integer_of(config["fixed_s"], "fixed_s", 0)
-    return kind, ExperimentSpec(**kwargs), extras
+            kwargs["fixed_s"] = integer_of(config["fixed_s"], "fixed_s", 0)
+    return kind, ExperimentSpec(**kwargs)
 
 
 def cmd_sweep(config: dict, args) -> int:
-    kind, spec, extras = experiment_spec_of(config, args)
-    rows = EXPERIMENTS[kind](spec, **extras)
+    kind, spec = experiment_spec_of(config, args)
+    rows = EXPERIMENTS[kind](spec)
     out = Path(args.out)
     csv_name = f"{kind}.csv"
     write_csv(out / csv_name, rows, CSV_COLUMNS[kind])
@@ -340,9 +350,7 @@ def _sweep_svg(kind: str, rows: list[dict], path) -> None:
 
 
 def cmd_codebook(config: dict, args) -> int:
-    require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
-                          "codebook.q", "codebook.s"])
-    cfg = parse_array(config["array"], "array")
+    cfg = parse_array(config.get("array"), "array")
     q, s = codebook_of(config)
     book, _, _ = workspace(cfg, q, s)
     report = validate_quantization(cfg, q, s)
@@ -377,9 +385,7 @@ def cmd_codebook(config: dict, args) -> int:
 
 
 def cmd_report(config: dict, args) -> int:
-    require_keys(config, ["array.n_antennas", "array.n_rf", "array.wavelength",
-                          "codebook.q", "codebook.s"])
-    cfg = parse_array(config["array"], "array")
+    cfg = parse_array(config.get("array"), "array")
     q, s = codebook_of(config)
     seed = seed_of(config, args)
     rows = overhead_report(cfg, q, s, measure=not args.no_measure, seed=seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering
+from .arrays import ArrayConfig, crandn, steering
 from .codebooks import SubarrayCodebook
 
 
@@ -24,19 +24,42 @@ def subarray_centers(cfg: ArrayConfig) -> np.ndarray:
     return ((2 * t - 1) * cfg.m_per_sub - cfg.n_antennas) / 4.0
 
 
-def subarray_pointing(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
+def subarray_pointing(cfg: ArrayConfig, omega, r) -> np.ndarray:
     """Sine of the angle from each subarray center to the source.
 
     ``Psi_t = (r*omega - Delta_t*lambda) / sqrt(r^2 + Delta_t^2*lambda^2
     - 2*r*omega*Delta_t*lambda)``; a far-field source gives omega for
-    every subarray.
+    every subarray.  ``omega`` and ``r`` may also be equal-shape arrays of
+    near-field sources, giving one row of N_RF sines per source.
     """
-    if math.isinf(r):
+    if np.ndim(r) == 0 and math.isinf(r):
         return np.full(cfg.n_rf, omega)
+    omega = np.asarray(omega, dtype=float)[..., None]
+    r = np.asarray(r, dtype=float)[..., None]
     dl = subarray_centers(cfg) * cfg.wavelength
     num = r * omega - dl
     den = np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
     return num / den
+
+
+def subarray_outputs(cfg: ArrayConfig, rows: np.ndarray, h: np.ndarray,
+                     noise_power: float = 0.0,
+                     rng: np.random.Generator | None = None) -> np.ndarray:
+    """The N_RF RF-chain outputs of one pilot through block-diagonal rows.
+
+    ``rows[t]`` is subarray t's length-M analog row, applied to its M
+    antennas of ``h``.  Noise is CN(0, noise_power) per antenna, drawn
+    fresh for the pilot and combined by the same rows.
+    """
+    def combine(x):
+        return np.einsum("tm,tm->t", rows, x.reshape(cfg.n_rf, cfg.m_per_sub))
+
+    z = combine(h)
+    if noise_power > 0.0:
+        if rng is None:
+            raise ValueError("noisy measurement needs an rng")
+        z = z + combine(crandn(rng, cfg.n_antennas) * math.sqrt(noise_power))
+    return z
 
 
 def quantize_pointing(psi, sub_book: SubarrayCodebook) -> np.ndarray:
@@ -87,8 +110,6 @@ class CombinerPair:
     cfg: ArrayConfig
     w_blocks: np.ndarray = field(repr=False)   # (N_RF, M)
     v: np.ndarray = field(repr=False)          # (N_RF,)
-    m_indices: np.ndarray | None = None        # 1-based DFT beam picks, None if continuous
-    pointing: np.ndarray | None = field(default=None, repr=False)
 
     def analog_matrix(self) -> np.ndarray:
         """The N_RF x N block-diagonal analog combiner."""
@@ -124,19 +145,16 @@ def design_hybrid(cfg: ArrayConfig, sub_book: SubarrayCodebook, omega: float,
     m = cfg.m_per_sub
     psi = subarray_pointing(cfg, omega, r)
     if quantize:
-        midx = quantize_pointing(psi, sub_book)
-        w_blocks = sub_book.matrix[:, midx - 1].T.conj()
+        w_blocks = sub_book.matrix[:, quantize_pointing(psi, sub_book) - 1].T.conj()
     else:
-        midx = None
         n = np.arange(m)
         w_blocks = np.exp(-1j * np.pi * n[None, :] * psi[:, None])
-    target = steering(cfg, omega, r, validate=False)
-    wu = np.einsum("tm,tm->t", w_blocks, target.reshape(cfg.n_rf, m))
+    wu = subarray_outputs(cfg, w_blocks, steering(cfg, omega, r, validate=False))
     norm = np.linalg.norm(wu)
     if norm == 0.0:
         raise ValueError("degenerate combiner: W u vanished")
     v = wu.conj() / (math.sqrt(m) * norm)
-    return CombinerPair(cfg=cfg, w_blocks=w_blocks, v=v, m_indices=midx, pointing=psi)
+    return CombinerPair(cfg=cfg, w_blocks=w_blocks, v=v)
 
 
 def hybrid_beam_gain(cfg: ArrayConfig, u: np.ndarray, omega: float, r: float) -> float:

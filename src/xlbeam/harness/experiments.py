@@ -19,9 +19,10 @@ from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
 from ..refinement import run_brpss
-from ..tracking import (TrackerConfig, TrackingScenario, Trajectory, brpss_step,
-                        ffbt_proxy_step, hfns_step, nfbt_step, polar_to_cartesian,
-                        run_blocks, spectral_efficiency, tracker_for_run)
+from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, Trajectory,
+                        brpss_step, ffbt_proxy_step, hfns_step, nfbt_step,
+                        polar_to_cartesian, run_blocks, spectral_efficiency,
+                        tracker_for_run)
 from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
                         design_all, run_thbt)
 from .runner import run_trials, trial_rng
@@ -43,6 +44,10 @@ class ExperimentSpec:
     snr_grid_db: tuple[float, ...] = (10.0,)
     scenario: ChannelScenario = field(default_factory=ChannelScenario)
     r_max_grid: tuple[float, ...] = (40.0, 150.0, 400.0)
+    q_grid: tuple[int, ...] = ()
+    s_grid: tuple[int, ...] = ()
+    fixed_q: int = 256
+    fixed_s: int = 8
     trajectory: Trajectory | None = None
     tracker: TrackerConfig | None = None
     tracking_scenario: TrackingScenario = field(default_factory=TrackingScenario)
@@ -233,19 +238,19 @@ def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def refinement_grid(spec: ExperimentSpec, q_grid: tuple[int, ...] = (),
-                    s_grid: tuple[int, ...] = (), fixed_q: int = 256,
-                    fixed_s: int = 8) -> list[dict]:
+def refinement_grid(spec: ExperimentSpec) -> list[dict]:
     """Refinement positioning error across codebook densities.
 
-    Single-path channels; the coarse estimate is forced to the codeword
-    best fitting the channel (training assumed successful), isolating
-    the refinement stage.
+    Sweeps S over ``spec.s_grid`` at Q = ``spec.fixed_q``, then Q over
+    ``spec.q_grid`` at S = ``spec.fixed_s``.  Single-path channels; the
+    coarse estimate is forced to the codeword best fitting the channel
+    (training assumed successful), isolating the refinement stage.
     """
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     scenario = replace(spec.scenario, n_paths=1, gain_vars=(1.0,))
-    sweeps = [("S", fixed_q, s) for s in s_grid] + [("Q", q, fixed_s) for q in q_grid]
+    sweeps = ([("S", spec.fixed_q, s) for s in spec.s_grid]
+              + [("Q", q, spec.fixed_s) for q in spec.q_grid])
     rows = []
     for param, q, s in sweeps:
         book, _, _ = workspace(spec.cfg, q, s)
@@ -297,8 +302,6 @@ def _perfect_csi_se(spec: ExperimentSpec, noise: float, seed_idx: int) -> float:
     cfg = spec.cfg
     _, sub_book, _ = workspace(cfg, spec.n_angles, spec.n_rings)
     rng = trial_rng(spec.seed, seed_idx)
-    from ..tracking import TrackingChannel
-
     chan = TrackingChannel(cfg, spec.trajectory, spec.tracking_scenario, rng)
     ses = []
     for i in range(1, spec.trajectory.n_blocks + 1):

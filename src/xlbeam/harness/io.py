@@ -73,13 +73,18 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def require_keys(config: dict, paths: list[str]) -> None:
-    """Raise ConfigError naming the first missing dotted key path."""
+def require_keys(config: dict, paths: list[str], where: str = "") -> None:
+    """Raise ConfigError naming the first missing dotted key path.
+
+    ``config`` is the node at dotted path ``where`` (the root when empty),
+    which the message prefixes; a node that is not a dict lacks every key.
+    """
+    prefix = f"{where}." if where else ""
     for keypath in paths:
         node = config
         for part in keypath.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"missing config key: {keypath}")
+                raise ConfigError(f"missing config key: {prefix}{keypath}")
             node = node[part]
 
 

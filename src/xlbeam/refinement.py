@@ -15,41 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, FAR_FIELD, crandn, h_of
-
-
-def initial_kb(cfg: ArrayConfig, omega: float, r: float) -> tuple[float, float]:
-    """Chirp parameters of the coarse estimate: k = -lambda(1-omega^2)/(4r).
-
-    A far-field coarse estimate (r = inf) gives k = 0.
-    """
-    if math.isinf(r):
-        return 0.0, omega
-    k = -cfg.wavelength * (1.0 - omega * omega) / (4.0 * r)
-    return k, omega - k * (cfg.n_antennas + 1)
-
-
-def refinement_combiner(cfg: ArrayConfig, k: float, b: float) -> np.ndarray:
-    """Per-subarray analog rows; block t, entry m has phase
-    ``pi*(k*((t-1)M+m)^2 + b*((t-1)M+m))`` before conjugation."""
-    n = np.arange(1, cfg.n_antennas + 1)
-    w = np.exp(1j * np.pi * (k * n * n + b * n))
-    return w.reshape(cfg.n_rf, cfg.m_per_sub)
+from .arrays import ArrayConfig, QuadraticPhase, h_of
+from .combining import subarray_outputs
 
 
 def measure_subarrays(cfg: ArrayConfig, channel, k: float, b: float,
                       noise_power: float = 0.0,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """One pilot through the chirp combiner; returns the N_RF outputs."""
-    w = refinement_combiner(cfg, k, b)
-    h_blocks = h_of(channel).reshape(cfg.n_rf, cfg.m_per_sub)
-    z = np.einsum("tm,tm->t", w.conj(), h_blocks)
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy measurement needs an rng")
-        eta = crandn(rng, cfg.n_antennas) * math.sqrt(noise_power)
-        z = z + np.einsum("tm,tm->t", w.conj(), eta.reshape(cfg.n_rf, cfg.m_per_sub))
-    return z
+    """One pilot through the conjugate chirp (k, b), cut into subarray
+    rows; returns the N_RF outputs."""
+    rows = QuadraticPhase(k, b).phasor(cfg).conj().reshape(cfg.n_rf, cfg.m_per_sub)
+    return subarray_outputs(cfg, rows, h_of(channel), noise_power, rng)
 
 
 def wrap_pi(x: np.ndarray) -> np.ndarray:
@@ -108,10 +84,7 @@ def refine(cfg: ArrayConfig, k0: float, b0: float, dk: float, db: float) -> Refi
     rather than a negative range.
     """
     k, b = k0 + dk, b0 + db
-    omega = b + k * (cfg.n_antennas + 1)
-    if k >= 0.0:
-        return RefinementResult(k=k, b=b, omega=omega, range_m=FAR_FIELD, refined=True)
-    r = -cfg.wavelength * (1.0 - omega * omega) / (4.0 * k)
+    omega, r = QuadraticPhase(k, b).to_geometry(cfg)
     return RefinementResult(k=k, b=b, omega=omega, range_m=r, refined=True)
 
 
@@ -123,7 +96,8 @@ def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: floa
     On failure (vanishing subarray output) the coarse estimate comes back
     tagged ``refined=False`` so downstream consumers degrade gracefully.
     """
-    k0, b0 = initial_kb(cfg, coarse_omega, coarse_range)
+    coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
+    k0, b0 = coarse.k, coarse.b
     z = measure_subarrays(cfg, channel, k0, b0, noise_power, rng)
     try:
         d1, d2 = phase_differences(z)

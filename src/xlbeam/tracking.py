@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, FAR_FIELD, crandn, steering, steering_quadratic
 from .codebooks import HybridCodebook, SubarrayCodebook
-from .combining import design_hybrid, hybrid_beam_gain
+from .combining import design_hybrid, hybrid_beam_gain, subarray_outputs
 from .refinement import run_brpss
 from .training import TrainedDesign
 
@@ -445,11 +445,7 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         powers = []
         for p in cands:
             pair = design.combiner(p)
-            y = pair.v @ (pair.w_blocks * h.reshape(cfg.n_rf, cfg.m_per_sub)).sum(axis=1)
-            if noise_power > 0.0:
-                eta = crandn(rng, cfg.n_antennas) * math.sqrt(noise_power)
-                y = y + pair.v @ (pair.w_blocks
-                                  * eta.reshape(cfg.n_rf, cfg.m_per_sub)).sum(axis=1)
+            y = pair.v @ subarray_outputs(cfg, pair.w_blocks, h, noise_power, rng)
             powers.append(abs(y) ** 2)
         p_best = cands[int(np.argmax(powers))]
         cw = book.params(p_best)

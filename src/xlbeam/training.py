@@ -25,7 +25,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, ChannelRealization, crandn, h_of
 from .codebooks import HybridCodebook, SubarrayCodebook
-from .combining import CombinerPair, quantize_pointing, subarray_centers
+from .combining import CombinerPair, quantize_pointing, subarray_pointing
 
 
 @dataclass
@@ -52,18 +52,11 @@ class TrainedDesign:
     psi: np.ndarray = field(repr=False)       # (P, N_RF)
     m_idx: np.ndarray = field(repr=False)     # (P, N_RF) 0-based
     v: np.ndarray = field(repr=False)         # (P, N_RF) complex
-    proj_norm: np.ndarray = field(repr=False) # (P,) ||F_p c_p||
 
     def combiner(self, p: int) -> CombinerPair:
         """Materialize codeword p's combiner pair (p is 1-based)."""
         w_blocks = self.sub_book.matrix[:, self.m_idx[p - 1]].T.conj()
-        return CombinerPair(cfg=self.book.cfg, w_blocks=w_blocks, v=self.v[p - 1],
-                            m_indices=self.m_idx[p - 1] + 1, pointing=self.psi[p - 1])
-
-    def combined_vector(self, p: int) -> np.ndarray:
-        """Receive-matched unit vector (v_p F_p)^H for codeword p."""
-        cols = self.sub_book.matrix[:, self.m_idx[p - 1]]          # (M, N_RF)
-        return (cols * self.v[p - 1].conj()[None, :]).T.reshape(-1)
+        return CombinerPair(cfg=self.book.cfg, w_blocks=w_blocks, v=self.v[p - 1])
 
 
 def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesign:
@@ -73,15 +66,9 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     p_total = book.n_columns
     qs = book.n_angles * book.n_rings
 
-    theta = np.repeat(book.theta, book.n_rings)
-    dist = book.distances.reshape(-1)
-    dl = subarray_centers(cfg) * cfg.wavelength
-
     psi = np.empty((p_total, n_rf))
-    num = dist[:, None] * theta[:, None] - dl[None, :]
-    den = np.sqrt(dist[:, None] ** 2 + dl[None, :] ** 2
-                  - 2.0 * dist[:, None] * theta[:, None] * dl[None, :])
-    psi[:qs] = num / den
+    psi[:qs] = subarray_pointing(cfg, np.repeat(book.theta, book.n_rings),
+                                 book.distances.reshape(-1))
     psi[qs:] = book.theta[:, None]
 
     m_idx = quantize_pointing(psi.reshape(-1), sub_book).reshape(p_total, n_rf) - 1
@@ -93,8 +80,7 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
         fc[:, t] = gt[m_idx[:, t], np.arange(p_total)]
     norms = np.linalg.norm(fc, axis=1)
     v = fc.conj() / (math.sqrt(m) * norms[:, None])
-    return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx,
-                         v=v, proj_norm=norms)
+    return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v)
 
 
 @dataclass

@@ -161,6 +161,21 @@ class TestQuadraticPhase:
         omega, r = qp.to_geometry(cfg512)
         assert omega == 0.25 and math.isinf(r)
 
+    def test_far_marker(self, cfg512):
+        assert QuadraticPhase.from_geometry(cfg512, 0.42, FAR_FIELD) == \
+            QuadraticPhase(0.0, 0.42)
+
+    def test_frozen_value(self, cfg512):
+        qp = QuadraticPhase.from_geometry(cfg512, 0.0, 20.0)
+        assert qp.k == pytest.approx(-3.75e-5, rel=1e-12)
+        assert qp.b == pytest.approx(-qp.k * 513, rel=1e-12)
+
+    @pytest.mark.parametrize("omega, r", [(0.3, 25.0), (-0.6, 9.5), (0.1, FAR_FIELD)])
+    def test_steering_quadratic_is_scaled_phasor(self, cfg512, omega, r):
+        qp = QuadraticPhase.from_geometry(cfg512, omega, r)
+        assert np.array_equal(steering_quadratic(cfg512, omega, r),
+                              qp.phasor(cfg512) / math.sqrt(cfg512.n_antennas))
+
 
 class TestChannel:
     def test_default_scenario_shape(self, cfg512, rng):

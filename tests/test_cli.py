@@ -54,6 +54,8 @@ BASE_CONFIGS = {
         s_grid=[3], fixed_q=128, fixed_s=3)),
     "train": ("train", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
                         "codebook": {"q": 128, "s": 3}}),
+    "codebook": ("codebook", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
+    "report": ("report", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
 }
 
 
@@ -65,6 +67,17 @@ def with_key(cfgdict, key, value):
     for name in parents:
         node = node[name]
     node[leaf] = value
+    return out
+
+
+def without_key(cfgdict, key):
+    """A deep copy of the config with the dotted ``key`` removed."""
+    out = json.loads(json.dumps(cfgdict))
+    *parents, leaf = key.split(".")
+    node = out
+    for name in parents:
+        node = node[name]
+    del node[leaf]
     return out
 
 
@@ -137,7 +150,8 @@ class TestConfigErrors:
         assert "seed" in capsys.readouterr().err
 
     # (base config, key, value): each value must be rejected while the
-    # config is read, before anything runs
+    # config is read, before anything runs.  The integer keys come first,
+    # then the number keys and lists of numbers.
     @pytest.mark.parametrize("base, key, value", [
         ("track", "trajectory.blocks", 2.5),
         ("track", "trajectory.blocks", 0),
@@ -154,6 +168,17 @@ class TestConfigErrors:
         ("refinement_grid", "fixed_q", 128.5),
         ("refinement_grid", "fixed_s", "3"),
         ("train", "scenario.paths.count", 1.5),
+        ("sweep", "snr_grid_db", "10"),
+        ("sweep", "snr_grid_db", [True]),
+        ("sweep", "snr_grid_db", ["abc"]),
+        ("sweep", "r_max_grid", ["x"]),
+        ("sweep", "r_max_grid", "40"),
+        ("sweep", "r_max_grid", [40, False]),
+        ("track", "snr_db", True),
+        ("track", "snr_db", "abc"),
+        ("track", "snr_db", [10]),
+        ("train", "scenario.snr_db", "10"),
+        ("train", "scenario.snr_db", False),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
@@ -186,6 +211,27 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "cfg.json", sweep_config(schemes=schemes))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
         assert "schemes" in capsys.readouterr().err
+
+    # (base config, removed key, key the message names): each parser
+    # requires its own keys, so no subcommand lists them again
+    @pytest.mark.parametrize("base, removed, named", [
+        ("sweep", "array", "array.n_antennas"),
+        ("sweep", "paths.gain_vars", "paths.gain_vars"),
+        ("track", "array.n_rf", "array.n_rf"),
+        ("track", "snr_db", "snr_db"),
+        ("train", "scenario.snr_db", "scenario.snr_db"),
+        ("train", "scenario.paths.range_range", "scenario.paths.range_range"),
+        ("train", "scenario", "scenario.n_antennas"),
+        ("codebook", "array.wavelength", "array.wavelength"),
+        ("codebook", "codebook.s", "codebook.s"),
+        ("report", "array", "array.n_antennas"),
+        ("report", "codebook.q", "codebook.q"),
+    ])
+    def test_missing_key_named(self, tmp_path, capsys, base, removed, named):
+        command, cfgdict = BASE_CONFIGS[base]
+        cfg = write_config(tmp_path, "cfg.json", without_key(cfgdict, removed))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
+        assert f"missing config key: {named}" in capsys.readouterr().err
 
     def test_missing_key_path_reported(self, tmp_path, capsys):
         bad = sweep_config()
@@ -282,7 +328,7 @@ def test_shipped_config_is_accepted(path):
     config = json.loads(path.read_text())
     args = argparse.Namespace(seed=None, trials=None, threads=1)
     if "experiment" in config:
-        kind, spec, _ = experiment_spec_of(config, args)
+        kind, spec = experiment_spec_of(config, args)
         assert kind == config["experiment"]
         assert spec.trials == config["trials"]
         assert spec.schemes == tuple(config["schemes"])

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import chirp_sum, flat_top_gain
 from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, beam_center,
-                    build_subarray_codebook, design_hybrid, gain_loss_bound,
+                    build_subarray_codebook, crandn, design_hybrid, gain_loss_bound,
                     hybrid_beam_gain, quantize_pointing, rayleigh_distance,
-                    steering_far, steering_near, subarray_pointing)
+                    steering_far, steering_near, subarray_outputs, subarray_pointing)
 from xlbeam.arrays import PathParams, QuadraticPhase
 
 EXAMPLE_THETA = -1 / 512
@@ -26,6 +26,13 @@ class TestPointing:
     def test_broadside_antisymmetry(self, cfg512):
         psi = subarray_pointing(cfg512, 0.0, 20.0)
         assert np.allclose(psi, -psi[::-1], atol=1e-14)
+
+    def test_arrays_give_one_row_per_source(self, cfg512):
+        omegas, ranges = np.array([0.1, -0.4, 0.7]), np.array([12.0, 30.0, 80.0])
+        psi = subarray_pointing(cfg512, omegas, ranges)
+        assert psi.shape == (3, cfg512.n_rf)
+        for row, omega, r in zip(psi, omegas, ranges):
+            assert np.array_equal(row, subarray_pointing(cfg512, float(omega), float(r)))
 
     def test_worked_example_quantized_indices(self, cfg512):
         sub = build_subarray_codebook(cfg512)
@@ -52,6 +59,33 @@ class TestPointing:
         sub = build_subarray_codebook(cfg128)
         assert quantize_pointing(-1.0, sub)[0] == 1
         assert quantize_pointing(1.0, sub)[0] == cfg128.m_per_sub
+
+
+class TestSubarrayOutputs:
+    @staticmethod
+    def block_products(cfg, rows, x):
+        m = cfg.m_per_sub
+        return np.array([rows[t] @ x[t * m:(t + 1) * m] for t in range(cfg.n_rf)])
+
+    def test_noiseless_is_block_products(self, cfg128, rng):
+        rows = crandn(rng, (cfg128.n_rf, cfg128.m_per_sub))
+        h = crandn(rng, cfg128.n_antennas)
+        assert np.allclose(subarray_outputs(cfg128, rows, h),
+                           self.block_products(cfg128, rows, h), rtol=0, atol=1e-12)
+
+    def test_noisy_is_rows_applied_to_antenna_noise(self, cfg128, rng):
+        rows = crandn(rng, (cfg128.n_rf, cfg128.m_per_sub))
+        h = crandn(rng, cfg128.n_antennas)
+        sigma2 = 0.3
+        z = subarray_outputs(cfg128, rows, h, sigma2, np.random.default_rng(9))
+        eta = crandn(np.random.default_rng(9), cfg128.n_antennas) * math.sqrt(sigma2)
+        assert np.allclose(z, self.block_products(cfg128, rows, h + eta),
+                           rtol=0, atol=1e-12)
+
+    def test_noise_needs_rng(self, cfg128):
+        rows = np.ones((cfg128.n_rf, cfg128.m_per_sub), dtype=complex)
+        with pytest.raises(ValueError, match="rng"):
+            subarray_outputs(cfg128, rows, np.ones(cfg128.n_antennas), 0.1)
 
 
 class TestDesign:

@@ -119,8 +119,9 @@ class TestTrainingExperiments:
                               snr_grid_db=(20.0,),
                               scenario=ChannelScenario(n_paths=1,
                                                        gain_vars=(1.0,),
-                                                       range_range=(10.0, 30.0)))
-        rows = refinement_grid(spec, s_grid=(2, 8), fixed_q=256, fixed_s=8)
+                                                       range_range=(10.0, 30.0)),
+                              s_grid=(2, 8), fixed_q=256, fixed_s=8)
+        rows = refinement_grid(spec)
         assert len(rows) == 2
         sparse, dense = rows
         assert sparse["s"] == 2 and dense["s"] == 8

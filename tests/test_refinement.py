@@ -5,27 +5,9 @@ import pytest
 
 from oracles import chirp_sum, psp_band_ok, psp_model_oracle
 from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, estimate_offsets,
-                    initial_kb, measure_subarrays, phase_differences, refine,
-                    run_brpss, steering_near, steering_quadratic)
+                    measure_subarrays, phase_differences, refine, run_brpss,
+                    steering_near, steering_quadratic)
 from xlbeam.refinement import wrap_pi
-
-
-class TestInitialKb:
-    def test_far_marker(self, cfg512):
-        assert initial_kb(cfg512, 0.42, FAR_FIELD) == (0.0, 0.42)
-
-    def test_frozen_value(self, cfg512):
-        k, b = initial_kb(cfg512, 0.0, 20.0)
-        assert k == pytest.approx(-3.75e-5, rel=1e-12)
-        assert b == pytest.approx(-k * 513, rel=1e-12)
-
-    def test_round_trip_with_chirp_params(self, cfg512):
-        omega, r = -0.37, 47.0
-        k, b = initial_kb(cfg512, omega, r)
-        qp = QuadraticPhase(k=k, b=b)
-        omega2, r2 = qp.to_geometry(cfg512)
-        assert omega2 == pytest.approx(omega, rel=1e-12)
-        assert r2 == pytest.approx(r, rel=1e-12)
 
 
 class TestMeasurement:
@@ -34,8 +16,8 @@ class TestMeasurement:
         # all subarray outputs coincide (no residual phase progression)
         omega, r = 0.2, 25.0
         h = steering_quadratic(cfg512, omega, r)
-        k, b = initial_kb(cfg512, omega, r)
-        z = measure_subarrays(cfg512, h, k, b)
+        qp = QuadraticPhase.from_geometry(cfg512, omega, r)
+        z = measure_subarrays(cfg512, h, qp.k, qp.b)
         m, n = cfg512.m_per_sub, cfg512.n_antennas
         assert np.allclose(z, m / math.sqrt(n), rtol=1e-12)
 
@@ -44,20 +26,20 @@ class TestMeasurement:
         # of the residual offsets
         omega, r = -0.1, 30.0
         true_qp = QuadraticPhase.from_geometry(cfg512, omega, r)
-        k0, b0 = initial_kb(cfg512, 0.5 * omega, 1.3 * r)
+        coarse = QuadraticPhase.from_geometry(cfg512, 0.5 * omega, 1.3 * r)
         h = steering_quadratic(cfg512, omega, r)
-        z = measure_subarrays(cfg512, h, k0, b0)
+        z = measure_subarrays(cfg512, h, coarse.k, coarse.b)
         m, n = cfg512.m_per_sub, cfg512.n_antennas
-        dk, db = true_qp.k - k0, true_qp.b - b0
+        dk, db = true_qp.k - coarse.k, true_qp.b - coarse.b
         expect = np.array([chirp_sum(m, dk, db, offset=(t - 1) * m)
                            for t in range(1, cfg512.n_rf + 1)]) / math.sqrt(n)
         assert np.allclose(z, expect, rtol=1e-10)
 
     def test_noise_reproducible(self, cfg512):
         h = steering_near(cfg512, 0.3, 40.0)
-        k, b = initial_kb(cfg512, 0.3, 40.0)
-        z1 = measure_subarrays(cfg512, h, k, b, 0.01, np.random.default_rng(5))
-        z2 = measure_subarrays(cfg512, h, k, b, 0.01, np.random.default_rng(5))
+        qp = QuadraticPhase.from_geometry(cfg512, 0.3, 40.0)
+        z1 = measure_subarrays(cfg512, h, qp.k, qp.b, 0.01, np.random.default_rng(5))
+        z2 = measure_subarrays(cfg512, h, qp.k, qp.b, 0.01, np.random.default_rng(5))
         assert np.array_equal(z1, z2)
 
 
@@ -143,7 +125,8 @@ class TestNoiseConsistency:
         # monotonically across three noise decades
         omega, r = 0.25, 18.0
         true_qp = QuadraticPhase.from_geometry(cfg512, omega, r)
-        k0, b0 = initial_kb(cfg512, 0.251, 19.0)
+        coarse = QuadraticPhase.from_geometry(cfg512, 0.251, 19.0)
+        k0, b0 = coarse.k, coarse.b
         dk_true, db_true = true_qp.k - k0, true_qp.b - b0
         h = steering_quadratic(cfg512, omega, r)
         mean_err = []
@@ -161,8 +144,8 @@ class TestNoiseConsistency:
 
 class TestRefine:
     def test_zero_offsets_identity(self, cfg512):
-        k0, b0 = initial_kb(cfg512, 0.3, 18.0)
-        res = refine(cfg512, k0, b0, 0.0, 0.0)
+        qp = QuadraticPhase.from_geometry(cfg512, 0.3, 18.0)
+        res = refine(cfg512, qp.k, qp.b, 0.0, 0.0)
         assert res.omega == pytest.approx(0.3, rel=1e-12)
         assert res.range_m == pytest.approx(18.0, rel=1e-12)
 

@@ -6,7 +6,8 @@ import pytest
 from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
                     baseline_ffbs, baseline_hfbs, gain_loss_bound,
                     run_thbt, sample_channel,
-                    stage1_sweep, stage2_select, steering_far, synthesize)
+                    stage1_sweep, stage2_select, steering_far, subarray_pointing,
+                    synthesize)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
 
 
@@ -179,6 +180,15 @@ class TestSelection:
             runs.append(run_thbt(cfg128, book, design, ch, noise, rng))
         assert runs[0].best_index == runs[1].best_index
         assert np.array_equal(runs[0].powers, runs[1].powers)
+
+
+class TestDesignAll:
+    def test_pointing_is_subarray_pointing(self, cfg128, desk_workspace):
+        book, _, design = desk_workspace
+        for p in range(1, book.n_columns + 1):
+            cw = book.params(p)
+            assert np.array_equal(design.psi[p - 1],
+                                  subarray_pointing(cfg128, cw.theta, cw.distance)), p
 
 
 class TestRoughPosition:
