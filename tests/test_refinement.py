@@ -10,6 +10,18 @@ from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, estimate_offsets,
 from xlbeam.refinement import wrap_pi
 
 
+class TestInitialKb:
+    # the coarse (k, b) that run_brpss starts from is
+    # QuadraticPhase.from_geometry; refine inverts it with to_geometry
+    def test_round_trip_with_chirp_params(self, cfg512):
+        omega, r = -0.37, 47.0
+        coarse = QuadraticPhase.from_geometry(cfg512, omega, r)
+        qp = QuadraticPhase(k=coarse.k, b=coarse.b)
+        omega2, r2 = qp.to_geometry(cfg512)
+        assert omega2 == pytest.approx(omega, rel=1e-12)
+        assert r2 == pytest.approx(r, rel=1e-12)
+
+
 class TestMeasurement:
     def test_matched_chirp_gives_constant_outputs(self, cfg512):
         # channel exactly equal to the chirp model at the coarse estimate:
