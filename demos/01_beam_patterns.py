@@ -12,8 +12,8 @@ range.  Run:  python demos/01_beam_patterns.py
 import numpy as np
 
 from xlbeam import (ArrayConfig, build_hybrid_codebook, build_subarray_codebook,
-                    design_hybrid, gain_map, hybrid_beam_gain,
-                    quantize_pointing, subarray_pointing)
+                    design_all, gain_map, hybrid_beam_gain, quantize_pointing,
+                    subarray_pointing)
 from xlbeam.harness import svg_line_plot, write_csv
 
 cfg = ArrayConfig(n_antennas=512, n_rf=4, wavelength=0.003)
@@ -30,7 +30,8 @@ picks = quantize_pointing(psi, sub)
 print("subarray pointings :", np.round(psi, 5))
 print("DFT beam picks     :", picks.tolist())
 
-pair = design_hybrid(cfg, sub, cw.theta, cw.distance)
+# the grid-snapped hybrid combiner stage 2 tests this codeword with
+pair = design_all(book, sub).combiner(p)
 f_hybrid = pair.combined_vector()
 f_codeword = book.column(p)
 

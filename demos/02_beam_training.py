@@ -40,8 +40,7 @@ for res in (thbt, hfbs, ffbs):
           f"  (theta {cw.theta:+.4f}, {where})")
 
 # post-training combining: continuous subarray beams at the winning cell
-pair = design_hybrid(cfg, sub, thbt.rough_omega, thbt.rough_range,
-                     quantize=False)
+pair = design_hybrid(cfg, thbt.rough_omega, thbt.rough_range)
 print(f"aligned gain via hybrid combiner: "
       f"{alignment_gain(cfg, channel.paths, pair.combined_vector()):.4f}")
 print(f"aligned gain via exhaustive pick: "

@@ -11,14 +11,12 @@ import math
 
 import numpy as np
 
-from xlbeam import (ArrayConfig, brpss_step, build_subarray_codebook,
-                    calibrate_measurement_cov, nfbt_step, run_blocks,
-                    snr_db_to_noise_power)
+from xlbeam import (ArrayConfig, brpss_step, calibrate_measurement_cov, nfbt_step,
+                    run_blocks, snr_db_to_noise_power)
 from xlbeam.harness import svg_line_plot, write_csv
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
 
 cfg = ArrayConfig(n_antennas=512, n_rf=4, wavelength=0.003)
-sub = build_subarray_codebook(cfg)
 
 traj = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),
                   velocity=(-5.0, -5.0 * math.sqrt(3)), dt=0.05, n_blocks=180)
@@ -41,7 +39,7 @@ for seed in range(n_seeds):
     for name, step in (("filtered", nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])),
                        ("per_block", brpss_step(cfg, traj.start, noise))):
         rng = np.random.default_rng(seed)
-        log = run_blocks(cfg, sub, traj, tcfg, noise, rng, scen, step)
+        log = run_blocks(cfg, traj, tcfg, noise, rng, scen, step)
         gains[name].append([b.gain for b in log])
 
 t_s = [(i + 1) * traj.dt for i in range(traj.n_blocks)]

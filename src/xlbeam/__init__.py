@@ -7,16 +7,15 @@ __version__ = "0.1.0"
 
 from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD,
                      PathParams, QuadraticPhase, crandn, element_distance,
-                     rayleigh_distance, sample_channel,
-                     snr_db_to_noise_power, steering, steering_far, steering_near,
-                     steering_quadratic, synthesize)
+                     sample_channel, snr_db_to_noise_power, steering,
+                     steering_far, steering_near, steering_quadratic, synthesize)
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
                         build_far_codebook, build_hybrid_codebook,
                         build_near_codebook, build_subarray_codebook,
                         validate_quantization)
-from .combining import (CombinerPair, alignment_gain, beam_center, design_hybrid,
-                        gain_loss_bound, gain_map, hybrid_beam_gain,
-                        quantize_pointing, subarray_outputs, subarray_pointing)
+from .combining import (CombinerPair, alignment_gain, design_hybrid, gain_map,
+                        hybrid_beam_gain, quantize_pointing, subarray_outputs,
+                        subarray_pointing)
 from .refinement import (RefinementResult, estimate_offsets, measure_subarrays,
                          phase_differences, refine, run_brpss)
 from .tracking import (StepResult, TrackerConfig, TrackingScenario, TrackState,
@@ -26,5 +25,3 @@ from .tracking import (StepResult, TrackerConfig, TrackingScenario, TrackState,
 from .training import (Stage1Sweep, TrainedDesign, TrainingResult, assemble_reused,
                        baseline_ffbs, baseline_hfbs, design_all, run_thbt,
                        stage1_sweep, stage2_select)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

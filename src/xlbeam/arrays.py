@@ -73,24 +73,11 @@ class ArrayConfig:
         return (2 * n - self.n_antennas - 1) / 4.0
 
 
-def rayleigh_distance(cfg: ArrayConfig) -> float:
-    """Near/far boundary 2 D^2 / wavelength = N^2 * wavelength / 2."""
-    return 2.0 * cfg.aperture**2 / cfg.wavelength
-
-
-def element_distance(cfg: ArrayConfig, omega: float, r: float, n=None):
-    """Exact distance from a source at (omega, r) to antenna n (1-based).
-
-    With ``n=None`` returns the full length-N vector of distances.
-    """
+def element_distance(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
+    """Exact distances from a source at (omega, r) to the N antennas."""
     if not r > 0:
         raise ValueError("range must be positive")
-    deltas = cfg.antenna_offsets()
-    if n is not None:
-        if not 1 <= n <= cfg.n_antennas:
-            raise ValueError(f"antenna index {n} outside 1..{cfg.n_antennas}")
-        deltas = deltas[n - 1]
-    dl = deltas * cfg.wavelength
+    dl = cfg.antenna_offsets() * cfg.wavelength
     return np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
-from .codebooks import build_subarray_codebook, validate_quantization
+from .codebooks import validate_quantization
 from .harness.experiments import (TRACKING_SCHEMES, TRAINING_SCHEMES,
                                   ExperimentSpec, gain_vs_distance, gain_vs_snr,
                                   overhead_report, positioning_cdf,
@@ -46,20 +46,29 @@ def integers_of(values, key: str, minimum: int) -> tuple[int, ...]:
     return tuple(integer_of(v, key, minimum) for v in values)
 
 
-def number_of(value, key: str) -> float:
+def number_of(value, key: str, minimum: float | None = None,
+              positive: bool = False) -> float:
     """A config number: bools, strings, lists and non-finite values are
-    configuration errors."""
+    configuration errors, and so are values below ``minimum`` or, with
+    ``positive``, values not above zero."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
     return float(value)
 
 
-def numbers_of(values, key: str) -> tuple[float, ...]:
-    """A config list of numbers, each checked by ``number_of``."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(number_of(v, key) for v in values)
+def numbers_of(values, key: str, length: int | None = None,
+               **bounds) -> tuple[float, ...]:
+    """A config list of numbers, each checked by ``number_of`` with the
+    same bounds; ``length`` fixes how many."""
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"{key} must be a list of {count}numbers, got {values!r}")
+    return tuple(number_of(v, key, **bounds) for v in values)
 
 
 def seed_of(node: dict, args, default=0) -> int:
@@ -69,13 +78,17 @@ def seed_of(node: dict, args, default=0) -> int:
 
 
 def parse_array(node: dict, where: str) -> ArrayConfig:
-    """The array described by config node ``where``."""
+    """The array described by config node ``where``.
+
+    Phase refinement reads second differences across the subarrays, so
+    the array needs at least three RF chains.
+    """
     require_keys(node, ["n_antennas", "n_rf", "wavelength"], where)
     n_antennas = integer_of(node["n_antennas"], f"{where}.n_antennas", 1)
-    n_rf = integer_of(node["n_rf"], f"{where}.n_rf", 1)
+    n_rf = integer_of(node["n_rf"], f"{where}.n_rf", 3)
+    wavelength = number_of(node["wavelength"], f"{where}.wavelength", positive=True)
     try:
-        return ArrayConfig(n_antennas=n_antennas, n_rf=n_rf,
-                           wavelength=float(node["wavelength"]))
+        return ArrayConfig(n_antennas=n_antennas, n_rf=n_rf, wavelength=wavelength)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad array description: {exc}") from exc
 
@@ -84,13 +97,12 @@ def parse_paths(node: dict, where: str) -> ChannelScenario:
     """The multipath scenario described by config node ``where``."""
     require_keys(node, ["count", "gain_vars", "angle_range", "range_range"], where)
     n_paths = integer_of(node["count"], f"{where}.count", 1)
+    gain_vars = numbers_of(node["gain_vars"], f"{where}.gain_vars", minimum=0.0)
+    angle_range = numbers_of(node["angle_range"], f"{where}.angle_range", length=2)
+    range_range = numbers_of(node["range_range"], f"{where}.range_range", length=2)
     try:
-        return ChannelScenario(
-            n_paths=n_paths,
-            gain_vars=tuple(float(v) for v in node["gain_vars"]),
-            angle_range=tuple(float(v) for v in node["angle_range"]),
-            range_range=tuple(float(v) for v in node["range_range"]),
-        )
+        return ChannelScenario(n_paths=n_paths, gain_vars=gain_vars,
+                               angle_range=angle_range, range_range=range_range)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad paths description: {exc}") from exc
 
@@ -117,7 +129,7 @@ def codebook_of(config: dict) -> tuple[int, int]:
 def cmd_train(config: dict, args) -> int:
     cfg, scen, snr_db, seed = scenario_of(config, args)
     q, s = codebook_of(config)
-    book, sub_book, design = workspace(cfg, q, s)
+    book, _, design = workspace(cfg, q, s)
     rng = np.random.default_rng(seed)
     channel = sample_channel(cfg, rng, scen)
     noise = snr_db_to_noise_power(snr_db, cfg)
@@ -126,8 +138,7 @@ def cmd_train(config: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     from .combining import alignment_gain, design_hybrid
 
-    pair = design_hybrid(cfg, sub_book, res.rough_omega, res.rough_range,
-                         quantize=False)
+    pair = design_hybrid(cfg, res.rough_omega, res.rough_range)
     result = {
         "best_index": res.best_index,
         "rough_omega": res.rough_omega,
@@ -152,9 +163,12 @@ def cmd_train(config: dict, args) -> int:
 def cmd_refine(config: dict, args) -> int:
     cfg, scen, snr_db, seed = scenario_of(config, args)
     require_keys(config, ["coarse.omega", "coarse.range_m"])
-    coarse_omega = float(config["coarse"]["omega"])
+    coarse_omega = number_of(config["coarse"]["omega"], "coarse.omega")
+    if abs(coarse_omega) > 1.0:
+        raise ConfigError(f"coarse.omega must lie in [-1, 1], got {coarse_omega}")
     raw_range = config["coarse"]["range_m"]
-    coarse_range = math.inf if raw_range in (None, "inf") else float(raw_range)
+    coarse_range = (math.inf if raw_range in (None, "inf")
+                    else number_of(raw_range, "coarse.range_m", positive=True))
     rng = np.random.default_rng(seed)
     channel = sample_channel(cfg, rng, scen)
     noise = snr_db_to_noise_power(snr_db, cfg)
@@ -176,16 +190,21 @@ def cmd_refine(config: dict, args) -> int:
 def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
     node = config.get("tracker", {})
     cov = node.get("meas_cov")
+    if cov is not None:
+        if not isinstance(cov, list) or len(cov) != 2:
+            raise ConfigError(f"tracker.meas_cov must be a 2x2 list of numbers, "
+                              f"got {cov!r}")
+        cov = np.array([numbers_of(row, "tracker.meas_cov", length=2) for row in cov])
     gate = node.get("innovation_gate", 13.8)
-    if gate is not None and (isinstance(gate, bool)
-                             or not isinstance(gate, (int, float))):
-        raise ConfigError(f"tracker.innovation_gate must be a number or null, "
-                          f"got {gate!r}")
+    if gate is not None:
+        gate = number_of(gate, "tracker.innovation_gate")
     return TrackerConfig(
         dt=traj.dt, n_blocks=traj.n_blocks,
-        accel_intensity=float(node.get("accel_intensity", 1.0)),
-        meas_cov=None if cov is None else np.asarray(cov, dtype=float),
-        init_cov_diag=tuple(node.get("init_cov_diag", (1.0, 1.0, 25.0, 25.0))),
+        accel_intensity=number_of(node.get("accel_intensity", 1.0),
+                                  "tracker.accel_intensity", minimum=0.0),
+        meas_cov=cov,
+        init_cov_diag=numbers_of(node.get("init_cov_diag", [1.0, 1.0, 25.0, 25.0]),
+                                 "tracker.init_cov_diag", length=4, minimum=0.0),
         innovation_gate=gate,
     )
 
@@ -194,9 +213,10 @@ def trajectory_of(config: dict) -> Trajectory:
     require_keys(config, ["trajectory.start", "trajectory.velocity",
                           "trajectory.dt", "trajectory.blocks"])
     node = config["trajectory"]
-    return Trajectory(start=tuple(float(v) for v in node["start"]),
-                      velocity=tuple(float(v) for v in node["velocity"]),
-                      dt=float(node["dt"]),
+    return Trajectory(start=numbers_of(node["start"], "trajectory.start", length=2),
+                      velocity=numbers_of(node["velocity"], "trajectory.velocity",
+                                          length=2),
+                      dt=number_of(node["dt"], "trajectory.dt", positive=True),
                       n_blocks=integer_of(node["blocks"], "trajectory.blocks", 1))
 
 
@@ -211,7 +231,9 @@ def tracking_scenario_of(config: dict) -> TrackingScenario:
     if "n_nlos" in node:
         kwargs["n_nlos"] = integer_of(node["n_nlos"], "tracking_channel.n_nlos", 0)
     if "nlos_gain_var" in node:
-        kwargs["nlos_gain_var"] = float(node["nlos_gain_var"])
+        kwargs["nlos_gain_var"] = number_of(node["nlos_gain_var"],
+                                            "tracking_channel.nlos_gain_var",
+                                            minimum=0.0)
     return TrackingScenario(**kwargs)
 
 
@@ -226,8 +248,7 @@ def cmd_track(config: dict, args) -> int:
     noise = snr_db_to_noise_power(snr_db, cfg)
     tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
-    log = run_blocks(cfg, build_subarray_codebook(cfg), traj, tcfg, noise,
-                     np.random.default_rng(seed), scen, step)
+    log = run_blocks(cfg, traj, tcfg, noise, np.random.default_rng(seed), scen, step)
     rows = []
     for b in log:
         rows.append({
@@ -289,11 +310,15 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
     scen = (parse_paths(config["paths"], "paths") if "paths" in config
             else ChannelScenario())
     snr_grid = numbers_of(config.get("snr_grid_db", [10.0]), "snr_grid_db")
+    if not snr_grid:
+        raise ConfigError("snr_grid_db must list at least one SNR")
     kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=tuple(schemes), trials=trials,
                   seed=seed, workers=args.threads, snr_grid_db=snr_grid,
                   scenario=scen)
     if "r_max_grid" in config:
-        kwargs["r_max_grid"] = numbers_of(config["r_max_grid"], "r_max_grid")
+        # each entry becomes the upper end of the paths' range_range
+        kwargs["r_max_grid"] = numbers_of(config["r_max_grid"], "r_max_grid",
+                                          minimum=scen.range_range[0])
     if kind == "tracking":
         traj = trajectory_of(config)
         kwargs["trajectory"] = traj
@@ -447,6 +472,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         config = load_config(args.config)
         return COMMANDS[args.command](config, args)

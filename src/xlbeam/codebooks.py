@@ -107,11 +107,6 @@ class HybridCodebook:
         q = p - qs
         return CodewordParams("far", float(self.theta[q - 1]), FAR_FIELD, q, None)
 
-    def valid_placement(self, p: int) -> bool:
-        """Whether column p's geometry is a physically valid path placement."""
-        cw = self.params(p)
-        return cw.is_far or cw.distance >= self.cfg.range_floor * (1.0 - 1e-12)
-
     def index_of(self, q: int, s: int | None = None) -> int:
         """Column index of near cell (q, s), or of far angle q with s=None."""
         if s is None:

@@ -2,9 +2,9 @@
 
 Each subarray points a plane-wave beam at the local direction of the
 target wavefront; the digital row then phase-aligns and weights the
-RF-chain outputs.  Two analog flavors exist: beams snapped to the
-per-subarray DFT grid (the only ones available during training reuse)
-and continuous beams (used once the target geometry is known).
+RF-chain outputs.  Once the target geometry is known the subarray beams
+point continuously at it (:func:`design_hybrid`); during training they
+are snapped to the per-subarray DFT grid (``training.design_all``).
 """
 
 from __future__ import annotations
@@ -76,28 +76,6 @@ def quantize_pointing(psi, sub_book: SubarrayCodebook) -> np.ndarray:
     return np.clip(idx, 0, m - 1) + 1
 
 
-def beam_center(cfg: ArrayConfig, omega: float, r: float, t) -> np.ndarray | float:
-    """Center of subarray t's beam under the quadratic wavefront model.
-
-    ``B_t = omega + lambda*(1-omega^2)*(N - (2t-1)*M)/(4r)``; collapses to
-    omega in the far field.  ``t`` is 1-based and may be a vector.
-    """
-    t = np.asarray(t)
-    if math.isinf(r):
-        return omega * np.ones_like(t, dtype=float) if t.ndim else float(omega)
-    val = omega + (cfg.wavelength * (1.0 - omega * omega)
-                   * (cfg.n_antennas - (2 * t - 1) * cfg.m_per_sub) / (4.0 * r))
-    return val if t.ndim else float(val)
-
-
-def gain_loss_bound(cfg: ArrayConfig) -> float:
-    """Worst-case gain loss of per-subarray plane-wave approximation.
-
-    ``max(1 - N_RF / (2N)^(1/4), 0)``.
-    """
-    return max(1.0 - cfg.n_rf / (2.0 * cfg.n_antennas) ** 0.25, 0.0)
-
-
 @dataclass
 class CombinerPair:
     """One analog/digital combiner pair.
@@ -110,14 +88,6 @@ class CombinerPair:
     cfg: ArrayConfig
     w_blocks: np.ndarray = field(repr=False)   # (N_RF, M)
     v: np.ndarray = field(repr=False)          # (N_RF,)
-
-    def analog_matrix(self) -> np.ndarray:
-        """The N_RF x N block-diagonal analog combiner."""
-        n_rf, m = self.w_blocks.shape
-        w = np.zeros((n_rf, n_rf * m), dtype=complex)
-        for t in range(n_rf):
-            w[t, t * m:(t + 1) * m] = self.w_blocks[t]
-        return w
 
     def combined_row(self) -> np.ndarray:
         """The effective 1 x N row ``v @ W`` (unit norm)."""
@@ -132,23 +102,17 @@ class CombinerPair:
         return self.combined_row().conj()
 
 
-def design_hybrid(cfg: ArrayConfig, sub_book: SubarrayCodebook, omega: float,
-                  r: float, quantize: bool = True) -> CombinerPair:
-    """Design the per-subarray beams and matched digital row for (omega, r).
+def design_hybrid(cfg: ArrayConfig, omega: float, r: float) -> CombinerPair:
+    """Continuous per-subarray beams and the matched digital row for (omega, r).
 
-    The geometry always comes from the stated (omega, r) — for codebook
-    columns these are the generating parameters, never re-estimated from
-    the vector.  The digital row is matched to the steering vector at the
-    same geometry.  ``quantize=False`` keeps the continuous subarray beams
-    instead of snapping to the DFT grid.
+    Subarray t's analog row points a plane wave at its own pointing sine
+    Psi_t; the digital row is matched to the steering vector at the same
+    geometry.
     """
     m = cfg.m_per_sub
     psi = subarray_pointing(cfg, omega, r)
-    if quantize:
-        w_blocks = sub_book.matrix[:, quantize_pointing(psi, sub_book) - 1].T.conj()
-    else:
-        n = np.arange(m)
-        w_blocks = np.exp(-1j * np.pi * n[None, :] * psi[:, None])
+    n = np.arange(m)
+    w_blocks = np.exp(-1j * np.pi * n[None, :] * psi[:, None])
     wu = subarray_outputs(cfg, w_blocks, steering(cfg, omega, r, validate=False))
     norm = np.linalg.norm(wu)
     if norm == 0.0:

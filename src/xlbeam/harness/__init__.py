@@ -6,5 +6,3 @@ from .experiments import (ExperimentSpec, clear_workspace_cache, gain_vs_distanc
 from .io import ConfigError, load_config, require_keys, write_csv, write_manifest
 from .runner import run_trials, trial_rng
 from .svgplot import svg_line_plot
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -90,7 +90,6 @@ class _TrainingTrial:
 
     cfg: ArrayConfig
     book: HybridCodebook
-    sub_book: SubarrayCodebook
     design: TrainedDesign
     channel: ChannelRealization
     noise: float
@@ -110,8 +109,7 @@ class _TrainingTrial:
 
     def continuous_beam(self, omega: float, r: float) -> np.ndarray:
         """The hybrid beam designed with continuous subarray beams at (omega, r)."""
-        return design_hybrid(self.cfg, self.sub_book, omega, r,
-                             quantize=False).combined_vector()
+        return design_hybrid(self.cfg, omega, r).combined_vector()
 
     def swept(self, res: TrainingResult) -> tuple:
         """A sweep baseline points its winning codeword."""
@@ -152,8 +150,8 @@ def evaluate_training_trial(spec: ExperimentSpec, noise_power: float,
     reproducible for a given scheme set.
     """
     cfg = spec.cfg
-    book, sub_book, design = workspace(cfg, spec.n_angles, spec.n_rings)
-    trial = _TrainingTrial(cfg, book, sub_book, design,
+    book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
+    trial = _TrainingTrial(cfg, book, design,
                            sample_channel(cfg, rng, scenario), noise_power, rng)
     out = {}
     for scheme, estimate in TRAINING_SCHEMES.items():
@@ -257,10 +255,9 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
 
         def worker(i, rng, _book=book):
             channel = sample_channel(spec.cfg, rng, scenario)
-            powers = np.abs(channel.h.conj() @ _book.matrix)
-            p_best = int(np.argmax(powers)) + 1
-            cw = _book.params(p_best)
-            ref = run_brpss(spec.cfg, channel, cw.theta, cw.distance, noise, rng)
+            coarse = baseline_hfbs(spec.cfg, _book, channel)
+            ref = run_brpss(spec.cfg, channel, coarse.rough_omega, coarse.rough_range,
+                            noise, rng)
             return _position_error(channel, ref.omega, ref.range_m)
 
         errs = np.array(run_trials(worker, spec.trials, spec.seed, spec.workers))
@@ -291,22 +288,21 @@ TRACKING_SCHEMES = {
 
 def _tracking_run(spec: ExperimentSpec, scheme: str, noise: float, tcfg,
                   seed_idx: int):
-    _, sub_book, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
+    _, _, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
     step = TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg)
-    return run_blocks(spec.cfg, sub_book, spec.trajectory, tcfg, noise,
+    return run_blocks(spec.cfg, spec.trajectory, tcfg, noise,
                       trial_rng(spec.seed, seed_idx), spec.tracking_scenario, step)
 
 
 def _perfect_csi_se(spec: ExperimentSpec, noise: float, seed_idx: int) -> float:
     """Mean spectral efficiency with the true geometry every block."""
     cfg = spec.cfg
-    _, sub_book, _ = workspace(cfg, spec.n_angles, spec.n_rings)
     rng = trial_rng(spec.seed, seed_idx)
     chan = TrackingChannel(cfg, spec.trajectory, spec.tracking_scenario, rng)
     ses = []
     for i in range(1, spec.trajectory.n_blocks + 1):
         h, om_t, ze_t, _ = chan.at_block(i, rng)
-        ses.append(spectral_efficiency(cfg, sub_book, h, om_t, ze_t, noise))
+        ses.append(spectral_efficiency(cfg, h, om_t, ze_t, noise))
     return float(np.mean(ses))
 
 

@@ -93,18 +93,18 @@ def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: floa
               rng: np.random.Generator | None = None) -> RefinementResult:
     """One-pilot refinement around a coarse (omega, range) estimate.
 
-    On failure (vanishing subarray output) the coarse estimate comes back
-    tagged ``refined=False`` so downstream consumers degrade gracefully.
+    A vanishing subarray output has no phase to read: the coarse estimate
+    then comes back tagged ``refined=False`` so downstream consumers
+    degrade gracefully.  An array of fewer than three subarrays cannot be
+    refined at all and raises ``ValueError``.
     """
     coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
     k0, b0 = coarse.k, coarse.b
     z = measure_subarrays(cfg, channel, k0, b0, noise_power, rng)
-    try:
-        d1, d2 = phase_differences(z)
-    except ValueError:
+    if np.any(np.abs(z) == 0.0):
         return RefinementResult(k=k0, b=b0, omega=coarse_omega,
                                 range_m=coarse_range, refined=False)
-    dk, db = estimate_offsets(cfg, d1, d2)
+    dk, db = estimate_offsets(cfg, *phase_differences(z))
     result = refine(cfg, k0, b0, dk, db)
     if not result.is_far and abs(result.omega) > 1.0:
         # implausible geometry (negative range): keep the coarse estimate

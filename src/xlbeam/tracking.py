@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import ArrayConfig, FAR_FIELD, crandn, steering, steering_quadratic
-from .codebooks import HybridCodebook, SubarrayCodebook
+from .codebooks import HybridCodebook
 from .combining import design_hybrid, hybrid_beam_gain, subarray_outputs
 from .refinement import run_brpss
 from .training import TrainedDesign
@@ -311,17 +311,15 @@ class BlockLog:
     pilots: int
 
 
-def spectral_efficiency(cfg: ArrayConfig, sub_book: SubarrayCodebook,
-                        h: np.ndarray, omega_hat: float, zeta_hat: float,
-                        noise_power: float) -> float:
+def spectral_efficiency(cfg: ArrayConfig, h: np.ndarray, omega_hat: float,
+                        zeta_hat: float, noise_power: float) -> float:
     """log2(1 + |combined signal|^2 / sigma_rf^2) for a unit-norm combiner.
 
     The combiner is the continuous hybrid design at the estimated
     geometry; the combined row has unit norm so the post-combining noise
     power equals the per-antenna noise power.
     """
-    pair = design_hybrid(cfg, sub_book, float(np.clip(omega_hat, -1, 1)), zeta_hat,
-                         quantize=False)
+    pair = design_hybrid(cfg, float(np.clip(omega_hat, -1, 1)), zeta_hat)
     sig = abs(pair.combined_row() @ h) ** 2
     if noise_power <= 0.0:
         return math.inf
@@ -354,8 +352,8 @@ class StepResult:
                    filtered=pos if pos is not None else np.full(2, np.nan))
 
 
-def run_blocks(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
-               tcfg: TrackerConfig, noise_power: float, rng: np.random.Generator,
+def run_blocks(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
+               noise_power: float, rng: np.random.Generator,
                scen: TrackingScenario, step) -> list[BlockLog]:
     """Run one tracking scheme over the trajectory, block by block.
 
@@ -369,7 +367,7 @@ def run_blocks(cfg: ArrayConfig, sub_book: SubarrayCodebook, traj: Trajectory,
         h, om_t, ze_t, _ = chan.at_block(i, rng)
         out = step(h, rng)
         gain = hybrid_beam_gain(cfg, out.beam, om_t, ze_t)
-        se = spectral_efficiency(cfg, sub_book, h, out.omega, out.range_m, noise_power)
+        se = spectral_efficiency(cfg, h, out.omega, out.range_m, noise_power)
         logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
                                 predicted=out.predicted, measured=out.measured,
                                 filtered=out.filtered, gain=gain, se_bits=se,

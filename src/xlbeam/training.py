@@ -115,14 +115,15 @@ def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
     return Stage1Sweep(z=signal + noise, signal=signal, noise=noise, pilots=m)
 
 
-def assemble_reused(sweep: Stage1Sweep, design: TrainedDesign, p: int) -> np.ndarray:
+def assemble_reused(sweep: Stage1Sweep, design: TrainedDesign, p) -> np.ndarray:
     """Reassemble codeword p's RF outputs from the stage-1 measurements.
 
     Entry t is copied from sweep measurement ``z[m_t(p), t]``; no pilot is
-    consumed.
+    consumed.  ``p`` is 1-based; an array of indices gives one row of N_RF
+    outputs per codeword.
     """
-    rows = design.m_idx[p - 1]
-    return sweep.z[rows, np.arange(rows.shape[0])]
+    rows = np.take(design.m_idx, p - 1, axis=0)     # faster than m_idx[p - 1] for arrays
+    return sweep.z[rows, np.arange(rows.shape[-1])]
 
 
 def stage2_select(book: HybridCodebook, design: TrainedDesign,
@@ -131,8 +132,7 @@ def stage2_select(book: HybridCodebook, design: TrainedDesign,
 
     Exact power ties break toward the smaller codeword index.
     """
-    n_rf = book.cfg.n_rf
-    zz = sweep.z[design.m_idx, np.arange(n_rf)[None, :]]            # (P, N_RF)
+    zz = assemble_reused(sweep, design, np.arange(1, book.n_columns + 1))  # (P, N_RF)
     y = (design.v * zz).sum(axis=1)
     powers = np.abs(y) ** 2
     p_best = int(np.argmax(powers)) + 1                             # argmax = first max

@@ -1,8 +1,9 @@
-"""Reference oracles for the chirp-sum, flat-top and phase-model claims.
+"""Reference oracles for the chirp-sum, flat-top and phase-model claims,
+and the paper's closed-form geometry formulas.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
-does not load scipy.
+does not load scipy and the package holds only what runs.
 """
 
 import math
@@ -11,6 +12,53 @@ import numpy as np
 from scipy.integrate import quad
 
 from xlbeam.arrays import ArrayConfig
+from xlbeam.codebooks import HybridCodebook
+from xlbeam.combining import CombinerPair
+
+
+def rayleigh_distance(cfg: ArrayConfig) -> float:
+    """Near/far boundary 2 D^2 / wavelength = N^2 * wavelength / 2."""
+    return 2.0 * cfg.aperture**2 / cfg.wavelength
+
+
+def beam_center(cfg: ArrayConfig, omega: float, r: float, t) -> np.ndarray | float:
+    """Center of subarray t's beam under the quadratic wavefront model.
+
+    ``B_t = omega + lambda*(1-omega^2)*(N - (2t-1)*M)/(4r)``; collapses to
+    omega in the far field.  ``t`` is 1-based and may be a vector.
+    """
+    t = np.asarray(t)
+    if math.isinf(r):
+        return omega * np.ones_like(t, dtype=float) if t.ndim else float(omega)
+    val = omega + (cfg.wavelength * (1.0 - omega * omega)
+                   * (cfg.n_antennas - (2 * t - 1) * cfg.m_per_sub) / (4.0 * r))
+    return val if t.ndim else float(val)
+
+
+def gain_loss_bound(cfg: ArrayConfig) -> float:
+    """Worst-case gain loss of per-subarray plane-wave approximation.
+
+    ``max(1 - N_RF / (2N)^(1/4), 0)``.
+    """
+    return max(1.0 - cfg.n_rf / (2.0 * cfg.n_antennas) ** 0.25, 0.0)
+
+
+def analog_matrix(pair: CombinerPair) -> np.ndarray:
+    """The N_RF x N block-diagonal analog combiner of a combiner pair."""
+    n_rf, m = pair.w_blocks.shape
+    w = np.zeros((n_rf, n_rf * m), dtype=complex)
+    for t in range(n_rf):
+        w[t, t * m:(t + 1) * m] = pair.w_blocks[t]
+    return w
+
+
+def valid_placements(book: HybridCodebook) -> list[int]:
+    """The 1-based columns whose geometry is a physically valid path
+    placement: every far column, and every near column not below the
+    validity floor."""
+    qs = book.n_angles * book.n_rings
+    return [p for p in range(1, book.n_columns + 1)
+            if p > qs or not book.below_floor.reshape(-1)[p - 1]]
 
 
 def chirp_sum(count: int, k: float, b: float, offset: int = 0) -> complex:

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from xlbeam import (ArrayConfig, ChannelScenario, build_subarray_codebook,
-                    gain_loss_bound, quantize_pointing, rayleigh_distance,
-                    run_brpss, steering_near, subarray_pointing)
-from oracles import chirp_sum
+from xlbeam import (ArrayConfig, ChannelScenario, assemble_reused,
+                    build_subarray_codebook, quantize_pointing, run_brpss,
+                    steering_near, subarray_pointing)
+from oracles import chirp_sum, gain_loss_bound, rayleigh_distance, valid_placements
 from xlbeam.harness import ExperimentSpec, overhead_report
 from xlbeam.harness.experiments import (evaluate_training_trial,
                                         tracking_experiment)
@@ -94,7 +94,7 @@ def test_criterion_04_noiseless_exactness(cfg128, cfg512, desk_workspace,
         assert res.best_index == p, f"N=128 codeword {p} -> {res.best_index}"
 
     book5, sub5, design5 = full_workspace
-    valid = [p for p in range(1, book5.n_columns + 1) if book5.valid_placement(p)]
+    valid = valid_placements(book5)
     rng = np.random.default_rng(42)
     picks = rng.choice(valid, size=500, replace=False)
     for p in picks:
@@ -104,8 +104,6 @@ def test_criterion_04_noiseless_exactness(cfg128, cfg512, desk_workspace,
 
     # reuse identity with noise replayed: assembled entries are bit-equal
     # to the direct measurement of the reassembled combiner
-    from xlbeam import assemble_reused
-
     n_rf = cfg512.n_rf
     for p in picks[:25]:
         sweep = stage1_sweep(cfg512, sub5, book5.column(int(p)),

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rayleigh_distance
+
 from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, PathParams,
-                    QuadraticPhase, crandn, element_distance, rayleigh_distance,
+                    QuadraticPhase, crandn, element_distance,
                     sample_channel, steering, steering_far,
                     steering_near, steering_quadratic, synthesize)
 
@@ -52,14 +54,12 @@ class TestElementDistance:
 
     def test_frozen_oracle_value(self, cfg512):
         # high-precision evaluation of the exact formula (mpmath, 40 digits)
-        val = element_distance(cfg512, 0.5, 20.0, n=1)
+        val = element_distance(cfg512, 0.5, 20.0)[0]
         assert val == pytest.approx(20.194352689861094, rel=1e-12)
 
-    def test_index_bounds(self, cfg512):
-        with pytest.raises(ValueError):
-            element_distance(cfg512, 0.0, 10.0, n=0)
-        with pytest.raises(ValueError):
-            element_distance(cfg512, 0.0, 10.0, n=513)
+    def test_rejects_nonpositive_range(self, cfg512):
+        with pytest.raises(ValueError, match="range must be positive"):
+            element_distance(cfg512, 0.0, 0.0)
 
     def test_monotone_in_lateral_offset(self, cfg512, rng):
         # law of cosines: distance grows with |delta*lambda - r*omega|

@@ -52,8 +52,12 @@ BASE_CONFIGS = {
     "refinement_grid": ("sweep", sweep_config(
         experiment="refinement_grid", schemes=["thbt_brpss"], q_grid=[128],
         s_grid=[3], fixed_q=128, fixed_s=3)),
+    "gain_vs_distance": ("sweep", sweep_config(experiment="gain_vs_distance",
+                                               r_max_grid=[12.0])),
     "train": ("train", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
                         "codebook": {"q": 128, "s": 3}}),
+    "refine": ("refine", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
+                          "coarse": {"omega": 0.0, "range_m": 5.0}}),
     "codebook": ("codebook", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
     "report": ("report", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
 }
@@ -179,6 +183,32 @@ class TestConfigErrors:
         ("track", "snr_db", [10]),
         ("train", "scenario.snr_db", "10"),
         ("train", "scenario.snr_db", False),
+        ("sweep", "snr_grid_db", []),
+        ("gain_vs_distance", "r_max_grid", [0.5]),
+        # phase refinement needs three subarrays
+        ("sweep", "array.n_rf", 2),
+        ("track", "array.n_rf", 2),
+        ("track", "array.wavelength", True),
+        ("track", "array.wavelength", "0.003"),
+        ("sweep", "array.wavelength", -0.003),
+        ("train", "scenario.wavelength", None),
+        ("sweep", "paths.gain_vars", "100"),
+        ("sweep", "paths.gain_vars", [1.0, -0.01, 0.01]),
+        ("sweep", "paths.angle_range", [-0.5]),
+        ("sweep", "paths.range_range", [1.0, "20"]),
+        ("train", "scenario.paths.range_range", 20.0),
+        ("track", "trajectory.start", [8.0]),
+        ("track", "trajectory.velocity", "fast"),
+        ("track", "trajectory.dt", True),
+        ("track", "trajectory.dt", -0.05),
+        ("refine", "coarse.omega", "0"),
+        ("refine", "coarse.omega", 1.5),
+        ("refine", "coarse.range_m", -5.0),
+        ("track", "tracker.accel_intensity", "abc"),
+        ("track", "tracker.meas_cov", [[1.0]]),
+        ("track", "tracker.meas_cov", [[1.0, 0.0], [0.0, "1"]]),
+        ("track", "tracker.init_cov_diag", [1.0, 1.0]),
+        ("track", "tracking_channel.nlos_gain_var", -1),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
@@ -199,6 +229,15 @@ class TestConfigErrors:
             track_config(), "tracker.innovation_gate", gate))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 2
         assert "tracker.innovation_gate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, "cfg.json", sweep_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--threads", threads, "--out",
+                  str(tmp_path / "x"), "sweep"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_innovation_gate_null_disables_gating(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", with_key(
@@ -282,6 +321,13 @@ class TestSingleRuns:
         assert main(["--config", cfg, "--out", str(out), "refine"]) == 0
         result = json.loads((out / "refine_result.json").read_text())
         assert result["pilots"] == 1
+
+    def test_track_with_given_meas_cov(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", with_key(
+            track_config(), "tracker.meas_cov", [[0.01, 0.0], [0.0, 0.01]]))
+        out = tmp_path / "res"
+        assert main(["--config", cfg, "--out", str(out), "track"]) == 0
+        assert len((out / "track_blocks.csv").read_text().splitlines()) == 13
 
     def test_track(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", track_config())

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chirp_sum, flat_top_gain
-from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, beam_center,
-                    build_subarray_codebook, crandn, design_hybrid, gain_loss_bound,
-                    hybrid_beam_gain, quantize_pointing, rayleigh_distance,
+from oracles import (analog_matrix, beam_center, chirp_sum, flat_top_gain,
+                     gain_loss_bound, rayleigh_distance)
+from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, build_subarray_codebook,
+                    crandn, design_hybrid, hybrid_beam_gain, quantize_pointing,
                     steering_far, steering_near, subarray_outputs, subarray_pointing)
 from xlbeam.arrays import PathParams, QuadraticPhase
 
@@ -89,16 +89,17 @@ class TestSubarrayOutputs:
 
 
 class TestDesign:
-    def test_combined_row_unit_norm(self, cfg512):
-        sub = build_subarray_codebook(cfg512)
-        for quantize in (True, False):
-            pair = design_hybrid(cfg512, sub, 0.21, 18.0, quantize=quantize)
+    # the continuous design (design_hybrid) and the grid-snapped one
+    # (a trained codeword's combiner) share the combiner-pair contract
+    def test_combined_row_unit_norm(self, cfg512, full_workspace):
+        book, _, design = full_workspace
+        p = book.index_of(300, 4)
+        for pair in (design_hybrid(cfg512, 0.21, 18.0), design.combiner(p)):
             assert np.linalg.norm(pair.combined_row()) == pytest.approx(1.0, abs=1e-12)
 
     def test_block_structure(self, cfg512):
-        sub = build_subarray_codebook(cfg512)
-        pair = design_hybrid(cfg512, sub, -0.4, 30.0)
-        w = pair.analog_matrix()
+        pair = design_hybrid(cfg512, -0.4, 30.0)
+        w = analog_matrix(pair)
         m = cfg512.m_per_sub
         assert np.allclose(np.abs(pair.w_blocks), 1.0, atol=1e-12)
         for t in range(cfg512.n_rf):
@@ -111,16 +112,16 @@ class TestDesign:
         # a plane wave on the subarray DFT grid is combined losslessly
         sub = build_subarray_codebook(cfg128)
         omega = sub.angles[20]
-        pair = design_hybrid(cfg128, sub, omega, FAR_FIELD)
+        pair = design_hybrid(cfg128, omega, FAR_FIELD)
         u = steering_far(cfg128, omega)
-        assert abs(pair.v @ (pair.analog_matrix() @ u)) == pytest.approx(1.0, abs=1e-9)
+        assert abs(pair.v @ (analog_matrix(pair) @ u)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_worked_example_self_gain_levels(self, cfg512):
+    def test_worked_example_self_gain_levels(self, cfg512, full_workspace):
         # frozen self-gains of the worked-example codeword: the DFT-grid
         # design pays a straddle penalty the continuous design avoids
-        sub = build_subarray_codebook(cfg512)
-        quant = design_hybrid(cfg512, sub, EXAMPLE_THETA, EXAMPLE_DIST)
-        cont = design_hybrid(cfg512, sub, EXAMPLE_THETA, EXAMPLE_DIST, quantize=False)
+        book, _, design = full_workspace
+        quant = design.combiner(book.index_of(256, 6))
+        cont = design_hybrid(cfg512, EXAMPLE_THETA, EXAMPLE_DIST)
         u = steering_near(cfg512, EXAMPLE_THETA, EXAMPLE_DIST)
         g_quant = hybrid_beam_gain(cfg512, quant.combined_vector(), EXAMPLE_THETA, EXAMPLE_DIST)
         g_cont = hybrid_beam_gain(cfg512, cont.combined_vector(), EXAMPLE_THETA, EXAMPLE_DIST)
@@ -130,10 +131,9 @@ class TestDesign:
 
     def test_gain_matches_received_signal(self, cfg512):
         # B(f, omega, r) with f = (vW)^H equals |v W alpha|
-        sub = build_subarray_codebook(cfg512)
-        pair = design_hybrid(cfg512, sub, 0.3, 40.0)
+        pair = design_hybrid(cfg512, 0.3, 40.0)
         alpha = steering_near(cfg512, 0.3, 40.0)
-        direct = abs(pair.v @ (pair.analog_matrix() @ alpha))
+        direct = abs(pair.v @ (analog_matrix(pair) @ alpha))
         assert hybrid_beam_gain(cfg512, pair.combined_vector(), 0.3, 40.0) == \
             pytest.approx(direct, abs=1e-12)
 
@@ -174,11 +174,10 @@ class TestLossBound:
     def test_bound_holds_with_margin(self, cfg512):
         # continuous per-subarray plane-wave design across the domain: the
         # realized loss never exceeds the bound plus flat-top slack
-        sub = build_subarray_codebook(cfg512)
         limit = gain_loss_bound(cfg512) + 0.05
         for omega in (-math.sqrt(3) / 2, -0.3, 0.0, 0.45, math.sqrt(3) / 2):
             for r in (cfg512.range_floor, 8.0, 15.0, 40.0, 120.0, 390.0):
-                pair = design_hybrid(cfg512, sub, omega, r, quantize=False)
+                pair = design_hybrid(cfg512, omega, r)
                 loss = 1.0 - hybrid_beam_gain(cfg512, pair.combined_vector(),
                                               omega, r)
                 assert loss <= limit, (omega, r, loss)

@@ -199,6 +199,13 @@ class TestRunBrpss:
         assert not res.refined
         assert res.omega == 0.2 and res.range_m == 30.0
 
+    def test_two_subarrays_raise(self):
+        # too few subarrays is a setup fault, not a per-pilot degradation
+        cfg = ArrayConfig(64, 2, 0.003)
+        h = steering_near(cfg, 0.1, 5.0)
+        with pytest.raises(ValueError, match="three subarrays"):
+            run_brpss(cfg, h, 0.1, 5.0)
+
     def test_far_coarse_estimates_curvature(self, cfg512):
         # training returned a far codeword but the source is near: the
         # refinement still recovers the range from scratch

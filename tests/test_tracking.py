@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from xlbeam import (FAR_FIELD, brpss_step, build_subarray_codebook,
-                    calibrate_measurement_cov, design_hybrid, ffbt_proxy_step,
-                    filter_update, filtered_channel, hfns_step, hybrid_beam_gain,
-                    measure_block, nfbt_step, predict, rayleigh_distance,
+from oracles import rayleigh_distance
+from xlbeam import (FAR_FIELD, brpss_step, calibrate_measurement_cov, design_hybrid,
+                    ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
+                    hybrid_beam_gain, measure_block, nfbt_step, predict,
                     run_blocks, steering_far, steering_near)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
                              Trajectory, nearest_codeword, neighbor_codewords,
@@ -111,10 +111,9 @@ class TestFilteredChannel:
     def test_alignment_at_truth(self, cfg512):
         # gain of the combiner designed from the filtered geometry against
         # the true channel steering vector
-        sub = build_subarray_codebook(cfg512)
         state = TrackState(x=np.array([20.0, 15.0, 0.0, 0.0]), cov=np.eye(4))
         zeta, theta = state.polar()
-        pair = design_hybrid(cfg512, sub, math.sin(theta), zeta, quantize=False)
+        pair = design_hybrid(cfg512, math.sin(theta), zeta)
         g = hybrid_beam_gain(cfg512, pair.combined_vector(), math.sin(theta), zeta)
         assert g >= 0.95
         # and the chirp-model estimate itself is nearly exact
@@ -149,10 +148,9 @@ class TestMeasureBlock:
 
 class TestRunTracking:
     def test_noiseless_run_keeps_alignment(self, cfg512):
-        sub = build_subarray_codebook(cfg512)
         tcfg = TrackerConfig(dt=0.05, n_blocks=30, meas_cov=np.eye(2) * 1e-4)
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
                          np.random.default_rng(1), scen,
                          nfbt_step(cfg512, tcfg, 0.0, AT_REST))
         assert len(log) == 30
@@ -178,13 +176,12 @@ class TestRunTracking:
     def test_degrades_to_prediction_on_gated_measurements(self, cfg512):
         # an absurdly tight gate rejects every fix; the filter then coasts
         # on the constant-velocity model without error
-        sub = build_subarray_codebook(cfg512)
         tcfg = TrackerConfig(dt=0.05, n_blocks=5, meas_cov=np.eye(2) * 1e-4,
                              innovation_gate=1e-12)
         scen = TrackingScenario(fading=False, n_nlos=0)
         init = np.array([PAPER_TRAJ.start[0], PAPER_TRAJ.start[1],
                          PAPER_TRAJ.velocity[0], PAPER_TRAJ.velocity[1]])
-        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
                          np.random.default_rng(2), scen,
                          nfbt_step(cfg512, tcfg, 0.0, init))
         for b in log:
@@ -211,28 +208,27 @@ class TestCalibration:
 
 class TestBaselines:
     def test_brpss_only_pilots_and_noiseless_gain(self, cfg512):
-        sub = build_subarray_codebook(cfg512)
         tcfg = TrackerConfig(dt=0.05, n_blocks=20, meas_cov=np.eye(2))
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
                          np.random.default_rng(3), scen,
                          brpss_step(cfg512, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 1 for b in log)
         assert all(b.gain >= 0.98 for b in log)
 
     def test_hfns_pilots(self, cfg512, full_workspace):
-        book, sub, design = full_workspace
+        _, _, design = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
                          np.random.default_rng(4),
                          TrackingScenario(fading=False, n_nlos=0),
                          hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 5 for b in log)
 
     def test_ffbt_proxy_pilots(self, cfg512, full_workspace):
-        book, sub, _ = full_workspace
+        book, _, _ = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_blocks(cfg512, sub, PAPER_TRAJ, tcfg, 0.0,
+        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
                          np.random.default_rng(5),
                          TrackingScenario(fading=False, n_nlos=0),
                          ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gain_loss_bound, valid_placements
 from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
-                    baseline_ffbs, baseline_hfbs, gain_loss_bound,
-                    run_thbt, sample_channel,
+                    baseline_ffbs, baseline_hfbs, run_thbt, sample_channel,
                     stage1_sweep, stage2_select, steering_far, subarray_pointing,
                     synthesize)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
@@ -120,6 +120,16 @@ class TestReuse:
                       + sweep.noise[rows, np.arange(cfg128.n_rf)])
             assert np.array_equal(z_p, direct)
 
+    def test_array_of_codewords_stacks_rows(self, cfg128, desk_workspace):
+        # stage 2 gathers every codeword at once with an index array
+        book, sub, design = desk_workspace
+        h = sample_channel(cfg128, np.random.default_rng(6)).h
+        sweep = stage1_sweep(cfg128, sub, h, noise_power=0.05,
+                             rng=np.random.default_rng(7))
+        ps = np.arange(1, book.n_columns + 1)
+        stacked = np.array([assemble_reused(sweep, design, int(p)) for p in ps])
+        assert np.array_equal(assemble_reused(sweep, design, ps), stacked)
+
     def test_worked_example_reuse_rows(self, cfg512, full_workspace):
         # the worked-example codeword reuses exactly sweeps {63, 64, 65, 66}
         _, _, design = full_workspace
@@ -155,9 +165,10 @@ class TestSelection:
         # find the same winner as the exhaustive matched sweep
         book, sub, design = desk_workspace
         rng = np.random.default_rng(3)
+        valid = set(valid_placements(book))
         for _ in range(40):
             p = int(rng.integers(1, book.n_columns + 1))
-            if not book.valid_placement(p):
+            if p not in valid:
                 continue
             h = self._single_path_channel(cfg128, book, p)
             thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, h))
