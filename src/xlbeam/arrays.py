@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,14 +41,17 @@ class ArrayConfig:
     wavelength: float
 
     def __post_init__(self):
+        # each message starts with the name of the field it rejects
         if self.n_antennas <= 0 or self.n_rf <= 0:
-            raise ValueError("antenna and RF-chain counts must be positive")
+            raise ValueError("n_antennas and n_rf must be positive")
         if self.n_antennas % self.n_rf != 0:
             raise ValueError(
-                f"n_antennas={self.n_antennas} not divisible by n_rf={self.n_rf}"
-            )
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
+                f"n_antennas {self.n_antennas} is not divisible by n_rf {self.n_rf}")
+        # range_floor cubes the aperture; a cube that overflows leaves no floor
+        if not (self.wavelength > 0
+                and math.isfinite(self.aperture * self.aperture * self.aperture)):
+            raise ValueError("wavelength must be positive, and small enough "
+                             "for a finite range floor")
 
     @property
     def m_per_sub(self) -> int:
@@ -68,9 +72,19 @@ class ArrayConfig:
         return 0.5 * math.sqrt(self.aperture**3 / self.wavelength)
 
     def antenna_offsets(self) -> np.ndarray:
-        """Per-antenna y-offsets ``delta_n`` in units of the wavelength."""
-        n = np.arange(1, self.n_antennas + 1)
-        return (2 * n - self.n_antennas - 1) / 4.0
+        """Per-antenna y-offsets ``delta_n`` in units of the wavelength.
+
+        Every near-field steering vector needs them, so they are built once
+        per antenna count and shared read-only."""
+        return _antenna_offsets(self.n_antennas)
+
+
+@functools.lru_cache(maxsize=None)
+def _antenna_offsets(n_antennas: int) -> np.ndarray:
+    n = np.arange(1, n_antennas + 1)
+    offsets = (2 * n - n_antennas - 1) / 4.0
+    offsets.flags.writeable = False
+    return offsets
 
 
 def element_distance(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
@@ -172,7 +186,10 @@ class PathParams:
 
 @dataclass(frozen=True)
 class ChannelScenario:
-    """Random multipath scenario: path 1 is the line of sight."""
+    """Random multipath scenario: path 1 is the line of sight.
+
+    Each check's message starts with the name of the field it rejects.
+    """
 
     n_paths: int = 3
     gain_vars: tuple[float, ...] = (1.0, 0.01, 0.01)
@@ -181,9 +198,10 @@ class ChannelScenario:
 
     def __post_init__(self):
         if self.n_paths < 1:
-            raise ValueError("need at least one path")
+            raise ValueError("n_paths must be at least 1")
         if len(self.gain_vars) < self.n_paths:
-            raise ValueError("gain_vars shorter than n_paths")
+            raise ValueError(f"gain_vars has {len(self.gain_vars)} entries "
+                             f"for {self.n_paths} paths")
         lo, hi = self.angle_range
         if not (-1 <= lo <= hi <= 1):
             raise ValueError("angle_range must be ordered and inside [-1, 1]")

@@ -77,6 +77,23 @@ def seed_of(node: dict, args, default=0) -> int:
     return integer_of(seed, "seed", 0)
 
 
+def node_of(config: dict, key: str) -> dict:
+    """The optional config object ``key``; absent reads as empty."""
+    node = config.get(key, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"{key} must be an object, got {node!r}")
+    return node
+
+
+def field_error(exc: ValueError, where: str, key_of: dict | None = None) -> ConfigError:
+    """A model's own check as a config error naming the dotted key.
+
+    The model's message starts with the field it rejects, which is read
+    as key ``where.field`` unless ``key_of`` maps it to another dotted key."""
+    name, _, why = str(exc).partition(" ")
+    return ConfigError(f"{(key_of or {}).get(name, f'{where}.{name}')} {why}")
+
+
 def parse_array(node: dict, where: str) -> ArrayConfig:
     """The array described by config node ``where``.
 
@@ -89,8 +106,8 @@ def parse_array(node: dict, where: str) -> ArrayConfig:
     wavelength = number_of(node["wavelength"], f"{where}.wavelength", positive=True)
     try:
         return ArrayConfig(n_antennas=n_antennas, n_rf=n_rf, wavelength=wavelength)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad array description: {exc}") from exc
+    except ValueError as exc:
+        raise field_error(exc, where) from exc
 
 
 def parse_paths(node: dict, where: str) -> ChannelScenario:
@@ -103,8 +120,8 @@ def parse_paths(node: dict, where: str) -> ChannelScenario:
     try:
         return ChannelScenario(n_paths=n_paths, gain_vars=gain_vars,
                                angle_range=angle_range, range_range=range_range)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad paths description: {exc}") from exc
+    except ValueError as exc:
+        raise field_error(exc, where, {"n_paths": f"{where}.count"}) from exc
 
 
 def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float, int]:
@@ -188,7 +205,7 @@ def cmd_refine(config: dict, args) -> int:
 
 
 def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
-    node = config.get("tracker", {})
+    node = node_of(config, "tracker")
     cov = node.get("meas_cov")
     if cov is not None:
         if not isinstance(cov, list) or len(cov) != 2:
@@ -198,15 +215,16 @@ def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
     gate = node.get("innovation_gate", 13.8)
     if gate is not None:
         gate = number_of(gate, "tracker.innovation_gate")
-    return TrackerConfig(
-        dt=traj.dt, n_blocks=traj.n_blocks,
-        accel_intensity=number_of(node.get("accel_intensity", 1.0),
-                                  "tracker.accel_intensity", minimum=0.0),
-        meas_cov=cov,
-        init_cov_diag=numbers_of(node.get("init_cov_diag", [1.0, 1.0, 25.0, 25.0]),
-                                 "tracker.init_cov_diag", length=4, minimum=0.0),
-        innovation_gate=gate,
-    )
+    accel = number_of(node.get("accel_intensity", 1.0), "tracker.accel_intensity",
+                      minimum=0.0)
+    init_cov = numbers_of(node.get("init_cov_diag", [1.0, 1.0, 25.0, 25.0]),
+                          "tracker.init_cov_diag", length=4, minimum=0.0)
+    try:
+        return TrackerConfig(dt=traj.dt, n_blocks=traj.n_blocks, accel_intensity=accel,
+                             meas_cov=cov, init_cov_diag=init_cov, innovation_gate=gate)
+    except ValueError as exc:
+        raise field_error(exc, "tracker", {"dt": "trajectory.dt",
+                                           "n_blocks": "trajectory.blocks"}) from exc
 
 
 def trajectory_of(config: dict) -> Trajectory:
@@ -221,7 +239,7 @@ def trajectory_of(config: dict) -> Trajectory:
 
 
 def tracking_scenario_of(config: dict) -> TrackingScenario:
-    node = config.get("tracking_channel", {})
+    node = node_of(config, "tracking_channel")
     kwargs = {}
     if "fading" in node:
         if not isinstance(node["fading"], bool):
@@ -293,7 +311,7 @@ CSV_COLUMNS = {
 def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
     require_keys(config, ["experiment"])
     kind = config["experiment"]
-    if kind not in EXPERIMENTS:
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment: {kind} "
                           f"(choose from {sorted(EXPERIMENTS)})")
     cfg = parse_array(config.get("array"), "array")

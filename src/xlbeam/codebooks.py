@@ -91,12 +91,17 @@ class HybridCodebook:
     matrix: np.ndarray = field(repr=False)           # (N, QS+Q)
 
     @property
+    def n_near(self) -> int:
+        """Columns in the near block; the far block starts at 0-based column n_near."""
+        return self.n_angles * self.n_rings
+
+    @property
     def n_columns(self) -> int:
-        return self.n_angles * self.n_rings + self.n_angles
+        return self.n_near + self.n_angles
 
     def params(self, p: int) -> CodewordParams:
         """Geometry of column p (1-based)."""
-        qs = self.n_angles * self.n_rings
+        qs = self.n_near
         if not 1 <= p <= self.n_columns:
             raise ValueError(f"column index {p} outside 1..{self.n_columns}")
         if p <= qs:
@@ -110,7 +115,7 @@ class HybridCodebook:
     def index_of(self, q: int, s: int | None = None) -> int:
         """Column index of near cell (q, s), or of far angle q with s=None."""
         if s is None:
-            return self.n_angles * self.n_rings + q
+            return self.n_near + q
         return (q - 1) * self.n_rings + s
 
     def column(self, p: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, Trajec
                         polar_to_cartesian, run_blocks, spectral_efficiency,
                         tracker_for_run)
 from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
-                        design_all, run_thbt)
+                        design_all, run_thbt, sweep_signals)
 from .runner import run_trials, trial_rng
 
 QUANTILE_GRID = [round(0.01 * i, 2) for i in range(101)]
@@ -94,6 +94,8 @@ class _TrainingTrial:
     channel: ChannelRealization
     noise: float
     rng: np.random.Generator
+    signal: np.ndarray | None = field(default=None, repr=False)  # sweep outputs from column `first` on
+    first: int = 0
     _thbt: TrainingResult | None = None
 
     @property
@@ -106,6 +108,10 @@ class _TrainingTrial:
             self._thbt = run_thbt(self.cfg, self.book, self.design,
                                   self.channel, self.noise, self.rng)
         return self._thbt
+
+    def signal_from(self, first: int) -> np.ndarray:
+        """The chunk's precomputed sweep outputs for 0-based columns ``first`` on."""
+        return self.signal[first - self.first:]
 
     def continuous_beam(self, omega: float, r: float) -> np.ndarray:
         """The hybrid beam designed with continuous subarray beams at (omega, r)."""
@@ -134,35 +140,55 @@ TRAINING_SCHEMES = {
     "thbt": lambda t: (t.continuous_beam(t.thbt.rough_omega, t.thbt.rough_range),
                        t.thbt.rough_omega, t.thbt.rough_range, t.thbt.pilots),
     "thbt_brpss": _refined,
-    "hfbs": lambda t: t.swept(baseline_hfbs(t.cfg, t.book, t.channel, t.noise, t.rng)),
-    "ffbs": lambda t: t.swept(baseline_ffbs(t.cfg, t.book, t.channel, t.noise, t.rng)),
+    "hfbs": lambda t: t.swept(baseline_hfbs(t.cfg, t.book, t.channel, t.noise, t.rng,
+                                            signal=t.signal_from(0))),
+    "ffbs": lambda t: t.swept(baseline_ffbs(t.cfg, t.book, t.channel, t.noise, t.rng,
+                                            signal=t.signal_from(t.book.n_near))),
 }
 
 
-def evaluate_training_trial(spec: ExperimentSpec, noise_power: float,
-                            scenario: ChannelScenario, rng: np.random.Generator,
-                            schemes: tuple[str, ...]) -> dict:
-    """One channel draw, all requested schemes measured on it.
+def _chunk_channels(cfg: ArrayConfig, book: HybridCodebook, scenario: ChannelScenario,
+                    rngs, first: int | None) -> tuple[list, list]:
+    """A chunk's channels, one first draw from each trial's rng, and their
+    noiseless column-sweep outputs from 0-based column ``first`` on, all
+    from one codebook product (a None per channel when ``first`` is None:
+    no sweep runs)."""
+    channels = [sample_channel(cfg, rng, scenario) for rng in rngs]
+    if first is None:
+        return channels, [None] * len(channels)
+    return channels, list(sweep_signals(book, np.stack([c.h for c in channels]), first))
+
+
+def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
+                             scenario: ChannelScenario, rngs,
+                             schemes: tuple[str, ...]) -> list[dict]:
+    """One channel draw per rng, all requested schemes measured on each.
 
     Every scheme is scored the same way: the alignment gain of the beam it
-    points and the position error of the (omega, r) it reports.  Scheme
-    order is fixed by ``TRAINING_SCHEMES`` so the trial's RNG stream is
-    reproducible for a given scheme set.
+    points and the position error of the (omega, r) it reports.  The
+    chunk's sweep baselines share one codebook product, which draws
+    nothing, so each trial uses its rng exactly as it would alone: the
+    channel first, then the schemes in ``TRAINING_SCHEMES`` order.
     """
     cfg = spec.cfg
     book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
-    trial = _TrainingTrial(cfg, book, design,
-                           sample_channel(cfg, rng, scenario), noise_power, rng)
-    out = {}
-    for scheme, estimate in TRAINING_SCHEMES.items():
-        if scheme in schemes:
-            beam, omega, r, pilots = estimate(trial)
-            out[scheme] = {
-                "gain": alignment_gain(cfg, trial.channel.paths, beam),
-                "error_m": _position_error(trial.channel, omega, r),
-                "pilots": pilots,
-            }
-    return out
+    first = 0 if "hfbs" in schemes else book.n_near if "ffbs" in schemes else None
+    channels, signals = _chunk_channels(cfg, book, scenario, rngs, first)
+    results = []
+    for channel, signal, rng in zip(channels, signals, rngs):
+        trial = _TrainingTrial(cfg, book, design, channel, noise_power, rng, signal,
+                               first or 0)
+        out = {}
+        for scheme, estimate in TRAINING_SCHEMES.items():
+            if scheme in schemes:
+                beam, omega, r, pilots = estimate(trial)
+                out[scheme] = {
+                    "gain": alignment_gain(cfg, trial.channel.paths, beam),
+                    "error_m": _position_error(trial.channel, omega, r),
+                    "pilots": pilots,
+                }
+        results.append(out)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +203,8 @@ def _gain_sweep(spec: ExperimentSpec, experiment: str, points) -> list[dict]:
     """
     rows = []
     for fields, noise, scenario in points:
-        def worker(i, rng, _noise=noise, _scen=scenario):
-            return evaluate_training_trial(spec, _noise, _scen, rng, spec.schemes)
+        def worker(indices, rngs, _noise=noise, _scen=scenario):
+            return evaluate_training_trials(spec, _noise, _scen, rngs, spec.schemes)
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         for scheme in spec.schemes:
@@ -219,8 +245,8 @@ def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     schemes = tuple(s for s in spec.schemes if s != "ffbs")
 
-    def worker(i, rng):
-        return evaluate_training_trial(spec, noise, spec.scenario, rng, schemes)
+    def worker(indices, rngs):
+        return evaluate_training_trials(spec, noise, spec.scenario, rngs, schemes)
 
     results = run_trials(worker, spec.trials, spec.seed, spec.workers)
     rows = []
@@ -253,12 +279,15 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
     for param, q, s in sweeps:
         book, _, _ = workspace(spec.cfg, q, s)
 
-        def worker(i, rng, _book=book):
-            channel = sample_channel(spec.cfg, rng, scenario)
-            coarse = baseline_hfbs(spec.cfg, _book, channel)
-            ref = run_brpss(spec.cfg, channel, coarse.rough_omega, coarse.rough_range,
-                            noise, rng)
-            return _position_error(channel, ref.omega, ref.range_m)
+        def worker(indices, rngs, _book=book):
+            channels, signals = _chunk_channels(spec.cfg, _book, scenario, rngs, 0)
+            errs = []
+            for channel, signal, rng in zip(channels, signals, rngs):
+                coarse = baseline_hfbs(spec.cfg, _book, channel, signal=signal)
+                ref = run_brpss(spec.cfg, channel, coarse.rough_omega,
+                                coarse.rough_range, noise, rng)
+                errs.append(_position_error(channel, ref.omega, ref.range_m))
+            return errs
 
         errs = np.array(run_trials(worker, spec.trials, spec.seed, spec.workers))
         report = validate_quantization(spec.cfg, q, s)
@@ -408,8 +437,8 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
     noise = snr_db_to_noise_power(10.0, cfg)
     spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s,
                           schemes=tuple(TRAINING_SCHEMES))
-    trained = evaluate_training_trial(spec, noise, spec.scenario,
-                                      np.random.default_rng(seed), spec.schemes)
+    [trained] = evaluate_training_trials(spec, noise, spec.scenario,
+                                         [np.random.default_rng(seed)], spec.schemes)
 
     blocks = 3
     traj = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,8 +46,13 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(path, config: dict, seed: int, outputs: list[str]) -> None:
-    """Record what produced the artifacts: config, its hash, seed, versions."""
+    """Record what produced the artifacts: config, its hash, seed, versions,
+    and the host's CPU count and BLAS thread settings (which can change
+    speed but never the numbers)."""
     import numpy
 
     from .. import __version__
@@ -57,6 +63,8 @@ def write_manifest(path, config: dict, seed: int, outputs: list[str]) -> None:
         "seed": seed,
         "outputs": sorted(outputs),
         "versions": {"xlbeam": __version__, "numpy": numpy.__version__},
+        "host": {"cpu_count": os.cpu_count(),
+                 **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -68,9 +76,12 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def require_keys(config: dict, paths: list[str], where: str = "") -> None:

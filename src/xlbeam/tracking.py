@@ -49,10 +49,17 @@ class TrackerConfig:
     innovation_gate: float | None = 13.8
 
     def __post_init__(self):
+        # each message starts with the name of the field it rejects
         if not self.dt > 0:
-            raise ValueError("block duration must be positive")
+            raise ValueError("dt (the block duration) must be positive")
         if self.n_blocks < 1:
-            raise ValueError("need at least one block")
+            raise ValueError("n_blocks must be at least 1")
+        # process_noise scales dt^4 by accel_intensity^2
+        if not math.isfinite(self.dt * self.dt * self.dt * self.dt):
+            raise ValueError("dt is too long for a finite process noise")
+        scale = self.dt * self.dt * self.accel_intensity
+        if not math.isfinite(scale * scale):
+            raise ValueError("accel_intensity is too large for a finite process noise")
 
 
 @dataclass

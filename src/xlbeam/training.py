@@ -64,7 +64,7 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     cfg = book.cfg
     n_rf, m = cfg.n_rf, cfg.m_per_sub
     p_total = book.n_columns
-    qs = book.n_angles * book.n_rings
+    qs = book.n_near
 
     psi = np.empty((p_total, n_rf))
     psi[:qs] = subarray_pointing(cfg, np.repeat(book.theta, book.n_rings),
@@ -149,13 +149,39 @@ def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
     return stage2_select(book, design, sweep)
 
 
+def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.ndarray:
+    """Noiseless column-sweep outputs ``C[:, first:]^H h`` for a stack of
+    channels: row k of the (T, P - first) result belongs to ``hs[k]``.
+
+    One matrix-matrix product serves the whole stack.  A one-row stack is
+    padded with a zero row: numpy hands a (1, N) product to the
+    matrix-vector kernel, which rounds differently, and a trial's outputs
+    must not depend on how many trials share its product.
+    """
+    hs = np.atleast_2d(hs)
+    n_rows = hs.shape[0]
+    if n_rows == 1:
+        hs = np.vstack([hs, np.zeros_like(hs)])
+    # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
+    y = hs.conj() @ book.matrix[:, first:]
+    return np.conjugate(y, out=y)[:n_rows]
+
+
 def _column_sweep(book: HybridCodebook, channel, noise_power: float,
                   rng: np.random.Generator | None, first: int,
-                  scheme: str) -> TrainingResult:
+                  scheme: str, signal: np.ndarray | None) -> TrainingResult:
     """One ideal codeword-matched pilot per column, from 0-based column
-    ``first`` to the last; the winner's grid cell is the coarse estimate."""
-    # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
-    y = (h_of(channel).conj() @ book.matrix[:, first:]).conj()
+    ``first`` to the last; the winner's grid cell is the coarse estimate.
+
+    ``signal`` is the channel's row of ``sweep_signals(book, ..., first)``
+    when a batch already computed it."""
+    if signal is None:
+        y = sweep_signals(book, h_of(channel), first)[0]
+    elif signal.shape == (book.n_columns - first,):
+        y = signal
+    else:
+        raise ValueError(f"{scheme} signal has shape {signal.shape}, "
+                         f"expected ({book.n_columns - first},)")
     if noise_power > 0.0:
         if rng is None:
             raise ValueError("noisy sweep needs an rng")
@@ -170,19 +196,25 @@ def _column_sweep(book: HybridCodebook, channel, noise_power: float,
 def baseline_hfbs(cfg: ArrayConfig, book: HybridCodebook,
                   channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None) -> TrainingResult:
+                  rng: np.random.Generator | None = None,
+                  signal: np.ndarray | None = None) -> TrainingResult:
     """Exhaustive sweep: one ideal codeword-matched pilot per column.
 
     This is the upper-overhead baseline; it observes each codeword
     directly and is not constrained by the partially-connected hardware.
+    ``signal`` is an optional precomputed ``sweep_signals`` row (all P
+    columns).
     """
-    return _column_sweep(book, channel, noise_power, rng, 0, "hfbs")
+    return _column_sweep(book, channel, noise_power, rng, 0, "hfbs", signal)
 
 
 def baseline_ffbs(cfg: ArrayConfig, book: HybridCodebook,
                   channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None) -> TrainingResult:
-    """Far-field-only sweep: Q ideal pilots over the plane-wave block."""
-    return _column_sweep(book, channel, noise_power, rng,
-                         book.n_angles * book.n_rings, "ffbs")
+                  rng: np.random.Generator | None = None,
+                  signal: np.ndarray | None = None) -> TrainingResult:
+    """Far-field-only sweep: Q ideal pilots over the plane-wave block.
+
+    ``signal`` is an optional precomputed ``sweep_signals`` row over the
+    last Q columns (``first = book.n_near``)."""
+    return _column_sweep(book, channel, noise_power, rng, book.n_near, "ffbs", signal)

@@ -15,7 +15,7 @@ from xlbeam import (ArrayConfig, ChannelScenario, assemble_reused,
                     steering_near, subarray_pointing)
 from oracles import chirp_sum, gain_loss_bound, rayleigh_distance, valid_placements
 from xlbeam.harness import ExperimentSpec, overhead_report
-from xlbeam.harness.experiments import (evaluate_training_trial,
+from xlbeam.harness.experiments import (evaluate_training_trials,
                                         tracking_experiment)
 from xlbeam.harness.runner import run_trials
 from oracles import psp_band_ok
@@ -177,9 +177,9 @@ def test_criterion_07_gain_orderings(cfg512, full_workspace):
     for snr_db in (10.0, -15.0):
         noise = 10.0 ** (-snr_db / 10.0) / cfg512.m_per_sub
 
-        def worker(i, rng, _n=noise):
-            return evaluate_training_trial(spec, _n, spec.scenario, rng,
-                                           spec.schemes)
+        def worker(indices, rngs, _n=noise):
+            return evaluate_training_trials(spec, _n, spec.scenario, rngs,
+                                            spec.schemes)
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         means[snr_db] = {s: float(np.mean([r[s]["gain"] for r in results]))
@@ -205,9 +205,9 @@ def test_criterion_08_distance_robustness(cfg512, full_workspace):
                               workers=2,
                               scenario=ChannelScenario(range_range=(6.0, r_max)))
 
-        def worker(i, rng):
-            return evaluate_training_trial(spec, noise, spec.scenario, rng,
-                                           spec.schemes)
+        def worker(indices, rngs):
+            return evaluate_training_trials(spec, noise, spec.scenario, rngs,
+                                            spec.schemes)
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         for s in ("thbt", "ffbs"):
@@ -229,9 +229,9 @@ def test_criterion_09_positioning_medians(cfg512, full_workspace):
                           scenario=ChannelScenario(range_range=(6.0, 150.0)))
     noise = 10.0 ** (-2.0) / cfg512.m_per_sub
 
-    def worker(i, rng):
-        return evaluate_training_trial(spec, noise, spec.scenario, rng,
-                                       spec.schemes)
+    def worker(indices, rngs):
+        return evaluate_training_trials(spec, noise, spec.scenario, rngs,
+                                        spec.schemes)
 
     results = run_trials(worker, spec.trials, spec.seed, spec.workers)
     med = {s: float(np.quantile([r[s]["error_m"] for r in results], 0.5,

@@ -31,6 +31,13 @@ class TestGeometry:
         assert abs(d.sum()) < 1e-9
         assert np.allclose(np.diff(d), 0.5)
 
+    def test_antenna_offsets_built_once_and_read_only(self, cfg512):
+        d = cfg512.antenna_offsets()
+        assert ArrayConfig(512, 8, 0.001).antenna_offsets() is d
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0] = 0.0
+
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
             ArrayConfig(10, 4, 0.003)
@@ -214,11 +221,15 @@ class TestChannel:
         assert np.allclose(synthesize(cfg512, [path]), steering_far(cfg512, 0.3))
 
     def test_invalid_scenarios(self):
-        with pytest.raises(ValueError):
+        # each message starts with the field it rejects, which the config
+        # reader turns into the dotted key
+        with pytest.raises(ValueError, match="^n_paths "):
             ChannelScenario(n_paths=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gain_vars "):
+            ChannelScenario(n_paths=3, gain_vars=(1.0, 0.01))
+        with pytest.raises(ValueError, match="^angle_range "):
             ChannelScenario(angle_range=(0.5, -0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^range_range "):
             ChannelScenario(range_range=(-1.0, 10.0))
 
 

@@ -1,8 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlbeam.cli import (experiment_spec_of, main, parse_array, scenario_of,
                         tracker_config_of, tracking_scenario_of, trajectory_of)
@@ -209,6 +214,19 @@ class TestConfigErrors:
         ("track", "tracker.meas_cov", [[1.0, 0.0], [0.0, "1"]]),
         ("track", "tracker.init_cov_diag", [1.0, 1.0]),
         ("track", "tracking_channel.nlos_gain_var", -1),
+        # ChannelScenario's own checks, named by their config key
+        ("sweep", "paths.gain_vars", [1.0, 0.01]),
+        ("sweep", "paths.angle_range", [0.5, -0.5]),
+        ("train", "scenario.paths.angle_range", [-0.5, 1.5]),
+        ("refine", "scenario.paths.range_range", [20.0, 1.0]),
+        ("sweep", "array.n_antennas", 130),
+        # found by TestConfigEdges: each exited 1
+        ("sweep", "experiment", []),
+        ("track", "tracker", "abc"),
+        ("track", "tracking_channel", [None]),
+        ("track", "array.wavelength", 1e300),
+        ("track", "trajectory.dt", 1e300),
+        ("track", "tracker.accel_intensity", 1e300),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
@@ -290,6 +308,46 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "cfg.json", cfgdict)
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "train"]) == 2
         assert "scenario.paths.count" in capsys.readouterr().err
+
+
+def config_keys(node, prefix=""):
+    """Every dotted key of a config, inner nodes included."""
+    for name, value in node.items():
+        yield prefix + name
+        if isinstance(value, dict):
+            yield from config_keys(value, f"{prefix}{name}.")
+
+
+# (subcommand, a tiny valid config): one training sweep and one tracking run
+EDGE_BASES = [("sweep", sweep_config(trials=2)),
+              ("track", with_key(track_config(), "trajectory.blocks", 3))]
+# A huge integer is left out: a trial or block count would be accepted and run.
+EDGE_VALUES = [True, False, "abc", "", None, [], [[1.0, 2.0]], {}, -1, -0.5,
+               float("nan"), float("inf"), 1e300]
+
+
+class TestConfigEdges:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_key_exits_0_or_2_and_names_it(self, data):
+        command, base = data.draw(st.sampled_from(EDGE_BASES), label="base")
+        key = data.draw(st.sampled_from(sorted(config_keys(base))), label="key")
+        value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
+        threads = data.draw(st.sampled_from([-1, 0, 1, 2]), label="threads")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(with_key(base, key, value)))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(["--config", str(path), "--threads", str(threads),
+                                 "--out", str(Path(tmp) / "out"), command])
+                except SystemExit as exc:       # argparse rejects --threads < 1
+                    code = exc.code
+        message = err.getvalue()
+        assert code in (0, 2), message
+        if code == 2:
+            assert (key in message if threads >= 1 else "--threads" in message), message
 
 
 class TestSingleRuns:

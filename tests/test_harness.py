@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
 from xlbeam.harness import experiments
-from xlbeam.harness.experiments import evaluate_training_trial
+from xlbeam.harness.experiments import evaluate_training_trials
+from xlbeam.harness.runner import CHUNK_TRIALS, trial_chunks
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
 
@@ -35,12 +37,35 @@ class TestRunner:
         assert not np.array_equal(a, c)
 
     def test_parallel_equals_sequential(self):
-        def worker(i, rng):
-            return (i, rng.standard_normal(8).sum())
+        def worker(indices, rngs):
+            return [(i, rng.standard_normal(8).sum()) for i, rng in zip(indices, rngs)]
 
         seq = run_trials(worker, 40, seed=9, workers=1)
         par = run_trials(worker, 40, seed=9, workers=3)
         assert seq == par
+
+    @pytest.mark.parametrize("n_trials", [1, 65, 130])
+    def test_chunking_does_not_change_results(self, n_trials):
+        def worker(indices, rngs):
+            return [(i, rng.standard_normal(3).tolist()) for i, rng in zip(indices, rngs)]
+
+        runs = [run_trials(worker, n_trials, seed=9, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert [i for i, _ in runs[0]] == list(range(n_trials))
+        assert runs[0][-1][1] == trial_rng(9, n_trials - 1).standard_normal(3).tolist()
+
+    @pytest.mark.parametrize("n_trials, workers, sizes", [
+        (1, 3, [1]), (65, 1, [33, 32]), (130, 2, [33, 33, 32, 32]),
+        (600, 2, [60] * 10), (128, 2, [64, 64]), (5, 2, [3, 2])])
+    def test_chunks_are_contiguous_and_balanced(self, n_trials, workers, sizes):
+        chunks = trial_chunks(n_trials, workers)
+        assert [len(c) for c in chunks] == sizes
+        assert [i for c in chunks for i in c] == list(range(n_trials))
+        assert max(sizes) <= CHUNK_TRIALS
+
+    def test_worker_must_return_one_result_per_trial(self):
+        with pytest.raises(ValueError, match="2 results for 3 trials"):
+            run_trials(lambda indices, rngs: [0, 0], 3, seed=1)
 
 
 class TestTrainingExperiments:
@@ -67,11 +92,41 @@ class TestTrainingExperiments:
 
     def test_trial_rng_usage_is_scheme_ordered(self, cfg128, desk_workspace):
         spec = desk_spec(cfg128)
-        out1 = evaluate_training_trial(spec, 1e-4, spec.scenario, trial_rng(5, 0),
-                                       spec.schemes)
-        out2 = evaluate_training_trial(spec, 1e-4, spec.scenario, trial_rng(5, 0),
-                                       spec.schemes)
+        out1 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
+                                        spec.schemes)
+        out2 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
+                                        spec.schemes)
         assert out1 == out2
+
+    @pytest.mark.parametrize("schemes", [("thbt", "thbt_brpss", "hfbs", "ffbs"),
+                                         ("thbt", "ffbs")])
+    def test_a_trial_scores_the_same_alone_or_in_a_chunk(self, cfg128, desk_workspace,
+                                                         schemes):
+        spec = desk_spec(cfg128)
+        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario,
+                                         [trial_rng(5, i) for i in range(7)], schemes)
+        alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(5, i)],
+                                          schemes)[0] for i in range(7)]
+        assert chunk == alone
+
+    def test_gain_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace,
+                                                     tmp_path):
+        # 70 trials: chunks of 35 for one or two workers, of 24/23/23 for three
+        blobs = []
+        for workers in (1, 2, 3):
+            rows = gain_vs_snr(desk_spec(cfg128, trials=70, workers=workers,
+                                         snr_grid_db=(0.0, 10.0)))
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(path, rows, list(rows[0]))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_cdf_and_refinement_grid_workers_do_not_change_results(self, cfg128,
+                                                                   desk_workspace):
+        spec = desk_spec(cfg128, trials=70, snr_grid_db=(20.0,), s_grid=(3,),
+                         q_grid=(128,), fixed_q=128, fixed_s=3)
+        for experiment in (positioning_cdf, refinement_grid):
+            assert experiment(spec) == experiment(replace(spec, workers=2))
 
     def test_gain_vs_distance_point_is_gain_vs_snr(self, cfg128, desk_workspace):
         # one range bound: the same trials as gain_vs_snr on a scenario
@@ -107,8 +162,8 @@ class TestTrainingExperiments:
 
         monkeypatch.setattr(experiments, name, counted)
         spec = desk_spec(cfg128)
-        evaluate_training_trial(spec, 1e-4, spec.scenario, trial_rng(5, 0),
-                                spec.schemes)
+        evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
+                                 spec.schemes)
         assert calls
 
     def test_refinement_grid_rows(self, cfg512):
@@ -220,6 +275,17 @@ class TestIo:
         assert blob["config_sha256"] == config_digest(cfgdict)
         assert blob["outputs"] == ["a.csv"]
 
+    def test_manifest_records_host_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        write_manifest(tmp_path / "manifest.json", {}, 0, [])
+        host = json.loads((tmp_path / "manifest.json").read_text())["host"]
+        assert host["cpu_count"] == os.cpu_count()
+        assert host["OPENBLAS_NUM_THREADS"] == "3"
+        assert host["MKL_NUM_THREADS"] == "unset"
+        assert set(host) == {"cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                             "MKL_NUM_THREADS"}
+
     def test_require_keys_names_the_path(self):
         with pytest.raises(ConfigError, match=r"paths\.count"):
             require_keys({"paths": {}}, ["paths.count"])
@@ -230,6 +296,9 @@ class TestIo:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(bad)
+        bad.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object"):
             load_config(bad)
 
     def test_svg_plot_smoke(self, tmp_path):

@@ -9,6 +9,7 @@ from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
                     stage1_sweep, stage2_select, steering_far, subarray_pointing,
                     synthesize)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
+from xlbeam.training import sweep_signals
 
 
 class TestStage1:
@@ -262,3 +263,47 @@ class TestBaselines:
             g_t = math.sqrt(thbt.powers[thbt.best_index - 1])
             g_h = math.sqrt(hfbs.powers[hfbs.best_index - 1])
             assert g_t >= floor * g_h
+
+
+class TestSweepSignals:
+    @pytest.fixture(scope="class")
+    def stack(self, cfg512):
+        rng = np.random.default_rng(12)
+        return np.stack([sample_channel(cfg512, rng, ChannelScenario()).h
+                         for _ in range(64)])
+
+    @pytest.mark.parametrize("k", [0, 17, 63])
+    def test_padded_row_equals_row_in_full_stack(self, full_workspace, stack, k):
+        # a trial's outputs must not depend on how many trials share the product
+        book, _, _ = full_workspace
+        for first in (0, book.n_near):
+            alone = sweep_signals(book, stack[k], first)
+            assert alone.shape == (1, book.n_columns - first)
+            assert np.array_equal(alone[0], sweep_signals(book, stack, first)[k])
+
+    def test_ffbs_only_product_has_q_columns(self, full_workspace, stack):
+        book, _, _ = full_workspace
+        far = sweep_signals(book, stack[:5], book.n_near)
+        assert far.shape == (5, book.n_angles)
+        assert np.array_equal(far, sweep_signals(book, stack[:5])[:, book.n_near:])
+
+    def test_rows_are_column_inner_products(self, full_workspace, stack):
+        book, _, _ = full_workspace
+        y = sweep_signals(book, stack[:3])
+        np.testing.assert_allclose(y, (book.matrix.conj().T @ stack[:3].T).T,
+                                   rtol=0, atol=1e-13)
+
+    def test_precomputed_signal_gives_the_same_sweep(self, cfg512, full_workspace, stack):
+        book, _, _ = full_workspace
+        y = sweep_signals(book, stack[:2])
+        for scheme, first in ((baseline_hfbs, 0), (baseline_ffbs, book.n_near)):
+            given = scheme(cfg512, book, stack[1], 1e-3, np.random.default_rng(3),
+                           signal=y[1, first:])
+            alone = scheme(cfg512, book, stack[1], 1e-3, np.random.default_rng(3))
+            assert given.best_index == alone.best_index
+            assert np.array_equal(given.powers, alone.powers)
+
+    def test_signal_of_the_wrong_width_raises(self, cfg512, full_workspace, stack):
+        book, _, _ = full_workspace
+        with pytest.raises(ValueError, match="ffbs signal"):
+            baseline_ffbs(cfg512, book, stack[0], signal=sweep_signals(book, stack[0])[0])
