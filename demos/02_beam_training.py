@@ -42,6 +42,6 @@ for res in (thbt, hfbs, ffbs):
 # post-training combining: continuous subarray beams at the winning cell
 pair = design_hybrid(cfg, thbt.rough_omega, thbt.rough_range)
 print(f"aligned gain via hybrid combiner: "
-      f"{alignment_gain(cfg, channel.paths, pair.combined_vector()):.4f}")
+      f"{alignment_gain(channel, pair.combined_vector()):.4f}")
 print(f"aligned gain via exhaustive pick: "
-      f"{alignment_gain(cfg, channel.paths, book.column(hfbs.best_index)):.4f}")
+      f"{alignment_gain(channel, book.column(hfbs.best_index)):.4f}")

@@ -33,14 +33,14 @@ print(np.array_str(meas_cov, precision=2))
 tcfg = TrackerConfig(dt=traj.dt, n_blocks=traj.n_blocks, meas_cov=meas_cov,
                      innovation_gate=13.8)
 
+# one chunk of 25 seeds per scheme: each seed draws from its own generator
 n_seeds = 25
-gains = {"filtered": [], "per_block": []}
-for seed in range(n_seeds):
-    for name, step in (("filtered", nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])),
-                       ("per_block", brpss_step(cfg, traj.start, noise))):
-        rng = np.random.default_rng(seed)
-        log = run_blocks(cfg, traj, tcfg, noise, rng, scen, step)
-        gains[name].append([b.gain for b in log])
+gains = {}
+for name, step in (("filtered", nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])),
+                   ("per_block", brpss_step(cfg, traj.start, noise))):
+    rngs = [np.random.default_rng(seed) for seed in range(n_seeds)]
+    logs = run_blocks(cfg, traj, tcfg, noise, rngs, scen, step)
+    gains[name] = [[b.gain for b in log] for log in logs]
 
 t_s = [(i + 1) * traj.dt for i in range(traj.n_blocks)]
 rows = []

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,44 +88,106 @@ def _antenna_offsets(n_antennas: int) -> np.ndarray:
     return offsets
 
 
-def element_distance(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
-    """Exact distances from a source at (omega, r) to the N antennas."""
-    if not r > 0:
+# Source parameters are either scalars (one source) or equal-length arrays
+# (one source per entry).  A scalar stays a Python number, so a one-source
+# call does plain float arithmetic; the helpers below work for both.
+
+def _is_array(x) -> bool:
+    # cheaper than np.ndim, which builds an array from a Python number
+    return isinstance(x, (np.ndarray, list, tuple))
+
+
+def _values(x):
+    """A scalar as it is; a sequence as a float array."""
+    return np.asarray(x, dtype=float) if _is_array(x) else x
+
+
+def _sources(*params) -> list:
+    """Source parameters ready to broadcast against the antenna axis: a
+    scalar as it is, a length-T array as a (T, 1) column."""
+    return [np.asarray(x, dtype=float)[..., None] if _is_array(x) else x for x in params]
+
+
+def _any(cond) -> bool:
+    """A condition on one source, or on any of an array of them."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _all(cond) -> bool:
+    """A condition on one source, or on all of an array of them."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _select(cond, a, b):
+    """``a if cond else b``, elementwise for an array condition."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _floats(*values) -> tuple:
+    """0-d results as Python floats; arrays are returned as they are."""
+    return tuple(v if _is_array(v) and v.ndim else float(v) for v in values)
+
+
+def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
+    """Exact distances from a source at (omega, r) to the N antennas.
+
+    ``omega`` and ``r`` may be equal-length arrays: one row per source."""
+    omega, r = _sources(omega, r)
+    if not _all(r > 0):
         raise ValueError("range must be positive")
     dl = cfg.antenna_offsets() * cfg.wavelength
     return np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
 
 
-def steering_far(cfg: ArrayConfig, omega: float) -> np.ndarray:
-    """Plane-wave steering vector; entry n is exp(j*pi*(n-1)*omega)/sqrt(N)."""
-    if abs(omega) > 1:
+def steering_far(cfg: ArrayConfig, omega) -> np.ndarray:
+    """Plane-wave steering vector; entry n is exp(j*pi*(n-1)*omega)/sqrt(N).
+
+    An array of sines gives one row per source."""
+    (omega,) = _sources(omega)
+    if _any(abs(omega) > 1):
         raise ValueError("omega must lie in [-1, 1]")
     n = np.arange(cfg.n_antennas)
     return np.exp(1j * np.pi * n * omega) / math.sqrt(cfg.n_antennas)
 
 
-def steering_near(cfg: ArrayConfig, omega: float, r: float, validate: bool = True) -> np.ndarray:
+def steering_near(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarray:
     """Spherical-wave steering vector from the exact element distances.
 
     Entry n is ``exp(-j*2*pi/lambda*(r_n - r)) / sqrt(N)``.  Ranges below
     the model validity floor are rejected unless ``validate=False``
-    (codebook construction deliberately keeps such columns).
+    (codebook construction deliberately keeps such columns).  Equal-length
+    arrays of sines and ranges give one row per source.
     """
-    if abs(omega) > 1:
+    sines, ranges = _sources(omega, r)
+    if _any(abs(sines) > 1):
         raise ValueError("omega must lie in [-1, 1]")
-    if validate and r < cfg.range_floor:
+    if validate and _any(ranges < cfg.range_floor):
         raise ValueError(
-            f"range {r:.4g} m below validity floor {cfg.range_floor:.4g} m"
+            f"range {np.min(r):.4g} m below validity floor {cfg.range_floor:.4g} m"
         )
     rn = element_distance(cfg, omega, r)
-    return np.exp(-2j * np.pi / cfg.wavelength * (rn - r)) / math.sqrt(cfg.n_antennas)
+    return np.exp(-2j * np.pi / cfg.wavelength * (rn - ranges)) / math.sqrt(cfg.n_antennas)
 
 
-def steering(cfg: ArrayConfig, omega: float, r: float, validate: bool = True) -> np.ndarray:
-    """Dispatch on the far-field marker: ``r = inf`` gives the plane wave."""
-    if math.isinf(r):
-        return steering_far(cfg, omega)
-    return steering_near(cfg, omega, r, validate=validate)
+def steering(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarray:
+    """Dispatch on the far-field marker: ``r = inf`` gives the plane wave.
+
+    Equal-length arrays of sines and ranges give one row per source, far
+    and near sources mixed."""
+    if not _is_array(r):
+        if math.isinf(r):
+            return steering_far(cfg, omega)
+        return steering_near(cfg, omega, r, validate=validate)
+    omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
+    far = np.isinf(r)
+    if not far.any():
+        return steering_near(cfg, omega, r, validate=validate)
+    out = np.empty(r.shape + (cfg.n_antennas,), dtype=complex)
+    out[far] = steering_far(cfg, omega[far])
+    out[~far] = steering_near(cfg, omega[~far], r[~far], validate=validate)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,35 +195,43 @@ class QuadraticPhase:
     """Chirp parameterization (k, b) of a steering vector.
 
     The quadratic model assigns antenna n the phase ``pi*(k*n^2 + b*n)``.
-    ``k <= 0`` for physical sources; ``k = 0`` is the far field.
+    ``k <= 0`` for physical sources; ``k = 0`` is the far field.  ``k``
+    and ``b`` may be equal-length arrays, one chirp per source; the
+    geometry conversions then work elementwise and ``phasor`` gives one
+    row per chirp.
     """
 
-    k: float
-    b: float
+    k: float | np.ndarray
+    b: float | np.ndarray
 
     @classmethod
-    def from_geometry(cls, cfg: ArrayConfig, omega: float, r: float) -> "QuadraticPhase":
-        if math.isinf(r):
-            return cls(0.0, omega)
-        rho = cfg.wavelength * (1.0 - omega * omega) / (2.0 * r)
-        return cls(-rho / 2.0, omega + rho * (cfg.n_antennas + 1) / 2.0)
+    def from_geometry(cls, cfg: ArrayConfig, omega, r) -> "QuadraticPhase":
+        omega, r = _values(omega), _values(r)
+        rho = cfg.wavelength * (1.0 - omega * omega) / (2.0 * r)     # 0 in the far field
+        far = np.isinf(r) if _is_array(r) else math.isinf(r)
+        return cls(_select(far, 0.0, -rho / 2.0),
+                   _select(far, omega, omega + rho * (cfg.n_antennas + 1) / 2.0))
 
-    def to_geometry(self, cfg: ArrayConfig) -> tuple[float, float]:
+    def to_geometry(self, cfg: ArrayConfig) -> tuple:
         """Invert back to (omega, range); k >= 0 maps to the far field."""
-        omega = self.b + self.k * (cfg.n_antennas + 1)
-        if self.k >= 0.0:
-            return omega, FAR_FIELD
-        r = -cfg.wavelength * (1.0 - omega * omega) / (4.0 * self.k)
-        return omega, r
+        k, b = _values(self.k), _values(self.b)
+        omega = b + k * (cfg.n_antennas + 1)
+        far = k >= 0.0
+        k_near = _select(far, -1.0, k)            # far entries are replaced below
+        return omega, _select(far, FAR_FIELD,
+                              -cfg.wavelength * (1.0 - omega * omega) / (4.0 * k_near))
 
     def phasor(self, cfg: ArrayConfig) -> np.ndarray:
         """The unit-modulus chirp ``exp(j*pi*(k*n^2 + b*n))``, n = 1..N."""
+        k, b = _sources(self.k, self.b)
         n = np.arange(1, cfg.n_antennas + 1)
-        return np.exp(1j * np.pi * (self.k * n * n + self.b * n))
+        return np.exp(1j * np.pi * (k * n * n + b * n))
 
 
-def steering_quadratic(cfg: ArrayConfig, omega: float, r: float) -> np.ndarray:
-    """Chirp approximation of the steering vector; exact in the far field."""
+def steering_quadratic(cfg: ArrayConfig, omega, r) -> np.ndarray:
+    """Chirp approximation of the steering vector; exact in the far field.
+
+    Equal-length arrays of sines and ranges give one row per source."""
     return (QuadraticPhase.from_geometry(cfg, omega, r).phasor(cfg)
             / math.sqrt(cfg.n_antennas))
 
@@ -212,10 +283,15 @@ class ChannelScenario:
 
 @dataclass
 class ChannelRealization:
-    """Sampled paths plus the synthesized length-N channel vector."""
+    """Sampled paths, their steering vectors, and the synthesized channel.
+
+    ``steering[l]`` is path l's steering vector (read-only), kept so that
+    scoring a beam against the paths does not steer at them again.
+    """
 
     paths: list[PathParams]
     h: np.ndarray = field(repr=False)
+    steering: np.ndarray = field(repr=False)    # (L, N)
 
     @property
     def los(self) -> PathParams:
@@ -227,19 +303,53 @@ def h_of(channel) -> np.ndarray:
     return channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
 
 
+def _complex_normal(re, im):
+    """Standard circular complex normals from their real and imaginary normals."""
+    return (re + 1j * im) * math.sqrt(0.5)
+
+
 def crandn(rng: np.random.Generator, shape=()) -> np.ndarray:
     """Standard circular complex normal: two real normals scaled by sqrt(1/2)."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) * math.sqrt(0.5)
+    return _complex_normal(re, im)
+
+
+def antenna_noise(rngs, n_antennas: int, noise_power: float) -> np.ndarray | None:
+    """One pilot's CN(0, noise_power) antenna noise per generator, as rows.
+
+    Row t is what ``crandn(rngs[t], n_antennas) * sqrt(noise_power)``
+    draws, from the same generator in the same order; None when the
+    pilot is noiseless (no generator is touched then).  A generator may
+    appear in consecutive rows, one per pilot it sends: those rows are
+    drawn in one call, which gives the same numbers as one call per row.
+    """
+    if not noise_power > 0.0:
+        return None
+    if any(rng is None for rng in rngs):
+        raise ValueError("noisy measurement needs an rng")
+    normals = np.empty((len(rngs), 2, n_antennas))
+    row = 0
+    for rng, pilots in itertools.groupby(rngs):
+        count = sum(1 for _ in pilots)
+        rng.standard_normal(out=normals[row:row + count])
+        row += count
+    return _complex_normal(normals[:, 0], normals[:, 1]) * math.sqrt(noise_power)
+
+
+def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
+    """The channel of given paths, h = sum_l g_l * alpha_l, with the alpha_l kept."""
+    rows = np.stack([steering(cfg, p.omega, p.range_m) for p in paths])
+    rows.flags.writeable = False
+    h = np.zeros(cfg.n_antennas, dtype=complex)
+    for p, row in zip(paths, rows):
+        h += p.gain * row
+    return ChannelRealization(paths=paths, h=h, steering=rows)
 
 
 def synthesize(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:
     """Sum of gain-weighted steering vectors, h = sum_l g_l * alpha_l."""
-    h = np.zeros(cfg.n_antennas, dtype=complex)
-    for p in paths:
-        h += p.gain * steering(cfg, p.omega, p.range_m)
-    return h
+    return realize(cfg, paths).h
 
 
 def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
@@ -254,7 +364,7 @@ def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
         omega = rng.uniform(lo, hi)
         r = rng.uniform(rlo, rhi)
         paths.append(PathParams(gain=complex(g), omega=float(omega), range_m=float(r)))
-    return ChannelRealization(paths=paths, h=synthesize(cfg, paths))
+    return realize(cfg, paths)
 
 
 def snr_db_to_noise_power(snr_db: float, cfg: ArrayConfig) -> float:

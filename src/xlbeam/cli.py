@@ -161,7 +161,7 @@ def cmd_train(config: dict, args) -> int:
         "rough_omega": res.rough_omega,
         "rough_range_m": None if math.isinf(res.rough_range) else res.rough_range,
         "far_field": res.is_far,
-        "gain": alignment_gain(cfg, channel.paths, pair.combined_vector()),
+        "gain": alignment_gain(channel, pair.combined_vector()),
         "pilots": res.pilots,
     }
     (out / "train_result.json").write_text(json.dumps(result, sort_keys=True,
@@ -266,7 +266,7 @@ def cmd_track(config: dict, args) -> int:
     noise = snr_db_to_noise_power(snr_db, cfg)
     tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
-    log = run_blocks(cfg, traj, tcfg, noise, np.random.default_rng(seed), scen, step)
+    [log] = run_blocks(cfg, traj, tcfg, noise, [np.random.default_rng(seed)], scen, step)
     rows = []
     for b in log:
         rows.append({

@@ -72,9 +72,9 @@ def build_near_codebook(cfg: ArrayConfig, q: int, s: int) -> np.ndarray:
     dist = distance_grid(cfg, q, s)
     cols = np.empty((cfg.n_antennas, q * s), dtype=complex)
     for qi in range(q):
-        for si in range(s):
-            cols[:, qi * s + si] = steering_near(cfg, theta[qi], dist[qi, si],
-                                                 validate=False)
+        # one stacked call per angle: its S rings as rows
+        cols[:, qi * s:(qi + 1) * s] = steering_near(cfg, np.full(s, theta[qi]), dist[qi],
+                                                     validate=False).T
     return cols
 
 

@@ -9,19 +9,24 @@ are snapped to the per-subarray DFT grid (``training.design_all``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, crandn, steering
+from .arrays import ArrayConfig, ChannelRealization, _any, antenna_noise, steering
 from .codebooks import SubarrayCodebook
 
 
+@functools.lru_cache(maxsize=None)
 def subarray_centers(cfg: ArrayConfig) -> np.ndarray:
-    """y-offsets Delta_t of the subarray centers in wavelengths, t = 1..N_RF."""
+    """y-offsets Delta_t of the subarray centers in wavelengths, t = 1..N_RF
+    (read-only, built once per array)."""
     t = np.arange(1, cfg.n_rf + 1)
-    return ((2 * t - 1) * cfg.m_per_sub - cfg.n_antennas) / 4.0
+    centers = ((2 * t - 1) * cfg.m_per_sub - cfg.n_antennas) / 4.0
+    centers.flags.writeable = False
+    return centers
 
 
 def subarray_pointing(cfg: ArrayConfig, omega, r) -> np.ndarray:
@@ -30,35 +35,41 @@ def subarray_pointing(cfg: ArrayConfig, omega, r) -> np.ndarray:
     ``Psi_t = (r*omega - Delta_t*lambda) / sqrt(r^2 + Delta_t^2*lambda^2
     - 2*r*omega*Delta_t*lambda)``; a far-field source gives omega for
     every subarray.  ``omega`` and ``r`` may also be equal-shape arrays of
-    near-field sources, giving one row of N_RF sines per source.
+    sources, far and near mixed, giving one row of N_RF sines per source.
     """
-    if np.ndim(r) == 0 and math.isinf(r):
-        return np.full(cfg.n_rf, omega)
     omega = np.asarray(omega, dtype=float)[..., None]
     r = np.asarray(r, dtype=float)[..., None]
+    far = np.isinf(r)
+    if far.any():
+        r = np.where(far, 1.0, r)      # any finite stand-in; far rows are replaced below
     dl = subarray_centers(cfg) * cfg.wavelength
     num = r * omega - dl
     den = np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
-    return num / den
+    return np.where(far, omega, num / den) if far.any() else num / den
 
 
 def subarray_outputs(cfg: ArrayConfig, rows: np.ndarray, h: np.ndarray,
-                     noise_power: float = 0.0,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+                     noise_power: float = 0.0, rng=None) -> np.ndarray:
     """The N_RF RF-chain outputs of one pilot through block-diagonal rows.
 
     ``rows[t]`` is subarray t's length-M analog row, applied to its M
     antennas of ``h``.  Noise is CN(0, noise_power) per antenna, drawn
     fresh for the pilot and combined by the same rows.
+
+    ``h`` may also be a (T, N) stack of channels, each with its own pilot:
+    ``rows`` is then one (N_RF, M) set for all or a (T, N_RF, M) stack,
+    and ``rng`` holds one generator per channel.
     """
+    h = np.asarray(h)
+
     def combine(x):
-        return np.einsum("tm,tm->t", rows, x.reshape(cfg.n_rf, cfg.m_per_sub))
+        return np.einsum("...tm,...tm->...t", rows,
+                         x.reshape(*x.shape[:-1], cfg.n_rf, cfg.m_per_sub))
 
     z = combine(h)
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy measurement needs an rng")
-        z = z + combine(crandn(rng, cfg.n_antennas) * math.sqrt(noise_power))
+    noise = antenna_noise([rng] if h.ndim == 1 else rng, cfg.n_antennas, noise_power)
+    if noise is not None:
+        z = z + combine(noise.reshape(h.shape))
     return z
 
 
@@ -78,20 +89,21 @@ def quantize_pointing(psi, sub_book: SubarrayCodebook) -> np.ndarray:
 
 @dataclass
 class CombinerPair:
-    """One analog/digital combiner pair.
+    """One analog/digital combiner pair, or a stack of them.
 
     ``w_blocks[t]`` is the length-M analog row of subarray t (unit-modulus
     entries); ``v`` is the digital row over the N_RF chains, normalized so
-    the combined row ``v @ W`` has unit l2-norm.
+    the combined row ``v @ W`` has unit l2-norm.  A stack adds a leading
+    axis to both.
     """
 
     cfg: ArrayConfig
-    w_blocks: np.ndarray = field(repr=False)   # (N_RF, M)
-    v: np.ndarray = field(repr=False)          # (N_RF,)
+    w_blocks: np.ndarray = field(repr=False)   # (..., N_RF, M)
+    v: np.ndarray = field(repr=False)          # (..., N_RF)
 
     def combined_row(self) -> np.ndarray:
-        """The effective 1 x N row ``v @ W`` (unit norm)."""
-        return (self.v[:, None] * self.w_blocks).reshape(-1)
+        """The effective 1 x N row ``v @ W`` (unit norm), one per pair."""
+        return (self.v[..., None] * self.w_blocks).reshape(*self.v.shape[:-1], -1)
 
     def combined_vector(self) -> np.ndarray:
         """Receive-matched unit vector f = (v W)^H.
@@ -102,20 +114,23 @@ class CombinerPair:
         return self.combined_row().conj()
 
 
-def design_hybrid(cfg: ArrayConfig, omega: float, r: float) -> CombinerPair:
+def design_hybrid(cfg: ArrayConfig, omega, r) -> CombinerPair:
     """Continuous per-subarray beams and the matched digital row for (omega, r).
 
     Subarray t's analog row points a plane wave at its own pointing sine
     Psi_t; the digital row is matched to the steering vector at the same
-    geometry.
+    geometry.  Equal-length arrays of sines and ranges give a stack of
+    pairs, one per geometry.
     """
     m = cfg.m_per_sub
     psi = subarray_pointing(cfg, omega, r)
     n = np.arange(m)
-    w_blocks = np.exp(-1j * np.pi * n[None, :] * psi[:, None])
+    w_blocks = np.exp(-1j * np.pi * n * psi[..., None])
     wu = subarray_outputs(cfg, w_blocks, steering(cfg, omega, r, validate=False))
-    norm = np.linalg.norm(wu)
-    if norm == 0.0:
+    # one norm call per row: a norm over an axis sums in another order
+    norm = (np.linalg.norm(wu) if wu.ndim == 1
+            else np.array([np.linalg.norm(row) for row in wu])[:, None])
+    if _any(norm == 0.0):
         raise ValueError("degenerate combiner: W u vanished")
     v = wu.conj() / (math.sqrt(m) * norm)
     return CombinerPair(cfg=cfg, w_blocks=w_blocks, v=v)
@@ -126,16 +141,17 @@ def hybrid_beam_gain(cfg: ArrayConfig, u: np.ndarray, omega: float, r: float) ->
     return float(abs(np.vdot(steering(cfg, omega, r, validate=False), u)))
 
 
-def alignment_gain(cfg: ArrayConfig, paths, f: np.ndarray) -> float:
+def alignment_gain(channel: ChannelRealization, f: np.ndarray) -> float:
     """Normalized post-alignment gain of an estimated steering vector f.
 
-    ``max_l (|g_l| / max_k |g_k|) * |alpha_l^H f|`` over the channel paths.
+    ``max_l (|g_l| / max_k |g_k|) * |alpha_l^H f|`` over the channel paths,
+    with each alpha_l read from the realization.
     """
-    gains = np.array([abs(p.gain) for p in paths])
+    gains = np.array([abs(p.gain) for p in channel.paths])
     gm = gains.max()
     best = 0.0
-    for p, g in zip(paths, gains):
-        best = max(best, (g / gm) * hybrid_beam_gain(cfg, f, p.omega, p.range_m))
+    for g, alpha in zip(gains, channel.steering):
+        best = max(best, (g / gm) * float(abs(np.vdot(alpha, f))))
     return best
 
 

@@ -20,8 +20,8 @@ from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook
 from ..combining import alignment_gain, design_hybrid
 from ..refinement import run_brpss
 from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, Trajectory,
-                        brpss_step, ffbt_proxy_step, hfns_step, nfbt_step,
-                        polar_to_cartesian, run_blocks, spectral_efficiency,
+                        brpss_step, ffbt_proxy_step, hfns_step, line_of_sight,
+                        nfbt_step, polar_to_cartesian, run_schemes, se_bits, signal_powers,
                         tracker_for_run)
 from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
                         design_all, run_thbt, sweep_signals)
@@ -183,7 +183,7 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
             if scheme in schemes:
                 beam, omega, r, pilots = estimate(trial)
                 out[scheme] = {
-                    "gain": alignment_gain(cfg, trial.channel.paths, beam),
+                    "gain": alignment_gain(trial.channel, beam),
                     "error_m": _position_error(trial.channel, omega, r),
                     "pilots": pilots,
                 }
@@ -315,40 +315,59 @@ TRACKING_SCHEMES = {
 }
 
 
-def _tracking_run(spec: ExperimentSpec, scheme: str, noise: float, tcfg,
-                  seed_idx: int):
+def _tracking_run(spec: ExperimentSpec, schemes, noise: float, tcfg,
+                  indices) -> list[dict]:
+    """The block logs of every scheme for a chunk of seeds, run in lockstep:
+    one dict (scheme -> logs) per seed.  Each scheme's run of a seed draws
+    from its own ``trial_rng(spec.seed, seed)``."""
     _, _, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
-    step = TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg)
-    return run_blocks(spec.cfg, spec.trajectory, tcfg, noise,
-                      trial_rng(spec.seed, seed_idx), spec.tracking_scenario, step)
+    runs = [(TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg),
+             [trial_rng(spec.seed, i) for i in indices]) for scheme in schemes]
+    per_scheme = run_schemes(spec.cfg, spec.trajectory, tcfg, noise,
+                             spec.tracking_scenario, runs)
+    return [dict(zip(schemes, logs)) for logs in zip(*per_scheme)]
 
 
-def _perfect_csi_se(spec: ExperimentSpec, noise: float, seed_idx: int) -> float:
-    """Mean spectral efficiency with the true geometry every block."""
-    cfg = spec.cfg
-    rng = trial_rng(spec.seed, seed_idx)
-    chan = TrackingChannel(cfg, spec.trajectory, spec.tracking_scenario, rng)
-    ses = []
+def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
+    """Mean spectral efficiency with the true geometry every block, for a
+    chunk of seeds: one value per seed and noise power.
+
+    The channels do not depend on the noise power, so each seed's received
+    signal powers are computed once and reused across the SNR grid.
+    """
+    chan = TrackingChannel(spec.cfg, spec.trajectory, spec.tracking_scenario, rngs)
+    signal = np.empty((len(rngs), spec.trajectory.n_blocks))
     for i in range(1, spec.trajectory.n_blocks + 1):
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
-        ses.append(spectral_efficiency(cfg, h, om_t, ze_t, noise))
-    return float(np.mean(ses))
+        hs, _, _, _ = chan.at_block(i, rngs)
+        signal[:, i - 1] = signal_powers(chan.los.combiner_rows[i], hs)
+    return [[float(np.mean([se_bits(s, noise) for s in run])) for noise in noises]
+            for run in signal]
 
 
 def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
-    """Per-block gains at the first SNR plus mean SE across the SNR grid."""
+    """Per-block gains at the first SNR plus mean SE across the SNR grid.
+
+    Seeds run in chunks through :func:`run_trials`, so ``spec.workers`` is
+    honoured and the rows do not depend on it.
+    """
     if spec.trajectory is None or spec.tracker is None:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
+    noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
+    line_of_sight(spec.cfg, spec.trajectory)     # built once, before any worker needs it
+    upper = run_trials(lambda indices, rngs: _perfect_csi_se(spec, noises, rngs),
+                       spec.trials, spec.seed, spec.workers)
     rows = []
     primary_snr = spec.snr_grid_db[0]
-    for snr_db in spec.snr_grid_db:
-        noise = snr_db_to_noise_power(snr_db, spec.cfg)
+    for k, (snr_db, noise) in enumerate(zip(spec.snr_grid_db, noises)):
         tcfg = tracker_for_run(spec.cfg, spec.tracker, spec.trajectory,
                                spec.tracking_scenario, noise, spec.seed)
+        results = run_trials(
+            lambda indices, rngs, _noise=noise, _tcfg=tcfg:
+                _tracking_run(spec, schemes, _noise, _tcfg, indices),
+            spec.trials, spec.seed, spec.workers)
         for scheme in schemes:
-            logs = [_tracking_run(spec, scheme, noise, tcfg, s)
-                    for s in range(spec.trials)]
+            logs = [r[scheme] for r in results]
             gains = np.array([[b.gain for b in log] for log in logs])
             ses = np.array([[b.se_bits for b in log] for log in logs])
             pilots = {b.pilots for log in logs for b in log}
@@ -373,11 +392,10 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
                 "mean_se_bits": float(ses.mean()), "seeds": spec.trials,
                 "pilots_per_block": budget,
             })
-        upper = np.mean([_perfect_csi_se(spec, noise, s) for s in range(spec.trials)])
         rows.append({
             "experiment": "tracking_se_vs_snr", "scheme": "perfect_csi",
             "snr_db": snr_db, "t_s": "", "mean_gain": 1.0,
-            "mean_se_bits": float(upper), "seeds": spec.trials,
+            "mean_se_bits": float(np.mean([u[k] for u in upper])), "seeds": spec.trials,
             "pilots_per_block": 0,
         })
     return rows
@@ -451,7 +469,7 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
         spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s, schemes=(scheme,),
                               trials=1, seed=seed, trajectory=traj, tracker=tcfg,
                               tracking_scenario=scen)
-        log = _tracking_run(spec, scheme, noise, tcfg, 0)
+        log = _tracking_run(spec, (scheme,), noise, tcfg, [0])[0][scheme]
         counts = {b.pilots for b in log}
         per_block[scheme] = counts.pop() if len(counts) == 1 else sorted(counts)
     return {

@@ -11,21 +11,37 @@ differences give db.  Everything is O(N_RF) arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, QuadraticPhase, h_of
+from .arrays import (ArrayConfig, QuadraticPhase, _all, _any, _floats, _is_array, _select,
+                     _values, antenna_noise, h_of)
 from .combining import subarray_outputs
 
 
-def measure_subarrays(cfg: ArrayConfig, channel, k: float, b: float,
-                      noise_power: float = 0.0,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+def measure_subarrays(cfg: ArrayConfig, channel, k, b, noise_power: float = 0.0,
+                      rng=None) -> np.ndarray:
     """One pilot through the conjugate chirp (k, b), cut into subarray
-    rows; returns the N_RF outputs."""
-    rows = QuadraticPhase(k, b).phasor(cfg).conj().reshape(cfg.n_rf, cfg.m_per_sub)
-    return subarray_outputs(cfg, rows, h_of(channel), noise_power, rng)
+    rows; returns the N_RF outputs.
+
+    A (T, N) stack of channels, with arrays k and b and one generator per
+    channel, gives one row of outputs per channel.
+    """
+    h = h_of(channel)
+    noise = antenna_noise([rng] if h.ndim == 1 else rng, cfg.n_antennas, noise_power)
+    return _chirp_outputs(cfg, h, k, b, noise if noise is None or h.ndim > 1 else noise[0])
+
+
+def _chirp_outputs(cfg: ArrayConfig, h: np.ndarray, k, b, noise) -> np.ndarray:
+    """The pilot's outputs with its antenna noise given (None: noiseless);
+    the noise goes through the same rows as the channel."""
+    rows = QuadraticPhase(k, b).phasor(cfg).conj()
+    rows = rows.reshape(*rows.shape[:-1], cfg.n_rf, cfg.m_per_sub)
+    z = subarray_outputs(cfg, rows, h)
+    if noise is not None:
+        z = z + subarray_outputs(cfg, rows, noise)
+    return z
 
 
 def wrap_pi(x: np.ndarray) -> np.ndarray:
@@ -34,36 +50,50 @@ def wrap_pi(x: np.ndarray) -> np.ndarray:
 
 
 def phase_differences(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First differences and wrapped second differences of the output phases."""
+    """First differences and wrapped second differences of the output phases.
+
+    Works along the last axis, so a stack of output rows gives one row of
+    differences per pilot.
+    """
     z = np.asarray(z)
-    if z.shape[0] < 3:
-        raise ValueError("phase refinement needs at least three subarrays")
     if np.any(np.abs(z) == 0.0):
         raise ValueError("zero-magnitude subarray output: phase undefined")
-    ups = np.angle(z)
-    d1 = np.diff(ups)
-    d2 = wrap_pi(np.diff(d1))
-    return d1, d2
+    return _phase_steps(z)
 
 
-def estimate_offsets(cfg: ArrayConfig, d1: np.ndarray, d2: np.ndarray) -> tuple[float, float]:
+def _phase_steps(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phase_differences without the zero-output check."""
+    if z.shape[-1] < 3:
+        raise ValueError("phase refinement needs at least three subarrays")
+    d1 = np.diff(np.angle(z))
+    return d1, wrap_pi(np.diff(d1))
+
+
+def estimate_offsets(cfg: ArrayConfig, d1: np.ndarray, d2: np.ndarray) -> tuple:
     """Chirp offsets from the phase differences.
 
     ``dk`` averages the wrapped second differences over ``2*pi*M^2``; the
     first differences are then de-trended by the dk estimate, wrapped,
-    and averaged over ``M*pi`` to give ``db``.
+    and averaged over ``M*pi`` to give ``db``.  Rows of differences give
+    arrays of offsets.
     """
     m = cfg.m_per_sub
-    dk = float(np.mean(d2)) / (2.0 * np.pi * m * m)
-    t = np.arange(1, d1.shape[0] + 1)
-    detrended = d1 - (2 * t - 1) * m * m * dk * np.pi - m * (m + 1) * dk * np.pi
-    db = float(np.mean(wrap_pi(detrended))) / (m * np.pi)
-    return dk, db
+    # np.mean written out (the sum over the last axis, over the count)
+    dk = np.add.reduce(d2, axis=-1) / d2.shape[-1] / (2.0 * np.pi * m * m)
+    t = np.arange(1, d1.shape[-1] + 1)
+    dk_t = np.asarray(dk)[..., None]
+    detrended = d1 - (2 * t - 1) * m * m * dk_t * np.pi - m * (m + 1) * dk_t * np.pi
+    db = np.add.reduce(wrap_pi(detrended), axis=-1) / d1.shape[-1] / (m * np.pi)
+    return _floats(dk, db)
 
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Refined chirp parameters and their geometric reading."""
+    """Refined chirp parameters and their geometric reading.
+
+    :func:`refine_channels` on a stack fills every field with one entry
+    per channel (``is_far`` is for a single result).
+    """
 
     k: float
     b: float
@@ -77,7 +107,7 @@ class RefinementResult:
         return math.isinf(self.range_m)
 
 
-def refine(cfg: ArrayConfig, k0: float, b0: float, dk: float, db: float) -> RefinementResult:
+def refine(cfg: ArrayConfig, k0, b0, dk, db) -> RefinementResult:
     """Apply the offsets and invert the chirp back to (omega, range).
 
     ``k >= 0`` has no finite-range reading and reports the far field
@@ -88,26 +118,47 @@ def refine(cfg: ArrayConfig, k0: float, b0: float, dk: float, db: float) -> Refi
     return RefinementResult(k=k, b=b, omega=omega, range_m=r, refined=True)
 
 
+def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
+                    noise: np.ndarray | None = None) -> RefinementResult:
+    """One-pilot refinement of one channel around its coarse (omega, range)
+    estimate, or of a (T, N) stack of channels, each around its own
+    estimate (arrays) and with its own antenna noise row.
+
+    A channel whose subarray outputs include a zero has no phase to read,
+    and a refined reading with |omega| > 1 is not physical: those keep
+    their coarse estimate and come back with ``refined`` False.  An array
+    of fewer than three subarrays cannot be refined at all and raises
+    ``ValueError``.
+    """
+    coarse_omega, coarse_range = _values(coarse_omega), _values(coarse_range)
+    coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
+    z = _chirp_outputs(cfg, h, coarse.k, coarse.b, noise)
+    dead = np.any(np.abs(z) == 0.0, axis=-1)
+    if _any(dead):
+        # dead channels read a placeholder phase; their result is discarded below
+        z = np.where(dead[..., None], 1.0, z)
+    result = refine(cfg, coarse.k, coarse.b, *estimate_offsets(cfg, *_phase_steps(z)))
+    refined = ~dead & (np.isinf(result.range_m) | ~(np.abs(result.omega) > 1.0))
+    if _all(refined):
+        return replace(result, refined=refined) if _is_array(refined) else result
+    return RefinementResult(k=_select(refined, result.k, coarse.k),
+                            b=_select(refined, result.b, coarse.b),
+                            omega=_select(refined, result.omega, coarse_omega),
+                            range_m=_select(refined, result.range_m, coarse_range),
+                            refined=refined if _is_array(refined) else False)
+
+
 def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: float,
               noise_power: float = 0.0,
               rng: np.random.Generator | None = None) -> RefinementResult:
-    """One-pilot refinement around a coarse (omega, range) estimate.
+    """One-pilot refinement around a coarse (omega, range) estimate: the
+    one-channel case of :func:`refine_channels`.
 
     A vanishing subarray output has no phase to read: the coarse estimate
     then comes back tagged ``refined=False`` so downstream consumers
     degrade gracefully.  An array of fewer than three subarrays cannot be
     refined at all and raises ``ValueError``.
     """
-    coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
-    k0, b0 = coarse.k, coarse.b
-    z = measure_subarrays(cfg, channel, k0, b0, noise_power, rng)
-    if np.any(np.abs(z) == 0.0):
-        return RefinementResult(k=k0, b=b0, omega=coarse_omega,
-                                range_m=coarse_range, refined=False)
-    dk, db = estimate_offsets(cfg, *phase_differences(z))
-    result = refine(cfg, k0, b0, dk, db)
-    if not result.is_far and abs(result.omega) > 1.0:
-        # implausible geometry (negative range): keep the coarse estimate
-        return RefinementResult(k=k0, b=b0, omega=coarse_omega,
-                                range_m=coarse_range, refined=False)
-    return result
+    noise = antenna_noise([rng], cfg.n_antennas, noise_power)
+    return refine_channels(cfg, h_of(channel), coarse_omega, coarse_range,
+                           None if noise is None else noise[0])

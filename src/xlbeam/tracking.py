@@ -5,30 +5,48 @@ The state is Cartesian ``[x, y, vx, vy]`` in the array frame (array on
 the y-axis, boresight along +x).  The refinement output is converted to
 a Cartesian position measurement, so the filter is linear.
 
-Every scheme runs in one block loop (:func:`run_blocks`): the loop draws
-the block's channel and scores the beam, and a per-scheme step
+Every scheme runs in one block loop (:func:`run_schemes`): the loop draws
+the block's channels and scores the beams, and a per-scheme step
 (:func:`nfbt_step` and the baselines) spends the pilots and updates the
-estimate.
+estimates.  The loop runs chunks of independent runs (seeds), of one
+scheme or of several in lockstep: each run draws only from its own
+generator, in the order a run alone would, so a run's blocks do not
+depend on the chunk it is in.  Every per-run quantity is a stack with a
+leading run axis, and each numpy call works on the whole stack.  Where a
+stacked call would round differently from the one-run call (an absolute
+value of a complex scalar, a ``math`` function), the code applies the
+one-run operation per run.  The line of sight of a trajectory depends on
+nothing else, so it is built once (:func:`line_of_sight`).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, FAR_FIELD, crandn, steering, steering_quadratic
+from .arrays import (ArrayConfig, FAR_FIELD, _complex_normal, antenna_noise, steering,
+                     steering_quadratic)
 from .codebooks import HybridCodebook
-from .combining import design_hybrid, hybrid_beam_gain, subarray_outputs
-from .refinement import run_brpss
+from .combining import design_hybrid, subarray_outputs
+from .refinement import refine_channels
 from .training import TrainedDesign
 
 log = logging.getLogger(__name__)
 
 MEAS_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0]])
+
+
+def _per_run(fn, values):
+    """A ``math`` function applied to one value, or to each value of an
+    array: numpy's vectorised versions may round differently."""
+    if not isinstance(values, np.ndarray):
+        return fn(values)
+    return np.array([fn(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -64,60 +82,95 @@ class TrackerConfig:
 
 @dataclass
 class TrackState:
-    """Kinematic state, covariance, and block index."""
+    """Kinematic state, covariance, and block index.
 
-    x: np.ndarray = field(repr=False)     # (4,)
-    cov: np.ndarray = field(repr=False)   # (4, 4)
+    One track has x (4,) and cov (4, 4); a chunk of T tracks stacks them
+    as (T, 4) and (T, 4, 4), and every method works per track.
+    """
+
+    x: np.ndarray = field(repr=False)     # (..., 4)
+    cov: np.ndarray = field(repr=False)   # (..., 4, 4)
     block: int = 0
 
     @property
     def position(self) -> np.ndarray:
-        return self.x[:2]
+        return self.x[..., :2]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.x[2:]
+        return self.x[..., 2:]
 
-    def polar(self) -> tuple[float, float]:
-        """(range, angle) of the position; angle measured from boresight."""
-        zeta = float(np.hypot(self.x[0], self.x[1]))
-        theta = float(np.arctan2(self.x[1], self.x[0]))
+    def polar(self) -> tuple:
+        """(range, angle) of the position; angle measured from boresight.
+
+        Floats for one track, arrays for a stack."""
+        zeta = np.hypot(self.x[..., 0], self.x[..., 1])
+        theta = np.arctan2(self.x[..., 1], self.x[..., 0])
+        if self.x.ndim == 1:
+            return float(zeta), float(theta)
         return zeta, theta
 
+    def rows(self, idx) -> TrackState:
+        """The tracks at ``idx`` of a stack, as a stack of their own."""
+        return TrackState(x=self.x[idx], cov=self.cov[idx], block=self.block)
+
     def assert_valid(self) -> None:
-        """Covariance must stay symmetric positive semidefinite."""
-        if not np.allclose(self.cov, self.cov.T, atol=1e-9):
+        """Covariance must stay symmetric positive semidefinite.
+
+        Symmetry is ``np.allclose(cov, cov.T, atol=1e-9)`` written out."""
+        cov_t = np.swapaxes(self.cov, -1, -2)
+        if not np.all(np.abs(self.cov - cov_t) <= 1e-9 + 1e-5 * np.abs(cov_t)):
             raise AssertionError("covariance lost symmetry")
         if np.linalg.eigvalsh(self.cov).min() < -1e-9:
             raise AssertionError("covariance lost positive semidefiniteness")
 
 
+@functools.lru_cache(maxsize=16)
 def transition_matrix(dt: float) -> np.ndarray:
+    """Constant-velocity transition over one block (read-only, built once per dt)."""
     xi = np.eye(4)
     xi[0, 2] = xi[1, 3] = dt
+    xi.flags.writeable = False
     return xi
 
 
+@functools.lru_cache(maxsize=16)
 def process_noise(dt: float, accel_intensity: float) -> np.ndarray:
-    """Piecewise-constant white-acceleration covariance per axis."""
+    """Piecewise-constant white-acceleration covariance per axis (read-only,
+    built once per setting)."""
     q = np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]) * accel_intensity**2
     out = np.zeros((4, 4))
     out[np.ix_([0, 2], [0, 2])] = q
     out[np.ix_([1, 3], [1, 3])] = q
+    out.flags.writeable = False
     return out
+
+
+def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for one vector or a stack of them (or of matrices):
+    each product is the same matrix-vector call either way."""
+    return (mat @ x[..., None])[..., 0]
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
 
 
 def predict(state: TrackState, tcfg: TrackerConfig) -> TrackState:
     """Constant-velocity propagation with process-noise inflation."""
     xi = transition_matrix(tcfg.dt)
-    x = xi @ state.x
+    x = _apply(xi, state.x)
     cov = xi @ state.cov @ xi.T + process_noise(tcfg.dt, tcfg.accel_intensity)
     return TrackState(x=x, cov=cov, block=state.block + 1)
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One-pilot position fix; invalid measurements carry ok=False."""
+    """One-pilot position fix; invalid measurements carry ok=False.
+
+    :func:`measure_blocks` fills each field with one entry per run, with a
+    NaN position row where ``ok`` is False.
+    """
 
     position: np.ndarray | None
     omega: float
@@ -137,25 +190,58 @@ def omega_range(pos) -> tuple[float, float]:
     return float(pos[1] / zeta), zeta
 
 
+def _positions(omega, range_m, valid) -> np.ndarray:
+    """Cartesian rows of the valid (omega, range) pairs; NaN rows elsewhere."""
+    pos = np.full((len(valid), 2), np.nan)
+    idx = np.flatnonzero(valid)
+    if idx.size:
+        pos[idx] = [polar_to_cartesian(o, r) for o, r in zip(omega[idx], range_m[idx])]
+    return pos
+
+
+def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, zeta_pred, theta_pred,
+                   noise: np.ndarray | None) -> Measurement:
+    """One-pilot fixes for a (T, N) stack of channels, each refined around
+    its own predicted geometry with its own antenna noise row.
+
+    A fix is invalid (prediction-only update downstream) when the
+    refinement fails outright or when it has no usable position: a
+    far-field or non-physical reading.
+    """
+    res = refine_channels(cfg, hs, _per_run(math.sin, np.asarray(theta_pred)), zeta_pred,
+                          noise)
+    ok = (res.refined & (np.abs(res.omega) <= 1.0)
+          & np.isfinite(res.range_m) & (res.range_m > 0.0))
+    return Measurement(position=_positions(res.omega, res.range_m, ok),
+                       omega=res.omega, range_m=res.range_m, ok=ok)
+
+
 def measure_block(cfg: ArrayConfig, channel, zeta_pred: float, theta_pred: float,
                   noise_power: float, rng: np.random.Generator) -> Measurement:
-    """Refine around the predicted geometry with a single pilot.
+    """Refine around the predicted geometry with a single pilot: the
+    one-channel case of :func:`measure_blocks`."""
+    meas = measure_blocks(cfg, np.asarray(channel)[None], [zeta_pred], [theta_pred],
+                          antenna_noise([rng], cfg.n_antennas, noise_power))
+    ok = bool(meas.ok[0])
+    return Measurement(position=meas.position[0] if ok else None,
+                       omega=float(meas.omega[0]), range_m=float(meas.range_m[0]), ok=ok)
 
-    The estimate is declared invalid (prediction-only update downstream)
-    when the refinement fails outright or when it has no usable position:
-    a far-field or non-physical reading.
-    """
-    omega_pred = math.sin(theta_pred)
-    res = run_brpss(cfg, channel, omega_pred, zeta_pred, noise_power, rng)
-    ok = (res.refined and abs(res.omega) <= 1.0
-          and math.isfinite(res.range_m) and res.range_m > 0.0)
-    pos = polar_to_cartesian(res.omega, res.range_m) if ok else None
-    return Measurement(position=pos, omega=res.omega, range_m=res.range_m, ok=ok)
+
+def _inverse(s: np.ndarray) -> np.ndarray:
+    """Inverse of each innovation covariance; a singular one is
+    regularized with 1e-9 * I and logged rather than aborting the run."""
+    try:
+        return np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        if s.ndim > 2:
+            return np.stack([_inverse(one) for one in s])
+        log.warning("singular innovation covariance; regularizing")
+        return np.linalg.inv(s + 1e-9 * np.eye(2))
 
 
 def filter_update(pred: TrackState, meas_pos: np.ndarray,
                   tcfg: TrackerConfig) -> TrackState:
-    """Kalman position update in Joseph form.
+    """Kalman position update in Joseph form, per track.
 
     A singular innovation covariance is regularized with 1e-9 * I and
     logged rather than aborting the run.
@@ -165,33 +251,34 @@ def filter_update(pred: TrackState, meas_pos: np.ndarray,
     h = MEAS_MATRIX
     r = np.asarray(tcfg.meas_cov, dtype=float)
     s = h @ pred.cov @ h.T + r
-    try:
-        s_inv = np.linalg.inv(s)
-    except np.linalg.LinAlgError:
-        log.warning("singular innovation covariance; regularizing")
-        s_inv = np.linalg.inv(s + 1e-9 * np.eye(2))
-    k = pred.cov @ h.T @ s_inv
-    innov = meas_pos - h @ pred.x
-    x = pred.x + k @ innov
+    k = pred.cov @ h.T @ _inverse(s)
+    innov = meas_pos - _apply(h, pred.x)
+    x = pred.x + _apply(k, innov)
     ikh = np.eye(4) - k @ h
-    cov = ikh @ pred.cov @ ikh.T + k @ r @ k.T
-    cov = (cov + cov.T) / 2.0
+    cov = ikh @ pred.cov @ _transpose(ikh) + k @ r @ _transpose(k)
+    cov = (cov + _transpose(cov)) / 2.0
     return TrackState(x=x, cov=cov, block=pred.block)
+
+
+def innovation_distances(pred: TrackState, meas_pos: np.ndarray,
+                         tcfg: TrackerConfig) -> np.ndarray:
+    """Squared Mahalanobis distance of each measurement from its prediction."""
+    h = MEAS_MATRIX
+    s = h @ pred.cov @ h.T + np.asarray(tcfg.meas_cov, dtype=float)
+    innov = meas_pos - _apply(h, pred.x)
+    return (innov[..., None, :] @ np.linalg.solve(s, innov[..., None]))[..., 0, 0]
 
 
 def innovation_distance(pred: TrackState, meas_pos: np.ndarray,
                         tcfg: TrackerConfig) -> float:
     """Squared Mahalanobis distance of a measurement from the prediction."""
-    h = MEAS_MATRIX
-    s = h @ pred.cov @ h.T + np.asarray(tcfg.meas_cov, dtype=float)
-    innov = meas_pos - h @ pred.x
-    return float(innov @ np.linalg.solve(s, innov))
+    return float(innovation_distances(pred, meas_pos, tcfg))
 
 
 def filtered_channel(cfg: ArrayConfig, state: TrackState) -> np.ndarray:
     """Estimated line-of-sight steering vector at the filtered geometry."""
     zeta, theta = state.polar()
-    return steering_quadratic(cfg, math.sin(theta), zeta)
+    return steering_quadratic(cfg, _per_run(math.sin, theta), zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +299,45 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class LineOfSight:
+    """The true geometry of every block of a trajectory, block 0 included,
+    with what depends on it alone (all arrays read-only).
+
+    ``steering[i]`` is the line-of-sight steering vector at block i and
+    ``combiner_rows[i]`` the combined row of the continuous hybrid design
+    there, which is the perfect-CSI combiner.
+    """
+
+    omega: np.ndarray           # (n_blocks + 1,)
+    zeta: np.ndarray            # (n_blocks + 1,)
+    steering: np.ndarray        # (n_blocks + 1, N)
+    combiner_rows: np.ndarray   # (n_blocks + 1, N)
+
+
+def line_of_sight(cfg: ArrayConfig, traj: Trajectory) -> LineOfSight:
+    """The trajectory's :class:`LineOfSight`, built once and shared by every
+    seed, scheme and SNR that runs along it."""
+    return _line_of_sight(cfg, tuple(traj.start), tuple(traj.velocity), traj.dt,
+                          traj.n_blocks)
+
+
+@functools.lru_cache(maxsize=8)
+def _line_of_sight(cfg: ArrayConfig, start, velocity, dt: float,
+                   n_blocks: int) -> LineOfSight:
+    traj = Trajectory(start, velocity, dt, n_blocks)
+    omega, zeta = np.array([omega_range(traj.position(i))
+                            for i in range(n_blocks + 1)]).T
+    # block 0 is the start, which no block scores: it is not held to the range floor
+    rows = np.concatenate([steering(cfg, omega[:1], zeta[:1], validate=False),
+                           steering(cfg, omega[1:], zeta[1:])])
+    los = LineOfSight(omega=omega, zeta=zeta, steering=rows,
+                      combiner_rows=design_hybrid(cfg, omega, zeta).combined_row())
+    for arr in (los.omega, los.zeta, los.steering, los.combiner_rows):
+        arr.flags.writeable = False
+    return los
+
+
+@dataclass(frozen=True)
 class TrackingScenario:
     """Per-block channel model during tracking.
 
@@ -228,30 +354,43 @@ class TrackingScenario:
 
 
 class TrackingChannel:
-    """Draws the block-i channel along a trajectory."""
+    """Draws the block-i channels of a chunk of runs along a trajectory,
+    one run per generator."""
 
     def __init__(self, cfg: ArrayConfig, traj: Trajectory, scen: TrackingScenario,
-                 rng: np.random.Generator):
+                 rngs):
         self.cfg = cfg
         self.traj = traj
         self.scen = scen
+        self.los = line_of_sight(cfg, traj)
         lo, hi = scen.nlos_angle_range
         rlo = max(scen.nlos_range_range[0], cfg.range_floor)
         rhi = max(scen.nlos_range_range[1], rlo)
-        self.scatterers = [(rng.uniform(lo, hi), rng.uniform(rlo, rhi))
-                           for _ in range(scen.n_nlos)]
+        # each run's scatterers, (omega, range) per scatterer
+        self.scatterers = np.array([[(rng.uniform(lo, hi), rng.uniform(rlo, rhi))
+                                     for _ in range(scen.n_nlos)] for rng in rngs])
+        self.scatterers = self.scatterers.reshape(len(rngs), scen.n_nlos, 2)
         # the scatterers stay put for the whole run, so steer at them once
-        self.nlos_steering = [steering(cfg, om_s, r_s) for om_s, r_s in self.scatterers]
+        self.nlos_steering = steering(cfg, self.scatterers[..., 0].reshape(-1),
+                                      self.scatterers[..., 1].reshape(-1)
+                                      ).reshape(len(rngs), scen.n_nlos, cfg.n_antennas)
 
-    def at_block(self, block: int, rng: np.random.Generator):
-        """Returns (h, omega_true, zeta_true, los_gain)."""
-        omega, zeta = omega_range(self.traj.position(block))
-        g1 = crandn(rng) if self.scen.fading else 1.0 + 0j
-        h = g1 * steering(self.cfg, omega, zeta)
-        amp = math.sqrt(self.scen.nlos_gain_var)
-        for a_s in self.nlos_steering:
-            h = h + amp * crandn(rng) * a_s
-        return h, omega, zeta, g1
+    def at_block(self, block: int, rngs):
+        """Returns (hs, omega_true, zeta_true, los_gains): one channel row
+        and line-of-sight gain per run, and the block's true geometry.
+
+        A run draws its fading gain, then each scatterer's gain, each as
+        ``crandn(rng)``: one call per run draws the same normals in order.
+        """
+        n_gains = int(self.scen.fading) + self.scen.n_nlos
+        normals = np.array([rng.standard_normal(2 * n_gains) for rng in rngs])
+        gains = _complex_normal(normals[:, 0::2], normals[:, 1::2])
+        g1 = gains[:, 0] if self.scen.fading else np.full(len(rngs), 1.0 + 0j)
+        g_nlos = math.sqrt(self.scen.nlos_gain_var) * gains[:, int(self.scen.fading):]
+        hs = g1[:, None] * self.los.steering[block]
+        for j in range(self.scen.n_nlos):
+            hs = hs + g_nlos[:, j, None] * self.nlos_steering[:, j]
+        return hs, self.los.omega[block], self.los.zeta[block], g1
 
 
 def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, zeta: float,
@@ -264,22 +403,32 @@ def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, zeta: float,
     level; the worst (1 - trim) fraction of fixes by error norm is
     dropped so fading outliers do not dominate, since the innovation gate
     handles those at run time.
+
+    Every trial draws the same count of normals from the one stream (the
+    fading gain, then the pilot's antenna noise), so all of them are
+    drawn at once and the fixes refined as one stack.
     """
     rng = np.random.default_rng(seed)
     theta = math.asin(omega)
     truth = np.array([zeta * math.cos(theta), zeta * math.sin(theta)])
-    errs = []
-    for _ in range(n_trials):
-        g1 = crandn(rng) if scen.fading else 1.0 + 0j
-        h = g1 * steering(cfg, omega, zeta)
-        meas = measure_block(cfg, h, zeta, theta, noise_power, rng)
-        if meas.ok:
-            errs.append(meas.position - truth)
+    n = cfg.n_antennas
+    n_gain = 2 if scen.fading else 0
+    n_noise = 2 * n if noise_power > 0.0 else 0
+    draws = rng.standard_normal((n_trials, n_gain + n_noise))
+    g1 = (_complex_normal(draws[:, 0], draws[:, 1]) if scen.fading
+          else np.full(n_trials, 1.0 + 0j))
+    hs = g1[:, None] * steering(cfg, omega, zeta)
+    noise = None
+    if n_noise:
+        noise = (_complex_normal(draws[:, n_gain:n_gain + n], draws[:, n_gain + n:])
+                 * math.sqrt(noise_power))
+    meas = measure_blocks(cfg, hs, np.full(n_trials, zeta), np.full(n_trials, theta),
+                          noise)
+    errs = meas.position[meas.ok] - truth
     if len(errs) < 8:
         log.warning("calibration produced %d usable fixes; falling back to 1 m^2",
                     len(errs))
         return np.eye(2)
-    errs = np.asarray(errs)
     norm = np.linalg.norm(errs, axis=1)
     kept = errs[norm <= np.quantile(norm, trim)]
     cov = np.cov(kept.T)
@@ -318,98 +467,202 @@ class BlockLog:
     pilots: int
 
 
-def spectral_efficiency(cfg: ArrayConfig, h: np.ndarray, omega_hat: float,
-                        zeta_hat: float, noise_power: float) -> float:
-    """log2(1 + |combined signal|^2 / sigma_rf^2) for a unit-norm combiner.
-
-    The combiner is the continuous hybrid design at the estimated
-    geometry; the combined row has unit norm so the post-combining noise
-    power equals the per-antenna noise power.
-    """
-    pair = design_hybrid(cfg, float(np.clip(omega_hat, -1, 1)), zeta_hat)
-    sig = abs(pair.combined_row() @ h) ** 2
+def se_bits(signal_power, noise_power: float) -> float:
+    """log2(1 + signal / noise), infinite for a noiseless link."""
     if noise_power <= 0.0:
         return math.inf
-    return math.log2(1.0 + sig / noise_power)
+    return math.log2(1.0 + signal_power / noise_power)
+
+
+def row_dots(rows: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """``rows[t] @ hs[t]`` for each t (one row may serve all): one dot per pair."""
+    return (rows[..., None, :] @ hs[..., :, None])[..., 0, 0]
+
+
+def se_combiners(cfg: ArrayConfig, omega_hat, zeta_hat) -> np.ndarray:
+    """The spectral-efficiency combiner at each estimated geometry: the
+    combined row of the continuous hybrid design there (unit norm)."""
+    return design_hybrid(cfg, np.clip(omega_hat, -1, 1), zeta_hat).combined_row()
+
+
+def signal_powers(rows: np.ndarray, hs: np.ndarray) -> list:
+    """|rows[t] @ hs[t]|^2 per channel."""
+    return [abs(y) ** 2 for y in row_dots(rows, hs)]
+
+
+def spectral_efficiency(rows: np.ndarray, hs: np.ndarray, noise_power: float) -> list:
+    """log2(1 + |combined signal|^2 / sigma_rf^2) for unit-norm combiners.
+
+    Each channel of the (T, N) stack goes through its own combined row
+    (see :func:`se_combiners`); the row has unit norm so the post-combining
+    noise power equals the per-antenna noise power.
+    """
+    return [se_bits(p, noise_power) for p in signal_powers(rows, hs)]
 
 
 @dataclass(frozen=True)
 class StepResult:
-    """What one scheme did in one block.
+    """What one scheme did in one block, one entry per run.
 
-    ``beam`` is scored against the true geometry; the spectral-efficiency
-    combiner is designed at (``omega``, ``range_m``).
+    ``beam[t]`` is scored against the true geometry; the spectral-efficiency
+    combiner is designed at (``omega[t]``, ``range_m[t]``), unless the step
+    hands over those rows itself as ``combiners``.  A NaN row of
+    ``measured`` means the run had no fix that block.
     """
 
-    beam: np.ndarray
-    omega: float
-    range_m: float
-    pilots: int
-    predicted: np.ndarray | None
-    measured: np.ndarray | None
-    filtered: np.ndarray
+    beam: np.ndarray | list          # (T, N), or T vectors (codebook columns)
+    omega: np.ndarray                # (T,)
+    range_m: np.ndarray              # (T,)
+    pilots: np.ndarray | int         # per run, or one count for all
+    predicted: np.ndarray | None     # (T, 2)
+    measured: np.ndarray             # (T, 2)
+    filtered: np.ndarray             # (T, 2)
+    combiners: np.ndarray | None = None   # (T, N)
 
     @classmethod
-    def pointing(cls, beam: np.ndarray, omega: float, range_m: float,
-                 pilots: int) -> StepResult:
+    def pointing(cls, beam, omega, range_m, pilots, combiners=None) -> StepResult:
         """A filterless step: the geometry it points at is its only estimate."""
-        pos = polar_to_cartesian(omega, range_m) if math.isfinite(range_m) else None
+        omega, range_m = np.asarray(omega, dtype=float), np.asarray(range_m, dtype=float)
+        pos = _positions(omega, range_m, np.isfinite(range_m))
         return cls(beam=beam, omega=omega, range_m=range_m, pilots=pilots,
-                   predicted=None, measured=pos,
-                   filtered=pos if pos is not None else np.full(2, np.nan))
+                   predicted=None, measured=pos, filtered=pos, combiners=combiners)
+
+
+class _CodewordCombiners:
+    """The spectral-efficiency combiner of each codeword a codebook step
+    points at, designed once: such steps revisit few codewords."""
+
+    def __init__(self, cfg: ArrayConfig):
+        self.cfg = cfg
+        self.rows: dict = {}
+
+    def __call__(self, keys, omega, range_m) -> np.ndarray:
+        new = {key: i for i, key in enumerate(keys) if key not in self.rows}
+        if new:
+            idx = list(new.values())
+            self.rows.update(zip(new, se_combiners(self.cfg, np.asarray(omega)[idx],
+                                                   np.asarray(range_m)[idx])))
+        return np.stack([self.rows[key] for key in keys])
 
 
 def run_blocks(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
-               noise_power: float, rng: np.random.Generator,
-               scen: TrackingScenario, step) -> list[BlockLog]:
-    """Run one tracking scheme over the trajectory, block by block.
+               noise_power: float, rngs, scen: TrackingScenario,
+               step) -> list[list[BlockLog]]:
+    """Run one tracking scheme over the trajectory, block by block, for a
+    chunk of runs: one run (seed) per generator in ``rngs``.
 
-    Each block draws the channel, hands it to ``step(h, rng)`` (the
-    scheme's pilots and estimate update; it returns a :class:`StepResult`),
-    then scores the pointed beam against the true geometry.
+    Each block draws every run's channel, hands the (T, N) stack to
+    ``step(hs, rngs)`` (the scheme's pilots and estimate updates; it
+    returns a :class:`StepResult`), then scores each pointed beam against
+    the true geometry.  Returns each run's block logs.  This is the
+    one-scheme case of :func:`run_schemes`.
     """
-    chan = TrackingChannel(cfg, traj, scen, rng)
-    logrows = []
+    return run_schemes(cfg, traj, tcfg, noise_power, scen, [(step, rngs)])[0]
+
+
+def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
+                noise_power: float, scen: TrackingScenario,
+                runs) -> list[list[list[BlockLog]]]:
+    """Run several schemes in lockstep, each over its own chunk of runs.
+
+    ``runs`` holds one ``(step, rngs)`` pair per scheme.  Each block draws
+    the channels of all runs of all schemes as one stack and scores all
+    beams together; each step sees only its own rows.  A run still draws
+    only from its own generator, in the order it would alone.  Returns,
+    per scheme, each run's block logs.
+    """
+    all_rngs = [rng for _, rngs in runs for rng in rngs]
+    edges = np.cumsum([0] + [len(rngs) for _, rngs in runs]).tolist()
+    chan = TrackingChannel(cfg, traj, scen, all_rngs)
+    logs = [[[] for _ in rngs] for _, rngs in runs]
     for i in range(1, tcfg.n_blocks + 1):
-        h, om_t, ze_t, _ = chan.at_block(i, rng)
-        out = step(h, rng)
-        gain = hybrid_beam_gain(cfg, out.beam, om_t, ze_t)
-        se = spectral_efficiency(cfg, h, out.omega, out.range_m, noise_power)
-        logrows.append(BlockLog(t_s=i * tcfg.dt, truth=traj.position(i),
-                                predicted=out.predicted, measured=out.measured,
-                                filtered=out.filtered, gain=gain, se_bits=se,
-                                pilots=out.pilots))
-    return logrows
+        hs, _, _, _ = chan.at_block(i, all_rngs)
+        outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
+        ses = spectral_efficiency(_block_combiners(cfg, outs), hs, noise_power)
+        gains = _block_gains(chan.los.steering[i], outs)
+        truth = traj.position(i)
+        for out, scheme_logs, a in zip(outs, logs, edges):
+            pilots = (out.pilots.tolist() if isinstance(out.pilots, np.ndarray)
+                      else [out.pilots] * len(scheme_logs))
+            no_fix = np.isnan(out.measured).any(axis=1)
+            for t, run in enumerate(scheme_logs):
+                run.append(BlockLog(
+                    t_s=i * tcfg.dt, truth=truth,
+                    predicted=None if out.predicted is None else out.predicted[t],
+                    measured=None if no_fix[t] else out.measured[t],
+                    filtered=out.filtered[t], gain=gains[a + t], se_bits=ses[a + t],
+                    pilots=pilots[t]))
+    return logs
+
+
+def _block_combiners(cfg: ArrayConfig, outs) -> np.ndarray:
+    """Every run's spectral-efficiency combiner, in run order: the steps'
+    own, and one design for the geometries of all the others."""
+    todo = [out for out in outs if out.combiners is None]
+    if todo:
+        designed = se_combiners(cfg, np.concatenate([out.omega for out in todo]),
+                                np.concatenate([out.range_m for out in todo]))
+    parts, row = [], 0
+    for out in outs:
+        if out.combiners is None:
+            out_rows, row = designed[row:row + len(out.omega)], row + len(out.omega)
+        else:
+            out_rows = out.combiners
+        parts.append(out_rows)
+    return np.concatenate(parts)
+
+
+def _block_gains(los: np.ndarray, outs) -> list[float]:
+    """|los^H beam| of every run's beam, in run order."""
+    stacked = [out.beam for out in outs if isinstance(out.beam, np.ndarray)]
+    if stacked:
+        # one (conj(los) . beam) per run: the dot np.vdot(los, beam) computes
+        dots = iter(row_dots(los.conj(), np.concatenate(stacked)))
+    gains = []
+    for out in outs:
+        if isinstance(out.beam, np.ndarray):
+            gains += [float(abs(next(dots))) for _ in out.beam]
+        else:
+            # strided codebook columns: np.vdot on each, as one run alone scores it
+            gains += [float(abs(np.vdot(los, beam))) for beam in out.beam]
+    return gains
 
 
 def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
               init_state: np.ndarray):
     """Kalman-filtered tracking: predict, measure (1 pilot), gate, fuse.
 
-    ``init_state`` is ``[x, y, vx, vy]`` before the first block.  Failures
-    in measurement or gating never abort the run; the block degrades to a
-    prediction-only update.
+    ``init_state`` is ``[x, y, vx, vy]`` before the first block, the same
+    for every run.  Failures in measurement or gating never abort a run;
+    the run's block degrades to a prediction-only update.
     """
-    state = TrackState(x=np.asarray(init_state, dtype=float),
-                       cov=np.diag(tcfg.init_cov_diag), block=0)
+    state = None
 
-    def step(h, rng):
+    def step(hs, rngs):
         nonlocal state
+        if state is None:
+            state = TrackState(x=np.tile(np.asarray(init_state, dtype=float), (len(rngs), 1)),
+                               cov=np.tile(np.diag(tcfg.init_cov_diag), (len(rngs), 1, 1)))
         state = predict(state, tcfg)
         pred_pos = state.position.copy()
         zeta_p, theta_p = state.polar()
-        meas = measure_block(cfg, h, zeta_p, theta_p, noise_power, rng)
-        accepted = meas.ok
-        if accepted and tcfg.innovation_gate is not None:
-            accepted = innovation_distance(state, meas.position, tcfg) <= tcfg.innovation_gate
-        if accepted:
-            state = filter_update(state, meas.position, tcfg)
+        meas = measure_blocks(cfg, hs, zeta_p, theta_p,
+                              antenna_noise(rngs, cfg.n_antennas, noise_power))
+        accepted = np.flatnonzero(meas.ok)
+        pred = state.rows(accepted)
+        if tcfg.innovation_gate is not None and accepted.size:
+            passed = (innovation_distances(pred, meas.position[accepted], tcfg)
+                      <= tcfg.innovation_gate)
+            if not passed.all():
+                accepted, pred = accepted[passed], pred.rows(passed)
+        if accepted.size:
+            fused = filter_update(pred, meas.position[accepted], tcfg)
+            state.x[accepted], state.cov[accepted] = fused.x, fused.cov
         state.assert_valid()
         zf, tf = state.polar()
-        return StepResult(beam=filtered_channel(cfg, state), omega=math.sin(tf),
+        return StepResult(beam=filtered_channel(cfg, state), omega=_per_run(math.sin, tf),
                           range_m=zf, pilots=meas.pilots, predicted=pred_pos,
-                          measured=meas.position if meas.ok else None,
-                          filtered=state.position.copy())
+                          measured=meas.position, filtered=state.position.copy())
 
     return step
 
@@ -421,15 +674,18 @@ def brpss_step(cfg: ArrayConfig, start, noise_power: float):
     reading) becomes the next state; there is no kinematic model and no
     gating, which is exactly what the comparison is about.
     """
-    est_omega, est_range = omega_range(start)
+    est = None
 
-    def step(h, rng):
-        nonlocal est_omega, est_range
-        res = run_brpss(cfg, h, est_omega, est_range, noise_power, rng)
-        if res.refined and abs(res.omega) <= 1.0:
-            est_omega, est_range = res.omega, res.range_m
-        return StepResult.pointing(steering_quadratic(cfg, est_omega, est_range),
-                                   est_omega, est_range, pilots=1)
+    def step(hs, rngs):
+        nonlocal est
+        if est is None:
+            est = np.tile(omega_range(start), (len(rngs), 1)).T
+        res = refine_channels(cfg, hs, est[0], est[1],
+                              antenna_noise(rngs, cfg.n_antennas, noise_power))
+        keep = res.refined & (np.abs(res.omega) <= 1.0)
+        est = np.where(keep, [res.omega, res.range_m], est)
+        return StepResult.pointing(steering_quadratic(cfg, est[0], est[1]),
+                                   est[0], est[1], pilots=1)
 
     return step
 
@@ -439,23 +695,32 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
 
     Tests the previous best codeword plus its four grid neighbors (angle
     and distance neighbors for near cells; the four nearest angles for
-    far cells), each through its trained hybrid combiner.
+    far cells), each through its trained hybrid combiner.  Each run keeps
+    its own best codeword.
     """
     book = design.book
-    p_best = nearest_codeword(book, *omega_range(start))
+    p_start = nearest_codeword(book, *omega_range(start))
+    p_best = None
+    combiners = _CodewordCombiners(cfg)
 
-    def step(h, rng):
+    def step(hs, rngs):
         nonlocal p_best
-        cands = neighbor_codewords(book, p_best)
-        powers = []
-        for p in cands:
-            pair = design.combiner(p)
-            y = pair.v @ subarray_outputs(cfg, pair.w_blocks, h, noise_power, rng)
-            powers.append(abs(y) ** 2)
-        p_best = cands[int(np.argmax(powers))]
-        cw = book.params(p_best)
-        return StepResult.pointing(book.column(p_best), cw.theta, cw.distance,
-                                   pilots=len(cands))
+        if p_best is None:
+            p_best = [p_start] * len(rngs)
+        cands = [neighbor_codewords(book, p) for p in p_best]
+        # every (run, candidate) pilot as one stack, each run's in order
+        runs = [t for t, c in enumerate(cands) for _ in c]
+        pairs = design.combiner(np.concatenate(cands))
+        z = subarray_outputs(cfg, pairs.w_blocks, hs[runs], noise_power,
+                             [rngs[t] for t in runs])
+        powers = signal_powers(pairs.v, z)
+        first = np.cumsum([0] + [len(c) for c in cands])
+        p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
+        cws = [book.params(p) for p in p_best]
+        omega, range_m = [cw.theta for cw in cws], [cw.distance for cw in cws]
+        return StepResult.pointing([book.column(p) for p in p_best], omega, range_m,
+                                   pilots=np.array([len(c) for c in cands]),
+                                   combiners=combiners(p_best, omega, range_m))
 
     return step
 
@@ -465,24 +730,34 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
 
     This proxies a far-field tracker with the plane-wave sweep machinery
     already present; it is not a reproduction of any specific external
-    tracker and is labeled accordingly in outputs.
+    tracker and is labeled accordingly in outputs.  Each run keeps its
+    own best angle.
     """
-    q_best = book.params(nearest_codeword(book, omega_range(start)[0], FAR_FIELD)).q
+    q_start = book.params(nearest_codeword(book, omega_range(start)[0], FAR_FIELD)).q
+    q_best = None
+    combiners = _CodewordCombiners(book.cfg)
 
-    def step(h, rng):
+    def step(hs, rngs):
         nonlocal q_best
-        cands = [q for q in (q_best - 1, q_best, q_best + 1)
-                 if 1 <= q <= book.n_angles]
-        powers = []
-        for q in cands:
-            y = np.vdot(book.column(book.index_of(q, None)), h)
+        if q_best is None:
+            q_best = [q_start] * len(rngs)
+        pilots = []
+        for t, (h, rng) in enumerate(zip(hs, rngs)):
+            cands = [q for q in (q_best[t] - 1, q_best[t], q_best[t] + 1)
+                     if 1 <= q <= book.n_angles]
+            # a strided codebook column: np.vdot per pilot, as one run alone calls it
+            ys = np.array([np.vdot(book.column(book.index_of(q, None)), h) for q in cands])
             if noise_power > 0.0:
-                y = y + crandn(rng) * math.sqrt(noise_power)
-            powers.append(abs(y) ** 2)
-        q_best = cands[int(np.argmax(powers))]
-        return StepResult.pointing(book.column(book.index_of(q_best, None)),
-                                   float(book.theta[q_best - 1]), FAR_FIELD,
-                                   pilots=len(cands))
+                # crandn(rng) per pilot, in order: one draw of all their normals
+                normals = rng.standard_normal(2 * len(cands))
+                ys = ys + _complex_normal(normals[0::2], normals[1::2]) * math.sqrt(noise_power)
+            q_best[t] = cands[int(np.argmax([abs(y) ** 2 for y in ys]))]
+            pilots.append(len(cands))
+        omega = [float(book.theta[q - 1]) for q in q_best]
+        range_m = np.full(len(q_best), FAR_FIELD)
+        return StepResult.pointing([book.column(book.index_of(q, None)) for q in q_best],
+                                   omega, range_m, pilots=np.array(pilots),
+                                   combiners=combiners(q_best, omega, range_m))
 
     return step
 

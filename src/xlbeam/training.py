@@ -53,10 +53,12 @@ class TrainedDesign:
     m_idx: np.ndarray = field(repr=False)     # (P, N_RF) 0-based
     v: np.ndarray = field(repr=False)         # (P, N_RF) complex
 
-    def combiner(self, p: int) -> CombinerPair:
-        """Materialize codeword p's combiner pair (p is 1-based)."""
-        w_blocks = self.sub_book.matrix[:, self.m_idx[p - 1]].T.conj()
-        return CombinerPair(cfg=self.book.cfg, w_blocks=w_blocks, v=self.v[p - 1])
+    def combiner(self, p) -> CombinerPair:
+        """Materialize codeword p's combiner pair (p is 1-based); an array of
+        codewords gives a stack of pairs."""
+        w_blocks = np.moveaxis(self.sub_book.matrix[:, self.m_idx[np.asarray(p) - 1]], 0, -1)
+        return CombinerPair(cfg=self.book.cfg, w_blocks=w_blocks.conj(),
+                            v=self.v[np.asarray(p) - 1])
 
 
 def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesign:

@@ -1,5 +1,6 @@
 """Reference oracles for the chirp-sum, flat-top and phase-model claims,
-and the paper's closed-form geometry formulas.
+the paper's closed-form geometry formulas, and one-seed-at-a-time
+tracking with nothing cached.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
@@ -11,9 +12,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from xlbeam.arrays import ArrayConfig
+from xlbeam.arrays import ArrayConfig, crandn, steering
 from xlbeam.codebooks import HybridCodebook
-from xlbeam.combining import CombinerPair
+from xlbeam.combining import CombinerPair, design_hybrid, hybrid_beam_gain
+from xlbeam.tracking import measure_block
 
 
 def rayleigh_distance(cfg: ArrayConfig) -> float:
@@ -141,3 +143,93 @@ def psp_model_oracle(cfg: ArrayConfig, dk: float, db: float, t: int) -> complex:
     re, _ = quad(integrand, lo, hi, args=(0,), limit=400)
     im, _ = quad(integrand, lo, hi, args=(1,), limit=400)
     return complex(g_bar * c_t * (re + 1j * im))
+
+
+# ---------------------------------------------------------------------------
+# tracking, one seed at a time and with nothing cached or shared
+
+
+def _uncached_scatterers(cfg: ArrayConfig, scen, rng) -> list[tuple[float, float]]:
+    lo, hi = scen.nlos_angle_range
+    rlo = max(scen.nlos_range_range[0], cfg.range_floor)
+    rhi = max(scen.nlos_range_range[1], rlo)
+    return [(rng.uniform(lo, hi), rng.uniform(rlo, rhi)) for _ in range(scen.n_nlos)]
+
+
+def _uncached_block(cfg: ArrayConfig, traj, scen, scatterers, rng, block: int):
+    """The block's channel, steering at the line of sight and at every
+    scatterer again; returns (h, omega, zeta)."""
+    pos = traj.position(block)
+    zeta = float(np.hypot(pos[0], pos[1]))
+    omega = float(pos[1] / zeta)
+    g1 = crandn(rng) if scen.fading else 1.0 + 0j
+    h = g1 * steering(cfg, omega, zeta)
+    amp = math.sqrt(scen.nlos_gain_var)
+    for om_s, r_s in scatterers:
+        h = h + amp * crandn(rng) * steering(cfg, om_s, r_s)
+    return h, omega, zeta
+
+
+def _uncached_se(cfg: ArrayConfig, h, omega, zeta, noise_power: float) -> float:
+    pair = design_hybrid(cfg, float(np.clip(omega, -1, 1)), float(zeta))
+    sig = abs(pair.combined_row() @ h) ** 2
+    if noise_power <= 0.0:
+        return math.inf
+    return math.log2(1.0 + sig / noise_power)
+
+
+def uncached_tracking_run(cfg: ArrayConfig, traj, tcfg, noise_power: float, rng,
+                          scen, step) -> list[tuple[float, float]]:
+    """One seed's (gain, spectral efficiency) per block, nothing shared.
+
+    The reference for ``run_blocks``, which shares the trajectory's
+    line-of-sight stack, steers at each scatterer once, runs seeds in
+    chunks and designs a codebook step's combiner once per codeword.
+    Here every block steers at the line of sight and at each scatterer
+    again, scores the beam with ``hybrid_beam_gain`` and designs the SE
+    combiner at the step's estimate; ``step`` sees one-run stacks.
+    """
+    scatterers = _uncached_scatterers(cfg, scen, rng)
+    out = []
+    for i in range(1, tcfg.n_blocks + 1):
+        h, omega, zeta = _uncached_block(cfg, traj, scen, scatterers, rng, i)
+        res = step(h[None], [rng])
+        out.append((hybrid_beam_gain(cfg, res.beam[0], omega, zeta),
+                    _uncached_se(cfg, h, res.omega[0], res.range_m[0], noise_power)))
+    return out
+
+
+def uncached_perfect_csi_se(cfg: ArrayConfig, traj, scen, noise_power: float,
+                            rng) -> float:
+    """One seed's mean perfect-CSI spectral efficiency, the combiner
+    designed again at the true geometry of every block."""
+    scatterers = _uncached_scatterers(cfg, scen, rng)
+    ses = []
+    for i in range(1, traj.n_blocks + 1):
+        h, omega, zeta = _uncached_block(cfg, traj, scen, scatterers, rng, i)
+        ses.append(_uncached_se(cfg, h, omega, zeta, noise_power))
+    return float(np.mean(ses))
+
+
+def sequential_calibration(cfg: ArrayConfig, noise_power: float, zeta: float,
+                           omega: float, scen, n_trials: int = 300,
+                           seed: int = 0x5EED, trim: float = 0.9) -> np.ndarray:
+    """``calibrate_measurement_cov`` one trial at a time: each trial draws
+    its fading gain and then its pilot noise from the one stream as it
+    goes, and is refined alone."""
+    rng = np.random.default_rng(seed)
+    theta = math.asin(omega)
+    truth = np.array([zeta * math.cos(theta), zeta * math.sin(theta)])
+    errs = []
+    for _ in range(n_trials):
+        g1 = crandn(rng) if scen.fading else 1.0 + 0j
+        h = g1 * steering(cfg, omega, zeta)
+        meas = measure_block(cfg, h, zeta, theta, noise_power, rng)
+        if meas.ok:
+            errs.append(meas.position - truth)
+    if len(errs) < 8:
+        return np.eye(2)
+    errs = np.asarray(errs)
+    norm = np.linalg.norm(errs, axis=1)
+    kept = errs[norm <= np.quantile(norm, trim)]
+    return np.cov(kept.T) + 1e-6 * np.eye(2)

@@ -321,33 +321,46 @@ def config_keys(node, prefix=""):
 # (subcommand, a tiny valid config): one training sweep and one tracking run
 EDGE_BASES = [("sweep", sweep_config(trials=2)),
               ("track", with_key(track_config(), "trajectory.blocks", 3))]
+# the single-run and codebook subcommands' desk configs
+OTHER_EDGE_BASES = [BASE_CONFIGS[name] for name in ("train", "refine", "codebook", "report")]
 # A huge integer is left out: a trial or block count would be accepted and run.
 EDGE_VALUES = [True, False, "abc", "", None, [], [[1.0, 2.0]], {}, -1, -0.5,
                float("nan"), float("inf"), 1e300]
+
+
+def run_one_bad_key(data, bases):
+    """Replace one drawn key of one drawn base config with one drawn bad value
+    and run its subcommand: it must exit 0, or 2 naming the key."""
+    command, base = data.draw(st.sampled_from(bases), label="base")
+    key = data.draw(st.sampled_from(sorted(config_keys(base))), label="key")
+    value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
+    threads = data.draw(st.sampled_from([-1, 0, 1, 2]), label="threads")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(with_key(base, key, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(["--config", str(path), "--threads", str(threads),
+                             "--out", str(Path(tmp) / "out"), command])
+            except SystemExit as exc:       # argparse rejects --threads < 1
+                code = exc.code
+    message = err.getvalue()
+    assert code in (0, 2), message
+    if code == 2:
+        assert (key in message if threads >= 1 else "--threads" in message), message
 
 
 class TestConfigEdges:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_one_bad_key_exits_0_or_2_and_names_it(self, data):
-        command, base = data.draw(st.sampled_from(EDGE_BASES), label="base")
-        key = data.draw(st.sampled_from(sorted(config_keys(base))), label="key")
-        value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
-        threads = data.draw(st.sampled_from([-1, 0, 1, 2]), label="threads")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cfg.json"
-            path.write_text(json.dumps(with_key(base, key, value)))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                try:
-                    code = main(["--config", str(path), "--threads", str(threads),
-                                 "--out", str(Path(tmp) / "out"), command])
-                except SystemExit as exc:       # argparse rejects --threads < 1
-                    code = exc.code
-        message = err.getvalue()
-        assert code in (0, 2), message
-        if code == 2:
-            assert (key in message if threads >= 1 else "--threads" in message), message
+        run_one_bad_key(data, EDGE_BASES)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_other_subcommands_exit_0_or_2_and_name_the_key(self, data):
+        run_one_bad_key(data, OTHER_EDGE_BASES)
 
 
 class TestSingleRuns:

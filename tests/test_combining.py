@@ -8,7 +8,7 @@ from oracles import (analog_matrix, beam_center, chirp_sum, flat_top_gain,
 from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, build_subarray_codebook,
                     crandn, design_hybrid, hybrid_beam_gain, quantize_pointing,
                     steering_far, steering_near, subarray_outputs, subarray_pointing)
-from xlbeam.arrays import PathParams, QuadraticPhase
+from xlbeam.arrays import PathParams, QuadraticPhase, realize
 
 EXAMPLE_THETA = -1 / 512
 EXAMPLE_DIST = 11.26395703125
@@ -157,7 +157,7 @@ class TestBeamGain:
         paths = [PathParams(gain=0.5 + 0j, omega=0.1, range_m=FAR_FIELD),
                  PathParams(gain=1.0 + 0j, omega=-0.4, range_m=FAR_FIELD)]
         f = steering_far(cfg128, 0.1)
-        g = alignment_gain(cfg128, paths, f)
+        g = alignment_gain(realize(cfg128, paths), f)
         assert 0.0 <= g <= 1.0
         # the aligned weaker path contributes |g|/g_max = 0.5
         assert g == pytest.approx(0.5, abs=1e-6)

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xlbeam import tracking
-from xlbeam.arrays import crandn, steering
+from oracles import uncached_perfect_csi_se, uncached_tracking_run
+from xlbeam.arrays import snr_db_to_noise_power
 from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             gain_vs_snr, overhead_report, positioning_cdf,
                             refinement_grid, require_keys, run_trials, svg_line_plot,
@@ -207,30 +207,71 @@ class TestTrackingExperiment:
         budgets = {r["scheme"]: r["pilots_per_block"] for r in time_rows}
         assert budgets == {"nfbt": 1, "brpss": 1, "hfns": 5, "ffbt_proxy": 3}
 
-    def test_scatterer_cache_keeps_rows(self, cfg128, desk_workspace, monkeypatch):
-        # the cached scatterer steering vectors must reproduce, bit for bit,
-        # the channel that steers at every scatterer on every block
-        class UncachedChannel(tracking.TrackingChannel):
-            def at_block(self, block, rng):
-                pos = self.traj.position(block)
-                zeta = float(np.hypot(pos[0], pos[1]))
-                omega = float(pos[1] / zeta)
-                g1 = crandn(rng) if self.scen.fading else 1.0 + 0j
-                h = g1 * steering(self.cfg, omega, zeta)
-                amp = math.sqrt(self.scen.nlos_gain_var)
-                for om_s, r_s in self.scatterers:
-                    h = h + amp * crandn(rng) * steering(self.cfg, om_s, r_s)
-                return h, omega, zeta, g1
+    def test_scatterer_cache_keeps_rows(self, cfg128, desk_workspace):
+        # a chunk of seeds, sharing the line-of-sight stack and steering at
+        # each scatterer once, must reproduce bit for bit each seed run alone
+        # with nothing cached (tests/oracles.py)
+        spec = self.spec(cfg128, trials=4)
+        noises = [snr_db_to_noise_power(snr, cfg128) for snr in (0.0, 20.0)]
+        _, _, design = desk_workspace
+        for noise in noises:
+            tcfg = replace(spec.tracker, meas_cov=np.eye(2) * 0.05)
+            chunk = experiments._tracking_run(spec, spec.schemes, noise, tcfg, range(4))
+            for scheme, (_, factory) in experiments.TRACKING_SCHEMES.items():
+                for s, logs in enumerate(chunk):
+                    ref = uncached_tracking_run(
+                        cfg128, spec.trajectory, tcfg, noise, trial_rng(spec.seed, s),
+                        spec.tracking_scenario, factory(spec, design, noise, tcfg))
+                    assert [(b.gain, b.se_bits) for b in logs[scheme]] == ref, (scheme, s)
+        upper = experiments._perfect_csi_se(spec, noises, self.rngs(spec, 4))
+        for s, per_noise in enumerate(upper):
+            assert per_noise == [
+                uncached_perfect_csi_se(cfg128, spec.trajectory, spec.tracking_scenario,
+                                        noise, trial_rng(spec.seed, s))
+                for noise in noises]
 
+    def test_a_seed_tracks_the_same_alone_or_in_a_chunk(self, cfg128, desk_workspace):
+        spec = self.spec(cfg128, trials=64)
+        noise = snr_db_to_noise_power(0.0, cfg128)
+        tcfg = replace(spec.tracker, meas_cov=np.eye(2) * 0.05)
+        fields = ("gain", "se_bits", "pilots", "predicted", "measured", "filtered")
+        # all schemes of 64 seeds in lockstep, against each scheme of a seed alone
+        chunk = experiments._tracking_run(spec, spec.schemes, noise, tcfg, range(64))
+        for scheme in spec.schemes:
+            for s in (0, 1, 31, 63):
+                [alone] = experiments._tracking_run(spec, (scheme,), noise, tcfg, [s])
+                for a, b in zip(alone[scheme], chunk[s][scheme]):
+                    for name in fields:
+                        x, y = getattr(a, name), getattr(b, name)
+                        assert (x is None and y is None) or np.array_equal(
+                            x, y, equal_nan=True), (scheme, s, name)
+
+    @pytest.mark.parametrize("trials", [1, 7, 70])
+    def test_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace, tmp_path,
+                                                trials):
+        blobs = []
+        for workers in (1, 2, 3):
+            spec = self.spec(cfg128, trials=trials, workers=workers,
+                             snr_grid_db=(0.0, 10.0))
+            rows = tracking_experiment(spec)
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(path, rows, list(rows[0]))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @staticmethod
+    def spec(cfg128, **kw):
         traj = Trajectory(start=(20.0, 20.0), velocity=(-2.0, -2.0), dt=0.05,
                           n_blocks=8)
-        spec = desk_spec(cfg128, schemes=("nfbt", "brpss", "hfns", "ffbt_proxy"),
-                         trials=1, seed=5, snr_grid_db=(0.0,), trajectory=traj,
+        kw.setdefault("snr_grid_db", (0.0,))
+        return desk_spec(cfg128, schemes=("nfbt", "brpss", "hfns", "ffbt_proxy"),
+                         seed=5, trajectory=traj,
                          tracker=TrackerConfig(dt=0.05, n_blocks=8),
-                         tracking_scenario=TrackingScenario())
-        cached = tracking_experiment(spec)
-        monkeypatch.setattr(tracking, "TrackingChannel", UncachedChannel)
-        assert tracking_experiment(spec) == cached
+                         tracking_scenario=TrackingScenario(), **kw)
+
+    @staticmethod
+    def rngs(spec, n):
+        return [trial_rng(spec.seed, s) for s in range(n)]
 
 
 class TestOverheadReport:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rayleigh_distance
+from oracles import rayleigh_distance, sequential_calibration
 from xlbeam import (FAR_FIELD, brpss_step, calibrate_measurement_cov, design_hybrid,
                     ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
                     hybrid_beam_gain, measure_block, nfbt_step, predict,
@@ -150,9 +150,9 @@ class TestRunTracking:
     def test_noiseless_run_keeps_alignment(self, cfg512):
         tcfg = TrackerConfig(dt=0.05, n_blocks=30, meas_cov=np.eye(2) * 1e-4)
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                         np.random.default_rng(1), scen,
-                         nfbt_step(cfg512, tcfg, 0.0, AT_REST))
+        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                           [np.random.default_rng(1)], scen,
+                           nfbt_step(cfg512, tcfg, 0.0, AT_REST))
         assert len(log) == 30
         assert all(b.gain >= 0.99 for b in log)
         assert all(b.pilots == 1 for b in log)
@@ -181,9 +181,9 @@ class TestRunTracking:
         scen = TrackingScenario(fading=False, n_nlos=0)
         init = np.array([PAPER_TRAJ.start[0], PAPER_TRAJ.start[1],
                          PAPER_TRAJ.velocity[0], PAPER_TRAJ.velocity[1]])
-        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                         np.random.default_rng(2), scen,
-                         nfbt_step(cfg512, tcfg, 0.0, init))
+        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                           [np.random.default_rng(2)], scen,
+                           nfbt_step(cfg512, tcfg, 0.0, init))
         for b in log:
             assert np.allclose(b.filtered, b.truth, atol=1e-9)
 
@@ -199,6 +199,16 @@ class TestCalibration:
         corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
         assert corr > 0.9
 
+    @pytest.mark.parametrize("fading", [True, False])
+    @pytest.mark.parametrize("noise", [1e-3, 0.0])
+    def test_batched_equals_sequential(self, cfg512, fading, noise):
+        # all trials' normals drawn at once and refined as one stack give
+        # exactly what drawing and refining one trial at a time gives
+        scen = TrackingScenario(fading=fading)
+        args = (cfg512, noise, 40.0, 0.5, scen)
+        assert np.array_equal(calibrate_measurement_cov(*args, n_trials=60),
+                              sequential_calibration(*args, n_trials=60))
+
     def test_deterministic(self, cfg512):
         scen = TrackingScenario()
         a = calibrate_measurement_cov(cfg512, 1e-3, 40.0, 0.5, scen, n_trials=60)
@@ -210,28 +220,28 @@ class TestBaselines:
     def test_brpss_only_pilots_and_noiseless_gain(self, cfg512):
         tcfg = TrackerConfig(dt=0.05, n_blocks=20, meas_cov=np.eye(2))
         scen = TrackingScenario(fading=False, n_nlos=0)
-        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                         np.random.default_rng(3), scen,
-                         brpss_step(cfg512, PAPER_TRAJ.start, 0.0))
+        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                           [np.random.default_rng(3)], scen,
+                           brpss_step(cfg512, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 1 for b in log)
         assert all(b.gain >= 0.98 for b in log)
 
     def test_hfns_pilots(self, cfg512, full_workspace):
         _, _, design = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                         np.random.default_rng(4),
-                         TrackingScenario(fading=False, n_nlos=0),
-                         hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0))
+        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                           [np.random.default_rng(4)],
+                           TrackingScenario(fading=False, n_nlos=0),
+                           hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 5 for b in log)
 
     def test_ffbt_proxy_pilots(self, cfg512, full_workspace):
         book, _, _ = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        log = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                         np.random.default_rng(5),
-                         TrackingScenario(fading=False, n_nlos=0),
-                         ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0))
+        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                           [np.random.default_rng(5)],
+                           TrackingScenario(fading=False, n_nlos=0),
+                           ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0))
         assert all(b.pilots == 3 for b in log)
 
     def test_neighbor_sets(self, full_workspace):
