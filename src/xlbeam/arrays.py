@@ -88,46 +88,11 @@ def _antenna_offsets(n_antennas: int) -> np.ndarray:
     return offsets
 
 
-# Source parameters are either scalars (one source) or equal-length arrays
-# (one source per entry).  A scalar stays a Python number, so a one-source
-# call does plain float arithmetic; the helpers below work for both.
-
-def _is_array(x) -> bool:
-    # cheaper than np.ndim, which builds an array from a Python number
-    return isinstance(x, (np.ndarray, list, tuple))
-
-
-def _values(x):
-    """A scalar as it is; a sequence as a float array."""
-    return np.asarray(x, dtype=float) if _is_array(x) else x
-
-
 def _sources(*params) -> list:
-    """Source parameters ready to broadcast against the antenna axis: a
-    scalar as it is, a length-T array as a (T, 1) column."""
-    return [np.asarray(x, dtype=float)[..., None] if _is_array(x) else x for x in params]
-
-
-def _any(cond) -> bool:
-    """A condition on one source, or on any of an array of them."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _all(cond) -> bool:
-    """A condition on one source, or on all of an array of them."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _select(cond, a, b):
-    """``a if cond else b``, elementwise for an array condition."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
-def _floats(*values) -> tuple:
-    """0-d results as Python floats; arrays are returned as they are."""
-    return tuple(v if _is_array(v) and v.ndim else float(v) for v in values)
+    """Source parameters ready to broadcast against the antenna axis: one
+    source (a number) as a length-1 column, a length-T array as a (T, 1)
+    column, so one source gives one length-N vector."""
+    return [np.asarray(x, dtype=float)[..., None] for x in params]
 
 
 def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
@@ -135,7 +100,7 @@ def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
 
     ``omega`` and ``r`` may be equal-length arrays: one row per source."""
     omega, r = _sources(omega, r)
-    if not _all(r > 0):
+    if not np.all(r > 0):
         raise ValueError("range must be positive")
     dl = cfg.antenna_offsets() * cfg.wavelength
     return np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
@@ -146,7 +111,7 @@ def steering_far(cfg: ArrayConfig, omega) -> np.ndarray:
 
     An array of sines gives one row per source."""
     (omega,) = _sources(omega)
-    if _any(abs(omega) > 1):
+    if np.any(abs(omega) > 1):
         raise ValueError("omega must lie in [-1, 1]")
     n = np.arange(cfg.n_antennas)
     return np.exp(1j * np.pi * n * omega) / math.sqrt(cfg.n_antennas)
@@ -161,9 +126,9 @@ def steering_near(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarr
     arrays of sines and ranges give one row per source.
     """
     sines, ranges = _sources(omega, r)
-    if _any(abs(sines) > 1):
+    if np.any(abs(sines) > 1):
         raise ValueError("omega must lie in [-1, 1]")
-    if validate and _any(ranges < cfg.range_floor):
+    if validate and np.any(ranges < cfg.range_floor):
         raise ValueError(
             f"range {np.min(r):.4g} m below validity floor {cfg.range_floor:.4g} m"
         )
@@ -176,12 +141,10 @@ def steering(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarray:
 
     Equal-length arrays of sines and ranges give one row per source, far
     and near sources mixed."""
-    if not _is_array(r):
-        if math.isinf(r):
-            return steering_far(cfg, omega)
-        return steering_near(cfg, omega, r, validate=validate)
     omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
     far = np.isinf(r)
+    if far.all():
+        return steering_far(cfg, omega)
     if not far.any():
         return steering_near(cfg, omega, r, validate=validate)
     out = np.empty(r.shape + (cfg.n_antennas,), dtype=complex)
@@ -198,7 +161,7 @@ class QuadraticPhase:
     ``k <= 0`` for physical sources; ``k = 0`` is the far field.  ``k``
     and ``b`` may be equal-length arrays, one chirp per source; the
     geometry conversions then work elementwise and ``phasor`` gives one
-    row per chirp.
+    row per chirp.  One source's conversions give numpy float scalars.
     """
 
     k: float | np.ndarray
@@ -206,20 +169,21 @@ class QuadraticPhase:
 
     @classmethod
     def from_geometry(cls, cfg: ArrayConfig, omega, r) -> "QuadraticPhase":
-        omega, r = _values(omega), _values(r)
+        omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
         rho = cfg.wavelength * (1.0 - omega * omega) / (2.0 * r)     # 0 in the far field
-        far = np.isinf(r) if _is_array(r) else math.isinf(r)
-        return cls(_select(far, 0.0, -rho / 2.0),
-                   _select(far, omega, omega + rho * (cfg.n_antennas + 1) / 2.0))
+        far = np.isinf(r)
+        # [()] turns a one-source (0-d) result into a scalar
+        return cls(np.where(far, 0.0, -rho / 2.0)[()],
+                   np.where(far, omega, omega + rho * (cfg.n_antennas + 1) / 2.0)[()])
 
     def to_geometry(self, cfg: ArrayConfig) -> tuple:
         """Invert back to (omega, range); k >= 0 maps to the far field."""
-        k, b = _values(self.k), _values(self.b)
+        k, b = np.asarray(self.k, dtype=float), np.asarray(self.b, dtype=float)
         omega = b + k * (cfg.n_antennas + 1)
         far = k >= 0.0
-        k_near = _select(far, -1.0, k)            # far entries are replaced below
-        return omega, _select(far, FAR_FIELD,
-                              -cfg.wavelength * (1.0 - omega * omega) / (4.0 * k_near))
+        k_near = np.where(far, -1.0, k)           # far entries are replaced below
+        return omega[()], np.where(far, FAR_FIELD,
+                                   -cfg.wavelength * (1.0 - omega * omega) / (4.0 * k_near))[()]
 
     def phasor(self, cfg: ArrayConfig) -> np.ndarray:
         """The unit-modulus chirp ``exp(j*pi*(k*n^2 + b*n))``, n = 1..N."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, ChannelRealization, _any, antenna_noise, steering
+from .arrays import ArrayConfig, ChannelRealization, antenna_noise, steering
 from .codebooks import SubarrayCodebook
 
 
@@ -128,9 +128,9 @@ def design_hybrid(cfg: ArrayConfig, omega, r) -> CombinerPair:
     w_blocks = np.exp(-1j * np.pi * n * psi[..., None])
     wu = subarray_outputs(cfg, w_blocks, steering(cfg, omega, r, validate=False))
     # one norm call per row: a norm over an axis sums in another order
-    norm = (np.linalg.norm(wu) if wu.ndim == 1
-            else np.array([np.linalg.norm(row) for row in wu])[:, None])
-    if _any(norm == 0.0):
+    norm = np.array([np.linalg.norm(row) for row in wu.reshape(-1, cfg.n_rf)])
+    norm = norm.reshape(*wu.shape[:-1], 1)
+    if np.any(norm == 0.0):
         raise ValueError("degenerate combiner: W u vanished")
     v = wu.conj() / (math.sqrt(m) * norm)
     return CombinerPair(cfg=cfg, w_blocks=w_blocks, v=v)

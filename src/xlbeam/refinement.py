@@ -11,12 +11,11 @@ differences give db.  Everything is O(N_RF) arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, QuadraticPhase, _all, _any, _floats, _is_array, _select,
-                     _values, antenna_noise, h_of)
+from .arrays import ArrayConfig, QuadraticPhase, antenna_noise, h_of
 from .combining import subarray_outputs
 
 
@@ -30,7 +29,7 @@ def measure_subarrays(cfg: ArrayConfig, channel, k, b, noise_power: float = 0.0,
     """
     h = h_of(channel)
     noise = antenna_noise([rng] if h.ndim == 1 else rng, cfg.n_antennas, noise_power)
-    return _chirp_outputs(cfg, h, k, b, noise if noise is None or h.ndim > 1 else noise[0])
+    return _chirp_outputs(cfg, h, k, b, None if noise is None else noise.reshape(h.shape))
 
 
 def _chirp_outputs(cfg: ArrayConfig, h: np.ndarray, k, b, noise) -> np.ndarray:
@@ -75,7 +74,7 @@ def estimate_offsets(cfg: ArrayConfig, d1: np.ndarray, d2: np.ndarray) -> tuple:
     ``dk`` averages the wrapped second differences over ``2*pi*M^2``; the
     first differences are then de-trended by the dk estimate, wrapped,
     and averaged over ``M*pi`` to give ``db``.  Rows of differences give
-    arrays of offsets.
+    arrays of offsets, one row numpy float scalars.
     """
     m = cfg.m_per_sub
     # np.mean written out (the sum over the last axis, over the count)
@@ -84,15 +83,15 @@ def estimate_offsets(cfg: ArrayConfig, d1: np.ndarray, d2: np.ndarray) -> tuple:
     dk_t = np.asarray(dk)[..., None]
     detrended = d1 - (2 * t - 1) * m * m * dk_t * np.pi - m * (m + 1) * dk_t * np.pi
     db = np.add.reduce(wrap_pi(detrended), axis=-1) / d1.shape[-1] / (m * np.pi)
-    return _floats(dk, db)
+    return dk, db
 
 
 @dataclass(frozen=True)
 class RefinementResult:
     """Refined chirp parameters and their geometric reading.
 
-    :func:`refine_channels` on a stack fills every field with one entry
-    per channel (``is_far`` is for a single result).
+    :func:`refine_channels` fills every field with one entry per channel
+    (``is_far`` is for a single result).
     """
 
     k: float
@@ -120,9 +119,9 @@ def refine(cfg: ArrayConfig, k0, b0, dk, db) -> RefinementResult:
 
 def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
                     noise: np.ndarray | None = None) -> RefinementResult:
-    """One-pilot refinement of one channel around its coarse (omega, range)
-    estimate, or of a (T, N) stack of channels, each around its own
-    estimate (arrays) and with its own antenna noise row.
+    """One-pilot refinement of a (T, N) stack of channels, each around its
+    own coarse (omega, range) estimate and with its own antenna noise row
+    (None: noiseless).
 
     A channel whose subarray outputs include a zero has no phase to read,
     and a refined reading with |omega| > 1 is not physical: those keep
@@ -130,22 +129,21 @@ def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
     of fewer than three subarrays cannot be refined at all and raises
     ``ValueError``.
     """
-    coarse_omega, coarse_range = _values(coarse_omega), _values(coarse_range)
+    coarse_omega = np.asarray(coarse_omega, dtype=float)
+    coarse_range = np.asarray(coarse_range, dtype=float)
     coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
     z = _chirp_outputs(cfg, h, coarse.k, coarse.b, noise)
     dead = np.any(np.abs(z) == 0.0, axis=-1)
-    if _any(dead):
+    if dead.any():
         # dead channels read a placeholder phase; their result is discarded below
         z = np.where(dead[..., None], 1.0, z)
     result = refine(cfg, coarse.k, coarse.b, *estimate_offsets(cfg, *_phase_steps(z)))
     refined = ~dead & (np.isinf(result.range_m) | ~(np.abs(result.omega) > 1.0))
-    if _all(refined):
-        return replace(result, refined=refined) if _is_array(refined) else result
-    return RefinementResult(k=_select(refined, result.k, coarse.k),
-                            b=_select(refined, result.b, coarse.b),
-                            omega=_select(refined, result.omega, coarse_omega),
-                            range_m=_select(refined, result.range_m, coarse_range),
-                            refined=refined if _is_array(refined) else False)
+    return RefinementResult(k=np.where(refined, result.k, coarse.k),
+                            b=np.where(refined, result.b, coarse.b),
+                            omega=np.where(refined, result.omega, coarse_omega),
+                            range_m=np.where(refined, result.range_m, coarse_range),
+                            refined=refined)
 
 
 def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: float,
@@ -159,6 +157,8 @@ def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: floa
     degrade gracefully.  An array of fewer than three subarrays cannot be
     refined at all and raises ``ValueError``.
     """
-    noise = antenna_noise([rng], cfg.n_antennas, noise_power)
-    return refine_channels(cfg, h_of(channel), coarse_omega, coarse_range,
-                           None if noise is None else noise[0])
+    res = refine_channels(cfg, h_of(channel)[None], [coarse_omega], [coarse_range],
+                          antenna_noise([rng], cfg.n_antennas, noise_power))
+    return RefinementResult(k=float(res.k[0]), b=float(res.b[0]),
+                            omega=float(res.omega[0]), range_m=float(res.range_m[0]),
+                            refined=bool(res.refined[0]))

@@ -41,12 +41,11 @@ MEAS_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0]])
 
 
-def _per_run(fn, values):
-    """A ``math`` function applied to one value, or to each value of an
-    array: numpy's vectorised versions may round differently."""
-    if not isinstance(values, np.ndarray):
-        return fn(values)
-    return np.array([fn(v) for v in values])
+def _per_run(fn, values) -> np.ndarray:
+    """A ``math`` function applied to each value of an array (or to one
+    value): numpy's vectorised versions may round differently."""
+    values = np.asarray(values, dtype=float)
+    return np.array([fn(v) for v in values.flat]).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,9 @@ class TrackState:
     def polar(self) -> tuple:
         """(range, angle) of the position; angle measured from boresight.
 
-        Floats for one track, arrays for a stack."""
-        zeta = np.hypot(self.x[..., 0], self.x[..., 1])
-        theta = np.arctan2(self.x[..., 1], self.x[..., 0])
-        if self.x.ndim == 1:
-            return float(zeta), float(theta)
-        return zeta, theta
+        Numpy float scalars for one track, arrays for a stack."""
+        return (np.hypot(self.x[..., 0], self.x[..., 1]),
+                np.arctan2(self.x[..., 1], self.x[..., 0]))
 
     def rows(self, idx) -> TrackState:
         """The tracks at ``idx`` of a stack, as a stack of their own."""
@@ -314,11 +310,17 @@ class LineOfSight:
     combiner_rows: np.ndarray   # (n_blocks + 1, N)
 
 
-def line_of_sight(cfg: ArrayConfig, traj: Trajectory) -> LineOfSight:
-    """The trajectory's :class:`LineOfSight`, built once and shared by every
-    seed, scheme and SNR that runs along it."""
+def line_of_sight(cfg: ArrayConfig, traj: Trajectory,
+                  n_blocks: int | None = None) -> LineOfSight:
+    """The :class:`LineOfSight` of blocks 0..n_blocks of a trajectory
+    (default: its own ``n_blocks``), built once and shared by every seed,
+    scheme and SNR that runs along it.
+
+    Only those blocks are built and held to the range floor: a run may
+    stop before the trajectory's end, or run past it along the same line.
+    """
     return _line_of_sight(cfg, tuple(traj.start), tuple(traj.velocity), traj.dt,
-                          traj.n_blocks)
+                          traj.n_blocks if n_blocks is None else n_blocks)
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,14 +357,15 @@ class TrackingScenario:
 
 class TrackingChannel:
     """Draws the block-i channels of a chunk of runs along a trajectory,
-    one run per generator."""
+    one run per generator, for blocks 1..n_blocks (default: the
+    trajectory's own count)."""
 
     def __init__(self, cfg: ArrayConfig, traj: Trajectory, scen: TrackingScenario,
-                 rngs):
+                 rngs, n_blocks: int | None = None):
         self.cfg = cfg
         self.traj = traj
         self.scen = scen
-        self.los = line_of_sight(cfg, traj)
+        self.los = line_of_sight(cfg, traj, n_blocks)
         lo, hi = scen.nlos_angle_range
         rlo = max(scen.nlos_range_range[0], cfg.range_floor)
         rhi = max(scen.nlos_range_range[1], rlo)
@@ -505,8 +508,7 @@ class StepResult:
     """What one scheme did in one block, one entry per run.
 
     ``beam[t]`` is scored against the true geometry; the spectral-efficiency
-    combiner is designed at (``omega[t]``, ``range_m[t]``), unless the step
-    hands over those rows itself as ``combiners``.  A NaN row of
+    combiner is designed at (``omega[t]``, ``range_m[t]``).  A NaN row of
     ``measured`` means the run had no fix that block.
     """
 
@@ -517,32 +519,14 @@ class StepResult:
     predicted: np.ndarray | None     # (T, 2)
     measured: np.ndarray             # (T, 2)
     filtered: np.ndarray             # (T, 2)
-    combiners: np.ndarray | None = None   # (T, N)
 
     @classmethod
-    def pointing(cls, beam, omega, range_m, pilots, combiners=None) -> StepResult:
+    def pointing(cls, beam, omega, range_m, pilots) -> StepResult:
         """A filterless step: the geometry it points at is its only estimate."""
         omega, range_m = np.asarray(omega, dtype=float), np.asarray(range_m, dtype=float)
         pos = _positions(omega, range_m, np.isfinite(range_m))
         return cls(beam=beam, omega=omega, range_m=range_m, pilots=pilots,
-                   predicted=None, measured=pos, filtered=pos, combiners=combiners)
-
-
-class _CodewordCombiners:
-    """The spectral-efficiency combiner of each codeword a codebook step
-    points at, designed once: such steps revisit few codewords."""
-
-    def __init__(self, cfg: ArrayConfig):
-        self.cfg = cfg
-        self.rows: dict = {}
-
-    def __call__(self, keys, omega, range_m) -> np.ndarray:
-        new = {key: i for i, key in enumerate(keys) if key not in self.rows}
-        if new:
-            idx = list(new.values())
-            self.rows.update(zip(new, se_combiners(self.cfg, np.asarray(omega)[idx],
-                                                   np.asarray(range_m)[idx])))
-        return np.stack([self.rows[key] for key in keys])
+                   predicted=None, measured=pos, filtered=pos)
 
 
 def run_blocks(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
@@ -573,12 +557,14 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     """
     all_rngs = [rng for _, rngs in runs for rng in rngs]
     edges = np.cumsum([0] + [len(rngs) for _, rngs in runs]).tolist()
-    chan = TrackingChannel(cfg, traj, scen, all_rngs)
+    chan = TrackingChannel(cfg, traj, scen, all_rngs, tcfg.n_blocks)
     logs = [[[] for _ in rngs] for _, rngs in runs]
     for i in range(1, tcfg.n_blocks + 1):
         hs, _, _, _ = chan.at_block(i, all_rngs)
         outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
-        ses = spectral_efficiency(_block_combiners(cfg, outs), hs, noise_power)
+        rows = se_combiners(cfg, np.concatenate([out.omega for out in outs]),
+                            np.concatenate([out.range_m for out in outs]))
+        ses = spectral_efficiency(rows, hs, noise_power)
         gains = _block_gains(chan.los.steering[i], outs)
         truth = traj.position(i)
         for out, scheme_logs, a in zip(outs, logs, edges):
@@ -593,23 +579,6 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
                     filtered=out.filtered[t], gain=gains[a + t], se_bits=ses[a + t],
                     pilots=pilots[t]))
     return logs
-
-
-def _block_combiners(cfg: ArrayConfig, outs) -> np.ndarray:
-    """Every run's spectral-efficiency combiner, in run order: the steps'
-    own, and one design for the geometries of all the others."""
-    todo = [out for out in outs if out.combiners is None]
-    if todo:
-        designed = se_combiners(cfg, np.concatenate([out.omega for out in todo]),
-                                np.concatenate([out.range_m for out in todo]))
-    parts, row = [], 0
-    for out in outs:
-        if out.combiners is None:
-            out_rows, row = designed[row:row + len(out.omega)], row + len(out.omega)
-        else:
-            out_rows = out.combiners
-        parts.append(out_rows)
-    return np.concatenate(parts)
 
 
 def _block_gains(los: np.ndarray, outs) -> list[float]:
@@ -701,7 +670,6 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
     book = design.book
     p_start = nearest_codeword(book, *omega_range(start))
     p_best = None
-    combiners = _CodewordCombiners(cfg)
 
     def step(hs, rngs):
         nonlocal p_best
@@ -719,8 +687,7 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         cws = [book.params(p) for p in p_best]
         omega, range_m = [cw.theta for cw in cws], [cw.distance for cw in cws]
         return StepResult.pointing([book.column(p) for p in p_best], omega, range_m,
-                                   pilots=np.array([len(c) for c in cands]),
-                                   combiners=combiners(p_best, omega, range_m))
+                                   pilots=np.array([len(c) for c in cands]))
 
     return step
 
@@ -735,7 +702,6 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
     """
     q_start = book.params(nearest_codeword(book, omega_range(start)[0], FAR_FIELD)).q
     q_best = None
-    combiners = _CodewordCombiners(book.cfg)
 
     def step(hs, rngs):
         nonlocal q_best
@@ -756,8 +722,7 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
         omega = [float(book.theta[q - 1]) for q in q_best]
         range_m = np.full(len(q_best), FAR_FIELD)
         return StepResult.pointing([book.column(book.index_of(q, None)) for q in q_best],
-                                   omega, range_m, pilots=np.array(pilots),
-                                   combiners=combiners(q_best, omega, range_m))
+                                   omega, range_m, pilots=np.array(pilots))
 
     return step
 

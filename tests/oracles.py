@@ -183,8 +183,8 @@ def uncached_tracking_run(cfg: ArrayConfig, traj, tcfg, noise_power: float, rng,
     """One seed's (gain, spectral efficiency) per block, nothing shared.
 
     The reference for ``run_blocks``, which shares the trajectory's
-    line-of-sight stack, steers at each scatterer once, runs seeds in
-    chunks and designs a codebook step's combiner once per codeword.
+    line-of-sight stack, steers at each scatterer once and runs seeds in
+    chunks.
     Here every block steers at the line of sight and at each scatterer
     again, scores the beam with ``hybrid_beam_gain`` and designs the SE
     combiner at the step's estimate; ``step`` sees one-run stacks.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rayleigh_distance, sequential_calibration
+from oracles import rayleigh_distance, sequential_calibration, uncached_tracking_run
 from xlbeam import (FAR_FIELD, brpss_step, calibrate_measurement_cov, design_hybrid,
                     ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
                     hybrid_beam_gain, measure_block, nfbt_step, predict,
@@ -172,6 +172,35 @@ class TestRunTracking:
             f = filtered_channel(cfg512, state)
             gains.append(hybrid_beam_gain(cfg512, f, math.sin(theta), zeta))
         assert all(g2 <= g1 + 1e-6 for g1, g2 in zip(gains, gains[1:]))
+
+    def test_runs_the_trackers_blocks_not_the_trajectorys(self, cfg512):
+        # a run may go past the trajectory's last block (along the same
+        # line) or stop before it; only the blocks that run are built, and
+        # each scores as one seed with nothing cached does
+        scen = TrackingScenario(fading=True, n_nlos=1)
+        noise = 0.01
+        traj = Trajectory(start=(30.0, 10.0), velocity=(-20.0, 0.0), dt=0.05, n_blocks=3)
+        tcfg = make_tracker(n_blocks=7)
+        for make_step in (lambda: brpss_step(cfg512, traj.start, noise),
+                          lambda: nfbt_step(cfg512, tcfg, noise, [*traj.start, -20.0, 0.0])):
+            [log] = run_blocks(cfg512, traj, tcfg, noise, [np.random.default_rng(3)],
+                               scen, make_step())
+            assert len(log) == 7 and np.array_equal(log[-1].truth, traj.position(7))
+            ref = uncached_tracking_run(cfg512, traj, tcfg, noise, np.random.default_rng(3),
+                                        scen, make_step())
+            assert [(b.gain, b.se_bits) for b in log] == ref
+        # this trajectory crosses the range floor (6.1 m) after block 4
+        toward = Trajectory(start=(10.0, 5.0), velocity=(-20.0, 0.0), dt=0.05, n_blocks=20)
+        assert np.hypot(*toward.position(5)) > cfg512.range_floor
+        assert np.hypot(*toward.position(7)) < cfg512.range_floor
+        [log] = run_blocks(cfg512, toward, make_tracker(n_blocks=5), noise,
+                           [np.random.default_rng(4)], scen,
+                           brpss_step(cfg512, toward.start, noise))
+        assert len(log) == 5
+        with pytest.raises(ValueError, match="validity floor"):
+            run_blocks(cfg512, toward, make_tracker(n_blocks=8), noise,
+                       [np.random.default_rng(4)], scen,
+                       brpss_step(cfg512, toward.start, noise))
 
     def test_degrades_to_prediction_on_gated_measurements(self, cfg512):
         # an absurdly tight gate rejects every fix; the filter then coasts
