@@ -88,11 +88,30 @@ def _antenna_offsets(n_antennas: int) -> np.ndarray:
     return offsets
 
 
+# A training trial steers one source at a time, several times over, and a
+# one-source numpy column made each steering call about 15 us (a half)
+# slower than a plain number does (N = 512).  So a number stays a number
+# and these helpers take either; everything else works on arrays.
+
+def _is_array(x) -> bool:
+    # cheaper than np.ndim, which builds an array from a Python number
+    return isinstance(x, (np.ndarray, list, tuple))
+
+
 def _sources(*params) -> list:
-    """Source parameters ready to broadcast against the antenna axis: one
-    source (a number) as a length-1 column, a length-T array as a (T, 1)
-    column, so one source gives one length-N vector."""
-    return [np.asarray(x, dtype=float)[..., None] for x in params]
+    """Source parameters ready to broadcast against the antenna axis: a
+    number as it is, a length-T array as a (T, 1) column."""
+    return [np.asarray(x, dtype=float)[..., None] if _is_array(x) else x for x in params]
+
+
+def _any(cond) -> bool:
+    """A check on one source, or on any of an array of them."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _all(cond) -> bool:
+    """A check on one source, or on all of an array of them."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
 def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
@@ -100,7 +119,7 @@ def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
 
     ``omega`` and ``r`` may be equal-length arrays: one row per source."""
     omega, r = _sources(omega, r)
-    if not np.all(r > 0):
+    if not _all(r > 0):
         raise ValueError("range must be positive")
     dl = cfg.antenna_offsets() * cfg.wavelength
     return np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
@@ -111,7 +130,7 @@ def steering_far(cfg: ArrayConfig, omega) -> np.ndarray:
 
     An array of sines gives one row per source."""
     (omega,) = _sources(omega)
-    if np.any(abs(omega) > 1):
+    if _any(abs(omega) > 1):
         raise ValueError("omega must lie in [-1, 1]")
     n = np.arange(cfg.n_antennas)
     return np.exp(1j * np.pi * n * omega) / math.sqrt(cfg.n_antennas)
@@ -126,9 +145,9 @@ def steering_near(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarr
     arrays of sines and ranges give one row per source.
     """
     sines, ranges = _sources(omega, r)
-    if np.any(abs(sines) > 1):
+    if _any(abs(sines) > 1):
         raise ValueError("omega must lie in [-1, 1]")
-    if validate and np.any(ranges < cfg.range_floor):
+    if validate and _any(ranges < cfg.range_floor):
         raise ValueError(
             f"range {np.min(r):.4g} m below validity floor {cfg.range_floor:.4g} m"
         )
@@ -141,6 +160,10 @@ def steering(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarray:
 
     Equal-length arrays of sines and ranges give one row per source, far
     and near sources mixed."""
+    if not _is_array(r):
+        if math.isinf(r):
+            return steering_far(cfg, omega)
+        return steering_near(cfg, omega, r, validate=validate)
     omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
     far = np.isinf(r)
     if far.all():
@@ -303,7 +326,7 @@ def antenna_noise(rngs, n_antennas: int, noise_power: float) -> np.ndarray | Non
 
 def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
     """The channel of given paths, h = sum_l g_l * alpha_l, with the alpha_l kept."""
-    rows = np.stack([steering(cfg, p.omega, p.range_m) for p in paths])
+    rows = steering(cfg, [p.omega for p in paths], [p.range_m for p in paths])
     rows.flags.writeable = False
     h = np.zeros(cfg.n_antennas, dtype=complex)
     for p, row in zip(paths, rows):

@@ -130,7 +130,7 @@ def design_hybrid(cfg: ArrayConfig, omega, r) -> CombinerPair:
     # one norm call per row: a norm over an axis sums in another order
     norm = np.array([np.linalg.norm(row) for row in wu.reshape(-1, cfg.n_rf)])
     norm = norm.reshape(*wu.shape[:-1], 1)
-    if np.any(norm == 0.0):
+    if (norm == 0.0).any():
         raise ValueError("degenerate combiner: W u vanished")
     v = wu.conj() / (math.sqrt(m) * norm)
     return CombinerPair(cfg=cfg, w_blocks=w_blocks, v=v)

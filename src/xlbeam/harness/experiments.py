@@ -355,8 +355,8 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
     # each line of sight is built once, before any worker needs it
-    for n_blocks in {spec.trajectory.n_blocks, spec.tracker.n_blocks}:
-        line_of_sight(spec.cfg, spec.trajectory, n_blocks)
+    for n_blocks in (spec.trajectory.n_blocks, spec.tracker.n_blocks):
+        line_of_sight(spec.cfg, replace(spec.trajectory, n_blocks=n_blocks))
     upper = run_trials(lambda indices, rngs: _perfect_csi_se(spec, noises, rngs),
                        spec.trials, spec.seed, spec.workers)
     rows = []

@@ -139,6 +139,8 @@ def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
         z = np.where(dead[..., None], 1.0, z)
     result = refine(cfg, coarse.k, coarse.b, *estimate_offsets(cfg, *_phase_steps(z)))
     refined = ~dead & (np.isinf(result.range_m) | ~(np.abs(result.omega) > 1.0))
+    if refined.all():
+        return RefinementResult(result.k, result.b, result.omega, result.range_m, refined)
     return RefinementResult(k=np.where(refined, result.k, coarse.k),
                             b=np.where(refined, result.b, coarse.b),
                             omega=np.where(refined, result.omega, coarse_omega),

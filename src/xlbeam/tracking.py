@@ -204,8 +204,7 @@ def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, zeta_pred, theta_pred,
     refinement fails outright or when it has no usable position: a
     far-field or non-physical reading.
     """
-    res = refine_channels(cfg, hs, _per_run(math.sin, np.asarray(theta_pred)), zeta_pred,
-                          noise)
+    res = refine_channels(cfg, hs, _per_run(math.sin, theta_pred), zeta_pred, noise)
     ok = (res.refined & (np.abs(res.omega) <= 1.0)
           & np.isfinite(res.range_m) & (res.range_m > 0.0))
     return Measurement(position=_positions(res.omega, res.range_m, ok),
@@ -310,17 +309,11 @@ class LineOfSight:
     combiner_rows: np.ndarray   # (n_blocks + 1, N)
 
 
-def line_of_sight(cfg: ArrayConfig, traj: Trajectory,
-                  n_blocks: int | None = None) -> LineOfSight:
-    """The :class:`LineOfSight` of blocks 0..n_blocks of a trajectory
-    (default: its own ``n_blocks``), built once and shared by every seed,
-    scheme and SNR that runs along it.
-
-    Only those blocks are built and held to the range floor: a run may
-    stop before the trajectory's end, or run past it along the same line.
-    """
+def line_of_sight(cfg: ArrayConfig, traj: Trajectory) -> LineOfSight:
+    """The trajectory's :class:`LineOfSight`, built once and shared by every
+    seed, scheme and SNR that runs along it."""
     return _line_of_sight(cfg, tuple(traj.start), tuple(traj.velocity), traj.dt,
-                          traj.n_blocks if n_blocks is None else n_blocks)
+                          traj.n_blocks)
 
 
 @functools.lru_cache(maxsize=8)
@@ -357,15 +350,14 @@ class TrackingScenario:
 
 class TrackingChannel:
     """Draws the block-i channels of a chunk of runs along a trajectory,
-    one run per generator, for blocks 1..n_blocks (default: the
-    trajectory's own count)."""
+    one run per generator."""
 
     def __init__(self, cfg: ArrayConfig, traj: Trajectory, scen: TrackingScenario,
-                 rngs, n_blocks: int | None = None):
+                 rngs):
         self.cfg = cfg
         self.traj = traj
         self.scen = scen
-        self.los = line_of_sight(cfg, traj, n_blocks)
+        self.los = line_of_sight(cfg, traj)
         lo, hi = scen.nlos_angle_range
         rlo = max(scen.nlos_range_range[0], cfg.range_floor)
         rhi = max(scen.nlos_range_range[1], rlo)
@@ -554,10 +546,15 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     beams together; each step sees only its own rows.  A run still draws
     only from its own generator, in the order it would alone.  Returns,
     per scheme, each run's block logs.
+
+    The run covers the tracker's ``n_blocks``, which may stop short of the
+    trajectory's end or go past it along the same line: only the blocks
+    that run are built and held to the range floor.
     """
+    traj = replace(traj, n_blocks=tcfg.n_blocks)
     all_rngs = [rng for _, rngs in runs for rng in rngs]
     edges = np.cumsum([0] + [len(rngs) for _, rngs in runs]).tolist()
-    chan = TrackingChannel(cfg, traj, scen, all_rngs, tcfg.n_blocks)
+    chan = TrackingChannel(cfg, traj, scen, all_rngs)
     logs = [[[] for _ in rngs] for _, rngs in runs]
     for i in range(1, tcfg.n_blocks + 1):
         hs, _, _, _ = chan.at_block(i, all_rngs)
