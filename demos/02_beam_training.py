@@ -30,8 +30,8 @@ noise = snr_db_to_noise_power(10.0, cfg)
 print(f"SNR 10 dB -> per-antenna noise power {noise:.3e}")
 
 thbt = run_thbt(cfg, book, design, channel, noise, rng)
-hfbs = baseline_hfbs(cfg, book, channel, noise, rng)
-ffbs = baseline_ffbs(cfg, book, channel, noise, rng)
+hfbs = baseline_hfbs(book, channel, noise, rng)
+ffbs = baseline_ffbs(book, channel, noise, rng)
 
 for res in (thbt, hfbs, ffbs):
     cw = book.params(res.best_index)

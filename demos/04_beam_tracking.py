@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from xlbeam import (ArrayConfig, brpss_step, calibrate_measurement_cov, nfbt_step,
-                    run_blocks, snr_db_to_noise_power)
+                    run_schemes, snr_db_to_noise_power)
 from xlbeam.harness import svg_line_plot, write_csv
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
 
@@ -25,7 +25,7 @@ noise = snr_db_to_noise_power(0.0, cfg)
 
 mid = traj.position(traj.n_blocks // 2)
 zeta_mid = float(np.hypot(*mid))
-meas_cov = calibrate_measurement_cov(cfg, noise, zeta_mid, mid[1] / zeta_mid,
+meas_cov = calibrate_measurement_cov(cfg, noise, mid[1] / zeta_mid, zeta_mid,
                                      scen, seed=99)
 print("calibrated measurement covariance (m^2):")
 print(np.array_str(meas_cov, precision=2))
@@ -33,14 +33,15 @@ print(np.array_str(meas_cov, precision=2))
 tcfg = TrackerConfig(dt=traj.dt, n_blocks=traj.n_blocks, meas_cov=meas_cov,
                      innovation_gate=13.8)
 
-# one chunk of 25 seeds per scheme: each seed draws from its own generator
+# both schemes in lockstep, 25 seeds each: every run draws from its own generator
 n_seeds = 25
-gains = {}
-for name, step in (("filtered", nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])),
-                   ("per_block", brpss_step(cfg, traj.start, noise))):
-    rngs = [np.random.default_rng(seed) for seed in range(n_seeds)]
-    logs = run_blocks(cfg, traj, tcfg, noise, rngs, scen, step)
-    gains[name] = [[b.gain for b in log] for log in logs]
+schemes = {"filtered": nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0]),
+           "per_block": brpss_step(cfg, traj.start, noise)}
+logs = run_schemes(cfg, traj, tcfg, noise, scen,
+                   [(step, [np.random.default_rng(seed) for seed in range(n_seeds)])
+                    for step in schemes.values()])
+gains = {name: [[b.gain for b in log] for log in runs]
+         for name, runs in zip(schemes, logs)}
 
 t_s = [(i + 1) * traj.dt for i in range(traj.n_blocks)]
 rows = []

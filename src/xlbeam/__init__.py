@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD,
                      PathParams, QuadraticPhase, antenna_noise, crandn,
                      element_distance, realize, sample_channel, snr_db_to_noise_power,
-                     steering, steering_far, steering_near, steering_quadratic,
-                     synthesize)
+                     steering, steering_far, steering_near, steering_quadratic)
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
                         build_far_codebook, build_hybrid_codebook,
                         build_near_codebook, build_subarray_codebook,
@@ -21,9 +20,8 @@ from .refinement import (RefinementResult, estimate_offsets, measure_subarrays,
                          phase_differences, refine, refine_channels, run_brpss)
 from .tracking import (LineOfSight, StepResult, TrackerConfig, TrackingScenario,
                        TrackState, Trajectory, brpss_step, calibrate_measurement_cov,
-                       ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
-                       innovation_distances, line_of_sight, measure_block,
-                       measure_blocks, nfbt_step, predict, run_blocks)
+                       ffbt_proxy_step, filter_update, hfns_step, innovation_distances,
+                       line_of_sight, measure_blocks, nfbt_step, predict, run_schemes)
 from .training import (Stage1Sweep, TrainedDesign, TrainingResult, assemble_reused,
                        baseline_ffbs, baseline_hfbs, design_all, run_thbt,
                        stage1_sweep, stage2_select)

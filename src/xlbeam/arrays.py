@@ -334,11 +334,6 @@ def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
     return ChannelRealization(paths=paths, h=h, steering=rows)
 
 
-def synthesize(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:
-    """Sum of gain-weighted steering vectors, h = sum_l g_l * alpha_l."""
-    return realize(cfg, paths).h
-
-
 def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
                    scenario: ChannelScenario = ChannelScenario()) -> ChannelRealization:
     """Draw a multipath channel; ranges are clamped up to the validity floor."""

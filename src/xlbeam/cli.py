@@ -26,7 +26,7 @@ from .harness.io import (ConfigError, fail, load_config, require_keys, write_csv
 from .harness.svgplot import svg_line_plot
 from .refinement import run_brpss
 from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
-                       run_blocks, tracker_for_run)
+                       run_schemes, tracker_for_run)
 from .training import run_thbt
 
 
@@ -266,7 +266,8 @@ def cmd_track(config: dict, args) -> int:
     noise = snr_db_to_noise_power(snr_db, cfg)
     tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
-    [log] = run_blocks(cfg, traj, tcfg, noise, [np.random.default_rng(seed)], scen, step)
+    [[log]] = run_schemes(cfg, traj, tcfg, noise, scen,
+                          [(step, [np.random.default_rng(seed)])])
     rows = []
     for b in log:
         rows.append({

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, ChannelRealization, antenna_noise, steering
+from .arrays import ArrayConfig, ChannelRealization, steering
 from .codebooks import SubarrayCodebook
 
 
@@ -49,16 +49,16 @@ def subarray_pointing(cfg: ArrayConfig, omega, r) -> np.ndarray:
 
 
 def subarray_outputs(cfg: ArrayConfig, rows: np.ndarray, h: np.ndarray,
-                     noise_power: float = 0.0, rng=None) -> np.ndarray:
+                     noise: np.ndarray | None = None) -> np.ndarray:
     """The N_RF RF-chain outputs of one pilot through block-diagonal rows.
 
     ``rows[t]`` is subarray t's length-M analog row, applied to its M
-    antennas of ``h``.  Noise is CN(0, noise_power) per antenna, drawn
-    fresh for the pilot and combined by the same rows.
+    antennas of ``h``.  ``noise`` is the pilot's antenna noise, one row
+    per channel as :func:`~xlbeam.arrays.antenna_noise` draws it (None:
+    noiseless), combined by the same rows.
 
     ``h`` may also be a (T, N) stack of channels, each with its own pilot:
-    ``rows`` is then one (N_RF, M) set for all or a (T, N_RF, M) stack,
-    and ``rng`` holds one generator per channel.
+    ``rows`` is then one (N_RF, M) set for all or a (T, N_RF, M) stack.
     """
     h = np.asarray(h)
 
@@ -67,7 +67,6 @@ def subarray_outputs(cfg: ArrayConfig, rows: np.ndarray, h: np.ndarray,
                          x.reshape(*x.shape[:-1], cfg.n_rf, cfg.m_per_sub))
 
     z = combine(h)
-    noise = antenna_noise([rng] if h.ndim == 1 else rng, cfg.n_antennas, noise_power)
     if noise is not None:
         z = z + combine(noise.reshape(h.shape))
     return z

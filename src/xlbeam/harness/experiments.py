@@ -9,6 +9,7 @@ per-trial RNG streams so worker count never changes the numbers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,16 +55,21 @@ class ExperimentSpec:
 
 
 _workspace_cache: dict = {}
+_workspace_lock = threading.Lock()
 
 
 def workspace(cfg: ArrayConfig, q: int, s: int) -> tuple[HybridCodebook, SubarrayCodebook, TrainedDesign]:
-    """Codebooks plus the trained stage-2 design, cached per configuration."""
+    """Codebooks plus the trained stage-2 design, cached per configuration.
+
+    Worker threads that ask for a configuration not built yet wait for
+    one build instead of each building their own."""
     key = (cfg.n_antennas, cfg.n_rf, cfg.wavelength, q, s)
-    if key not in _workspace_cache:
-        book = build_hybrid_codebook(cfg, q, s)
-        sub_book = build_subarray_codebook(cfg)
-        _workspace_cache[key] = (book, sub_book, design_all(book, sub_book))
-    return _workspace_cache[key]
+    with _workspace_lock:
+        if key not in _workspace_cache:
+            book = build_hybrid_codebook(cfg, q, s)
+            sub_book = build_subarray_codebook(cfg)
+            _workspace_cache[key] = (book, sub_book, design_all(book, sub_book))
+        return _workspace_cache[key]
 
 
 def clear_workspace_cache() -> None:
@@ -140,9 +146,9 @@ TRAINING_SCHEMES = {
     "thbt": lambda t: (t.continuous_beam(t.thbt.rough_omega, t.thbt.rough_range),
                        t.thbt.rough_omega, t.thbt.rough_range, t.thbt.pilots),
     "thbt_brpss": _refined,
-    "hfbs": lambda t: t.swept(baseline_hfbs(t.cfg, t.book, t.channel, t.noise, t.rng,
+    "hfbs": lambda t: t.swept(baseline_hfbs(t.book, t.channel, t.noise, t.rng,
                                             signal=t.signal_from(0))),
-    "ffbs": lambda t: t.swept(baseline_ffbs(t.cfg, t.book, t.channel, t.noise, t.rng,
+    "ffbs": lambda t: t.swept(baseline_ffbs(t.book, t.channel, t.noise, t.rng,
                                             signal=t.signal_from(t.book.n_near))),
 }
 
@@ -283,7 +289,7 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
             channels, signals = _chunk_channels(spec.cfg, _book, scenario, rngs, 0)
             errs = []
             for channel, signal, rng in zip(channels, signals, rngs):
-                coarse = baseline_hfbs(spec.cfg, _book, channel, signal=signal)
+                coarse = baseline_hfbs(_book, channel, signal=signal)
                 ref = run_brpss(spec.cfg, channel, coarse.rough_omega,
                                 coarse.rough_range, noise, rng)
                 errs.append(_position_error(channel, ref.omega, ref.range_m))
@@ -329,17 +335,17 @@ def _tracking_run(spec: ExperimentSpec, schemes, noise: float, tcfg,
 
 
 def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
-    """Mean spectral efficiency with the true geometry every block, for a
-    chunk of seeds: one value per seed and noise power.
+    """Mean spectral efficiency with the true geometry every block the
+    schemes run, for a chunk of seeds: one value per seed and noise power.
 
     The channels do not depend on the noise power, so each seed's received
     signal powers are computed once and reused across the SNR grid.
     """
-    chan = TrackingChannel(spec.cfg, spec.trajectory, spec.tracking_scenario, rngs)
-    signal = np.empty((len(rngs), spec.trajectory.n_blocks))
-    for i in range(1, spec.trajectory.n_blocks + 1):
-        hs, _, _, _ = chan.at_block(i, rngs)
-        signal[:, i - 1] = signal_powers(chan.los.combiner_rows[i], hs)
+    traj = replace(spec.trajectory, n_blocks=spec.tracker.n_blocks)
+    chan = TrackingChannel(spec.cfg, traj, spec.tracking_scenario, rngs)
+    signal = np.empty((len(rngs), traj.n_blocks))
+    for i in range(1, traj.n_blocks + 1):
+        signal[:, i - 1] = signal_powers(chan.los.combiner_rows[i], chan.at_block(i, rngs))
     return [[float(np.mean([se_bits(s, noise) for s in run])) for noise in noises]
             for run in signal]
 
@@ -354,9 +360,8 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
-    # each line of sight is built once, before any worker needs it
-    for n_blocks in (spec.trajectory.n_blocks, spec.tracker.n_blocks):
-        line_of_sight(spec.cfg, replace(spec.trajectory, n_blocks=n_blocks))
+    # the line of sight is built once, before any worker needs it
+    line_of_sight(spec.cfg, replace(spec.trajectory, n_blocks=spec.tracker.n_blocks))
     upper = run_trials(lambda indices, rngs: _perfect_csi_se(spec, noises, rngs),
                        spec.trials, spec.seed, spec.workers)
     rows = []

@@ -19,28 +19,19 @@ from .arrays import ArrayConfig, QuadraticPhase, antenna_noise, h_of
 from .combining import subarray_outputs
 
 
-def measure_subarrays(cfg: ArrayConfig, channel, k, b, noise_power: float = 0.0,
-                      rng=None) -> np.ndarray:
+def measure_subarrays(cfg: ArrayConfig, h: np.ndarray, k, b,
+                      noise: np.ndarray | None = None) -> np.ndarray:
     """One pilot through the conjugate chirp (k, b), cut into subarray
     rows; returns the N_RF outputs.
 
-    A (T, N) stack of channels, with arrays k and b and one generator per
-    channel, gives one row of outputs per channel.
+    ``noise`` is the pilot's antenna noise as rows (None: noiseless); it
+    goes through the same rows as the channel.  A (T, N) stack of
+    channels, with arrays k and b and one noise row per channel, gives
+    one row of outputs per channel.
     """
-    h = h_of(channel)
-    noise = antenna_noise([rng] if h.ndim == 1 else rng, cfg.n_antennas, noise_power)
-    return _chirp_outputs(cfg, h, k, b, None if noise is None else noise.reshape(h.shape))
-
-
-def _chirp_outputs(cfg: ArrayConfig, h: np.ndarray, k, b, noise) -> np.ndarray:
-    """The pilot's outputs with its antenna noise given (None: noiseless);
-    the noise goes through the same rows as the channel."""
     rows = QuadraticPhase(k, b).phasor(cfg).conj()
     rows = rows.reshape(*rows.shape[:-1], cfg.n_rf, cfg.m_per_sub)
-    z = subarray_outputs(cfg, rows, h)
-    if noise is not None:
-        z = z + subarray_outputs(cfg, rows, noise)
-    return z
+    return subarray_outputs(cfg, rows, h, noise)
 
 
 def wrap_pi(x: np.ndarray) -> np.ndarray:
@@ -132,7 +123,7 @@ def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
     coarse_omega = np.asarray(coarse_omega, dtype=float)
     coarse_range = np.asarray(coarse_range, dtype=float)
     coarse = QuadraticPhase.from_geometry(cfg, coarse_omega, coarse_range)
-    z = _chirp_outputs(cfg, h, coarse.k, coarse.b, noise)
+    z = measure_subarrays(cfg, h, coarse.k, coarse.b, noise)
     dead = np.any(np.abs(z) == 0.0, axis=-1)
     if dead.any():
         # dead channels read a placeholder phase; their result is discarded below

@@ -41,13 +41,6 @@ MEAS_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0]])
 
 
-def _per_run(fn, values) -> np.ndarray:
-    """A ``math`` function applied to each value of an array (or to one
-    value): numpy's vectorised versions may round differently."""
-    values = np.asarray(values, dtype=float)
-    return np.array([fn(v) for v in values.flat]).reshape(values.shape)
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     """Filter tuning knobs.
@@ -99,12 +92,15 @@ class TrackState:
     def velocity(self) -> np.ndarray:
         return self.x[..., 2:]
 
-    def polar(self) -> tuple:
-        """(range, angle) of the position; angle measured from boresight.
+    def geometry(self) -> tuple:
+        """(omega, range) of the position: the sine of the angle from
+        boresight, and the distance.
 
-        Numpy float scalars for one track, arrays for a stack."""
-        return (np.hypot(self.x[..., 0], self.x[..., 1]),
-                np.arctan2(self.x[..., 1], self.x[..., 0]))
+        0-d arrays for one track, arrays for a stack."""
+        angle = np.arctan2(self.x[..., 1], self.x[..., 0])
+        # math.sin per track: numpy's vectorised sine may round differently
+        omega = np.array([math.sin(a) for a in angle.flat]).reshape(angle.shape)
+        return omega, np.hypot(self.x[..., 0], self.x[..., 1])
 
     def rows(self, idx) -> TrackState:
         """The tracks at ``idx`` of a stack, as a stack of their own."""
@@ -162,17 +158,11 @@ def predict(state: TrackState, tcfg: TrackerConfig) -> TrackState:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One-pilot position fix; invalid measurements carry ok=False.
+    """One-pilot position fixes, one entry per run; an invalid fix has
+    ``ok`` False and a NaN position row."""
 
-    :func:`measure_blocks` fills each field with one entry per run, with a
-    NaN position row where ``ok`` is False.
-    """
-
-    position: np.ndarray | None
-    omega: float
-    range_m: float
-    ok: bool
-    pilots: int = 1
+    position: np.ndarray    # (T, 2)
+    ok: np.ndarray          # (T,)
 
 
 def polar_to_cartesian(omega: float, r: float) -> np.ndarray:
@@ -195,31 +185,19 @@ def _positions(omega, range_m, valid) -> np.ndarray:
     return pos
 
 
-def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, zeta_pred, theta_pred,
+def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, omega_pred, range_pred,
                    noise: np.ndarray | None) -> Measurement:
     """One-pilot fixes for a (T, N) stack of channels, each refined around
-    its own predicted geometry with its own antenna noise row.
+    its own predicted (omega, range) with its own antenna noise row.
 
     A fix is invalid (prediction-only update downstream) when the
     refinement fails outright or when it has no usable position: a
     far-field or non-physical reading.
     """
-    res = refine_channels(cfg, hs, _per_run(math.sin, theta_pred), zeta_pred, noise)
+    res = refine_channels(cfg, hs, omega_pred, range_pred, noise)
     ok = (res.refined & (np.abs(res.omega) <= 1.0)
           & np.isfinite(res.range_m) & (res.range_m > 0.0))
-    return Measurement(position=_positions(res.omega, res.range_m, ok),
-                       omega=res.omega, range_m=res.range_m, ok=ok)
-
-
-def measure_block(cfg: ArrayConfig, channel, zeta_pred: float, theta_pred: float,
-                  noise_power: float, rng: np.random.Generator) -> Measurement:
-    """Refine around the predicted geometry with a single pilot: the
-    one-channel case of :func:`measure_blocks`."""
-    meas = measure_blocks(cfg, np.asarray(channel)[None], [zeta_pred], [theta_pred],
-                          antenna_noise([rng], cfg.n_antennas, noise_power))
-    ok = bool(meas.ok[0])
-    return Measurement(position=meas.position[0] if ok else None,
-                       omega=float(meas.omega[0]), range_m=float(meas.range_m[0]), ok=ok)
+    return Measurement(position=_positions(res.omega, res.range_m, ok), ok=ok)
 
 
 def _inverse(s: np.ndarray) -> np.ndarray:
@@ -264,18 +242,6 @@ def innovation_distances(pred: TrackState, meas_pos: np.ndarray,
     return (innov[..., None, :] @ np.linalg.solve(s, innov[..., None]))[..., 0, 0]
 
 
-def innovation_distance(pred: TrackState, meas_pos: np.ndarray,
-                        tcfg: TrackerConfig) -> float:
-    """Squared Mahalanobis distance of a measurement from the prediction."""
-    return float(innovation_distances(pred, meas_pos, tcfg))
-
-
-def filtered_channel(cfg: ArrayConfig, state: TrackState) -> np.ndarray:
-    """Estimated line-of-sight steering vector at the filtered geometry."""
-    zeta, theta = state.polar()
-    return steering_quadratic(cfg, _per_run(math.sin, theta), zeta)
-
-
 # ---------------------------------------------------------------------------
 # trajectories and tracking-time channels
 
@@ -295,16 +261,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class LineOfSight:
-    """The true geometry of every block of a trajectory, block 0 included,
-    with what depends on it alone (all arrays read-only).
+    """Per-block arrays that a trajectory's true geometry alone decides,
+    block 0 included (all read-only).
 
     ``steering[i]`` is the line-of-sight steering vector at block i and
     ``combiner_rows[i]`` the combined row of the continuous hybrid design
     there, which is the perfect-CSI combiner.
     """
 
-    omega: np.ndarray           # (n_blocks + 1,)
-    zeta: np.ndarray            # (n_blocks + 1,)
     steering: np.ndarray        # (n_blocks + 1, N)
     combiner_rows: np.ndarray   # (n_blocks + 1, N)
 
@@ -325,9 +289,9 @@ def _line_of_sight(cfg: ArrayConfig, start, velocity, dt: float,
     # block 0 is the start, which no block scores: it is not held to the range floor
     rows = np.concatenate([steering(cfg, omega[:1], zeta[:1], validate=False),
                            steering(cfg, omega[1:], zeta[1:])])
-    los = LineOfSight(omega=omega, zeta=zeta, steering=rows,
+    los = LineOfSight(steering=rows,
                       combiner_rows=design_hybrid(cfg, omega, zeta).combined_row())
-    for arr in (los.omega, los.zeta, los.steering, los.combiner_rows):
+    for arr in (los.steering, los.combiner_rows):
         arr.flags.writeable = False
     return los
 
@@ -354,8 +318,6 @@ class TrackingChannel:
 
     def __init__(self, cfg: ArrayConfig, traj: Trajectory, scen: TrackingScenario,
                  rngs):
-        self.cfg = cfg
-        self.traj = traj
         self.scen = scen
         self.los = line_of_sight(cfg, traj)
         lo, hi = scen.nlos_angle_range
@@ -370,9 +332,8 @@ class TrackingChannel:
                                       self.scatterers[..., 1].reshape(-1)
                                       ).reshape(len(rngs), scen.n_nlos, cfg.n_antennas)
 
-    def at_block(self, block: int, rngs):
-        """Returns (hs, omega_true, zeta_true, los_gains): one channel row
-        and line-of-sight gain per run, and the block's true geometry.
+    def at_block(self, block: int, rngs) -> np.ndarray:
+        """The (T, N) stack of the runs' block-``block`` channels.
 
         A run draws its fading gain, then each scatterer's gain, each as
         ``crandn(rng)``: one call per run draws the same normals in order.
@@ -385,11 +346,11 @@ class TrackingChannel:
         hs = g1[:, None] * self.los.steering[block]
         for j in range(self.scen.n_nlos):
             hs = hs + g_nlos[:, j, None] * self.nlos_steering[:, j]
-        return hs, self.los.omega[block], self.los.zeta[block], g1
+        return hs
 
 
-def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, zeta: float,
-                              omega: float, scen: TrackingScenario,
+def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, omega: float,
+                              zeta: float, scen: TrackingScenario,
                               n_trials: int = 300, seed: int = 0x5EED,
                               trim: float = 0.9) -> np.ndarray:
     """Monte Carlo 2x2 covariance of the one-pilot position fix.
@@ -417,8 +378,10 @@ def calibrate_measurement_cov(cfg: ArrayConfig, noise_power: float, zeta: float,
     if n_noise:
         noise = (_complex_normal(draws[:, n_gain:n_gain + n], draws[:, n_gain + n:])
                  * math.sqrt(noise_power))
-    meas = measure_blocks(cfg, hs, np.full(n_trials, zeta), np.full(n_trials, theta),
-                          noise)
+    # refined around sin(theta), the sine the truth is built from; it need
+    # not round back to omega
+    meas = measure_blocks(cfg, hs, np.full(n_trials, math.sin(theta)),
+                          np.full(n_trials, zeta), noise)
     errs = meas.position[meas.ok] - truth
     if len(errs) < 8:
         log.warning("calibration produced %d usable fixes; falling back to 1 m^2",
@@ -441,7 +404,7 @@ def tracker_for_run(cfg: ArrayConfig, tcfg: TrackerConfig, traj: Trajectory,
     if tcfg.meas_cov is not None:
         return tcfg
     omega, zeta = omega_range(traj.position(traj.n_blocks // 2))
-    cov = calibrate_measurement_cov(cfg, noise_power, zeta, omega, scen,
+    cov = calibrate_measurement_cov(cfg, noise_power, omega, zeta, scen,
                                     seed=seed ^ 0xC0FFEE)
     return replace(tcfg, meas_cov=cov)
 
@@ -521,21 +484,6 @@ class StepResult:
                    predicted=None, measured=pos, filtered=pos)
 
 
-def run_blocks(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
-               noise_power: float, rngs, scen: TrackingScenario,
-               step) -> list[list[BlockLog]]:
-    """Run one tracking scheme over the trajectory, block by block, for a
-    chunk of runs: one run (seed) per generator in ``rngs``.
-
-    Each block draws every run's channel, hands the (T, N) stack to
-    ``step(hs, rngs)`` (the scheme's pilots and estimate updates; it
-    returns a :class:`StepResult`), then scores each pointed beam against
-    the true geometry.  Returns each run's block logs.  This is the
-    one-scheme case of :func:`run_schemes`.
-    """
-    return run_schemes(cfg, traj, tcfg, noise_power, scen, [(step, rngs)])[0]
-
-
 def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
                 noise_power: float, scen: TrackingScenario,
                 runs) -> list[list[list[BlockLog]]]:
@@ -545,7 +493,8 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     the channels of all runs of all schemes as one stack and scores all
     beams together; each step sees only its own rows.  A run still draws
     only from its own generator, in the order it would alone.  Returns,
-    per scheme, each run's block logs.
+    per scheme, each run's block logs.  One scheme passes ``[(step,
+    rngs)]``, and one run of it ``[(step, [rng])]``.
 
     The run covers the tracker's ``n_blocks``, which may stop short of the
     trajectory's end or go past it along the same line: only the blocks
@@ -557,7 +506,7 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     chan = TrackingChannel(cfg, traj, scen, all_rngs)
     logs = [[[] for _ in rngs] for _, rngs in runs]
     for i in range(1, tcfg.n_blocks + 1):
-        hs, _, _, _ = chan.at_block(i, all_rngs)
+        hs = chan.at_block(i, all_rngs)
         outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
         rows = se_combiners(cfg, np.concatenate([out.omega for out in outs]),
                             np.concatenate([out.range_m for out in outs]))
@@ -565,8 +514,7 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
         gains = _block_gains(chan.los.steering[i], outs)
         truth = traj.position(i)
         for out, scheme_logs, a in zip(outs, logs, edges):
-            pilots = (out.pilots.tolist() if isinstance(out.pilots, np.ndarray)
-                      else [out.pilots] * len(scheme_logs))
+            pilots = np.broadcast_to(out.pilots, len(scheme_logs)).tolist()
             no_fix = np.isnan(out.measured).any(axis=1)
             for t, run in enumerate(scheme_logs):
                 run.append(BlockLog(
@@ -611,8 +559,7 @@ def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
                                cov=np.tile(np.diag(tcfg.init_cov_diag), (len(rngs), 1, 1)))
         state = predict(state, tcfg)
         pred_pos = state.position.copy()
-        zeta_p, theta_p = state.polar()
-        meas = measure_blocks(cfg, hs, zeta_p, theta_p,
+        meas = measure_blocks(cfg, hs, *state.geometry(),
                               antenna_noise(rngs, cfg.n_antennas, noise_power))
         accepted = np.flatnonzero(meas.ok)
         pred = state.rows(accepted)
@@ -625,9 +572,9 @@ def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
             fused = filter_update(pred, meas.position[accepted], tcfg)
             state.x[accepted], state.cov[accepted] = fused.x, fused.cov
         state.assert_valid()
-        zf, tf = state.polar()
-        return StepResult(beam=filtered_channel(cfg, state), omega=_per_run(math.sin, tf),
-                          range_m=zf, pilots=meas.pilots, predicted=pred_pos,
+        omega, range_m = state.geometry()
+        return StepResult(beam=steering_quadratic(cfg, omega, range_m), omega=omega,
+                          range_m=range_m, pilots=1, predicted=pred_pos,
                           measured=meas.position, filtered=state.position.copy())
 
     return step
@@ -676,8 +623,9 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         # every (run, candidate) pilot as one stack, each run's in order
         runs = [t for t, c in enumerate(cands) for _ in c]
         pairs = design.combiner(np.concatenate(cands))
-        z = subarray_outputs(cfg, pairs.w_blocks, hs[runs], noise_power,
-                             [rngs[t] for t in runs])
+        z = subarray_outputs(cfg, pairs.w_blocks, hs[runs],
+                             antenna_noise([rngs[t] for t in runs], cfg.n_antennas,
+                                           noise_power))
         powers = signal_powers(pairs.v, z)
         first = np.cumsum([0] + [len(c) for c in cands])
         p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]

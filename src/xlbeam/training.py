@@ -195,8 +195,7 @@ def _column_sweep(book: HybridCodebook, channel, noise_power: float,
                           rough_range=cw.distance, powers=powers, pilots=y.shape[0])
 
 
-def baseline_hfbs(cfg: ArrayConfig, book: HybridCodebook,
-                  channel: ChannelRealization | np.ndarray,
+def baseline_hfbs(book: HybridCodebook, channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
                   rng: np.random.Generator | None = None,
                   signal: np.ndarray | None = None) -> TrainingResult:
@@ -210,8 +209,7 @@ def baseline_hfbs(cfg: ArrayConfig, book: HybridCodebook,
     return _column_sweep(book, channel, noise_power, rng, 0, "hfbs", signal)
 
 
-def baseline_ffbs(cfg: ArrayConfig, book: HybridCodebook,
-                  channel: ChannelRealization | np.ndarray,
+def baseline_ffbs(book: HybridCodebook, channel: ChannelRealization | np.ndarray,
                   noise_power: float = 0.0,
                   rng: np.random.Generator | None = None,
                   signal: np.ndarray | None = None) -> TrainingResult:

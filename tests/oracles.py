@@ -12,10 +12,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from xlbeam.arrays import ArrayConfig, crandn, steering
+from xlbeam.arrays import ArrayConfig, antenna_noise, crandn, steering
 from xlbeam.codebooks import HybridCodebook
 from xlbeam.combining import CombinerPair, design_hybrid, hybrid_beam_gain
-from xlbeam.tracking import measure_block
+from xlbeam.tracking import measure_blocks
 
 
 def rayleigh_distance(cfg: ArrayConfig) -> float:
@@ -182,7 +182,7 @@ def uncached_tracking_run(cfg: ArrayConfig, traj, tcfg, noise_power: float, rng,
                           scen, step) -> list[tuple[float, float]]:
     """One seed's (gain, spectral efficiency) per block, nothing shared.
 
-    The reference for ``run_blocks``, which shares the trajectory's
+    The reference for ``run_schemes``, which shares the trajectory's
     line-of-sight stack, steers at each scatterer once and runs seeds in
     chunks.
     Here every block steers at the line of sight and at each scatterer
@@ -211,8 +211,8 @@ def uncached_perfect_csi_se(cfg: ArrayConfig, traj, scen, noise_power: float,
     return float(np.mean(ses))
 
 
-def sequential_calibration(cfg: ArrayConfig, noise_power: float, zeta: float,
-                           omega: float, scen, n_trials: int = 300,
+def sequential_calibration(cfg: ArrayConfig, noise_power: float, omega: float,
+                           zeta: float, scen, n_trials: int = 300,
                            seed: int = 0x5EED, trim: float = 0.9) -> np.ndarray:
     """``calibrate_measurement_cov`` one trial at a time: each trial draws
     its fading gain and then its pilot noise from the one stream as it
@@ -224,9 +224,10 @@ def sequential_calibration(cfg: ArrayConfig, noise_power: float, zeta: float,
     for _ in range(n_trials):
         g1 = crandn(rng) if scen.fading else 1.0 + 0j
         h = g1 * steering(cfg, omega, zeta)
-        meas = measure_block(cfg, h, zeta, theta, noise_power, rng)
-        if meas.ok:
-            errs.append(meas.position - truth)
+        meas = measure_blocks(cfg, h[None], [math.sin(theta)], [zeta],
+                              antenna_noise([rng], cfg.n_antennas, noise_power))
+        if meas.ok[0]:
+            errs.append(meas.position[0] - truth)
     if len(errs) < 8:
         return np.eye(2)
     errs = np.asarray(errs)

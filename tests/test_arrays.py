@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from oracles import rayleigh_distance
 
 from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, PathParams,
-                    QuadraticPhase, crandn, element_distance,
+                    QuadraticPhase, crandn, element_distance, realize,
                     sample_channel, steering, steering_far,
-                    steering_near, steering_quadratic, synthesize)
+                    steering_near, steering_quadratic)
 
 
 class TestGeometry:
@@ -218,7 +218,7 @@ class TestChannel:
 
     def test_synthesize_far_marker(self, cfg512):
         path = PathParams(gain=1.0 + 0j, omega=0.3, range_m=FAR_FIELD)
-        assert np.allclose(synthesize(cfg512, [path]), steering_far(cfg512, 0.3))
+        assert np.allclose(realize(cfg512, [path]).h, steering_far(cfg512, 0.3))
 
     def test_invalid_scenarios(self):
         # each message starts with the field it rejects, which the config

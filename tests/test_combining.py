@@ -5,9 +5,10 @@ import pytest
 
 from oracles import (analog_matrix, beam_center, chirp_sum, flat_top_gain,
                      gain_loss_bound, rayleigh_distance)
-from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, build_subarray_codebook,
-                    crandn, design_hybrid, hybrid_beam_gain, quantize_pointing,
-                    steering_far, steering_near, subarray_outputs, subarray_pointing)
+from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, antenna_noise,
+                    build_subarray_codebook, crandn, design_hybrid, hybrid_beam_gain,
+                    quantize_pointing, steering_far, steering_near, subarray_outputs,
+                    subarray_pointing)
 from xlbeam.arrays import PathParams, QuadraticPhase, realize
 
 EXAMPLE_THETA = -1 / 512
@@ -77,15 +78,17 @@ class TestSubarrayOutputs:
         rows = crandn(rng, (cfg128.n_rf, cfg128.m_per_sub))
         h = crandn(rng, cfg128.n_antennas)
         sigma2 = 0.3
-        z = subarray_outputs(cfg128, rows, h, sigma2, np.random.default_rng(9))
+        noise = antenna_noise([np.random.default_rng(9)], cfg128.n_antennas, sigma2)
+        z = subarray_outputs(cfg128, rows, h, noise)
         eta = crandn(np.random.default_rng(9), cfg128.n_antennas) * math.sqrt(sigma2)
         assert np.allclose(z, self.block_products(cfg128, rows, h + eta),
                            rtol=0, atol=1e-12)
 
     def test_noise_needs_rng(self, cfg128):
-        rows = np.ones((cfg128.n_rf, cfg128.m_per_sub), dtype=complex)
+        # receive functions take drawn noise rows; antenna_noise draws
+        # them and needs a generator for every row
         with pytest.raises(ValueError, match="rng"):
-            subarray_outputs(cfg128, rows, np.ones(cfg128.n_antennas), 0.1)
+            antenna_noise([None], cfg128.n_antennas, 0.1)
 
 
 class TestDesign:

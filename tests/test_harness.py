@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,22 @@ class TestTrainingExperiments:
                                  spec.schemes)
         assert calls
 
+    def test_workers_build_the_workspace_once(self, cfg128, monkeypatch):
+        # worker threads that start on a cold cache wait for one build; the
+        # sleep widens the window as the reference codebook's long build does
+        builds = []
+        build = experiments.build_hybrid_codebook
+
+        def slow_build(*args):
+            builds.append(args)
+            time.sleep(0.2)
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "build_hybrid_codebook", slow_build)
+        experiments.clear_workspace_cache()
+        positioning_cdf(desk_spec(cfg128, schemes=("thbt",), trials=4, workers=2))
+        assert len(builds) == 1
+
     def test_refinement_grid_rows(self, cfg512):
         from xlbeam.arrays import ChannelScenario
 
@@ -229,6 +246,18 @@ class TestTrackingExperiment:
                 uncached_perfect_csi_se(cfg128, spec.trajectory, spec.tracking_scenario,
                                         noise, trial_rng(spec.seed, s))
                 for noise in noises]
+
+    def test_perfect_csi_runs_the_trackers_blocks(self, cfg128, desk_workspace):
+        # a tracker that stops before the trajectory's end: the reference
+        # averages over the 5 blocks the schemes run, not the trajectory's 8
+        spec = replace(self.spec(cfg128, trials=3), schemes=("brpss",),
+                       tracker=TrackerConfig(dt=0.05, n_blocks=5))
+        noise = snr_db_to_noise_power(0.0, cfg128)
+        [perfect] = [r for r in tracking_experiment(spec) if r["scheme"] == "perfect_csi"]
+        ran = replace(spec.trajectory, n_blocks=5)
+        assert perfect["mean_se_bits"] == float(np.mean([
+            uncached_perfect_csi_se(cfg128, ran, spec.tracking_scenario, noise,
+                                    trial_rng(spec.seed, s)) for s in range(3)]))
 
     def test_a_seed_tracks_the_same_alone_or_in_a_chunk(self, cfg128, desk_workspace):
         spec = self.spec(cfg128, trials=64)

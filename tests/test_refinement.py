@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import chirp_sum, psp_band_ok, psp_model_oracle
-from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, estimate_offsets,
-                    measure_subarrays, phase_differences, refine, run_brpss,
-                    steering_near, steering_quadratic)
+from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, antenna_noise,
+                    estimate_offsets, measure_subarrays, phase_differences, refine,
+                    run_brpss, steering_near, steering_quadratic)
 from xlbeam.refinement import wrap_pi
 
 
@@ -50,9 +50,12 @@ class TestMeasurement:
     def test_noise_reproducible(self, cfg512):
         h = steering_near(cfg512, 0.3, 40.0)
         qp = QuadraticPhase.from_geometry(cfg512, 0.3, 40.0)
-        z1 = measure_subarrays(cfg512, h, qp.k, qp.b, 0.01, np.random.default_rng(5))
-        z2 = measure_subarrays(cfg512, h, qp.k, qp.b, 0.01, np.random.default_rng(5))
-        assert np.array_equal(z1, z2)
+
+        def pilot():
+            return measure_subarrays(cfg512, h, qp.k, qp.b,
+                                     antenna_noise([np.random.default_rng(5)], 512, 0.01))
+
+        assert np.array_equal(pilot(), pilot())
 
 
 class TestPhaseDifferences:
@@ -146,7 +149,7 @@ class TestNoiseConsistency:
         for noise in (1e-2, 1e-4, 1e-6):
             errs = []
             for _ in range(1000):
-                z = measure_subarrays(cfg512, h, k0, b0, noise, rng)
+                z = measure_subarrays(cfg512, h, k0, b0, antenna_noise([rng], 512, noise))
                 dk, db = estimate_offsets(cfg512, *phase_differences(z))
                 errs.append((abs(dk - dk_true), abs(db - db_true)))
             mean_err.append(np.mean(errs, axis=0))

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import rayleigh_distance, sequential_calibration, uncached_tracking_run
 from xlbeam import (FAR_FIELD, brpss_step, calibrate_measurement_cov, design_hybrid,
-                    ffbt_proxy_step, filter_update, filtered_channel, hfns_step,
-                    hybrid_beam_gain, measure_block, nfbt_step, predict,
-                    run_blocks, steering_far, steering_near)
+                    ffbt_proxy_step, filter_update, hfns_step, hybrid_beam_gain,
+                    measure_blocks, nfbt_step, predict, run_schemes, steering_far,
+                    steering_near, steering_quadratic)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
                              Trajectory, nearest_codeword, neighbor_codewords,
                              process_noise, transition_matrix)
@@ -105,27 +105,27 @@ class TestFilterUpdate:
 class TestFilteredChannel:
     def test_unit_norm(self, cfg512):
         state = TrackState(x=np.array([30.0, 40.0, 0.0, 0.0]), cov=np.eye(4))
-        f = filtered_channel(cfg512, state)
+        f = steering_quadratic(cfg512, *state.geometry())
         assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_alignment_at_truth(self, cfg512):
         # gain of the combiner designed from the filtered geometry against
         # the true channel steering vector
         state = TrackState(x=np.array([20.0, 15.0, 0.0, 0.0]), cov=np.eye(4))
-        zeta, theta = state.polar()
-        pair = design_hybrid(cfg512, math.sin(theta), zeta)
-        g = hybrid_beam_gain(cfg512, pair.combined_vector(), math.sin(theta), zeta)
+        omega, zeta = map(float, state.geometry())
+        pair = design_hybrid(cfg512, omega, zeta)
+        g = hybrid_beam_gain(cfg512, pair.combined_vector(), omega, zeta)
         assert g >= 0.95
         # and the chirp-model estimate itself is nearly exact
-        f = filtered_channel(cfg512, state)
-        assert hybrid_beam_gain(cfg512, f, math.sin(theta), zeta) >= 0.99
+        f = steering_quadratic(cfg512, omega, zeta)
+        assert hybrid_beam_gain(cfg512, f, omega, zeta) >= 0.99
 
     def test_far_user_reduces_to_plane_wave(self, cfg512):
         z = rayleigh_distance(cfg512)
         far = 100 * z
         state = TrackState(x=np.array([far * 0.8, far * 0.6, 0.0, 0.0]),
                            cov=np.eye(4))
-        f = filtered_channel(cfg512, state)
+        f = steering_quadratic(cfg512, *state.geometry())
         assert abs(np.vdot(steering_far(cfg512, 0.6), f)) >= 0.999
 
 
@@ -135,24 +135,23 @@ class TestMeasureBlock:
         zeta = float(np.hypot(*pos))
         theta = math.atan2(pos[1], pos[0])
         h = steering_near(cfg512, math.sin(theta), zeta)
-        meas = measure_block(cfg512, h, zeta, theta, 0.0,
-                             np.random.default_rng(0))
-        assert meas.ok and meas.pilots == 1
-        assert np.linalg.norm(meas.position - pos) <= 1e-3
+        meas = measure_blocks(cfg512, h[None], [math.sin(theta)], [zeta], None)
+        assert meas.ok[0]
+        assert np.linalg.norm(meas.position[0] - pos) <= 1e-3
 
     def test_dead_channel_flags_invalid(self, cfg512):
-        meas = measure_block(cfg512, np.zeros(512, dtype=complex), 30.0, 0.5,
-                             0.0, np.random.default_rng(0))
-        assert not meas.ok and meas.position is None
+        meas = measure_blocks(cfg512, np.zeros((1, 512), dtype=complex),
+                              [math.sin(0.5)], [30.0], None)
+        assert not meas.ok[0] and np.isnan(meas.position[0]).all()
 
 
 class TestRunTracking:
     def test_noiseless_run_keeps_alignment(self, cfg512):
         tcfg = TrackerConfig(dt=0.05, n_blocks=30, meas_cov=np.eye(2) * 1e-4)
         scen = TrackingScenario(fading=False, n_nlos=0)
-        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                           [np.random.default_rng(1)], scen,
-                           nfbt_step(cfg512, tcfg, 0.0, AT_REST))
+        step = nfbt_step(cfg512, tcfg, 0.0, AT_REST)
+        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                              [(step, [np.random.default_rng(1)])])
         assert len(log) == 30
         assert all(b.gain >= 0.99 for b in log)
         assert all(b.pilots == 1 for b in log)
@@ -169,7 +168,7 @@ class TestRunTracking:
                             est_zeta * math.sin(est_theta)])
             state = TrackState(x=np.array([est[0], est[1], 0.0, 0.0]),
                                cov=np.eye(4))
-            f = filtered_channel(cfg512, state)
+            f = steering_quadratic(cfg512, *state.geometry())
             gains.append(hybrid_beam_gain(cfg512, f, math.sin(theta), zeta))
         assert all(g2 <= g1 + 1e-6 for g1, g2 in zip(gains, gains[1:]))
 
@@ -183,8 +182,8 @@ class TestRunTracking:
         tcfg = make_tracker(n_blocks=7)
         for make_step in (lambda: brpss_step(cfg512, traj.start, noise),
                           lambda: nfbt_step(cfg512, tcfg, noise, [*traj.start, -20.0, 0.0])):
-            [log] = run_blocks(cfg512, traj, tcfg, noise, [np.random.default_rng(3)],
-                               scen, make_step())
+            [[log]] = run_schemes(cfg512, traj, tcfg, noise, scen,
+                                  [(make_step(), [np.random.default_rng(3)])])
             assert len(log) == 7 and np.array_equal(log[-1].truth, traj.position(7))
             ref = uncached_tracking_run(cfg512, traj, tcfg, noise, np.random.default_rng(3),
                                         scen, make_step())
@@ -193,14 +192,13 @@ class TestRunTracking:
         toward = Trajectory(start=(10.0, 5.0), velocity=(-20.0, 0.0), dt=0.05, n_blocks=20)
         assert np.hypot(*toward.position(5)) > cfg512.range_floor
         assert np.hypot(*toward.position(7)) < cfg512.range_floor
-        [log] = run_blocks(cfg512, toward, make_tracker(n_blocks=5), noise,
-                           [np.random.default_rng(4)], scen,
-                           brpss_step(cfg512, toward.start, noise))
+        [[log]] = run_schemes(cfg512, toward, make_tracker(n_blocks=5), noise, scen,
+                              [(brpss_step(cfg512, toward.start, noise),
+                                [np.random.default_rng(4)])])
         assert len(log) == 5
         with pytest.raises(ValueError, match="validity floor"):
-            run_blocks(cfg512, toward, make_tracker(n_blocks=8), noise,
-                       [np.random.default_rng(4)], scen,
-                       brpss_step(cfg512, toward.start, noise))
+            run_schemes(cfg512, toward, make_tracker(n_blocks=8), noise, scen,
+                        [(brpss_step(cfg512, toward.start, noise), [np.random.default_rng(4)])])
 
     def test_degrades_to_prediction_on_gated_measurements(self, cfg512):
         # an absurdly tight gate rejects every fix; the filter then coasts
@@ -210,9 +208,9 @@ class TestRunTracking:
         scen = TrackingScenario(fading=False, n_nlos=0)
         init = np.array([PAPER_TRAJ.start[0], PAPER_TRAJ.start[1],
                          PAPER_TRAJ.velocity[0], PAPER_TRAJ.velocity[1]])
-        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                           [np.random.default_rng(2)], scen,
-                           nfbt_step(cfg512, tcfg, 0.0, init))
+        step = nfbt_step(cfg512, tcfg, 0.0, init)
+        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                              [(step, [np.random.default_rng(2)])])
         for b in log:
             assert np.allclose(b.filtered, b.truth, atol=1e-9)
 
@@ -220,8 +218,8 @@ class TestRunTracking:
 class TestCalibration:
     def test_covariance_shape_and_scale(self, cfg512):
         scen = TrackingScenario(fading=True, n_nlos=0)
-        cov = calibrate_measurement_cov(cfg512, 1e-3 / 128, 55.0,
-                                        math.sqrt(3) / 2, scen, n_trials=150)
+        cov = calibrate_measurement_cov(cfg512, 1e-3 / 128, math.sqrt(3) / 2,
+                                        55.0, scen, n_trials=150)
         assert cov.shape == (2, 2)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
         # errors concentrate along the radial direction at 60 degrees
@@ -234,14 +232,14 @@ class TestCalibration:
         # all trials' normals drawn at once and refined as one stack give
         # exactly what drawing and refining one trial at a time gives
         scen = TrackingScenario(fading=fading)
-        args = (cfg512, noise, 40.0, 0.5, scen)
+        args = (cfg512, noise, 0.5, 40.0, scen)
         assert np.array_equal(calibrate_measurement_cov(*args, n_trials=60),
                               sequential_calibration(*args, n_trials=60))
 
     def test_deterministic(self, cfg512):
         scen = TrackingScenario()
-        a = calibrate_measurement_cov(cfg512, 1e-3, 40.0, 0.5, scen, n_trials=60)
-        b = calibrate_measurement_cov(cfg512, 1e-3, 40.0, 0.5, scen, n_trials=60)
+        a = calibrate_measurement_cov(cfg512, 1e-3, 0.5, 40.0, scen, n_trials=60)
+        b = calibrate_measurement_cov(cfg512, 1e-3, 0.5, 40.0, scen, n_trials=60)
         assert np.array_equal(a, b)
 
 
@@ -249,28 +247,28 @@ class TestBaselines:
     def test_brpss_only_pilots_and_noiseless_gain(self, cfg512):
         tcfg = TrackerConfig(dt=0.05, n_blocks=20, meas_cov=np.eye(2))
         scen = TrackingScenario(fading=False, n_nlos=0)
-        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                           [np.random.default_rng(3)], scen,
-                           brpss_step(cfg512, PAPER_TRAJ.start, 0.0))
+        step = brpss_step(cfg512, PAPER_TRAJ.start, 0.0)
+        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                              [(step, [np.random.default_rng(3)])])
         assert all(b.pilots == 1 for b in log)
         assert all(b.gain >= 0.98 for b in log)
 
     def test_hfns_pilots(self, cfg512, full_workspace):
         _, _, design = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                           [np.random.default_rng(4)],
-                           TrackingScenario(fading=False, n_nlos=0),
-                           hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0))
+        step = hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0)
+        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                              TrackingScenario(fading=False, n_nlos=0),
+                              [(step, [np.random.default_rng(4)])])
         assert all(b.pilots == 5 for b in log)
 
     def test_ffbt_proxy_pilots(self, cfg512, full_workspace):
         book, _, _ = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
-        [log] = run_blocks(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                           [np.random.default_rng(5)],
-                           TrackingScenario(fading=False, n_nlos=0),
-                           ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0))
+        step = ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0)
+        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                              TrackingScenario(fading=False, n_nlos=0),
+                              [(step, [np.random.default_rng(5)])])
         assert all(b.pilots == 3 for b in log)
 
     def test_neighbor_sets(self, full_workspace):

@@ -5,9 +5,8 @@ import pytest
 
 from oracles import gain_loss_bound, valid_placements
 from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
-                    baseline_ffbs, baseline_hfbs, run_thbt, sample_channel,
-                    stage1_sweep, stage2_select, steering_far, subarray_pointing,
-                    synthesize)
+                    baseline_ffbs, baseline_hfbs, realize, run_thbt, sample_channel,
+                    stage1_sweep, stage2_select, steering_far, subarray_pointing)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
 from xlbeam.training import sweep_signals
 
@@ -173,7 +172,7 @@ class TestSelection:
                 continue
             h = self._single_path_channel(cfg128, book, p)
             thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, h))
-            hfbs = baseline_hfbs(cfg128, book, h)
+            hfbs = baseline_hfbs(book, h)
             assert thbt.best_index == hfbs.best_index == p
 
     def test_zero_channel_tie_break(self, cfg128, desk_workspace):
@@ -227,23 +226,23 @@ class TestRoughPosition:
 
 
 class TestBaselines:
-    def test_hfbs_pilot_budget(self, cfg512, full_workspace):
+    def test_hfbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
         h = np.zeros(512, dtype=complex)
-        res = baseline_hfbs(cfg512, book, h)
+        res = baseline_hfbs(book, h)
         assert res.pilots == 6144
 
-    def test_ffbs_pilot_budget(self, cfg512, full_workspace):
+    def test_ffbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
-        res = baseline_ffbs(cfg512, book, np.zeros(512, dtype=complex))
+        res = baseline_ffbs(book, np.zeros(512, dtype=complex))
         assert res.pilots == 512
 
     def test_ffbs_matches_hfbs_on_far_channel(self, cfg128, desk_workspace):
         book, _, _ = desk_workspace
-        h = synthesize(cfg128, [PathParams(gain=1.0 + 0j, omega=0.63,
-                                           range_m=FAR_FIELD)])
-        hfbs = baseline_hfbs(cfg128, book, h)
-        ffbs = baseline_ffbs(cfg128, book, h)
+        h = realize(cfg128, [PathParams(gain=1.0 + 0j, omega=0.63,
+                                        range_m=FAR_FIELD)]).h
+        hfbs = baseline_hfbs(book, h)
+        ffbs = baseline_ffbs(book, h)
         assert hfbs.best_index == ffbs.best_index
         assert ffbs.is_far
 
@@ -259,7 +258,7 @@ class TestBaselines:
             ch = sample_channel(cfg128, rng,
                                 ChannelScenario(n_paths=1, gain_vars=(1.0,)))
             thbt = run_thbt(cfg128, book, design, ch)
-            hfbs = baseline_hfbs(cfg128, book, ch)
+            hfbs = baseline_hfbs(book, ch)
             g_t = math.sqrt(thbt.powers[thbt.best_index - 1])
             g_h = math.sqrt(hfbs.powers[hfbs.best_index - 1])
             assert g_t >= floor * g_h
@@ -293,17 +292,17 @@ class TestSweepSignals:
         np.testing.assert_allclose(y, (book.matrix.conj().T @ stack[:3].T).T,
                                    rtol=0, atol=1e-13)
 
-    def test_precomputed_signal_gives_the_same_sweep(self, cfg512, full_workspace, stack):
+    def test_precomputed_signal_gives_the_same_sweep(self, full_workspace, stack):
         book, _, _ = full_workspace
         y = sweep_signals(book, stack[:2])
         for scheme, first in ((baseline_hfbs, 0), (baseline_ffbs, book.n_near)):
-            given = scheme(cfg512, book, stack[1], 1e-3, np.random.default_rng(3),
+            given = scheme(book, stack[1], 1e-3, np.random.default_rng(3),
                            signal=y[1, first:])
-            alone = scheme(cfg512, book, stack[1], 1e-3, np.random.default_rng(3))
+            alone = scheme(book, stack[1], 1e-3, np.random.default_rng(3))
             assert given.best_index == alone.best_index
             assert np.array_equal(given.powers, alone.powers)
 
-    def test_signal_of_the_wrong_width_raises(self, cfg512, full_workspace, stack):
+    def test_signal_of_the_wrong_width_raises(self, full_workspace, stack):
         book, _, _ = full_workspace
         with pytest.raises(ValueError, match="ffbs signal"):
-            baseline_ffbs(cfg512, book, stack[0], signal=sweep_signals(book, stack[0])[0])
+            baseline_ffbs(book, stack[0], signal=sweep_signals(book, stack[0])[0])
