@@ -88,10 +88,10 @@ def _antenna_offsets(n_antennas: int) -> np.ndarray:
     return offsets
 
 
-# A training trial steers one source at a time, several times over, and a
-# one-source numpy column made each steering call about 15 us (a half)
-# slower than a plain number does (N = 512).  So a number stays a number
-# and these helpers take either; everything else works on arrays.
+# A one-source numpy column made each steering call about 15 us (a half)
+# slower than a plain number does (N = 512), measured when a training trial
+# steered one source at a time.  So a number stays a number and these
+# helpers take either; everything else works on arrays.
 
 def _is_array(x) -> bool:
     # cheaper than np.ndim, which builds an array from a Python number

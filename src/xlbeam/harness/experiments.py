@@ -10,22 +10,23 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..arrays import (ArrayConfig, ChannelRealization, ChannelScenario,
+from ..arrays import (ArrayConfig, ChannelRealization, ChannelScenario, antenna_noise,
                       sample_channel, snr_db_to_noise_power)
 from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook,
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
-from ..refinement import run_brpss
+from ..refinement import refine_channels
 from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, Trajectory,
                         brpss_step, ffbt_proxy_step, hfns_step, line_of_sight,
                         nfbt_step, polar_to_cartesian, run_schemes, se_bits, signal_powers,
                         tracker_for_run)
 from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
-                        design_all, run_thbt, sweep_signals)
+                        design_all, stage1_sweep, stage2_select, sweep_signals)
 from .runner import run_trials, trial_rng
 
 QUANTILE_GRID = [round(0.01 * i, 2) for i in range(101)]
@@ -77,7 +78,7 @@ def clear_workspace_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-trial scheme evaluation
+# per-chunk scheme evaluation
 
 
 def _position_error(channel, omega: float, r: float) -> float:
@@ -91,78 +92,81 @@ def _position_error(channel, omega: float, r: float) -> float:
 
 
 @dataclass
-class _TrainingTrial:
-    """One channel draw and what every training scheme measures it with."""
+class _TrainingChunk:
+    """A chunk's channel draws and what every training scheme measures them with."""
 
     cfg: ArrayConfig
     book: HybridCodebook
     design: TrainedDesign
-    channel: ChannelRealization
+    channels: list[ChannelRealization]
+    hs: np.ndarray = field(repr=False)              # (T, N) channel stack
     noise: float
-    rng: np.random.Generator
-    signal: np.ndarray | None = field(default=None, repr=False)  # sweep outputs from column `first` on
+    rngs: Sequence[np.random.Generator]
+    signals: np.ndarray | None = field(default=None, repr=False)  # sweep outputs from column `first` on
     first: int = 0
     _thbt: TrainingResult | None = None
 
     @property
     def thbt(self) -> TrainingResult:
-        """The trial's one two-stage run, shared by thbt and thbt_brpss.
+        """The chunk's one stacked two-stage run, shared by thbt and thbt_brpss.
 
         Not a functools.cached_property: before Python 3.12 that holds one
         lock for all instances, which would serialise worker threads."""
         if self._thbt is None:
-            self._thbt = run_thbt(self.cfg, self.book, self.design,
-                                  self.channel, self.noise, self.rng)
+            sweep = stage1_sweep(self.cfg, self.design.sub_book, self.hs, self.noise,
+                                 self.rngs)
+            self._thbt = stage2_select(self.book, self.design, sweep)
         return self._thbt
 
-    def signal_from(self, first: int) -> np.ndarray:
-        """The chunk's precomputed sweep outputs for 0-based columns ``first`` on."""
-        return self.signal[first - self.first:]
+    def continuous_beams(self, omegas, ranges) -> np.ndarray:
+        """The hybrid beams designed with continuous subarray beams at each
+        (omega, r), one row per trial."""
+        return design_hybrid(self.cfg, omegas, ranges).combined_vector()
 
-    def continuous_beam(self, omega: float, r: float) -> np.ndarray:
-        """The hybrid beam designed with continuous subarray beams at (omega, r)."""
-        return design_hybrid(self.cfg, omega, r).combined_vector()
-
-    def swept(self, res: TrainingResult) -> tuple:
-        """A sweep baseline points its winning codeword."""
-        return (self.book.column(res.best_index), res.rough_omega,
-                res.rough_range, res.pilots)
-
-
-def _refined(t: _TrainingTrial) -> tuple:
-    """thbt's estimate refined with one pilot; omega is clipped once, before
-    both the beam and the position error use it."""
-    ref = run_brpss(t.cfg, t.channel, t.thbt.rough_omega, t.thbt.rough_range,
-                    t.noise, t.rng)
-    omega = float(np.clip(ref.omega, -1.0, 1.0))
-    return (t.continuous_beam(omega, ref.range_m), omega, ref.range_m,
-            t.thbt.pilots + ref.pilots)
+    def swept(self, baseline, first: int) -> tuple:
+        """Each trial's sweep baseline from 0-based column ``first`` on, one
+        trial after another; each points its winning codeword."""
+        runs = [baseline(self.book, channel, self.noise, rng,
+                         signal=signal[first - self.first:])
+                for channel, rng, signal in zip(self.channels, self.rngs, self.signals)]
+        return ([self.book.column(r.best_index) for r in runs],
+                [r.rough_omega for r in runs], [r.rough_range for r in runs],
+                runs[0].pilots)
 
 
-# scheme -> estimator(trial) -> (beam, omega, range, pilots spent), in the
-# order the schemes draw from a trial's rng.  The lambdas look the training
-# functions up when called, so rebinding a module attribute reaches them.
+def _refined(c: _TrainingChunk) -> tuple:
+    """thbt's estimates refined with one pilot each; omega is clipped once,
+    before both the beam and the position error use it."""
+    thbt = c.thbt
+    ref = refine_channels(c.cfg, c.hs, thbt.rough_omega, thbt.rough_range,
+                          antenna_noise(c.rngs, c.cfg.n_antennas, c.noise))
+    omegas = np.clip(ref.omega, -1.0, 1.0)
+    return (c.continuous_beams(omegas, ref.range_m), omegas, ref.range_m,
+            thbt.pilots + ref.pilots)
+
+
+# scheme -> estimator(chunk) -> (beams, omegas, ranges, pilots spent), one
+# beam, omega and range per trial, in the order the schemes draw from each
+# trial's rng.  The estimators look the training functions up when called,
+# so rebinding a module attribute reaches them.
 TRAINING_SCHEMES = {
-    "thbt": lambda t: (t.continuous_beam(t.thbt.rough_omega, t.thbt.rough_range),
-                       t.thbt.rough_omega, t.thbt.rough_range, t.thbt.pilots),
+    "thbt": lambda c: (c.continuous_beams(c.thbt.rough_omega, c.thbt.rough_range),
+                       c.thbt.rough_omega, c.thbt.rough_range, c.thbt.pilots),
     "thbt_brpss": _refined,
-    "hfbs": lambda t: t.swept(baseline_hfbs(t.book, t.channel, t.noise, t.rng,
-                                            signal=t.signal_from(0))),
-    "ffbs": lambda t: t.swept(baseline_ffbs(t.book, t.channel, t.noise, t.rng,
-                                            signal=t.signal_from(t.book.n_near))),
+    "hfbs": lambda c: c.swept(baseline_hfbs, 0),
+    "ffbs": lambda c: c.swept(baseline_ffbs, c.book.n_near),
 }
 
 
 def _chunk_channels(cfg: ArrayConfig, book: HybridCodebook, scenario: ChannelScenario,
-                    rngs, first: int | None) -> tuple[list, list]:
-    """A chunk's channels, one first draw from each trial's rng, and their
-    noiseless column-sweep outputs from 0-based column ``first`` on, all
-    from one codebook product (a None per channel when ``first`` is None:
-    no sweep runs)."""
+                    rngs, first: int | None) -> tuple:
+    """A chunk's channels, one first draw from each trial's rng, their (T, N)
+    stack, and their noiseless column-sweep outputs from 0-based column
+    ``first`` on, all from one codebook product (None when ``first`` is
+    None: no sweep runs)."""
     channels = [sample_channel(cfg, rng, scenario) for rng in rngs]
-    if first is None:
-        return channels, [None] * len(channels)
-    return channels, list(sweep_signals(book, np.stack([c.h for c in channels]), first))
+    hs = np.stack([c.h for c in channels])
+    return channels, hs, None if first is None else sweep_signals(book, hs, first)
 
 
 def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
@@ -171,29 +175,29 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
     """One channel draw per rng, all requested schemes measured on each.
 
     Every scheme is scored the same way: the alignment gain of the beam it
-    points and the position error of the (omega, r) it reports.  The
-    chunk's sweep baselines share one codebook product, which draws
-    nothing, so each trial uses its rng exactly as it would alone: the
-    channel first, then the schemes in ``TRAINING_SCHEMES`` order.
+    points and the position error of the (omega, r) it reports.  Each
+    scheme runs once for the whole chunk, in ``TRAINING_SCHEMES`` order,
+    and draws each trial's noise from that trial's rng, so each trial uses
+    its rng exactly as it would alone: the channel first, then the schemes
+    in table order.
     """
     cfg = spec.cfg
     book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
     first = 0 if "hfbs" in schemes else book.n_near if "ffbs" in schemes else None
-    channels, signals = _chunk_channels(cfg, book, scenario, rngs, first)
-    results = []
-    for channel, signal, rng in zip(channels, signals, rngs):
-        trial = _TrainingTrial(cfg, book, design, channel, noise_power, rng, signal,
-                               first or 0)
-        out = {}
-        for scheme, estimate in TRAINING_SCHEMES.items():
-            if scheme in schemes:
-                beam, omega, r, pilots = estimate(trial)
+    channels, hs, signals = _chunk_channels(cfg, book, scenario, rngs, first)
+    chunk = _TrainingChunk(cfg, book, design, channels, hs, noise_power, rngs,
+                           signals, first or 0)
+    results = [{} for _ in channels]
+    for scheme, estimate in TRAINING_SCHEMES.items():
+        if scheme in schemes:
+            beams, omegas, ranges, pilots = estimate(chunk)
+            for out, channel, beam, omega, r in zip(results, channels, beams,
+                                                    omegas, ranges):
                 out[scheme] = {
-                    "gain": alignment_gain(trial.channel, beam),
-                    "error_m": _position_error(trial.channel, omega, r),
+                    "gain": alignment_gain(channel, beam),
+                    "error_m": _position_error(channel, omega, r),
                     "pilots": pilots,
                 }
-        results.append(out)
     return results
 
 
@@ -286,14 +290,14 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
         book, _, _ = workspace(spec.cfg, q, s)
 
         def worker(indices, rngs, _book=book):
-            channels, signals = _chunk_channels(spec.cfg, _book, scenario, rngs, 0)
-            errs = []
-            for channel, signal, rng in zip(channels, signals, rngs):
-                coarse = baseline_hfbs(_book, channel, signal=signal)
-                ref = run_brpss(spec.cfg, channel, coarse.rough_omega,
-                                coarse.rough_range, noise, rng)
-                errs.append(_position_error(channel, ref.omega, ref.range_m))
-            return errs
+            channels, hs, signals = _chunk_channels(spec.cfg, _book, scenario, rngs, 0)
+            coarse = [baseline_hfbs(_book, channel, signal=signal)
+                      for channel, signal in zip(channels, signals)]
+            ref = refine_channels(spec.cfg, hs, [c.rough_omega for c in coarse],
+                                  [c.rough_range for c in coarse],
+                                  antenna_noise(rngs, spec.cfg.n_antennas, noise))
+            return [_position_error(channel, omega, r)
+                    for channel, omega, r in zip(channels, ref.omega, ref.range_m)]
 
         errs = np.array(run_trials(worker, spec.trials, spec.seed, spec.workers))
         report = validate_quantization(spec.cfg, q, s)

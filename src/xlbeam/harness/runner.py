@@ -18,6 +18,15 @@ import numpy as np
 # and holds a few MB at the reference array.
 CHUNK_TRIALS = 64
 
+# Smallest chunk worth a worker of its own.  A chunk of a few trials is
+# dozens of small numpy calls that hold the interpreter lock, so a second
+# thread gains less than the smaller chunks cost.  Measured on tracking at
+# 2 workers: 6 seeds ran in 1.0 s as one chunk and 1.3 s as two chunks of
+# 3, broke even at two chunks of 8, and gained 16% at two chunks of 12.
+# Training at the reference array, 2 workers, also ran 4, 8 and 12 trials
+# faster as one chunk than as two.
+MIN_CHUNK_TRIALS = 8
+
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The canonical per-trial generator."""
@@ -27,13 +36,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def trial_chunks(n_trials: int, workers: int = 1) -> list[range]:
     """Split ``range(n_trials)`` into contiguous, near-equal chunks.
 
-    The chunk count is the smallest multiple of ``workers`` that keeps
-    every chunk at most ``CHUNK_TRIALS`` long, so no worker is left with a
-    long tail; it is capped at ``n_trials``, so no chunk is empty.
+    Only as many workers count as each get ``MIN_CHUNK_TRIALS`` trials
+    (at least one).  The chunk count is the smallest multiple of those
+    workers that keeps every chunk at most ``CHUNK_TRIALS`` long, so no
+    worker is left with a long tail; it is capped at ``n_trials``, so no
+    chunk is empty.
     """
     if n_trials <= 0:
         return []
-    workers = max(1, workers)
+    workers = max(1, min(workers, n_trials // MIN_CHUNK_TRIALS))
     per_round = workers * CHUNK_TRIALS
     n_chunks = min(n_trials, workers * -(-n_trials // per_round))
     size, extra = divmod(n_trials, n_chunks)     # the first `extra` get one more
@@ -57,7 +68,7 @@ def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> list:
         return out
 
     chunks = trial_chunks(n_trials, workers)
-    if workers <= 1:
+    if workers <= 1 or len(chunks) == 1:
         parts = [one(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -18,12 +18,14 @@ are independent.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, ChannelRealization, crandn, h_of
+from .arrays import ArrayConfig, ChannelRealization, antenna_noise, crandn, h_of
 from .codebooks import HybridCodebook, SubarrayCodebook
 from .combining import CombinerPair, quantize_pointing, subarray_pointing
 
@@ -32,7 +34,7 @@ from .combining import CombinerPair, quantize_pointing, subarray_pointing
 class Stage1Sweep:
     """All stage-1 measurements: z[m, t] is beam m's output on RF chain t."""
 
-    z: np.ndarray = field(repr=False)        # (M, N_RF) complex
+    z: np.ndarray = field(repr=False)        # (M, N_RF) complex; (T, M, N_RF) stacked
     signal: np.ndarray = field(repr=False)   # noiseless part
     noise: np.ndarray = field(repr=False)    # added; i.i.d. CN(0, M sigma^2) per RF output
     pilots: int = 0
@@ -52,6 +54,8 @@ class TrainedDesign:
     psi: np.ndarray = field(repr=False)       # (P, N_RF)
     m_idx: np.ndarray = field(repr=False)     # (P, N_RF) 0-based
     v: np.ndarray = field(repr=False)         # (P, N_RF) complex
+    # (P, N_RF): where z[m_idx[p, t], t] sits in a sweep's flattened (M, N_RF) outputs
+    gather: np.ndarray = field(repr=False)
 
     def combiner(self, p) -> CombinerPair:
         """Materialize codeword p's combiner pair (p is 1-based); an array of
@@ -82,12 +86,19 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
         fc[:, t] = gt[m_idx[:, t], np.arange(p_total)]
     norms = np.linalg.norm(fc, axis=1)
     v = fc.conj() / (math.sqrt(m) * norms[:, None])
-    return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v)
+    return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v,
+                         gather=m_idx * n_rf + np.arange(n_rf))
 
 
 @dataclass
 class TrainingResult:
-    """Outcome of one beam-training run."""
+    """Outcome of one beam-training run.
+
+    A stacked run (:func:`stage2_select` on a stacked sweep) fills
+    ``best_index``, ``rough_omega`` and ``rough_range`` with one entry per
+    channel and ``powers`` with one row per channel (``is_far`` is for a
+    single result).
+    """
 
     scheme: str
     best_index: int                       # 1-based codeword index
@@ -103,50 +114,89 @@ class TrainingResult:
 
 def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
                  noise_power: float = 0.0,
-                 rng: np.random.Generator | None = None) -> Stage1Sweep:
-    """Sweep all M DFT beams; every subarray applies beam m on pilot m."""
+                 rng: np.random.Generator | Sequence | None = None) -> Stage1Sweep:
+    """Sweep all M DFT beams; every subarray applies beam m on pilot m.
+
+    ``h`` may be a (T, N) stack of channels, with ``rng`` a sequence of one
+    generator per channel: ``z``, ``signal`` and ``noise`` then get a
+    leading trial axis, and each channel's noise comes from its own
+    generator.  The sweeps of a stack are one stacked matrix product.
+    """
     m, n_rf = cfg.m_per_sub, cfg.n_rf
-    h_blocks = np.asarray(h).reshape(n_rf, m).T                     # (M, N_RF)
-    signal = sub_book.matrix.conj().T @ h_blocks                    # (M, N_RF)
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy sweep needs an rng")
-        noise = crandn(rng, (m, n_rf)) * math.sqrt(m * noise_power)
-    else:
-        noise = np.zeros_like(signal)
+    h = np.asarray(h)
+    h_blocks = h.reshape(*h.shape[:-1], n_rf, m).swapaxes(-1, -2)   # (..., M, N_RF)
+    signal = sub_book.matrix.conj().T @ h_blocks                     # (..., M, N_RF)
+    # the RF-output noise has the law of M x N_RF antenna samples of power M sigma^2
+    rngs = [rng] if h.ndim == 1 or rng is None else rng
+    noise = antenna_noise(rngs, m * n_rf, m * noise_power)
+    noise = np.zeros_like(signal) if noise is None else noise.reshape(signal.shape)
     return Stage1Sweep(z=signal + noise, signal=signal, noise=noise, pilots=m)
 
 
-def assemble_reused(sweep: Stage1Sweep, design: TrainedDesign, p) -> np.ndarray:
-    """Reassemble codeword p's RF outputs from the stage-1 measurements.
+def assemble_reused(z: np.ndarray, design: TrainedDesign, p=None) -> np.ndarray:
+    """Reassemble codeword p's RF outputs from one channel's stage-1
+    measurements ``z`` (a sweep's (M, N_RF) ``z``).
 
-    Entry t is copied from sweep measurement ``z[m_t(p), t]``; no pilot is
+    Entry t is copied from measurement ``z[m_t(p), t]``; no pilot is
     consumed.  ``p`` is 1-based; an array of indices gives one row of N_RF
-    outputs per codeword.
+    outputs per codeword, and ``None`` the (P, N_RF) rows of every codeword.
     """
-    rows = np.take(design.m_idx, p - 1, axis=0)     # faster than m_idx[p - 1] for arrays
-    return sweep.z[rows, np.arange(rows.shape[-1])]
+    rows = design.gather if p is None else np.take(design.gather, p - 1, axis=0)
+    return np.take(z, rows)
+
+
+def _chain_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit, as a few whole-array additions.
+
+    numpy's reduce runs its inner loop once per row, which for rows of a
+    few RF chains costs more than the additions themselves.  numpy adds a
+    row of 4 <= n <= 64 complex numbers as ``(s0 + s1) + (s2 + s3)``,
+    where ``s_k`` adds entries k, k + 4, ... of the first n - n % 4 in
+    turn, and then the remaining entries in turn.  Other rows go to
+    numpy's sum.
+    """
+    n = x.shape[-1]
+    if not 4 <= n <= 64:
+        return x.sum(axis=-1)
+    q = n - n % 4
+    s = [functools.reduce(np.add, (x[..., i] for i in range(k, q, 4))) for k in range(4)]
+    return functools.reduce(np.add, (x[..., i] for i in range(q, n)),
+                            (s[0] + s[1]) + (s[2] + s[3]))
 
 
 def stage2_select(book: HybridCodebook, design: TrainedDesign,
                   sweep: Stage1Sweep) -> TrainingResult:
     """Test every codeword digitally and pick the largest combined power.
 
-    Exact power ties break toward the smaller codeword index.
+    Exact power ties break toward the smaller codeword index.  A stacked
+    sweep gives a stacked result (see :class:`TrainingResult`); its
+    channels are scored one after another, so the (P, N_RF) reassembled
+    outputs are held for one channel at a time.
     """
-    zz = assemble_reused(sweep, design, np.arange(1, book.n_columns + 1))  # (P, N_RF)
-    y = (design.v * zz).sum(axis=1)
-    powers = np.abs(y) ** 2
-    p_best = int(np.argmax(powers)) + 1                             # argmax = first max
-    cw = book.params(p_best)
-    return TrainingResult(scheme="thbt", best_index=p_best, rough_omega=cw.theta,
-                          rough_range=cw.distance, powers=powers, pilots=sweep.pilots)
+    z = sweep.z.reshape(-1, *sweep.z.shape[-2:])                    # (T, M, N_RF)
+    powers = np.empty((len(z), book.n_columns))
+    for z_t, out in zip(z, powers):
+        zz = assemble_reused(z_t, design)                           # (P, N_RF)
+        # |sum_t v * zz| ** 2, computed in place
+        np.abs(_chain_sum(np.multiply(design.v, zz, out=zz)), out=out)
+        np.square(out, out=out)
+    best = np.argmax(powers, axis=-1) + 1                            # argmax = first max
+    cws = [book.params(int(p)) for p in best]
+    if sweep.z.ndim == 2:
+        return TrainingResult(scheme="thbt", best_index=int(best[0]),
+                              rough_omega=cws[0].theta, rough_range=cws[0].distance,
+                              powers=powers[0], pilots=sweep.pilots)
+    return TrainingResult(scheme="thbt", best_index=best,
+                          rough_omega=np.array([cw.theta for cw in cws]),
+                          rough_range=np.array([cw.distance for cw in cws]),
+                          powers=powers, pilots=sweep.pilots)
 
 
 def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
              channel: ChannelRealization | np.ndarray, noise_power: float = 0.0,
              rng: np.random.Generator | None = None) -> TrainingResult:
-    """Full two-stage training: M pilots swept, zero pilots in stage 2."""
+    """Full two-stage training of one channel: M pilots swept, zero pilots
+    in stage 2."""
     sweep = stage1_sweep(cfg, design.sub_book, h_of(channel), noise_power, rng)
     return stage2_select(book, design, sweep)
 

@@ -111,7 +111,7 @@ def test_criterion_04_noiseless_exactness(cfg128, cfg512, desk_workspace,
         rows = design5.m_idx[int(p) - 1]
         direct = (sweep.signal[rows, np.arange(n_rf)]
                   + sweep.noise[rows, np.arange(n_rf)])
-        assert np.array_equal(assemble_reused(sweep, design5, int(p)), direct)
+        assert np.array_equal(assemble_reused(sweep.z, design5, int(p)), direct)
     report("4 noiseless exactness",
            f"{book.n_columns} desk codewords + {len(picks)} full-scale")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from xlbeam.cli import (experiment_spec_of, main, parse_array, scenario_of,
                         tracker_config_of, tracking_scenario_of, trajectory_of)
+from xlbeam.harness import runner
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
 DESK_PATHS = {"count": 3, "gain_vars": [1.0, 0.01, 0.01],
@@ -110,7 +111,10 @@ class TestSweep:
             outs.append((out / "gain_vs_snr.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # split the 12 trials per thread, below the chunk rule's minimum
+        monkeypatch.setattr(runner, "MIN_CHUNK_TRIALS", 1)
+        assert len(runner.trial_chunks(12, 2)) == 2
         cfg = write_config(tmp_path, "cfg.json", sweep_config())
         blobs = []
         for name, threads in (("t1", "1"), ("t2", "2")):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             refinement_grid, require_keys, run_trials, svg_line_plot,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
-from xlbeam.harness import experiments
+from xlbeam.harness import experiments, runner
 from xlbeam.harness.experiments import evaluate_training_trials
-from xlbeam.harness.runner import CHUNK_TRIALS, trial_chunks
+from xlbeam.harness.runner import CHUNK_TRIALS, MIN_CHUNK_TRIALS, trial_chunks
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
 
@@ -57,12 +58,14 @@ class TestRunner:
 
     @pytest.mark.parametrize("n_trials, workers, sizes", [
         (1, 3, [1]), (65, 1, [33, 32]), (130, 2, [33, 33, 32, 32]),
-        (600, 2, [60] * 10), (128, 2, [64, 64]), (5, 2, [3, 2])])
+        (600, 2, [60] * 10), (128, 2, [64, 64]), (5, 2, [5]), (15, 2, [15]),
+        (16, 2, [8, 8]), (20, 3, [10, 10])])
     def test_chunks_are_contiguous_and_balanced(self, n_trials, workers, sizes):
         chunks = trial_chunks(n_trials, workers)
         assert [len(c) for c in chunks] == sizes
         assert [i for c in chunks for i in c] == list(range(n_trials))
         assert max(sizes) <= CHUNK_TRIALS
+        assert len(sizes) == 1 or min(sizes) >= MIN_CHUNK_TRIALS
 
     def test_worker_must_return_one_result_per_trial(self):
         with pytest.raises(ValueError, match="2 results for 3 trials"):
@@ -148,8 +151,8 @@ class TestTrainingExperiments:
         spec = desk_spec(cfg128, r_max_grid=(12.0, 40.0))
         assert gain_vs_distance(spec) == gain_vs_distance(replace(spec, workers=2))
 
-    @pytest.mark.parametrize("name", ["run_thbt", "run_brpss", "baseline_hfbs",
-                                      "baseline_ffbs", "design_hybrid"])
+    @pytest.mark.parametrize("name", ["stage1_sweep", "stage2_select", "refine_channels",
+                                      "baseline_hfbs", "baseline_ffbs", "design_hybrid"])
     def test_schemes_look_up_functions_when_called(self, cfg128, desk_workspace,
                                                    monkeypatch, name):
         # a rebound module attribute (as a tracer installs) must be the one
@@ -167,6 +170,23 @@ class TestTrainingExperiments:
                                  spec.schemes)
         assert calls
 
+    def test_a_training_chunk_stays_small(self, cfg512):
+        # one full chunk of thbt and thbt_brpss at the reference array: the
+        # stage-2 outputs of every codeword are reassembled for one channel
+        # at a time, so the chunk holds a few MB beyond its channels
+        spec = ExperimentSpec(cfg=cfg512, n_angles=512, n_rings=11,
+                              schemes=("thbt", "thbt_brpss"))
+        experiments.workspace(cfg512, 512, 11)
+        rngs = [trial_rng(3, i) for i in range(CHUNK_TRIALS)]
+        tracemalloc.start()
+        try:
+            evaluate_training_trials(spec, snr_db_to_noise_power(20.0, cfg512),
+                                     spec.scenario, rngs, spec.schemes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     def test_workers_build_the_workspace_once(self, cfg128, monkeypatch):
         # worker threads that start on a cold cache wait for one build; the
         # sleep widens the window as the reference codebook's long build does
@@ -179,6 +199,9 @@ class TestTrainingExperiments:
             return build(*args)
 
         monkeypatch.setattr(experiments, "build_hybrid_codebook", slow_build)
+        # two threads, though 4 trials are below the chunk rule's minimum
+        monkeypatch.setattr(runner, "MIN_CHUNK_TRIALS", 1)
+        assert len(trial_chunks(4, 2)) == 2
         experiments.clear_workspace_cache()
         positioning_cdf(desk_spec(cfg128, schemes=("thbt",), trials=4, workers=2))
         assert len(builds) == 1
@@ -277,7 +300,9 @@ class TestTrackingExperiment:
 
     @pytest.mark.parametrize("trials", [1, 7, 70])
     def test_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace, tmp_path,
-                                                trials):
+                                                monkeypatch, trials):
+        # one chunk per worker even below the chunk rule's minimum (7 trials)
+        monkeypatch.setattr(runner, "MIN_CHUNK_TRIALS", 1)
         blobs = []
         for workers in (1, 2, 3):
             spec = self.spec(cfg128, trials=trials, workers=workers,

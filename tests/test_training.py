@@ -100,7 +100,7 @@ class TestReuse:
         ch = sample_channel(cfg128, rng)
         sweep = stage1_sweep(cfg128, sub, ch.h)
         for p in (1, 57, book.n_columns):
-            z_p = assemble_reused(sweep, design, p)
+            z_p = assemble_reused(sweep.z, design, p)
             pair = design.combiner(p)
             direct = np.einsum("tm,tm->t", pair.w_blocks,
                                ch.h.reshape(cfg128.n_rf, cfg128.m_per_sub))
@@ -114,7 +114,7 @@ class TestReuse:
         ch = sample_channel(cfg128, rng)
         sweep = stage1_sweep(cfg128, sub, ch.h, noise_power=0.05, rng=rng)
         for p in (5, 200, book.n_columns - 3):
-            z_p = assemble_reused(sweep, design, p)
+            z_p = assemble_reused(sweep.z, design, p)
             rows = design.m_idx[p - 1]
             direct = (sweep.signal[rows, np.arange(cfg128.n_rf)]
                       + sweep.noise[rows, np.arange(cfg128.n_rf)])
@@ -127,8 +127,9 @@ class TestReuse:
         sweep = stage1_sweep(cfg128, sub, h, noise_power=0.05,
                              rng=np.random.default_rng(7))
         ps = np.arange(1, book.n_columns + 1)
-        stacked = np.array([assemble_reused(sweep, design, int(p)) for p in ps])
-        assert np.array_equal(assemble_reused(sweep, design, ps), stacked)
+        stacked = np.array([assemble_reused(sweep.z, design, int(p)) for p in ps])
+        assert np.array_equal(assemble_reused(sweep.z, design, ps), stacked)
+        assert np.array_equal(assemble_reused(sweep.z, design), stacked)
 
     def test_worked_example_reuse_rows(self, cfg512, full_workspace):
         # the worked-example codeword reuses exactly sweeps {63, 64, 65, 66}
@@ -191,6 +192,49 @@ class TestSelection:
             runs.append(run_thbt(cfg128, book, design, ch, noise, rng))
         assert runs[0].best_index == runs[1].best_index
         assert np.array_equal(runs[0].powers, runs[1].powers)
+
+
+class TestStackedTraining:
+    """A (T, N) stack of channels trains each channel as it would alone."""
+
+    @pytest.mark.parametrize("noise_power", [0.0, 1e-3])
+    def test_each_row_is_its_one_trial_result(self, cfg128, desk_workspace,
+                                              noise_power):
+        book, sub, design = desk_workspace
+        rng = np.random.default_rng(21)
+        far = book.index_of(7, None)
+        hs = np.stack([sample_channel(cfg128, rng).h for _ in range(7)]
+                      + [book.column(far), np.zeros(128, dtype=complex)])
+        seeds = range(100, 100 + len(hs))
+        sweep = stage1_sweep(cfg128, sub, hs, noise_power,
+                             [np.random.default_rng(s) for s in seeds])
+        stacked = stage2_select(book, design, sweep)
+        assert sweep.z.shape == (9, cfg128.m_per_sub, cfg128.n_rf)
+        assert stacked.powers.shape == (9, book.n_columns)
+        for k, seed in enumerate(seeds):
+            alone_sweep = stage1_sweep(cfg128, sub, hs[k], noise_power,
+                                       np.random.default_rng(seed))
+            alone = run_thbt(cfg128, book, design, hs[k], noise_power,
+                             np.random.default_rng(seed))
+            assert np.array_equal(sweep.z[k], alone_sweep.z)
+            assert stacked.best_index[k] == alone.best_index
+            assert stacked.rough_omega[k] == alone.rough_omega
+            assert stacked.rough_range[k] == alone.rough_range
+            assert np.array_equal(stacked.powers[k], alone.powers)
+        if noise_power == 0.0:
+            assert stacked.best_index[7] == far and math.isinf(stacked.rough_range[7])
+            assert stacked.best_index[8] == 1           # all-zero powers: smallest index
+
+    def test_chain_sum_adds_as_numpy_sums(self):
+        # the stage-2 sum over RF chains, as whole-array additions, must round
+        # exactly as numpy's reduce does, for any chain count
+        from xlbeam.training import _chain_sum
+
+        rng = np.random.default_rng(8)
+        for n in range(1, 71):
+            x = (rng.standard_normal((3, 50, n)) + 1j * rng.standard_normal((3, 50, n))
+                 ) * np.exp(rng.uniform(-20, 20, (3, 50, n)))
+            assert np.array_equal(_chain_sum(x), x.sum(axis=-1)), n
 
 
 class TestDesignAll:
