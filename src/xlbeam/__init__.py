@@ -10,8 +10,7 @@ from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD
                      element_distance, realize, sample_channel, snr_db_to_noise_power,
                      steering, steering_far, steering_near, steering_quadratic)
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
-                        build_far_codebook, build_hybrid_codebook,
-                        build_near_codebook, build_subarray_codebook,
+                        build_hybrid_codebook, build_subarray_codebook,
                         validate_quantization)
 from .combining import (CombinerPair, alignment_gain, design_hybrid, gain_map,
                         hybrid_beam_gain, quantize_pointing, subarray_outputs,

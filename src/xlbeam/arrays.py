@@ -88,30 +88,11 @@ def _antenna_offsets(n_antennas: int) -> np.ndarray:
     return offsets
 
 
-# A one-source numpy column made each steering call about 15 us (a half)
-# slower than a plain number does (N = 512), measured when a training trial
-# steered one source at a time.  So a number stays a number and these
-# helpers take either; everything else works on arrays.
-
-def _is_array(x) -> bool:
-    # cheaper than np.ndim, which builds an array from a Python number
-    return isinstance(x, (np.ndarray, list, tuple))
-
-
 def _sources(*params) -> list:
     """Source parameters ready to broadcast against the antenna axis: a
-    number as it is, a length-T array as a (T, 1) column."""
-    return [np.asarray(x, dtype=float)[..., None] if _is_array(x) else x for x in params]
-
-
-def _any(cond) -> bool:
-    """A check on one source, or on any of an array of them."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _all(cond) -> bool:
-    """A check on one source, or on all of an array of them."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+    length-T array as a (T, 1) column, so one row per source; a number
+    becomes a (1,) array, so one source gives an (N,) row."""
+    return [np.asarray(x, dtype=float)[..., None] for x in params]
 
 
 def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
@@ -119,7 +100,7 @@ def element_distance(cfg: ArrayConfig, omega, r) -> np.ndarray:
 
     ``omega`` and ``r`` may be equal-length arrays: one row per source."""
     omega, r = _sources(omega, r)
-    if not _all(r > 0):
+    if not (r > 0).all():
         raise ValueError("range must be positive")
     dl = cfg.antenna_offsets() * cfg.wavelength
     return np.sqrt(r * r + dl * dl - 2.0 * r * omega * dl)
@@ -130,7 +111,7 @@ def steering_far(cfg: ArrayConfig, omega) -> np.ndarray:
 
     An array of sines gives one row per source."""
     (omega,) = _sources(omega)
-    if _any(abs(omega) > 1):
+    if (abs(omega) > 1).any():
         raise ValueError("omega must lie in [-1, 1]")
     n = np.arange(cfg.n_antennas)
     return np.exp(1j * np.pi * n * omega) / math.sqrt(cfg.n_antennas)
@@ -145,9 +126,9 @@ def steering_near(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarr
     arrays of sines and ranges give one row per source.
     """
     sines, ranges = _sources(omega, r)
-    if _any(abs(sines) > 1):
+    if (abs(sines) > 1).any():
         raise ValueError("omega must lie in [-1, 1]")
-    if validate and _any(ranges < cfg.range_floor):
+    if validate and (ranges < cfg.range_floor).any():
         raise ValueError(
             f"range {np.min(r):.4g} m below validity floor {cfg.range_floor:.4g} m"
         )
@@ -160,10 +141,6 @@ def steering(cfg: ArrayConfig, omega, r, validate: bool = True) -> np.ndarray:
 
     Equal-length arrays of sines and ranges give one row per source, far
     and near sources mixed."""
-    if not _is_array(r):
-        if math.isinf(r):
-            return steering_far(cfg, omega)
-        return steering_near(cfg, omega, r, validate=validate)
     omega, r = np.asarray(omega, dtype=float), np.asarray(r, dtype=float)
     far = np.isinf(r)
     if far.all():

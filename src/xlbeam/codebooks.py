@@ -1,5 +1,5 @@
-"""Beam codebooks: far-field DFT grid, polar-domain near-field grid, their
-hybrid concatenation, and the per-subarray DFT codebook.
+"""Beam codebooks: the hybrid codebook of a polar-domain near-field grid
+and a far-field DFT grid, and the per-subarray DFT codebook.
 
 Hybrid codebook layout (1-based column index p):
 
@@ -52,35 +52,9 @@ class CodewordParams:
         return self.kind == "far"
 
 
-def build_far_codebook(cfg: ArrayConfig, q: int) -> np.ndarray:
-    """N x Q matrix whose column q is the plane-wave beam at theta_q."""
-    if q < 1:
-        raise ValueError("need at least one angle sample")
-    return np.stack([steering_far(cfg, th) for th in angle_grid(q)], axis=1)
-
-
-def build_near_codebook(cfg: ArrayConfig, q: int, s: int) -> np.ndarray:
-    """N x (Q*S) polar-grid matrix, angle-major / distance-minor columns.
-
-    Columns whose ring distance falls below the validity floor (extreme
-    angles shrink ``1 - theta^2``) are kept so index arithmetic stays
-    dense; ``build_hybrid_codebook`` flags them.
-    """
-    if q < 1 or s < 1:
-        raise ValueError("need at least one angle and one distance sample")
-    theta = angle_grid(q)
-    dist = distance_grid(cfg, q, s)
-    cols = np.empty((cfg.n_antennas, q * s), dtype=complex)
-    for qi in range(q):
-        # one stacked call per angle: its S rings as rows
-        cols[:, qi * s:(qi + 1) * s] = steering_near(cfg, np.full(s, theta[qi]), dist[qi],
-                                                     validate=False).T
-    return cols
-
-
 @dataclass
 class HybridCodebook:
-    """Concatenated near + far codebook with index/geometry bookkeeping."""
+    """Near + far codebook with index/geometry bookkeeping."""
 
     cfg: ArrayConfig
     n_angles: int
@@ -126,8 +100,13 @@ class HybridCodebook:
 def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     """Build the hybrid codebook {near block, far block} with Q*S+Q columns.
 
-    ``s = 0`` degenerates to the far-only codebook of Q columns.
+    ``s = 0`` degenerates to the far-only codebook of Q columns.  Near
+    columns whose ring distance falls below the validity floor (extreme
+    angles shrink ``1 - theta^2``) are kept so index arithmetic stays
+    dense, and flagged in ``below_floor``.
     """
+    if q < 1:
+        raise ValueError("need at least one angle sample")
     if s < 0:
         raise ValueError("distance sample count cannot be negative")
     theta = angle_grid(q)
@@ -135,9 +114,13 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     # strict comparison up to rounding: the deepest ring at the angle grid
     # point nearest broadside sits essentially on the floor
     below = dist < cfg.range_floor * (1.0 - 1e-12)
-    far = build_far_codebook(cfg, q)
-    matrix = far if s == 0 else np.concatenate(
-        [build_near_codebook(cfg, q, s), far], axis=1)
+    # both blocks are written into one matrix, so no block is copied
+    matrix = np.empty((cfg.n_antennas, q * s + q), dtype=complex)
+    for qi in range(q):
+        # one stacked call per angle: its S rings as rows
+        matrix[:, qi * s:(qi + 1) * s] = steering_near(cfg, np.full(s, theta[qi]), dist[qi],
+                                                       validate=False).T
+    matrix[:, q * s:] = steering_far(cfg, theta).T
     return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta,
                           distances=dist, below_floor=below, matrix=matrix)
 

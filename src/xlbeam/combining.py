@@ -160,9 +160,12 @@ def gain_map(cfg: ArrayConfig, u: np.ndarray, omegas, ranges) -> list[dict]:
     Returns CSV-ready rows with keys (omega, r, gain), row-major over the
     angle grid then the range grid.
     """
+    ranges = np.atleast_1d(ranges)
     rows = []
     for omega in np.atleast_1d(omegas):
-        for r in np.atleast_1d(ranges):
-            rows.append({"omega": float(omega), "r": float(r),
-                         "gain": hybrid_beam_gain(cfg, u, float(omega), float(r))})
+        # one steering call per angle: its range cut as rows
+        alphas = steering(cfg, np.full(ranges.shape, float(omega)), ranges, validate=False)
+        rows.extend({"omega": float(omega), "r": float(r),
+                     "gain": float(abs(np.vdot(alpha, u)))}
+                    for r, alpha in zip(ranges, alphas))
     return rows

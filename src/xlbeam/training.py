@@ -84,6 +84,7 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     for t in range(n_rf):
         gt = bh @ book.matrix[t * m:(t + 1) * m, :]                 # (M, P)
         fc[:, t] = gt[m_idx[:, t], np.arange(p_total)]
+        del gt      # so the next subarray's product does not coexist with this one
     norms = np.linalg.norm(fc, axis=1)
     v = fc.conj() / (math.sqrt(m) * norms[:, None])
     return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v,

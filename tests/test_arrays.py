@@ -150,6 +150,50 @@ class TestSteering:
         assert np.allclose(steering(cfg512, 0.2, FAR_FIELD),
                            steering_far(cfg512, 0.2))
 
+    def test_one_source_is_its_row_of_a_stack(self, cfg512):
+        omegas = np.array([0.3, -0.2, 0.6, -0.75])
+        ranges = np.array([25.0, FAR_FIELD, 40.0, FAR_FIELD])
+        near = ~np.isinf(ranges)
+        far_rows = steering_far(cfg512, omegas)
+        near_rows = steering_near(cfg512, omegas[near], ranges[near])
+        mixed = {f: f(cfg512, omegas, ranges) for f in (steering, steering_quadratic)}
+        for i, (omega, r) in enumerate(zip(omegas.tolist(), ranges.tolist())):
+            rows = {steering_far: (steering_far(cfg512, omega), far_rows[i])}
+            if not math.isinf(r):
+                rows[steering_near] = (steering_near(cfg512, omega, r),
+                                       near_rows[np.count_nonzero(near[:i])])
+            for f, stack in mixed.items():
+                rows[f] = (f(cfg512, omega, r), stack[i])
+            for f, (one, row) in rows.items():
+                assert one.shape == (cfg512.n_antennas,), f.__name__
+                assert np.array_equal(one, row), f.__name__
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_a_bad_source_anywhere_in_a_stack_raises(self, cfg512, pos):
+        def with_bad(good, bad):
+            values = np.full(3, good)
+            values[pos] = bad
+            return values
+
+        near_r = np.full(3, 30.0)
+        mixed_r = np.array([30.0, FAR_FIELD, 40.0])
+        cases = [
+            lambda: steering_far(cfg512, with_bad(0.2, 1.01)),
+            lambda: steering_near(cfg512, with_bad(0.2, -1.01), near_r),
+            lambda: steering(cfg512, with_bad(0.2, 1.01), mixed_r),
+            lambda: element_distance(cfg512, np.zeros(3), with_bad(30.0, 0.0)),
+            lambda: steering_near(cfg512, np.zeros(3), with_bad(30.0, -1.0),
+                                  validate=False),
+            lambda: steering_near(cfg512, np.zeros(3),
+                                  with_bad(30.0, 0.9 * cfg512.range_floor)),
+            lambda: steering(cfg512, np.zeros(3),
+                             np.where(np.arange(3) == pos, 0.9 * cfg512.range_floor,
+                                      mixed_r)),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError):
+                case()
+
 
 class TestQuadraticPhase:
     @given(omega=st.floats(-0.99, 0.99), r=st.floats(6.2, 5000.0))

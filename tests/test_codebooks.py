@@ -1,19 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbeam import (ArrayConfig, build_far_codebook, build_hybrid_codebook,
-                    build_near_codebook, build_subarray_codebook, steering_far,
-                    steering_near, validate_quantization)
+from xlbeam import (ArrayConfig, build_hybrid_codebook, build_subarray_codebook,
+                    steering_far, steering_near, validate_quantization)
 from xlbeam.codebooks import angle_grid, distance_grid
+
+
+def far_block(cfg, q, s=2):
+    """The far-field block of a hybrid codebook with S near rings."""
+    book = build_hybrid_codebook(cfg, q, s)
+    return book.matrix[:, book.n_near:]
 
 
 class TestFarCodebook:
     def test_single_column_is_broadside(self, cfg128):
-        cf = build_far_codebook(cfg128, 1)
+        cf = far_block(cfg128, 1)
         assert cf.shape == (128, 1)
         assert np.allclose(cf[:, 0], steering_far(cfg128, 0.0))
 
@@ -24,7 +30,7 @@ class TestFarCodebook:
     def test_dft_grid_adjacent_coherence(self, cfg128):
         # Q = N: neighboring beams overlap by |Dirichlet(2/Q)| / N
         n = cfg128.n_antennas
-        cf = build_far_codebook(cfg128, n)
+        cf = far_block(cfg128, n)
         got = abs(np.vdot(cf[:, 10], cf[:, 11]))
         delta = 2.0 / n
         expect = abs(math.sin(n * math.pi * delta / 2)
@@ -32,7 +38,7 @@ class TestFarCodebook:
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_unit_columns(self, cfg128):
-        cf = build_far_codebook(cfg128, 64)
+        cf = far_block(cfg128, 64)
         assert np.allclose(np.linalg.norm(cf, axis=0), 1.0, atol=1e-12)
 
 
@@ -57,7 +63,8 @@ class TestNearCodebook:
         assert np.all(np.diff(d, axis=1) < 0)
 
     def test_columns_match_steering(self, cfg128):
-        cn = build_near_codebook(cfg128, 16, 3)
+        book = build_hybrid_codebook(cfg128, 16, 3)
+        cn = book.matrix[:, :book.n_near]
         d = distance_grid(cfg128, 16, 3)
         theta = angle_grid(16)
         col = cn[:, 5 * 3 + 1]          # q=6, s=2
@@ -78,7 +85,24 @@ class TestHybridCodebook:
         book = build_hybrid_codebook(cfg128, 32, 0)
         assert book.n_columns == 32
         assert book.params(1).is_far
-        assert np.allclose(book.matrix, build_far_codebook(cfg128, 32))
+        assert np.allclose(book.matrix, far_block(cfg128, 32))
+
+    @pytest.mark.parametrize("q, s", [(0, 3), (4, -1)])
+    def test_rejects_bad_grid_sizes(self, cfg128, q, s):
+        with pytest.raises(ValueError):
+            build_hybrid_codebook(cfg128, q, s)
+
+    def test_builds_in_place(self, cfg128):
+        # both blocks are written into the one matrix: the build's peak
+        # stays well under a second copy of it
+        tracemalloc.start()
+        try:
+            book = build_hybrid_codebook(cfg128, 128, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert book.matrix.flags.c_contiguous
+        assert peak < 1.75 * book.matrix.nbytes
 
     def test_index_arithmetic(self, desk_workspace):
         book, _, _ = desk_workspace
