@@ -22,9 +22,8 @@ design = design_all(book, sub)
 
 rng = np.random.default_rng(2024)
 channel = sample_channel(cfg, rng)
-los = channel.los
-print(f"line of sight: omega = {los.omega:+.4f}, range = {los.range_m:.2f} m, "
-      f"|gain| = {abs(los.gain):.3f}")
+print(f"line of sight: omega = {channel.sines[0]:+.4f}, "
+      f"range = {channel.ranges[0]:.2f} m, |gain| = {abs(channel.gains[0]):.3f}")
 
 noise = snr_db_to_noise_power(10.0, cfg)
 print(f"SNR 10 dB -> per-antenna noise power {noise:.3e}")

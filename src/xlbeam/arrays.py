@@ -237,6 +237,9 @@ class ChannelScenario:
         if len(self.gain_vars) < self.n_paths:
             raise ValueError(f"gain_vars has {len(self.gain_vars)} entries "
                              f"for {self.n_paths} paths")
+        # alignment gains are normalized by the strongest path's gain
+        if not self.gain_vars[0] > 0:
+            raise ValueError("gain_vars must give the line of sight a positive variance")
         lo, hi = self.angle_range
         if not (-1 <= lo <= hi <= 1):
             raise ValueError("angle_range must be ordered and inside [-1, 1]")
@@ -249,17 +252,23 @@ class ChannelScenario:
 class ChannelRealization:
     """Sampled paths, their steering vectors, and the synthesized channel.
 
-    ``steering[l]`` is path l's steering vector (read-only), kept so that
-    scoring a beam against the paths does not steer at them again.
+    One channel has (L,) path ``gains``, ``sines`` and ``ranges`` (path 0
+    is the line of sight), an (N,) ``h`` and an (L, N) ``steering``; a
+    stack of T channels adds a leading trial axis to each.  The steering
+    rows are read-only, kept so that scoring a beam against the paths does
+    not steer at them again.
     """
 
-    paths: list[PathParams]
-    h: np.ndarray = field(repr=False)
-    steering: np.ndarray = field(repr=False)    # (L, N)
+    gains: np.ndarray = field(repr=False)      # (..., L) complex
+    sines: np.ndarray = field(repr=False)      # (..., L)
+    ranges: np.ndarray = field(repr=False)     # (..., L); inf marks a far path
+    h: np.ndarray = field(repr=False)          # (..., N)
+    steering: np.ndarray = field(repr=False)   # (..., L, N)
 
-    @property
-    def los(self) -> PathParams:
-        return self.paths[0]
+    def row(self, t: int) -> ChannelRealization:
+        """Channel t of a stack."""
+        return ChannelRealization(self.gains[t], self.sines[t], self.ranges[t],
+                                  self.h[t], self.steering[t])
 
 
 def h_of(channel) -> np.ndarray:
@@ -301,29 +310,50 @@ def antenna_noise(rngs, n_antennas: int, noise_power: float) -> np.ndarray | Non
     return _complex_normal(normals[:, 0], normals[:, 1]) * math.sqrt(noise_power)
 
 
+def _synthesize(cfg: ArrayConfig, gains, sines, ranges) -> ChannelRealization:
+    """The channels of (..., L) path parameters: every path steered in one
+    call, then h = sum_l g_l * alpha_l summed path by path."""
+    rows = steering(cfg, sines.reshape(-1), ranges.reshape(-1))
+    rows = rows.reshape(*sines.shape, cfg.n_antennas)
+    rows.flags.writeable = False
+    h = np.zeros(rows.shape[:-2] + (cfg.n_antennas,), dtype=complex)
+    for l in range(sines.shape[-1]):
+        h += gains[..., l, None] * rows[..., l, :]
+    return ChannelRealization(gains, sines, ranges, h, rows)
+
+
 def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
     """The channel of given paths, h = sum_l g_l * alpha_l, with the alpha_l kept."""
-    rows = steering(cfg, [p.omega for p in paths], [p.range_m for p in paths])
-    rows.flags.writeable = False
-    h = np.zeros(cfg.n_antennas, dtype=complex)
-    for p, row in zip(paths, rows):
-        h += p.gain * row
-    return ChannelRealization(paths=paths, h=h, steering=rows)
+    return _synthesize(cfg, np.array([p.gain for p in paths], dtype=complex),
+                       np.array([p.omega for p in paths], dtype=float),
+                       np.array([p.range_m for p in paths], dtype=float))
+
+
+def sample_channels(cfg: ArrayConfig, rngs,
+                    scenario: ChannelScenario = ChannelScenario()) -> ChannelRealization:
+    """Draw one multipath channel per generator, as a stack; ranges are
+    clamped up to the validity floor.
+
+    Each generator draws its own paths one scalar at a time, path by path
+    (the gain's real and imaginary normals, the sine, the range), so a
+    channel does not depend on the stack it is drawn in; then all T x L
+    paths are steered in one call."""
+    lo, hi = scenario.angle_range
+    rlo = max(scenario.range_range[0], cfg.range_floor)
+    rhi = max(scenario.range_range[1], rlo)
+    draws = np.array([[(rng.standard_normal(), rng.standard_normal(),
+                        rng.uniform(lo, hi), rng.uniform(rlo, rhi))
+                       for _ in range(scenario.n_paths)] for rng in rngs])
+    draws = draws.reshape(len(rngs), scenario.n_paths, 4)
+    gains = (_complex_normal(draws[..., 0], draws[..., 1])
+             * np.sqrt(scenario.gain_vars[:scenario.n_paths]))
+    return _synthesize(cfg, gains, draws[..., 2], draws[..., 3])
 
 
 def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
                    scenario: ChannelScenario = ChannelScenario()) -> ChannelRealization:
-    """Draw a multipath channel; ranges are clamped up to the validity floor."""
-    lo, hi = scenario.angle_range
-    rlo = max(scenario.range_range[0], cfg.range_floor)
-    rhi = max(scenario.range_range[1], rlo)
-    paths = []
-    for l in range(scenario.n_paths):
-        g = crandn(rng) * math.sqrt(scenario.gain_vars[l])
-        omega = rng.uniform(lo, hi)
-        r = rng.uniform(rlo, rhi)
-        paths.append(PathParams(gain=complex(g), omega=float(omega), range_m=float(r)))
-    return realize(cfg, paths)
+    """Draw one multipath channel: the one-generator case of :func:`sample_channels`."""
+    return sample_channels(cfg, [rng], scenario).row(0)
 
 
 def snr_db_to_noise_power(snr_db: float, cfg: ArrayConfig) -> float:

@@ -48,6 +48,12 @@ def subarray_pointing(cfg: ArrayConfig, omega, r) -> np.ndarray:
     return np.where(far, omega, num / den) if far.any() else num / den
 
 
+def row_dots(rows: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """``rows[t] @ hs[t]`` for each t (one row may serve all): one dot per
+    pair, so a pair's bits do not depend on the stack it is in."""
+    return (rows[..., None, :] @ hs[..., :, None])[..., 0, 0]
+
+
 def subarray_outputs(cfg: ArrayConfig, rows: np.ndarray, h: np.ndarray,
                      noise: np.ndarray | None = None) -> np.ndarray:
     """The N_RF RF-chain outputs of one pilot through block-diagonal rows.
@@ -126,9 +132,7 @@ def design_hybrid(cfg: ArrayConfig, omega, r) -> CombinerPair:
     n = np.arange(m)
     w_blocks = np.exp(-1j * np.pi * n * psi[..., None])
     wu = subarray_outputs(cfg, w_blocks, steering(cfg, omega, r, validate=False))
-    # one norm call per row: a norm over an axis sums in another order
-    norm = np.array([np.linalg.norm(row) for row in wu.reshape(-1, cfg.n_rf)])
-    norm = norm.reshape(*wu.shape[:-1], 1)
+    norm = np.linalg.norm(wu, axis=-1, keepdims=True)
     if (norm == 0.0).any():
         raise ValueError("degenerate combiner: W u vanished")
     v = wu.conj() / (math.sqrt(m) * norm)
@@ -137,21 +141,21 @@ def design_hybrid(cfg: ArrayConfig, omega, r) -> CombinerPair:
 
 def hybrid_beam_gain(cfg: ArrayConfig, u: np.ndarray, omega: float, r: float) -> float:
     """Beam gain |alpha(N, omega, r)^H u| of a combining vector u."""
-    return float(abs(np.vdot(steering(cfg, omega, r, validate=False), u)))
+    return float(np.abs(row_dots(steering(cfg, omega, r, validate=False).conj(), u)))
 
 
-def alignment_gain(channel: ChannelRealization, f: np.ndarray) -> float:
+def alignment_gain(channel: ChannelRealization, f: np.ndarray) -> np.ndarray | float:
     """Normalized post-alignment gain of an estimated steering vector f.
 
     ``max_l (|g_l| / max_k |g_k|) * |alpha_l^H f|`` over the channel paths,
-    with each alpha_l read from the realization.
+    with each alpha_l read from the realization.  A stack of channels
+    takes a (T, N) stack of beams, one per channel, and gives one gain per
+    channel.
     """
-    gains = np.array([abs(p.gain) for p in channel.paths])
-    gm = gains.max()
-    best = 0.0
-    for g, alpha in zip(gains, channel.steering):
-        best = max(best, (g / gm) * float(abs(np.vdot(alpha, f))))
-    return best
+    g = np.abs(channel.gains)
+    # |alpha^H f| is |f^H alpha|: conjugate the beams, not the (..., L, N) paths
+    dots = np.abs(row_dots(f.conj()[..., None, :], channel.steering))
+    return (g / g.max(axis=-1, keepdims=True) * dots).max(axis=-1)
 
 
 def gain_map(cfg: ArrayConfig, u: np.ndarray, omegas, ranges) -> list[dict]:
@@ -165,7 +169,7 @@ def gain_map(cfg: ArrayConfig, u: np.ndarray, omegas, ranges) -> list[dict]:
     for omega in np.atleast_1d(omegas):
         # one steering call per angle: its range cut as rows
         alphas = steering(cfg, np.full(ranges.shape, float(omega)), ranges, validate=False)
-        rows.extend({"omega": float(omega), "r": float(r),
-                     "gain": float(abs(np.vdot(alpha, u)))}
-                    for r, alpha in zip(ranges, alphas))
+        gains = np.abs(row_dots(alphas.conj(), u))
+        rows.extend({"omega": float(omega), "r": float(r), "gain": gain}
+                    for r, gain in zip(ranges.tolist(), gains.tolist()))
     return rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..arrays import (ArrayConfig, ChannelRealization, ChannelScenario, antenna_noise,
-                      sample_channel, snr_db_to_noise_power)
+                      sample_channels, snr_db_to_noise_power)
 from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook,
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
@@ -81,14 +81,14 @@ def clear_workspace_cache() -> None:
 # per-chunk scheme evaluation
 
 
-def _position_error(channel, omega: float, r: float) -> float:
-    """Distance from the (omega, r) estimate to the line of sight; inf
-    when the estimate has no finite position."""
-    if not math.isfinite(r) or abs(omega) > 1.0:
-        return math.inf
-    los = channel.los
-    return float(np.linalg.norm(polar_to_cartesian(omega, r)
-                                - polar_to_cartesian(los.omega, los.range_m)))
+def _position_error(channels: ChannelRealization, omegas, ranges) -> np.ndarray:
+    """Distance from each channel's (omega, r) estimate to its line of
+    sight; inf where the estimate has no finite position."""
+    omegas, ranges = np.asarray(omegas, dtype=float), np.asarray(ranges, dtype=float)
+    ok = np.isfinite(ranges) & (np.abs(omegas) <= 1.0)
+    est = polar_to_cartesian(np.where(ok, omegas, 0.0), np.where(ok, ranges, 0.0))
+    los = polar_to_cartesian(channels.sines[..., 0], channels.ranges[..., 0])
+    return np.where(ok, np.linalg.norm(est - los, axis=-1), math.inf)
 
 
 @dataclass
@@ -98,8 +98,7 @@ class _TrainingChunk:
     cfg: ArrayConfig
     book: HybridCodebook
     design: TrainedDesign
-    channels: list[ChannelRealization]
-    hs: np.ndarray = field(repr=False)              # (T, N) channel stack
+    channels: ChannelRealization                    # a stack of T channels
     noise: float
     rngs: Sequence[np.random.Generator]
     signals: np.ndarray | None = field(default=None, repr=False)  # sweep outputs from column `first` on
@@ -113,7 +112,7 @@ class _TrainingChunk:
         Not a functools.cached_property: before Python 3.12 that holds one
         lock for all instances, which would serialise worker threads."""
         if self._thbt is None:
-            sweep = stage1_sweep(self.cfg, self.design.sub_book, self.hs, self.noise,
+            sweep = stage1_sweep(self.cfg, self.design.sub_book, self.channels.h, self.noise,
                                  self.rngs)
             self._thbt = stage2_select(self.book, self.design, sweep)
         return self._thbt
@@ -126,10 +125,9 @@ class _TrainingChunk:
     def swept(self, baseline, first: int) -> tuple:
         """Each trial's sweep baseline from 0-based column ``first`` on, one
         trial after another; each points its winning codeword."""
-        runs = [baseline(self.book, channel, self.noise, rng,
-                         signal=signal[first - self.first:])
-                for channel, rng, signal in zip(self.channels, self.rngs, self.signals)]
-        return ([self.book.column(r.best_index) for r in runs],
+        runs = [baseline(self.book, h, self.noise, rng, signal=signal[first - self.first:])
+                for h, rng, signal in zip(self.channels.h, self.rngs, self.signals)]
+        return (np.stack([self.book.column(r.best_index) for r in runs]),
                 [r.rough_omega for r in runs], [r.rough_range for r in runs],
                 runs[0].pilots)
 
@@ -138,7 +136,7 @@ def _refined(c: _TrainingChunk) -> tuple:
     """thbt's estimates refined with one pilot each; omega is clipped once,
     before both the beam and the position error use it."""
     thbt = c.thbt
-    ref = refine_channels(c.cfg, c.hs, thbt.rough_omega, thbt.rough_range,
+    ref = refine_channels(c.cfg, c.channels.h, thbt.rough_omega, thbt.rough_range,
                           antenna_noise(c.rngs, c.cfg.n_antennas, c.noise))
     omegas = np.clip(ref.omega, -1.0, 1.0)
     return (c.continuous_beams(omegas, ref.range_m), omegas, ref.range_m,
@@ -158,17 +156,6 @@ TRAINING_SCHEMES = {
 }
 
 
-def _chunk_channels(cfg: ArrayConfig, book: HybridCodebook, scenario: ChannelScenario,
-                    rngs, first: int | None) -> tuple:
-    """A chunk's channels, one first draw from each trial's rng, their (T, N)
-    stack, and their noiseless column-sweep outputs from 0-based column
-    ``first`` on, all from one codebook product (None when ``first`` is
-    None: no sweep runs)."""
-    channels = [sample_channel(cfg, rng, scenario) for rng in rngs]
-    hs = np.stack([c.h for c in channels])
-    return channels, hs, None if first is None else sweep_signals(book, hs, first)
-
-
 def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
                              scenario: ChannelScenario, rngs,
                              schemes: tuple[str, ...]) -> list[dict]:
@@ -183,21 +170,21 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
     """
     cfg = spec.cfg
     book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
+    channels = sample_channels(cfg, rngs, scenario)
+    # the sweep baselines' noiseless outputs from 0-based column `first` on,
+    # all from one codebook product
     first = 0 if "hfbs" in schemes else book.n_near if "ffbs" in schemes else None
-    channels, hs, signals = _chunk_channels(cfg, book, scenario, rngs, first)
-    chunk = _TrainingChunk(cfg, book, design, channels, hs, noise_power, rngs,
-                           signals, first or 0)
-    results = [{} for _ in channels]
+    signals = None if first is None else sweep_signals(book, channels.h, first)
+    chunk = _TrainingChunk(cfg, book, design, channels, noise_power, rngs, signals,
+                           first or 0)
+    results = [{} for _ in rngs]
     for scheme, estimate in TRAINING_SCHEMES.items():
         if scheme in schemes:
             beams, omegas, ranges, pilots = estimate(chunk)
-            for out, channel, beam, omega, r in zip(results, channels, beams,
-                                                    omegas, ranges):
-                out[scheme] = {
-                    "gain": alignment_gain(channel, beam),
-                    "error_m": _position_error(channel, omega, r),
-                    "pilots": pilots,
-                }
+            gains = alignment_gain(channels, beams).tolist()
+            errors = _position_error(channels, omegas, ranges).tolist()
+            for out, gain, error in zip(results, gains, errors):
+                out[scheme] = {"gain": gain, "error_m": error, "pilots": pilots}
     return results
 
 
@@ -290,14 +277,13 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
         book, _, _ = workspace(spec.cfg, q, s)
 
         def worker(indices, rngs, _book=book):
-            channels, hs, signals = _chunk_channels(spec.cfg, _book, scenario, rngs, 0)
-            coarse = [baseline_hfbs(_book, channel, signal=signal)
-                      for channel, signal in zip(channels, signals)]
-            ref = refine_channels(spec.cfg, hs, [c.rough_omega for c in coarse],
+            channels = sample_channels(spec.cfg, rngs, scenario)
+            coarse = [baseline_hfbs(_book, h, signal=signal)
+                      for h, signal in zip(channels.h, sweep_signals(_book, channels.h))]
+            ref = refine_channels(spec.cfg, channels.h, [c.rough_omega for c in coarse],
                                   [c.rough_range for c in coarse],
                                   antenna_noise(rngs, spec.cfg.n_antennas, noise))
-            return [_position_error(channel, omega, r)
-                    for channel, omega, r in zip(channels, ref.omega, ref.range_m)]
+            return _position_error(channels, ref.omega, ref.range_m).tolist()
 
         errs = np.array(run_trials(worker, spec.trials, spec.seed, spec.workers))
         report = validate_quantization(spec.cfg, q, s)
@@ -350,8 +336,8 @@ def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
     signal = np.empty((len(rngs), traj.n_blocks))
     for i in range(1, traj.n_blocks + 1):
         signal[:, i - 1] = signal_powers(chan.los.combiner_rows[i], chan.at_block(i, rngs))
-    return [[float(np.mean([se_bits(s, noise) for s in run])) for noise in noises]
-            for run in signal]
+    return np.stack([se_bits(signal, noise).mean(axis=1) for noise in noises],
+                    axis=1).tolist()
 
 
 def tracking_experiment(spec: ExperimentSpec) -> list[dict]:

@@ -12,11 +12,9 @@ estimates.  The loop runs chunks of independent runs (seeds), of one
 scheme or of several in lockstep: each run draws only from its own
 generator, in the order a run alone would, so a run's blocks do not
 depend on the chunk it is in.  Every per-run quantity is a stack with a
-leading run axis, and each numpy call works on the whole stack.  Where a
-stacked call would round differently from the one-run call (an absolute
-value of a complex scalar, a ``math`` function), the code applies the
-one-run operation per run.  The line of sight of a trajectory depends on
-nothing else, so it is built once (:func:`line_of_sight`).
+leading run axis, and each numpy call works on the whole stack.  The
+line of sight of a trajectory depends on nothing else, so it is built
+once (:func:`line_of_sight`).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from .arrays import (ArrayConfig, FAR_FIELD, _complex_normal, antenna_noise, steering,
                      steering_quadratic)
 from .codebooks import HybridCodebook
-from .combining import design_hybrid, subarray_outputs
+from .combining import design_hybrid, row_dots, subarray_outputs
 from .refinement import refine_channels
 from .training import TrainedDesign
 
@@ -96,11 +94,9 @@ class TrackState:
         """(omega, range) of the position: the sine of the angle from
         boresight, and the distance.
 
-        0-d arrays for one track, arrays for a stack."""
+        Numbers for one track, arrays for a stack."""
         angle = np.arctan2(self.x[..., 1], self.x[..., 0])
-        # math.sin per track: numpy's vectorised sine may round differently
-        omega = np.array([math.sin(a) for a in angle.flat]).reshape(angle.shape)
-        return omega, np.hypot(self.x[..., 0], self.x[..., 1])
+        return np.sin(angle), np.hypot(self.x[..., 0], self.x[..., 1])
 
     def rows(self, idx) -> TrackState:
         """The tracks at ``idx`` of a stack, as a stack of their own."""
@@ -165,9 +161,11 @@ class Measurement:
     ok: np.ndarray          # (T,)
 
 
-def polar_to_cartesian(omega: float, r: float) -> np.ndarray:
-    theta = math.asin(omega)
-    return np.array([r * math.cos(theta), r * math.sin(theta)])
+def polar_to_cartesian(omega, r) -> np.ndarray:
+    """Cartesian (x, y) of (omega, range); equal-shape arrays give one
+    row per pair."""
+    theta = np.arcsin(omega)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 def omega_range(pos) -> tuple[float, float]:
@@ -179,9 +177,7 @@ def omega_range(pos) -> tuple[float, float]:
 def _positions(omega, range_m, valid) -> np.ndarray:
     """Cartesian rows of the valid (omega, range) pairs; NaN rows elsewhere."""
     pos = np.full((len(valid), 2), np.nan)
-    idx = np.flatnonzero(valid)
-    if idx.size:
-        pos[idx] = [polar_to_cartesian(o, r) for o, r in zip(omega[idx], range_m[idx])]
+    pos[valid] = polar_to_cartesian(omega[valid], range_m[valid])
     return pos
 
 
@@ -425,16 +421,11 @@ class BlockLog:
     pilots: int
 
 
-def se_bits(signal_power, noise_power: float) -> float:
-    """log2(1 + signal / noise), infinite for a noiseless link."""
+def se_bits(signal_power: np.ndarray, noise_power: float) -> np.ndarray:
+    """log2(1 + signal / noise) per signal power, infinite for a noiseless link."""
     if noise_power <= 0.0:
-        return math.inf
-    return math.log2(1.0 + signal_power / noise_power)
-
-
-def row_dots(rows: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """``rows[t] @ hs[t]`` for each t (one row may serve all): one dot per pair."""
-    return (rows[..., None, :] @ hs[..., :, None])[..., 0, 0]
+        return np.full(np.shape(signal_power), math.inf)
+    return np.log2(1.0 + signal_power / noise_power)
 
 
 def se_combiners(cfg: ArrayConfig, omega_hat, zeta_hat) -> np.ndarray:
@@ -443,19 +434,19 @@ def se_combiners(cfg: ArrayConfig, omega_hat, zeta_hat) -> np.ndarray:
     return design_hybrid(cfg, np.clip(omega_hat, -1, 1), zeta_hat).combined_row()
 
 
-def signal_powers(rows: np.ndarray, hs: np.ndarray) -> list:
+def signal_powers(rows: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """|rows[t] @ hs[t]|^2 per channel."""
-    return [abs(y) ** 2 for y in row_dots(rows, hs)]
+    return np.abs(row_dots(rows, hs)) ** 2
 
 
-def spectral_efficiency(rows: np.ndarray, hs: np.ndarray, noise_power: float) -> list:
+def spectral_efficiency(rows: np.ndarray, hs: np.ndarray, noise_power: float) -> np.ndarray:
     """log2(1 + |combined signal|^2 / sigma_rf^2) for unit-norm combiners.
 
     Each channel of the (T, N) stack goes through its own combined row
     (see :func:`se_combiners`); the row has unit norm so the post-combining
     noise power equals the per-antenna noise power.
     """
-    return [se_bits(p, noise_power) for p in signal_powers(rows, hs)]
+    return se_bits(signal_powers(rows, hs), noise_power)
 
 
 @dataclass(frozen=True)
@@ -467,7 +458,7 @@ class StepResult:
     ``measured`` means the run had no fix that block.
     """
 
-    beam: np.ndarray | list          # (T, N), or T vectors (codebook columns)
+    beam: np.ndarray                 # (T, N)
     omega: np.ndarray                # (T,)
     range_m: np.ndarray              # (T,)
     pilots: np.ndarray | int         # per run, or one count for all
@@ -510,8 +501,10 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
         outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
         rows = se_combiners(cfg, np.concatenate([out.omega for out in outs]),
                             np.concatenate([out.range_m for out in outs]))
-        ses = spectral_efficiency(rows, hs, noise_power)
-        gains = _block_gains(chan.los.steering[i], outs)
+        ses = spectral_efficiency(rows, hs, noise_power).tolist()
+        # |los^H beam| of every run's beam, in run order
+        gains = np.abs(row_dots(chan.los.steering[i].conj(),
+                                np.concatenate([out.beam for out in outs]))).tolist()
         truth = traj.position(i)
         for out, scheme_logs, a in zip(outs, logs, edges):
             pilots = np.broadcast_to(out.pilots, len(scheme_logs)).tolist()
@@ -524,22 +517,6 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
                     filtered=out.filtered[t], gain=gains[a + t], se_bits=ses[a + t],
                     pilots=pilots[t]))
     return logs
-
-
-def _block_gains(los: np.ndarray, outs) -> list[float]:
-    """|los^H beam| of every run's beam, in run order."""
-    stacked = [out.beam for out in outs if isinstance(out.beam, np.ndarray)]
-    if stacked:
-        # one (conj(los) . beam) per run: the dot np.vdot(los, beam) computes
-        dots = iter(row_dots(los.conj(), np.concatenate(stacked)))
-    gains = []
-    for out in outs:
-        if isinstance(out.beam, np.ndarray):
-            gains += [float(abs(next(dots))) for _ in out.beam]
-        else:
-            # strided codebook columns: np.vdot on each, as one run alone scores it
-            gains += [float(abs(np.vdot(los, beam))) for beam in out.beam]
-    return gains
 
 
 def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
@@ -631,7 +608,7 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
         cws = [book.params(p) for p in p_best]
         omega, range_m = [cw.theta for cw in cws], [cw.distance for cw in cws]
-        return StepResult.pointing([book.column(p) for p in p_best], omega, range_m,
+        return StepResult.pointing(np.stack([book.column(p) for p in p_best]), omega, range_m,
                                    pilots=np.array([len(c) for c in cands]))
 
     return step
@@ -652,22 +629,24 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
         nonlocal q_best
         if q_best is None:
             q_best = [q_start] * len(rngs)
-        pilots = []
-        for t, (h, rng) in enumerate(zip(hs, rngs)):
-            cands = [q for q in (q_best[t] - 1, q_best[t], q_best[t] + 1)
-                     if 1 <= q <= book.n_angles]
-            # a strided codebook column: np.vdot per pilot, as one run alone calls it
-            ys = np.array([np.vdot(book.column(book.index_of(q, None)), h) for q in cands])
-            if noise_power > 0.0:
-                # crandn(rng) per pilot, in order: one draw of all their normals
-                normals = rng.standard_normal(2 * len(cands))
-                ys = ys + _complex_normal(normals[0::2], normals[1::2]) * math.sqrt(noise_power)
-            q_best[t] = cands[int(np.argmax([abs(y) ** 2 for y in ys]))]
-            pilots.append(len(cands))
-        omega = [float(book.theta[q - 1]) for q in q_best]
-        range_m = np.full(len(q_best), FAR_FIELD)
-        return StepResult.pointing([book.column(book.index_of(q, None)) for q in q_best],
-                                   omega, range_m, pilots=np.array(pilots))
+        cands = [[q for q in (q_t - 1, q_t, q_t + 1) if 1 <= q <= book.n_angles]
+                 for q_t in q_best]
+        # every (run, candidate) pilot as one stack, each run's in order
+        runs = [t for t, c in enumerate(cands) for _ in c]
+        flat = [q for c in cands for q in c]
+        cols = np.stack([book.column(book.index_of(q, None)) for q in flat])
+        ys = row_dots(cols.conj(), hs[runs])
+        if noise_power > 0.0:
+            # crandn(rng) per pilot, in order: one draw of each run's normals
+            normals = np.concatenate([rng.standard_normal(2 * len(c))
+                                      for rng, c in zip(rngs, cands)])
+            ys = ys + _complex_normal(normals[0::2], normals[1::2]) * math.sqrt(noise_power)
+        powers = np.abs(ys) ** 2
+        first = np.cumsum([0] + [len(c) for c in cands])
+        best = [a + int(np.argmax(powers[a:b])) for a, b in zip(first, first[1:])]
+        q_best = [flat[k] for k in best]
+        return StepResult.pointing(cols[best], [float(book.theta[q - 1]) for q in q_best],
+                                   np.full(len(best), FAR_FIELD), pilots=np.diff(first))
 
     return step
 

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from xlbeam.arrays import ArrayConfig, antenna_noise, crandn, steering
 from xlbeam.codebooks import HybridCodebook
-from xlbeam.combining import CombinerPair, design_hybrid, hybrid_beam_gain
+from xlbeam.combining import CombinerPair, design_hybrid, hybrid_beam_gain, row_dots
 from xlbeam.tracking import measure_blocks
 
 
@@ -172,10 +172,10 @@ def _uncached_block(cfg: ArrayConfig, traj, scen, scatterers, rng, block: int):
 
 def _uncached_se(cfg: ArrayConfig, h, omega, zeta, noise_power: float) -> float:
     pair = design_hybrid(cfg, float(np.clip(omega, -1, 1)), float(zeta))
-    sig = abs(pair.combined_row() @ h) ** 2
+    sig = np.abs(row_dots(pair.combined_row(), h)) ** 2
     if noise_power <= 0.0:
         return math.inf
-    return math.log2(1.0 + sig / noise_power)
+    return float(np.log2(1.0 + sig / noise_power))
 
 
 def uncached_tracking_run(cfg: ArrayConfig, traj, tcfg, noise_power: float, rng,
@@ -187,7 +187,9 @@ def uncached_tracking_run(cfg: ArrayConfig, traj, tcfg, noise_power: float, rng,
     chunks.
     Here every block steers at the line of sight and at each scatterer
     again, scores the beam with ``hybrid_beam_gain`` and designs the SE
-    combiner at the step's estimate; ``step`` sees one-run stacks.
+    combiner at the step's estimate; ``step`` sees one-run stacks.  Scores
+    round as the runtime's do: vectorised numpy operations, and one
+    ``row_dots`` product per beam.
     """
     scatterers = _uncached_scatterers(cfg, scen, rng)
     out = []

@@ -9,7 +9,7 @@ from oracles import rayleigh_distance
 
 from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, PathParams,
                     QuadraticPhase, crandn, element_distance, realize,
-                    sample_channel, steering, steering_far,
+                    sample_channel, sample_channels, steering, steering_far,
                     steering_near, steering_quadratic)
 
 
@@ -231,14 +231,14 @@ class TestQuadraticPhase:
 class TestChannel:
     def test_default_scenario_shape(self, cfg512, rng):
         ch = sample_channel(cfg512, rng)
-        assert len(ch.paths) == 3
+        assert ch.gains.shape == ch.sines.shape == ch.ranges.shape == (3,)
         assert ch.h.shape == (512,)
-        assert ch.los is ch.paths[0]
+        assert ch.steering.shape == (3, 512)
+        assert not ch.steering.flags.writeable
 
     def test_gain_variances(self, cfg512):
         rng = np.random.default_rng(3)
-        gains = np.array([[p.gain for p in sample_channel(cfg512, rng).paths]
-                          for _ in range(4000)])
+        gains = np.array([sample_channel(cfg512, rng).gains for _ in range(4000)])
         var = np.mean(np.abs(gains) ** 2, axis=0)
         assert var[0] == pytest.approx(1.0, rel=0.1)
         assert var[1] == pytest.approx(0.01, rel=0.15)
@@ -249,16 +249,42 @@ class TestChannel:
         lim = math.sqrt(3) / 2
         for _ in range(200):
             ch = sample_channel(cfg512, rng)
-            for p in ch.paths:
-                assert -lim <= p.omega <= lim
-                assert cfg512.range_floor <= p.range_m <= 150.0
+            assert np.all((-lim <= ch.sines) & (ch.sines <= lim))
+            assert np.all((cfg512.range_floor <= ch.ranges) & (ch.ranges <= 150.0))
 
     def test_single_path_degenerate(self, cfg512, rng):
         scen = ChannelScenario(n_paths=1, gain_vars=(1.0,))
         ch = sample_channel(cfg512, rng, scen)
-        p = ch.paths[0]
-        expect = p.gain * steering_near(cfg512, p.omega, p.range_m)
+        expect = ch.gains[0] * steering_near(cfg512, ch.sines[0], ch.ranges[0])
         assert np.allclose(ch.h, expect, rtol=1e-12)
+
+    FIELDS = ("gains", "sines", "ranges", "steering", "h")
+
+    def test_one_channel_is_row_0_of_a_stack(self, cfg512):
+        one_rng, stack_rng = np.random.default_rng(11), np.random.default_rng(11)
+        one = sample_channel(cfg512, one_rng)
+        stack = sample_channels(cfg512, [stack_rng])
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(stack, name)[0]), name
+        # per-path scalar draws, path by path: the gain's normals, the sine,
+        # the range; both leave the generator where those draws leave it
+        ref_rng = np.random.default_rng(11)
+        scen = ChannelScenario()
+        for l, var in enumerate(scen.gain_vars):
+            re, im = ref_rng.standard_normal(), ref_rng.standard_normal()
+            assert one.gains[l] == (re + 1j * im) * math.sqrt(0.5) * math.sqrt(var)
+            assert one.sines[l] == ref_rng.uniform(*scen.angle_range)
+            assert one.ranges[l] == ref_rng.uniform(cfg512.range_floor, 150.0)
+        assert one_rng.random() == stack_rng.random() == ref_rng.random()
+
+    def test_a_channel_does_not_depend_on_its_stack(self, cfg512):
+        scen = ChannelScenario(range_range=(1.0, 400.0))
+        stack = sample_channels(cfg512, [np.random.default_rng(s) for s in range(9)], scen)
+        assert stack.h.shape == (9, 512) and stack.steering.shape == (9, 3, 512)
+        for s in range(9):
+            one = sample_channel(cfg512, np.random.default_rng(s), scen)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(one, name), getattr(stack.row(s), name)), name
 
     def test_synthesize_far_marker(self, cfg512):
         path = PathParams(gain=1.0 + 0j, omega=0.3, range_m=FAR_FIELD)
@@ -271,6 +297,9 @@ class TestChannel:
             ChannelScenario(n_paths=0)
         with pytest.raises(ValueError, match="^gain_vars "):
             ChannelScenario(n_paths=3, gain_vars=(1.0, 0.01))
+        # a silent line of sight leaves alignment gains 0 / 0
+        with pytest.raises(ValueError, match="^gain_vars "):
+            ChannelScenario(n_paths=3, gain_vars=(0.0, 0.01, 0.01))
         with pytest.raises(ValueError, match="^angle_range "):
             ChannelScenario(angle_range=(0.5, -0.5))
         with pytest.raises(ValueError, match="^range_range "):

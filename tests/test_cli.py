@@ -231,6 +231,9 @@ class TestConfigErrors:
         ("track", "array.wavelength", 1e300),
         ("track", "trajectory.dt", 1e300),
         ("track", "tracker.accel_intensity", 1e300),
+        # a silent line of sight, which alignment gains divide by
+        ("sweep", "paths.gain_vars", [0.0, 0.0, 0.0]),
+        ("train", "scenario.paths.gain_vars", [0.0, 0.01, 0.01]),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]

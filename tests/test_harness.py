@@ -113,6 +113,20 @@ class TestTrainingExperiments:
                                           schemes)[0] for i in range(7)]
         assert chunk == alone
 
+    def test_a_full_chunk_scores_each_trial_as_alone(self, cfg128, desk_workspace):
+        # one 64-trial chunk draws, steers and scores its channels as arrays;
+        # every row must equal that trial run alone, infinite errors included
+        spec = desk_spec(cfg128)
+        rngs = [trial_rng(9, i) for i in range(CHUNK_TRIALS)]
+        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes)
+        alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(9, i)],
+                                          spec.schemes)[0] for i in range(CHUNK_TRIALS)]
+        assert chunk == alone
+        # ffbs picks a far cell (r = inf) every time; thbt does some of the time
+        assert all(math.isinf(r["ffbs"]["error_m"]) for r in chunk)
+        assert any(math.isinf(r["thbt"]["error_m"]) for r in chunk)
+        assert all(math.isfinite(r[s]["gain"]) for r in chunk for s in spec.schemes)
+
     def test_gain_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace,
                                                      tmp_path):
         # 70 trials: chunks of 35 for one or two workers, of 24/23/23 for three
