@@ -71,6 +71,18 @@ def numbers_of(values, key: str, length: int | None = None,
     return tuple(number_of(v, key, **bounds) for v in values)
 
 
+def snr_of(value, key: str, cfg: ArrayConfig) -> float:
+    """A config SNR in dB: a finite number whose noise power is finite too
+    (below about -3000 dB it overflows)."""
+    snr_db = number_of(value, key)
+    try:
+        snr_db_to_noise_power(snr_db, cfg)
+    except OverflowError:
+        raise ConfigError(f"{key} {snr_db} dB gives a noise power too large "
+                          f"to represent") from None
+    return snr_db
+
+
 def seed_of(node: dict, args, default=0) -> int:
     """The run's seed: ``--seed`` if given, else the config node's."""
     seed = args.seed if args.seed is not None else node.get("seed", default)
@@ -129,7 +141,7 @@ def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float
     cfg = parse_array(node, "scenario")
     scen = parse_paths(node.get("paths"), "scenario.paths")
     require_keys(node, ["snr_db"], "scenario")
-    snr_db = number_of(node["snr_db"], "scenario.snr_db")
+    snr_db = snr_of(node["snr_db"], "scenario.snr_db", cfg)
     return cfg, scen, snr_db, seed_of(node, args, config.get("seed", 0))
 
 
@@ -238,6 +250,19 @@ def trajectory_of(config: dict) -> Trajectory:
                       n_blocks=integer_of(node["blocks"], "trajectory.blocks", 1))
 
 
+def check_trajectory(traj: Trajectory, cfg: ArrayConfig) -> None:
+    """Reject a trajectory that leaves the range model.  Every block the
+    tracker runs (1..n_blocks) is steered at, so its range must reach the
+    range floor; the start is only converted to (omega, range), which
+    needs a non-zero range."""
+    for block in range(traj.n_blocks + 1):
+        zeta = float(np.hypot(*traj.position(block)))
+        if not (zeta >= cfg.range_floor if block else zeta > 0.0):
+            raise ConfigError(f"trajectory is {zeta:.4g} m from the array at block "
+                              f"{block}: blocks 1..{traj.n_blocks} need the range floor "
+                              f"{cfg.range_floor:.4g} m, and the start a non-zero range")
+
+
 def tracking_scenario_of(config: dict) -> TrackingScenario:
     node = node_of(config, "tracking_channel")
     kwargs = {}
@@ -258,9 +283,10 @@ def tracking_scenario_of(config: dict) -> TrackingScenario:
 def cmd_track(config: dict, args) -> int:
     cfg = parse_array(config.get("array"), "array")
     require_keys(config, ["snr_db"])
-    snr_db = number_of(config["snr_db"], "snr_db")
+    snr_db = snr_of(config["snr_db"], "snr_db", cfg)
     traj = trajectory_of(config)
     tcfg = tracker_config_of(config, traj)
+    check_trajectory(traj, cfg)
     scen = tracking_scenario_of(config)
     seed = seed_of(config, args)
     noise = snr_db_to_noise_power(snr_db, cfg)
@@ -328,7 +354,8 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
                           f"(choose from {list(known)}), got {schemes!r}")
     scen = (parse_paths(config["paths"], "paths") if "paths" in config
             else ChannelScenario())
-    snr_grid = numbers_of(config.get("snr_grid_db", [10.0]), "snr_grid_db")
+    snr_grid = tuple(snr_of(snr_db, "snr_grid_db", cfg) for snr_db in
+                     numbers_of(config.get("snr_grid_db", [10.0]), "snr_grid_db"))
     if not snr_grid:
         raise ConfigError("snr_grid_db must list at least one SNR")
     kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=tuple(schemes), trials=trials,
@@ -342,6 +369,7 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
         traj = trajectory_of(config)
         kwargs["trajectory"] = traj
         kwargs["tracker"] = tracker_config_of(config, traj)
+        check_trajectory(traj, cfg)
         kwargs["tracking_scenario"] = tracking_scenario_of(config)
     if kind == "refinement_grid":
         kwargs["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)

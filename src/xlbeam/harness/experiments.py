@@ -156,10 +156,11 @@ TRAINING_SCHEMES = {
 }
 
 
-def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
+def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float],
                              scenario: ChannelScenario, rngs,
-                             schemes: tuple[str, ...]) -> list[dict]:
-    """One channel draw per rng, all requested schemes measured on each.
+                             schemes: tuple[str, ...]) -> list[list[dict]]:
+    """One channel draw per rng, all requested schemes measured on each, at
+    every noise power: one list of per-trial results per noise power.
 
     Every scheme is scored the same way: the alignment gain of the beam it
     points and the position error of the (omega, r) it reports.  Each
@@ -167,24 +168,44 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
     and draws each trial's noise from that trial's rng, so each trial uses
     its rng exactly as it would alone: the channel first, then the schemes
     in table order.
+
+    The channels and the sweep baselines' noiseless outputs do not depend
+    on the noise power, so they are drawn and computed once.  Each rng's
+    state right after its channel draw is saved and restored before every
+    noise power, so each point draws exactly what it would alone, and the
+    rngs end where a run of the last point alone leaves them.
     """
     cfg = spec.cfg
     book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
     channels = sample_channels(cfg, rngs, scenario)
+    drawn = [rng.bit_generator.state for rng in rngs]
     # the sweep baselines' noiseless outputs from 0-based column `first` on,
     # all from one codebook product
     first = 0 if "hfbs" in schemes else book.n_near if "ffbs" in schemes else None
     signals = None if first is None else sweep_signals(book, channels.h, first)
-    chunk = _TrainingChunk(cfg, book, design, channels, noise_power, rngs, signals,
-                           first or 0)
-    results = [{} for _ in rngs]
-    for scheme, estimate in TRAINING_SCHEMES.items():
-        if scheme in schemes:
-            beams, omegas, ranges, pilots = estimate(chunk)
-            gains = alignment_gain(channels, beams).tolist()
-            errors = _position_error(channels, omegas, ranges).tolist()
-            for out, gain, error in zip(results, gains, errors):
-                out[scheme] = {"gain": gain, "error_m": error, "pilots": pilots}
+    points = []
+    for noise_power in noise_powers:
+        for rng, state in zip(rngs, drawn):
+            rng.bit_generator.state = state
+        chunk = _TrainingChunk(cfg, book, design, channels, noise_power, rngs, signals,
+                               first or 0)
+        results = [{} for _ in rngs]
+        for scheme, estimate in TRAINING_SCHEMES.items():
+            if scheme in schemes:
+                beams, omegas, ranges, pilots = estimate(chunk)
+                gains = alignment_gain(channels, beams).tolist()
+                errors = _position_error(channels, omegas, ranges).tolist()
+                for out, gain, error in zip(results, gains, errors):
+                    out[scheme] = {"gain": gain, "error_m": error, "pilots": pilots}
+        points.append(results)
+    return points
+
+
+def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
+                             scenario: ChannelScenario, rngs,
+                             schemes: tuple[str, ...]) -> list[dict]:
+    """The one-point case of :func:`evaluate_training_points`."""
+    [results] = evaluate_training_points(spec, [noise_power], scenario, rngs, schemes)
     return results
 
 
@@ -195,15 +216,14 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
 def _gain_sweep(spec: ExperimentSpec, experiment: str, points) -> list[dict]:
     """Mean aligned gain per scheme at each swept point.
 
-    ``points`` holds one (row fields, noise power, channel scenario) per
-    point; every point runs the same trials.
+    ``points`` holds one (row fields, per-trial results) per point.  Every
+    point runs the same trials: trial i's channel comes from the start of
+    ``trial_rng(spec.seed, i)`` and its scheme noise from the rest of that
+    stream, whether the point runs alone or shares the chunk's channel
+    draw with the other points of a grid.
     """
     rows = []
-    for fields, noise, scenario in points:
-        def worker(indices, rngs, _noise=noise, _scen=scenario):
-            return evaluate_training_trials(spec, _noise, _scen, rngs, spec.schemes)
-
-        results = run_trials(worker, spec.trials, spec.seed, spec.workers)
+    for fields, results in points:
         for scheme in spec.schemes:
             gains = np.array([r[scheme]["gain"] for r in results])
             rows.append({
@@ -215,20 +235,38 @@ def _gain_sweep(spec: ExperimentSpec, experiment: str, points) -> list[dict]:
 
 
 def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
-    """Mean aligned gain per scheme across the SNR grid."""
+    """Mean aligned gain per scheme across the SNR grid.
+
+    The whole grid runs in one pass over the trials: each chunk draws its
+    channels once and replays each trial's stream at every SNR point."""
+    noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
+
+    def worker(indices, rngs):
+        return zip(*evaluate_training_points(spec, noises, spec.scenario, rngs,
+                                             spec.schemes))
+
+    per_point = zip(*run_trials(worker, spec.trials, spec.seed, spec.workers))
     return _gain_sweep(spec, "gain_vs_snr", [
-        ({"snr_db": snr_db}, snr_db_to_noise_power(snr_db, spec.cfg), spec.scenario)
-        for snr_db in spec.snr_grid_db])
+        ({"snr_db": snr_db}, results)
+        for snr_db, results in zip(spec.snr_grid_db, per_point)])
 
 
 def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
-    """Mean aligned gain per scheme as the range upper bound varies."""
+    """Mean aligned gain per scheme as the range upper bound varies; each
+    point draws its own channels."""
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     r_min = spec.scenario.range_range[0]
+
+    def results_at(scenario):
+        def worker(indices, rngs):
+            return evaluate_training_trials(spec, noise, scenario, rngs, spec.schemes)
+
+        return run_trials(worker, spec.trials, spec.seed, spec.workers)
+
     return _gain_sweep(spec, "gain_vs_distance", [
-        ({"r_max_m": r_max, "snr_db": snr_db}, noise,
-         replace(spec.scenario, range_range=(r_min, r_max)))
+        ({"r_max_m": r_max, "snr_db": snr_db},
+         results_at(replace(spec.scenario, range_range=(r_min, r_max))))
         for r_max in spec.r_max_grid])
 
 

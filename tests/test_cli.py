@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbeam.cli import (experiment_spec_of, main, parse_array, scenario_of,
-                        tracker_config_of, tracking_scenario_of, trajectory_of)
-from xlbeam.harness import runner
+from xlbeam.cli import (check_trajectory, experiment_spec_of, main, parse_array,
+                        scenario_of, tracker_config_of, tracking_scenario_of,
+                        trajectory_of)
+from xlbeam.harness import ConfigError, runner
+from xlbeam.tracking import Trajectory
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
 DESK_PATHS = {"count": 3, "gain_vars": [1.0, 0.01, 0.01],
@@ -51,6 +53,9 @@ def track_config(**extra):
     return cfgdict
 
 
+# a trajectory that reaches the array at block 20
+TOO_CLOSE = {"start": [5.0, 0.0], "velocity": [-5.0, 0.0], "dt": 0.05, "blocks": 40}
+
 # name -> (subcommand, a valid config it reads)
 BASE_CONFIGS = {
     "track": ("track", track_config()),
@@ -65,6 +70,9 @@ BASE_CONFIGS = {
     "refine": ("refine", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
                           "coarse": {"omega": 0.0, "range_m": 5.0}}),
     "codebook": ("codebook", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
+    "tracking": ("sweep", sweep_config(
+        experiment="tracking", schemes=["nfbt"], trials=1,
+        trajectory=track_config()["trajectory"])),
     "report": ("report", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
 }
 
@@ -234,12 +242,35 @@ class TestConfigErrors:
         # a silent line of sight, which alignment gains divide by
         ("sweep", "paths.gain_vars", [0.0, 0.0, 0.0]),
         ("train", "scenario.paths.gain_vars", [0.0, 0.01, 0.01]),
+        # a noise power that overflows
+        ("sweep", "snr_grid_db", [10.0, -4000.0]),
+        ("track", "snr_db", -4000),
+        ("train", "scenario.snr_db", -4000),
+        ("refine", "scenario.snr_db", -4000),
+        # reaches the array at block 20, inside the range floor from block 17
+        ("track", "trajectory", TOO_CLOSE),
+        ("tracking", "trajectory", TOO_CLOSE),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
         cfg = write_config(tmp_path, "cfg.json", with_key(cfgdict, key, value))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
         assert key in capsys.readouterr().err
+
+    def test_a_start_at_the_array_is_rejected(self):
+        cfg = parse_array(DESK_ARRAY, "array")
+        with pytest.raises(ConfigError, match="trajectory .* at block 0"):
+            check_trajectory(Trajectory((0.0, 0.0), (20.0, 0.0), 0.05, 3), cfg)
+        # only the blocks the tracker runs are held to the range floor
+        check_trajectory(Trajectory((0.1, 0.0), (20.0, 0.0), 0.05, 3), cfg)
+
+    @pytest.mark.parametrize("base, key", [("sweep", "snr_grid_db"), ("track", "snr_db"),
+                                           ("train", "scenario.snr_db")])
+    def test_a_very_low_snr_that_stays_finite_runs(self, tmp_path, base, key):
+        command, cfgdict = BASE_CONFIGS[base]
+        value = [-3000.0] if key == "snr_grid_db" else -3000.0
+        cfg = write_config(tmp_path, "cfg.json", with_key(cfgdict, key, value))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 0
 
     @pytest.mark.parametrize("fading", ["no", 0, 1, None])
     def test_fading_not_a_bool(self, tmp_path, capsys, fading):

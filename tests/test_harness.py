@@ -16,7 +16,7 @@ from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
 from xlbeam.harness import experiments, runner
-from xlbeam.harness.experiments import evaluate_training_trials
+from xlbeam.harness.experiments import evaluate_training_points, evaluate_training_trials
 from xlbeam.harness.runner import CHUNK_TRIALS, MIN_CHUNK_TRIALS, trial_chunks
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
@@ -164,6 +164,48 @@ class TestTrainingExperiments:
                                                             desk_workspace):
         spec = desk_spec(cfg128, r_max_grid=(12.0, 40.0))
         assert gain_vs_distance(spec) == gain_vs_distance(replace(spec, workers=2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_snr_grid_is_its_points_run_alone(self, cfg128, desk_workspace, workers):
+        # the grid shares each chunk's channel draw and codebook product
+        # across its points; its rows must be those of each point alone
+        spec = desk_spec(cfg128, trials=70, workers=workers, snr_grid_db=(-5.0, 0.0, 10.0))
+        alone = [row for snr_db in spec.snr_grid_db
+                 for row in gain_vs_snr(replace(spec, snr_grid_db=(snr_db,)))]
+        assert gain_vs_snr(spec) == alone
+
+    @pytest.mark.parametrize("grid", [(10.0,), (0.0, 10.0), (-10.0, -5.0, 0.0, 5.0, 10.0)])
+    def test_a_grid_draws_and_sweeps_once_per_chunk(self, cfg128, desk_workspace,
+                                                    monkeypatch, grid):
+        calls = []
+
+        def spy(name):
+            original = getattr(experiments, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("sample_channels", "sweep_signals"):
+            monkeypatch.setattr(experiments, name, spy(name))
+        gain_vs_snr(desk_spec(cfg128, trials=70, snr_grid_db=grid))
+        n_chunks = len(trial_chunks(70, 1))
+        assert n_chunks == 2
+        assert calls.count("sample_channels") == calls.count("sweep_signals") == n_chunks
+
+    def test_a_grid_leaves_each_rng_where_its_last_point_does(self, cfg128,
+                                                              desk_workspace):
+        spec = desk_spec(cfg128)
+        noises = [1e-2, 1e-3, 1e-4]
+        grid = [trial_rng(5, i) for i in range(7)]
+        points = evaluate_training_points(spec, noises, spec.scenario, grid, spec.schemes)
+        for noise, results in zip(noises, points):
+            alone = [trial_rng(5, i) for i in range(7)]
+            assert results == evaluate_training_trials(spec, noise, spec.scenario, alone,
+                                                       spec.schemes)
+        assert ([rng.bit_generator.state for rng in grid]
+                == [rng.bit_generator.state for rng in alone])
 
     @pytest.mark.parametrize("name", ["stage1_sweep", "stage2_select", "refine_channels",
                                       "baseline_hfbs", "baseline_ffbs", "design_hybrid"])
