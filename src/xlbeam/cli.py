@@ -73,7 +73,7 @@ def numbers_of(values, key: str, length: int | None = None,
 
 def snr_of(value, key: str, cfg: ArrayConfig) -> float:
     """A config SNR in dB: a finite number whose noise power is finite too
-    (below about -3000 dB it overflows)."""
+    (below about -3080 dB it overflows)."""
     snr_db = number_of(value, key)
     try:
         snr_db_to_noise_power(snr_db, cfg)
