@@ -17,9 +17,9 @@ import numpy as np
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
 from .codebooks import validate_quantization
-from .harness.experiments import (TRACKING_SCHEMES, TRAINING_SCHEMES,
-                                  ExperimentSpec, gain_vs_distance, gain_vs_snr,
-                                  overhead_report, positioning_cdf,
+from .harness.experiments import (POSITIONING_SCHEMES, TRACKING_SCHEMES,
+                                  TRAINING_SCHEMES, ExperimentSpec, gain_vs_distance,
+                                  gain_vs_snr, overhead_report, positioning_cdf,
                                   refinement_grid, tracking_experiment, workspace)
 from .harness.io import (ConfigError, fail, load_config, require_keys, write_csv,
                          write_manifest)
@@ -352,6 +352,11 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
             isinstance(name, str) and name in known for name in schemes):
         raise ConfigError(f"schemes must be a list of {kind} schemes "
                           f"(choose from {list(known)}), got {schemes!r}")
+    # refinement_grid reads no scheme; positioning_cdf reports no ffbs position
+    reported = POSITIONING_SCHEMES if kind == "positioning_cdf" else known
+    if kind != "refinement_grid" and not any(name in reported for name in schemes):
+        raise ConfigError(f"schemes must name a scheme that {kind} reports "
+                          f"(choose from {list(reported)}), got {schemes!r}")
     scen = (parse_paths(config["paths"], "paths") if "paths" in config
             else ChannelScenario())
     snr_grid = tuple(snr_of(snr_db, "snr_grid_db", cfg) for snr_db in

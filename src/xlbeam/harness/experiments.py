@@ -117,19 +117,21 @@ class _TrainingChunk:
             self._thbt = stage2_select(self.book, self.design, sweep)
         return self._thbt
 
-    def continuous_beams(self, omegas, ranges) -> np.ndarray:
-        """The hybrid beams designed with continuous subarray beams at each
-        (omega, r), one row per trial."""
-        return design_hybrid(self.cfg, omegas, ranges).combined_vector()
+    def beams(self, omegas, ranges, codewords) -> np.ndarray:
+        """The beams a scheme points, one row per trial: the 1-based
+        ``codewords`` it swept to, or, when it swept none, the hybrid beams
+        designed with continuous subarray beams at each (omega, r)."""
+        if codewords is None:
+            return design_hybrid(self.cfg, omegas, ranges).combined_vector()
+        return np.stack([self.book.column(p) for p in codewords])
 
     def swept(self, baseline, first: int) -> tuple:
         """Each trial's sweep baseline from 0-based column ``first`` on, one
         trial after another; each points its winning codeword."""
         runs = [baseline(self.book, h, self.noise, rng, signal=signal[first - self.first:])
                 for h, rng, signal in zip(self.channels.h, self.rngs, self.signals)]
-        return (np.stack([self.book.column(r.best_index) for r in runs]),
-                [r.rough_omega for r in runs], [r.rough_range for r in runs],
-                runs[0].pilots)
+        return ([r.rough_omega for r in runs], [r.rough_range for r in runs],
+                runs[0].pilots, [r.best_index for r in runs])
 
 
 def _refined(c: _TrainingChunk) -> tuple:
@@ -138,36 +140,41 @@ def _refined(c: _TrainingChunk) -> tuple:
     thbt = c.thbt
     ref = refine_channels(c.cfg, c.channels.h, thbt.rough_omega, thbt.rough_range,
                           antenna_noise(c.rngs, c.cfg.n_antennas, c.noise))
-    omegas = np.clip(ref.omega, -1.0, 1.0)
-    return (c.continuous_beams(omegas, ref.range_m), omegas, ref.range_m,
-            thbt.pilots + ref.pilots)
+    return np.clip(ref.omega, -1.0, 1.0), ref.range_m, thbt.pilots + ref.pilots, None
 
 
-# scheme -> estimator(chunk) -> (beams, omegas, ranges, pilots spent), one
-# beam, omega and range per trial, in the order the schemes draw from each
-# trial's rng.  The estimators look the training functions up when called,
-# so rebinding a module attribute reaches them.
+# scheme -> estimator(chunk) -> (omegas, ranges, pilots spent, codewords): the
+# (omega, r) each trial reports and, for a sweep baseline, the 1-based
+# codeword each trial's beam points (None: a continuous design at (omega, r)).
+# Estimators run in the order the schemes draw from each trial's rng.  They
+# look the training functions up when called, so rebinding a module
+# attribute reaches them.
 TRAINING_SCHEMES = {
-    "thbt": lambda c: (c.continuous_beams(c.thbt.rough_omega, c.thbt.rough_range),
-                       c.thbt.rough_omega, c.thbt.rough_range, c.thbt.pilots),
+    "thbt": lambda c: (c.thbt.rough_omega, c.thbt.rough_range, c.thbt.pilots, None),
     "thbt_brpss": _refined,
     "hfbs": lambda c: c.swept(baseline_hfbs, 0),
     "ffbs": lambda c: c.swept(baseline_ffbs, c.book.n_near),
 }
 
+# What a training evaluation can report per trial and scheme: the alignment
+# gain of the beam the scheme points, the position error of the (omega, r)
+# it reports, and the pilots it spent.
+SCORES = ("gain", "error_m", "pilots")
+
 
 def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float],
-                             scenario: ChannelScenario, rngs,
-                             schemes: tuple[str, ...]) -> list[list[dict]]:
+                             scenario: ChannelScenario, rngs, schemes: tuple[str, ...],
+                             scores: tuple[str, ...]) -> list[list[dict]]:
     """One channel draw per rng, all requested schemes measured on each, at
     every noise power: one list of per-trial results per noise power.
 
-    Every scheme is scored the same way: the alignment gain of the beam it
-    points and the position error of the (omega, r) it reports.  Each
-    scheme runs once for the whole chunk, in ``TRAINING_SCHEMES`` order,
-    and draws each trial's noise from that trial's rng, so each trial uses
-    its rng exactly as it would alone: the channel first, then the schemes
-    in table order.
+    Each result maps a scheme to the ``scores`` asked for (names from
+    ``SCORES``), and only those are computed: a scheme's beams are made
+    only when its gain is scored.  Every scheme is scored the same way.
+    Each scheme runs once for the whole chunk, in ``TRAINING_SCHEMES``
+    order, and draws each trial's noise from that trial's rng, so each
+    trial uses its rng exactly as it would alone, whatever it scores: the
+    channel first, then the schemes in table order.
 
     The channels and the sweep baselines' noiseless outputs do not depend
     on the noise power, so they are drawn and computed once.  Each rng's
@@ -175,6 +182,8 @@ def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float]
     noise power, so each point draws exactly what it would alone, and the
     rngs end where a run of the last point alone leaves them.
     """
+    if not scores or not set(scores) <= set(SCORES):
+        raise ValueError(f"scores must name some of {SCORES}, got {scores!r}")
     cfg = spec.cfg
     book, _, design = workspace(cfg, spec.n_angles, spec.n_rings)
     channels = sample_channels(cfg, rngs, scenario)
@@ -192,20 +201,25 @@ def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float]
         results = [{} for _ in rngs]
         for scheme, estimate in TRAINING_SCHEMES.items():
             if scheme in schemes:
-                beams, omegas, ranges, pilots = estimate(chunk)
-                gains = alignment_gain(channels, beams).tolist()
-                errors = _position_error(channels, omegas, ranges).tolist()
-                for out, gain, error in zip(results, gains, errors):
-                    out[scheme] = {"gain": gain, "error_m": error, "pilots": pilots}
+                omegas, ranges, pilots, codewords = estimate(chunk)
+                scored = {"pilots": [pilots] * len(rngs)}
+                if "gain" in scores:
+                    scored["gain"] = alignment_gain(
+                        channels, chunk.beams(omegas, ranges, codewords)).tolist()
+                if "error_m" in scores:
+                    scored["error_m"] = _position_error(channels, omegas, ranges).tolist()
+                for out, values in zip(results, zip(*(scored[s] for s in scores))):
+                    out[scheme] = dict(zip(scores, values))
         points.append(results)
     return points
 
 
 def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
-                             scenario: ChannelScenario, rngs,
-                             schemes: tuple[str, ...]) -> list[dict]:
+                             scenario: ChannelScenario, rngs, schemes: tuple[str, ...],
+                             scores: tuple[str, ...]) -> list[dict]:
     """The one-point case of :func:`evaluate_training_points`."""
-    [results] = evaluate_training_points(spec, [noise_power], scenario, rngs, schemes)
+    [results] = evaluate_training_points(spec, [noise_power], scenario, rngs, schemes,
+                                         scores)
     return results
 
 
@@ -243,7 +257,7 @@ def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
 
     def worker(indices, rngs):
         return zip(*evaluate_training_points(spec, noises, spec.scenario, rngs,
-                                             spec.schemes))
+                                             spec.schemes, ("gain", "pilots")))
 
     per_point = zip(*run_trials(worker, spec.trials, spec.seed, spec.workers))
     return _gain_sweep(spec, "gain_vs_snr", [
@@ -260,7 +274,8 @@ def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
 
     def results_at(scenario):
         def worker(indices, rngs):
-            return evaluate_training_trials(spec, noise, scenario, rngs, spec.schemes)
+            return evaluate_training_trials(spec, noise, scenario, rngs, spec.schemes,
+                                            ("gain", "pilots"))
 
         return run_trials(worker, spec.trials, spec.seed, spec.workers)
 
@@ -270,18 +285,25 @@ def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
         for r_max in spec.r_max_grid])
 
 
+# The training schemes positioning_cdf reports: ffbs points only far-field
+# cells, so it reports no position.
+POSITIONING_SCHEMES = ("thbt", "thbt_brpss", "hfbs")
+
+
 def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
-    """Empirical position-error quantiles per scheme (101-point grid).
+    """Empirical position-error quantiles per scheme of
+    ``POSITIONING_SCHEMES`` (101-point grid); no beam is designed or scored.
 
     Quantiles are order statistics (method "lower"), so runs with
     far-field picks (infinite error) stay well-defined.
     """
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
-    schemes = tuple(s for s in spec.schemes if s != "ffbs")
+    schemes = tuple(s for s in spec.schemes if s in POSITIONING_SCHEMES)
 
     def worker(indices, rngs):
-        return evaluate_training_trials(spec, noise, spec.scenario, rngs, schemes)
+        return evaluate_training_trials(spec, noise, spec.scenario, rngs, schemes,
+                                        ("error_m",))
 
     results = run_trials(worker, spec.trials, spec.seed, spec.workers)
     rows = []
@@ -491,7 +513,8 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
     spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s,
                           schemes=tuple(TRAINING_SCHEMES))
     [trained] = evaluate_training_trials(spec, noise, spec.scenario,
-                                         [np.random.default_rng(seed)], spec.schemes)
+                                         [np.random.default_rng(seed)], spec.schemes,
+                                         ("pilots",))
 
     blocks = 3
     traj = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),

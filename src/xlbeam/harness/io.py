@@ -76,9 +76,13 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
     return config

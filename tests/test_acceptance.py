@@ -179,7 +179,7 @@ def test_criterion_07_gain_orderings(cfg512, full_workspace):
 
         def worker(indices, rngs, _n=noise):
             return evaluate_training_trials(spec, _n, spec.scenario, rngs,
-                                            spec.schemes)
+                                            spec.schemes, ("gain",))
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         means[snr_db] = {s: float(np.mean([r[s]["gain"] for r in results]))
@@ -207,7 +207,7 @@ def test_criterion_08_distance_robustness(cfg512, full_workspace):
 
         def worker(indices, rngs):
             return evaluate_training_trials(spec, noise, spec.scenario, rngs,
-                                            spec.schemes)
+                                            spec.schemes, ("gain",))
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         for s in ("thbt", "ffbs"):
@@ -231,7 +231,7 @@ def test_criterion_09_positioning_medians(cfg512, full_workspace):
 
     def worker(indices, rngs):
         return evaluate_training_trials(spec, noise, spec.scenario, rngs,
-                                        spec.schemes)
+                                        spec.schemes, ("error_m",))
 
     results = run_trials(worker, spec.trials, spec.seed, spec.workers)
     med = {s: float(np.quantile([r[s]["error_m"] for r in results], 0.5,

@@ -300,10 +300,21 @@ class TestConfigErrors:
             track_config(), "tracker.innovation_gate", None))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 0
 
-    @pytest.mark.parametrize("schemes", [["thbt", "bogus"], ["nfbt"], "thbt"])
-    def test_unknown_scheme(self, tmp_path, capsys, schemes):
+    @pytest.mark.parametrize("schemes, experiment", [
+        pytest.param(["thbt", "bogus"], "gain_vs_snr", id="schemes0"),
+        pytest.param(["nfbt"], "gain_vs_snr", id="schemes1"),
+        pytest.param("thbt", "gain_vs_snr", id="thbt"),
+        # no scheme at all, or none the experiment reports (ffbs has no position)
+        pytest.param([], "gain_vs_snr", id="empty-gain_vs_snr"),
+        pytest.param([], "gain_vs_distance", id="empty-gain_vs_distance"),
+        pytest.param([], "positioning_cdf", id="empty-positioning_cdf"),
+        pytest.param([], "tracking", id="empty-tracking"),
+        pytest.param(["ffbs"], "positioning_cdf", id="ffbs-positioning_cdf"),
+    ])
+    def test_unknown_scheme(self, tmp_path, capsys, schemes, experiment):
         # a tracking scheme is unknown to a training experiment
-        cfg = write_config(tmp_path, "cfg.json", sweep_config(schemes=schemes))
+        _, base = BASE_CONFIGS.get(experiment, ("sweep", sweep_config(experiment=experiment)))
+        cfg = write_config(tmp_path, "cfg.json", with_key(base, "schemes", schemes))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
         assert "schemes" in capsys.readouterr().err
 

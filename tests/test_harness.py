@@ -16,7 +16,8 @@ from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
 from xlbeam.harness import experiments, runner
-from xlbeam.harness.experiments import evaluate_training_points, evaluate_training_trials
+from xlbeam.harness.experiments import (SCORES, evaluate_training_points,
+                                        evaluate_training_trials)
 from xlbeam.harness.runner import CHUNK_TRIALS, MIN_CHUNK_TRIALS, trial_chunks
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
@@ -97,9 +98,9 @@ class TestTrainingExperiments:
     def test_trial_rng_usage_is_scheme_ordered(self, cfg128, desk_workspace):
         spec = desk_spec(cfg128)
         out1 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                        spec.schemes)
+                                        spec.schemes, SCORES)
         out2 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                        spec.schemes)
+                                        spec.schemes, SCORES)
         assert out1 == out2
 
     @pytest.mark.parametrize("schemes", [("thbt", "thbt_brpss", "hfbs", "ffbs"),
@@ -108,9 +109,9 @@ class TestTrainingExperiments:
                                                          schemes):
         spec = desk_spec(cfg128)
         chunk = evaluate_training_trials(spec, 1e-3, spec.scenario,
-                                         [trial_rng(5, i) for i in range(7)], schemes)
+                                         [trial_rng(5, i) for i in range(7)], schemes, SCORES)
         alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(5, i)],
-                                          schemes)[0] for i in range(7)]
+                                          schemes, SCORES)[0] for i in range(7)]
         assert chunk == alone
 
     def test_a_full_chunk_scores_each_trial_as_alone(self, cfg128, desk_workspace):
@@ -118,9 +119,11 @@ class TestTrainingExperiments:
         # every row must equal that trial run alone, infinite errors included
         spec = desk_spec(cfg128)
         rngs = [trial_rng(9, i) for i in range(CHUNK_TRIALS)]
-        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes)
+        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes,
+                                         SCORES)
         alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(9, i)],
-                                          spec.schemes)[0] for i in range(CHUNK_TRIALS)]
+                                          spec.schemes, SCORES)[0]
+                 for i in range(CHUNK_TRIALS)]
         assert chunk == alone
         # ffbs picks a far cell (r = inf) every time; thbt does some of the time
         assert all(math.isinf(r["ffbs"]["error_m"]) for r in chunk)
@@ -199,11 +202,12 @@ class TestTrainingExperiments:
         spec = desk_spec(cfg128)
         noises = [1e-2, 1e-3, 1e-4]
         grid = [trial_rng(5, i) for i in range(7)]
-        points = evaluate_training_points(spec, noises, spec.scenario, grid, spec.schemes)
+        points = evaluate_training_points(spec, noises, spec.scenario, grid, spec.schemes,
+                                          SCORES)
         for noise, results in zip(noises, points):
             alone = [trial_rng(5, i) for i in range(7)]
             assert results == evaluate_training_trials(spec, noise, spec.scenario, alone,
-                                                       spec.schemes)
+                                                       spec.schemes, SCORES)
         assert ([rng.bit_generator.state for rng in grid]
                 == [rng.bit_generator.state for rng in alone])
 
@@ -223,8 +227,49 @@ class TestTrainingExperiments:
         monkeypatch.setattr(experiments, name, counted)
         spec = desk_spec(cfg128)
         evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                 spec.schemes)
+                                 spec.schemes, ("gain",))
         assert calls
+
+    # (driver, scoring functions it must not call, one it must call)
+    @pytest.mark.parametrize("driver, skipped, called", [
+        (positioning_cdf, ("design_hybrid", "alignment_gain"), "_position_error"),
+        (gain_vs_snr, ("_position_error",), "alignment_gain"),
+        (gain_vs_distance, ("_position_error",), "design_hybrid"),
+    ], ids=["positioning_cdf", "gain_vs_snr", "gain_vs_distance"])
+    def test_a_driver_scores_only_what_it_reports(self, cfg128, desk_workspace,
+                                                  monkeypatch, driver, skipped, called):
+        calls = []
+        for name in (*skipped, called):
+            def counted(*args, _name=name, _original=getattr(experiments, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        driver(desk_spec(cfg128, trials=20, snr_grid_db=(20.0,), r_max_grid=(12.0,)))
+        assert calls.count(called) > 0
+        assert [name for name in calls if name in skipped] == []
+
+    @pytest.mark.parametrize("scores", [("gain",), ("error_m",), ("pilots",),
+                                        ("error_m", "pilots")])
+    def test_a_score_is_the_same_whatever_else_is_scored(self, cfg128, desk_workspace,
+                                                         scores):
+        spec = desk_spec(cfg128)
+        full_rngs = [trial_rng(5, i) for i in range(7)]
+        full = evaluate_training_trials(spec, 1e-3, spec.scenario, full_rngs,
+                                        spec.schemes, SCORES)
+        rngs = [trial_rng(5, i) for i in range(7)]
+        some = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes,
+                                        scores)
+        assert some == [{scheme: {k: r[scheme][k] for k in scores} for scheme in r}
+                        for r in full]
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [rng.bit_generator.state for rng in full_rngs])
+
+    @pytest.mark.parametrize("scores", [(), ("gains",)])
+    def test_unknown_scores_are_refused(self, cfg128, desk_workspace, scores):
+        spec = desk_spec(cfg128)
+        with pytest.raises(ValueError, match="scores"):
+            evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(5, 0)],
+                                     spec.schemes, scores)
 
     def test_a_training_chunk_stays_small(self, cfg512):
         # one full chunk of thbt and thbt_brpss at the reference array: the
@@ -237,7 +282,7 @@ class TestTrainingExperiments:
         tracemalloc.start()
         try:
             evaluate_training_trials(spec, snr_db_to_noise_power(20.0, cfg512),
-                                     spec.scenario, rngs, spec.schemes)
+                                     spec.scenario, rngs, spec.schemes, SCORES)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -450,6 +495,11 @@ class TestIo:
             load_config(bad)
         bad.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(bad)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path)
+        bad.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
             load_config(bad)
 
     def test_svg_plot_smoke(self, tmp_path):
