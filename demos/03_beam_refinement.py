@@ -15,6 +15,7 @@ import numpy as np
 from xlbeam import (ArrayConfig, build_hybrid_codebook, run_brpss,
                     snr_db_to_noise_power, steering_near)
 from xlbeam.harness import write_csv
+from xlbeam.training import sweep_signals
 
 cfg = ArrayConfig(n_antennas=512, n_rf=4, wavelength=0.003)
 book = build_hybrid_codebook(cfg, 512, 11)
@@ -35,7 +36,7 @@ for snr_db in (0.0, 10.0, 20.0, 30.0):
         r = rng.uniform(10.0, 30.0)
         h = steering_near(cfg, omega, r)
         # coarse: the codeword best fitting the channel
-        p = int(np.argmax(np.abs(h.conj() @ book.matrix))) + 1
+        p = int(np.argmax(np.abs(sweep_signals(book, h)[0]))) + 1
         cw = book.params(p)
         truth = position(omega, r)
         coarse_err.append(np.linalg.norm(position(cw.theta, cw.distance) - truth))

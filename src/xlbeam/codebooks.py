@@ -7,6 +7,15 @@ Hybrid codebook layout (1-based column index p):
   column ``p`` covers angle index ``q = ceil(p / S)`` and distance index
   ``s = p - (q - 1) * S``;
 * columns ``Q*S + 1 .. Q*S + Q`` are the far-field grid.
+
+Stored layout.  Angles ``q`` and ``Q + 1 - q`` are exact negatives, their
+rings sit at equal distances, and the antenna offsets are exactly
+antisymmetric, so near column ``(Q + 1 - q, s)`` is column ``(q, s)`` with
+the antennas reversed, bit for bit.  ``HybridCodebook.matrix`` therefore
+holds only the near columns of angles ``1 .. ceil(Q/2)`` (in the order
+above), then the far block: ``ceil(Q/2)*S + Q`` columns.  Every other near
+column is read from its mirror source with the antenna axis reversed
+(:meth:`HybridCodebook.source`).
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class HybridCodebook:
     theta: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)        # (Q, S)
     below_floor: np.ndarray = field(repr=False)      # (Q, S) bool
-    matrix: np.ndarray = field(repr=False)           # (N, QS+Q)
+    matrix: np.ndarray = field(repr=False)           # (N, ceil(Q/2)*S + Q) stored columns
 
     @property
     def n_near(self) -> int:
@@ -72,6 +81,12 @@ class HybridCodebook:
     @property
     def n_columns(self) -> int:
         return self.n_near + self.n_angles
+
+    @property
+    def n_stored_near(self) -> int:
+        """Near columns held in ``matrix``: the rings of angles 1..ceil(Q/2).
+        The far block starts at 0-based stored column n_stored_near."""
+        return (self.n_angles + 1) // 2 * self.n_rings
 
     def params(self, p: int) -> CodewordParams:
         """Geometry of column p (1-based)."""
@@ -92,13 +107,35 @@ class HybridCodebook:
             return self.n_near + q
         return (q - 1) * self.n_rings + s
 
-    def column(self, p: int) -> np.ndarray:
-        """Column p (1-based)."""
-        return self.matrix[:, p - 1]
+    def source(self, p):
+        """Where column p (1-based) is held: its 0-based column of ``matrix``,
+        and whether it is read there with the antennas reversed.  An array
+        of indices gives two arrays."""
+        i = np.asarray(p) - 1
+        s = max(self.n_rings, 1)
+        near = i < self.n_near
+        mirrored = near & (i // s >= (self.n_angles + 1) // 2)
+        # angle Q + 1 - q reads angle q's ring; far columns shift down past the
+        # near columns not held
+        stored = np.where(mirrored, (self.n_angles - 1 - i // s) * s + i % s,
+                          np.where(near, i, i - self.n_near + self.n_stored_near))
+        return stored, mirrored
+
+    def column(self, p) -> np.ndarray:
+        """Column p (1-based): a view of the stored column, reversed for a
+        mirrored p.  An array of indices gives a new array, one row per column."""
+        stored, mirrored = self.source(p)
+        if np.ndim(p) == 0:
+            col = self.matrix[:, int(stored)]
+            return col[::-1] if mirrored else col
+        rows = self.matrix.T[stored]
+        rows[mirrored] = rows[mirrored, ::-1]
+        return rows
 
 
 def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
-    """Build the hybrid codebook {near block, far block} with Q*S+Q columns.
+    """Build the hybrid codebook {near block, far block} with Q*S+Q columns,
+    of which ``matrix`` holds ceil(Q/2)*S+Q (see the module notes).
 
     ``s = 0`` degenerates to the far-only codebook of Q columns.  Near
     columns whose ring distance falls below the validity floor (extreme
@@ -114,13 +151,17 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     # strict comparison up to rounding: the deepest ring at the angle grid
     # point nearest broadside sits essentially on the floor
     below = dist < cfg.range_floor * (1.0 - 1e-12)
-    # both blocks are written into one matrix, so no block is copied
-    matrix = np.empty((cfg.n_antennas, q * s + q), dtype=complex)
+    # both blocks are written into one matrix, so no block is copied; only
+    # the near rings of angles 1..ceil(Q/2) are held (see the module notes)
+    half = (q + 1) // 2
+    matrix = np.empty((cfg.n_antennas, half * s + q), dtype=complex)
     for qi in range(q):
-        # one stacked call per angle: its S rings as rows
-        matrix[:, qi * s:(qi + 1) * s] = steering_near(cfg, np.full(s, theta[qi]), dist[qi],
-                                                       validate=False).T
-    matrix[:, q * s:] = steering_far(cfg, theta).T
+        if qi < half:
+            # one stacked call per angle: its S rings as rows
+            matrix[:, qi * s:(qi + 1) * s] = steering_near(
+                cfg, np.full(s, theta[qi]), dist[qi], validate=False).T
+        # far columns one at a time, so no (Q, N) temporary is made
+        matrix[:, half * s + qi] = steering_far(cfg, theta[qi])
     return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta,
                           distances=dist, below_floor=below, matrix=matrix)
 

@@ -123,7 +123,7 @@ class _TrainingChunk:
         designed with continuous subarray beams at each (omega, r)."""
         if codewords is None:
             return design_hybrid(self.cfg, omegas, ranges).combined_vector()
-        return np.stack([self.book.column(p) for p in codewords])
+        return self.book.column(np.asarray(codewords))
 
     def swept(self, baseline, first: int) -> tuple:
         """Each trial's sweep baseline from 0-based column ``first`` on, one

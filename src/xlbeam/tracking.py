@@ -608,7 +608,7 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
         cws = [book.params(p) for p in p_best]
         omega, range_m = [cw.theta for cw in cws], [cw.distance for cw in cws]
-        return StepResult.pointing(np.stack([book.column(p) for p in p_best]), omega, range_m,
+        return StepResult.pointing(book.column(np.asarray(p_best)), omega, range_m,
                                    pilots=np.array([len(c) for c in cands]))
 
     return step
@@ -634,7 +634,7 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
         # every (run, candidate) pilot as one stack, each run's in order
         runs = [t for t, c in enumerate(cands) for _ in c]
         flat = [q for c in cands for q in c]
-        cols = np.stack([book.column(book.index_of(q, None)) for q in flat])
+        cols = book.column(book.index_of(np.asarray(flat), None))
         ys = row_dots(cols.conj(), hs[runs])
         if noise_power > 0.0:
             # crandn(rng) per pilot, in order: one draw of each run's normals

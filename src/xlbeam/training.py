@@ -81,10 +81,17 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 
     fc = np.empty((p_total, n_rf), dtype=complex)
     bh = sub_book.matrix.conj().T                                   # (M, M)
+    stored, mirrored = book.source(np.arange(1, p_total + 1))
+    n, sources = cfg.n_antennas, book.matrix[:, :qs - book.n_stored_near]
     for t in range(n_rf):
-        gt = bh @ book.matrix[t * m:(t + 1) * m, :]                 # (M, P)
-        fc[:, t] = gt[m_idx[:, t], np.arange(p_total)]
-        del gt      # so the next subarray's product does not coexist with this one
+        # a mirrored column's rows of subarray t are its source's rows of
+        # subarray N_RF - 1 - t reversed; copied into columns of their own,
+        # each entry sums the products a full matrix's column would, in order
+        for cols, block in ((~mirrored, book.matrix[t * m:(t + 1) * m]),
+                            (mirrored, sources[n - (t + 1) * m:n - t * m][::-1])):
+            gt = bh @ np.ascontiguousarray(block)                   # (M, columns of block)
+            fc[cols, t] = gt[m_idx[cols, t], stored[cols]]
+            del gt      # so no two products coexist
     norms = np.linalg.norm(fc, axis=1)
     v = fc.conj() / (math.sqrt(m) * norms[:, None])
     return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v,
@@ -206,7 +213,11 @@ def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.nd
     """Noiseless column-sweep outputs ``C[:, first:]^H h`` for a stack of
     channels: row k of the (T, P - first) result belongs to ``hs[k]``.
 
-    One matrix-matrix product serves the whole stack.  A one-row stack is
+    Matrix-matrix products serve the whole stack: the stack against the
+    stored near and far blocks, and the antenna-reversed stack against the
+    mirror sources (see :mod:`xlbeam.codebooks`).  A mirrored entry sums
+    the products a full matrix's column would, in reverse order; the far
+    block's product is the same whatever ``first`` is.  A one-row stack is
     padded with a zero row: numpy hands a (1, N) product to the
     matrix-vector kernel, which rounds differently, and a trial's outputs
     must not depend on how many trials share its product.
@@ -215,9 +226,20 @@ def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.nd
     n_rows = hs.shape[0]
     if n_rows == 1:
         hs = np.vstack([hs, np.zeros_like(hs)])
+    held, qs = book.n_stored_near, book.n_near
     # C^H h computed as (h^H C)^H to avoid conjugating the big matrix
-    y = hs.conj() @ book.matrix[:, first:]
-    return np.conjugate(y, out=y)[:n_rows]
+    if first >= qs:
+        y = hs.conj() @ book.matrix[:, held + first - qs:]
+        return np.conjugate(y, out=y)[:n_rows]
+    y = np.empty((hs.shape[0], book.n_columns), dtype=complex)
+    hc = hs.conj()
+    np.matmul(hc, book.matrix[:, :held], out=y[:, :held])
+    np.matmul(hc, book.matrix[:, held:], out=y[:, qs:])
+    mirrored = hs[:, ::-1].conj() @ book.matrix[:, :qs - held]
+    # the mirrored block runs over the source angles in reverse
+    shape = (hs.shape[0], book.n_angles // 2, book.n_rings)
+    y[:, held:qs].reshape(shape)[...] = mirrored.reshape(shape)[:, ::-1]
+    return np.conjugate(y, out=y)[:n_rows, first:]
 
 
 def _column_sweep(book: HybridCodebook, channel, noise_power: float,

@@ -9,6 +9,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from xlbeam import ArrayConfig, build_hybrid_codebook, build_subarray_codebook  # noqa: E402
+from xlbeam.harness import experiments  # noqa: E402
 from xlbeam.training import design_all  # noqa: E402
 
 PAPER_WAVELENGTH = 0.003
@@ -40,10 +41,9 @@ def desk_workspace(cfg128):
 
 @pytest.fixture(scope="session")
 def full_workspace(cfg512):
-    """Full-scale codebook at the reference settings (Q=512, S=11)."""
-    book = build_hybrid_codebook(cfg512, 512, 11)
-    sub = build_subarray_codebook(cfg512)
-    return book, sub, design_all(book, sub)
+    """Full-scale codebook at the reference settings (Q=512, S=11): the
+    harness's cached workspace, so a run holds one reference codebook."""
+    return experiments.workspace(cfg512, 512, 11)
 
 
 @pytest.fixture()

@@ -1,6 +1,6 @@
 """Reference oracles for the chirp-sum, flat-top and phase-model claims,
-the paper's closed-form geometry formulas, and one-seed-at-a-time
-tracking with nothing cached.
+the paper's closed-form geometry formulas, the full codebook matrix and
+its design, and one-seed-at-a-time tracking with nothing cached.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
@@ -13,8 +13,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from xlbeam.arrays import ArrayConfig, antenna_noise, crandn, steering
-from xlbeam.codebooks import HybridCodebook
-from xlbeam.combining import CombinerPair, design_hybrid, hybrid_beam_gain, row_dots
+from xlbeam.codebooks import HybridCodebook, SubarrayCodebook
+from xlbeam.combining import (CombinerPair, design_hybrid, hybrid_beam_gain, quantize_pointing,
+                              row_dots, subarray_pointing)
 from xlbeam.tracking import measure_blocks
 
 
@@ -52,6 +53,29 @@ def analog_matrix(pair: CombinerPair) -> np.ndarray:
     for t in range(n_rf):
         w[t, t * m:(t + 1) * m] = pair.w_blocks[t]
     return w
+
+
+def full_matrix(book: HybridCodebook) -> np.ndarray:
+    """The (N, P) matrix of every hybrid-codebook column in column order:
+    the stack of every ``book.column(p)``."""
+    return np.stack([book.column(p) for p in range(1, book.n_columns + 1)], axis=1)
+
+
+def full_matrix_design(book: HybridCodebook, sub_book: SubarrayCodebook):
+    """``design_all``'s ``(m_idx, v)`` computed from the full matrix: one
+    projection of each subarray's rows of every column."""
+    cfg = book.cfg
+    n_rf, m = cfg.n_rf, cfg.m_per_sub
+    psi = np.empty((book.n_columns, n_rf))
+    psi[:book.n_near] = subarray_pointing(cfg, np.repeat(book.theta, book.n_rings),
+                                          book.distances.reshape(-1))
+    psi[book.n_near:] = book.theta[:, None]
+    m_idx = quantize_pointing(psi.reshape(-1), sub_book).reshape(-1, n_rf) - 1
+    full = full_matrix(book)
+    fc = np.stack([(sub_book.matrix.conj().T @ full[t * m:(t + 1) * m])[
+        m_idx[:, t], np.arange(book.n_columns)] for t in range(n_rf)], axis=1)
+    v = fc.conj() / (math.sqrt(m) * np.linalg.norm(fc, axis=1)[:, None])
+    return m_idx, v
 
 
 def valid_placements(book: HybridCodebook) -> list[int]:

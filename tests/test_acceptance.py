@@ -13,7 +13,7 @@ import pytest
 from xlbeam import (ArrayConfig, ChannelScenario, assemble_reused,
                     build_subarray_codebook, quantize_pointing, run_brpss,
                     steering_near, subarray_pointing)
-from oracles import chirp_sum, gain_loss_bound, rayleigh_distance, valid_placements
+from oracles import chirp_sum, full_matrix, gain_loss_bound, rayleigh_distance, valid_placements
 from xlbeam.harness import ExperimentSpec, overhead_report
 from xlbeam.harness.experiments import (evaluate_training_trials,
                                         tracking_experiment)
@@ -126,6 +126,7 @@ def test_criterion_05_refinement_recovery(cfg512, full_workspace):
     curvature offset outside the phase-wrap band.
     """
     book, _, design = full_workspace
+    matrix = full_matrix(book)
     rng = np.random.default_rng(1234)
     ok = 0
     trials = 1000
@@ -133,7 +134,7 @@ def test_criterion_05_refinement_recovery(cfg512, full_workspace):
         omega = rng.uniform(-SQ32, SQ32)
         r = rng.uniform(10.0, 30.0)
         h = steering_near(cfg512, omega, r)
-        p_best = int(np.argmax(np.abs(h.conj() @ book.matrix))) + 1
+        p_best = int(np.argmax(np.abs(h.conj() @ matrix))) + 1
         cw = book.params(p_best)
         res = run_brpss(cfg512, h, cw.theta, cw.distance)
         if (res.refined and math.isfinite(res.range_m)

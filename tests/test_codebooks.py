@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlbeam import (ArrayConfig, build_hybrid_codebook, build_subarray_codebook,
-                    steering_far, steering_near, validate_quantization)
+                    steering, steering_far, steering_near, validate_quantization)
+from oracles import full_matrix
 from xlbeam.codebooks import angle_grid, distance_grid
 
 
 def far_block(cfg, q, s=2):
     """The far-field block of a hybrid codebook with S near rings."""
     book = build_hybrid_codebook(cfg, q, s)
-    return book.matrix[:, book.n_near:]
+    return full_matrix(book)[:, book.n_near:]
 
 
 class TestFarCodebook:
@@ -64,7 +65,7 @@ class TestNearCodebook:
 
     def test_columns_match_steering(self, cfg128):
         book = build_hybrid_codebook(cfg128, 16, 3)
-        cn = book.matrix[:, :book.n_near]
+        cn = full_matrix(book)[:, :book.n_near]
         d = distance_grid(cfg128, 16, 3)
         theta = angle_grid(16)
         col = cn[:, 5 * 3 + 1]          # q=6, s=2
@@ -79,13 +80,13 @@ class TestHybridCodebook:
 
     def test_all_columns_unit_norm(self, desk_workspace):
         book, _, _ = desk_workspace
-        assert np.allclose(np.linalg.norm(book.matrix, axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(full_matrix(book), axis=0), 1.0, atol=1e-12)
 
     def test_far_only_degenerate(self, cfg128):
         book = build_hybrid_codebook(cfg128, 32, 0)
         assert book.n_columns == 32
         assert book.params(1).is_far
-        assert np.allclose(book.matrix, far_block(cfg128, 32))
+        assert np.allclose(full_matrix(book), far_block(cfg128, 32))
 
     @pytest.mark.parametrize("q, s", [(0, 3), (4, -1)])
     def test_rejects_bad_grid_sizes(self, cfg128, q, s):
@@ -137,6 +138,44 @@ class TestHybridCodebook:
         assert not book.below_floor[book.n_angles // 2, 0]
         # the flags cover the near block only: a far column is never flagged
         assert book.below_floor.shape == (book.n_angles, book.n_rings)
+
+
+def assert_columns_steer(book, chunk=512):
+    """Every column, looked up one at a time and as a stack, is bit for bit
+    the steering vector at its grid cell."""
+    for lo in range(1, book.n_columns + 1, chunk):
+        p = np.arange(lo, min(lo + chunk, book.n_columns + 1))
+        cws = [book.params(int(k)) for k in p]
+        want = steering(book.cfg, [cw.theta for cw in cws], [cw.distance for cw in cws],
+                        validate=False)
+        assert np.array_equal(book.column(p), want)
+        for k, row in zip(p, want):
+            assert np.array_equal(book.column(int(k)), row), k
+
+
+class TestStoredLayout:
+    """The matrix holds the rings of angles 1..ceil(Q/2) and the far block;
+    every other near column is its mirror source read reversed."""
+
+    @pytest.mark.parametrize("q, s", [(128, 3), (33, 2), (32, 0), (1, 3)])
+    def test_every_column_is_its_steering_vector(self, cfg128, q, s):
+        assert_columns_steer(build_hybrid_codebook(cfg128, q, s))
+
+    def test_reference_columns_are_their_steering_vectors(self, full_workspace):
+        assert_columns_steer(full_workspace[0])
+
+    def test_reference_matrix_holds_half_the_near_columns(self, full_workspace):
+        book, _, _ = full_workspace
+        assert book.n_stored_near == 256 * 11
+        assert book.matrix.shape == (512, 256 * 11 + 512)
+        assert book.matrix.nbytes == 16 * 512 * (256 * 11 + 512)
+
+    def test_source_maps_mirror_pairs(self, cfg128):
+        book = build_hybrid_codebook(cfg128, 5, 2)
+        # angles 1..3 are held; angle 4 reads angle 2 and angle 5 reads angle 1
+        stored, mirrored = book.source(np.arange(1, book.n_columns + 1))
+        assert stored.tolist() == [0, 1, 2, 3, 4, 5, 2, 3, 0, 1, 6, 7, 8, 9, 10]
+        assert mirrored.tolist() == [False] * 6 + [True] * 4 + [False] * 5
 
 
 class TestSubarrayCodebook:

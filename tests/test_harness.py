@@ -303,7 +303,8 @@ class TestTrainingExperiments:
         # two threads, though 4 trials are below the chunk rule's minimum
         monkeypatch.setattr(runner, "MIN_CHUNK_TRIALS", 1)
         assert len(trial_chunks(4, 2)) == 2
-        experiments.clear_workspace_cache()
+        # a cold cache of its own, so the cached reference workspace outlives the test
+        monkeypatch.setattr(experiments, "_workspace_cache", {})
         positioning_cdf(desk_spec(cfg128, schemes=("thbt",), trials=4, workers=2))
         assert len(builds) == 1
 

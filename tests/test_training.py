@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gain_loss_bound, valid_placements
+from oracles import full_matrix, full_matrix_design, gain_loss_bound, valid_placements
 from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
-                    baseline_ffbs, baseline_hfbs, realize, run_thbt, sample_channel,
+                    baseline_ffbs, baseline_hfbs, build_hybrid_codebook,
+                    build_subarray_codebook, realize, run_thbt, sample_channel,
                     stage1_sweep, stage2_select, steering_far, subarray_pointing)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
-from xlbeam.training import sweep_signals
+from xlbeam.training import design_all, sweep_signals
 
 
 class TestStage1:
@@ -245,6 +246,22 @@ class TestDesignAll:
             assert np.array_equal(design.psi[p - 1],
                                   subarray_pointing(cfg128, cw.theta, cw.distance)), p
 
+    @pytest.mark.parametrize("q, s", [(128, 3), (33, 2)])
+    def test_design_equals_full_matrix_design(self, cfg128, q, s):
+        # a mirrored column's operand is laid out as the full matrix's, so
+        # each projection entry sums the same products in the same order
+        book, sub = build_hybrid_codebook(cfg128, q, s), build_subarray_codebook(cfg128)
+        design = design_all(book, sub)
+        m_idx, v = full_matrix_design(book, sub)
+        assert np.array_equal(design.m_idx, m_idx)
+        assert np.array_equal(design.v, v)
+
+    def test_reference_design_equals_full_matrix_design(self, full_workspace):
+        book, sub, design = full_workspace
+        m_idx, v = full_matrix_design(book, sub)
+        assert np.array_equal(design.m_idx, m_idx)
+        assert np.array_equal(design.v, v)
+
 
 class TestRoughPosition:
     def test_worked_example_values(self, full_workspace):
@@ -333,8 +350,24 @@ class TestSweepSignals:
     def test_rows_are_column_inner_products(self, full_workspace, stack):
         book, _, _ = full_workspace
         y = sweep_signals(book, stack[:3])
-        np.testing.assert_allclose(y, (book.matrix.conj().T @ stack[:3].T).T,
+        np.testing.assert_allclose(y, (full_matrix(book).conj().T @ stack[:3].T).T,
                                    rtol=0, atol=1e-13)
+
+    def test_far_rows_equal_the_full_matrix_product(self, full_workspace, stack):
+        book, _, _ = full_workspace
+        want = (stack.conj() @ full_matrix(book)[:, book.n_near:]).conj()
+        assert np.array_equal(sweep_signals(book, stack, book.n_near), want)
+        assert np.array_equal(sweep_signals(book, stack)[:, book.n_near:], want)
+
+    def test_hfbs_picks_as_over_the_full_matrix(self, full_workspace, stack):
+        # mirrored entries sum their products in reverse order: the rows
+        # agree to rounding, and every channel's sweep picks the same column
+        book, _, _ = full_workspace
+        want = (stack.conj() @ full_matrix(book)).conj()
+        y = sweep_signals(book, stack)
+        np.testing.assert_allclose(y, want, rtol=0, atol=1e-13)
+        picks = [baseline_hfbs(book, h, signal=row).best_index for h, row in zip(stack, y)]
+        assert picks == (np.argmax(np.abs(want), axis=1) + 1).tolist()
 
     def test_precomputed_signal_gives_the_same_sweep(self, full_workspace, stack):
         book, _, _ = full_workspace
