@@ -13,7 +13,7 @@ from xlbeam import (ArrayConfig, baseline_ffbs, baseline_hfbs,
                     build_hybrid_codebook, build_subarray_codebook,
                     design_hybrid, alignment_gain, run_thbt, sample_channel,
                     snr_db_to_noise_power)
-from xlbeam.training import design_all
+from xlbeam.training import design_all, sweep_signals
 
 cfg = ArrayConfig(n_antennas=512, n_rf=4, wavelength=0.003)
 book = build_hybrid_codebook(cfg, 512, 11)
@@ -29,8 +29,10 @@ noise = snr_db_to_noise_power(10.0, cfg)
 print(f"SNR 10 dB -> per-antenna noise power {noise:.3e}")
 
 thbt = run_thbt(cfg, book, design, channel, noise, rng)
-hfbs = baseline_hfbs(book, channel, noise, rng)
-ffbs = baseline_ffbs(book, channel, noise, rng)
+# the sweeps' noiseless outputs: one per codeword, far-field block last
+signals = sweep_signals(book, channel.h)[0]
+hfbs = baseline_hfbs(book, signals, noise, rng)
+ffbs = baseline_ffbs(book, signals[book.n_near:], noise, rng)
 
 for res in (thbt, hfbs, ffbs):
     cw = book.params(res.best_index)

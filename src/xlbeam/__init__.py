@@ -6,10 +6,9 @@ phase-shift beam refinement, and Kalman-filtered near-field tracking.
 __version__ = "0.1.0"
 
 from .arrays import (ArrayConfig, ChannelRealization, ChannelScenario, FAR_FIELD,
-                     PathParams, QuadraticPhase, antenna_noise, crandn,
-                     element_distance, realize, sample_channel, sample_channels,
-                     snr_db_to_noise_power, steering, steering_far, steering_near,
-                     steering_quadratic)
+                     QuadraticPhase, antenna_noise, crandn, element_distance,
+                     sample_channel, sample_channels, snr_db_to_noise_power, steering,
+                     steering_far, steering_near, steering_quadratic)
 from .codebooks import (CodewordParams, HybridCodebook, SubarrayCodebook,
                         build_hybrid_codebook, build_subarray_codebook,
                         validate_quantization)

@@ -201,25 +201,6 @@ def steering_quadratic(cfg: ArrayConfig, omega, r) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PathParams:
-    """One propagation path: complex gain, angle sine, and range."""
-
-    gain: complex
-    omega: float
-    range_m: float
-
-    def __post_init__(self):
-        if abs(self.omega) > 1:
-            raise ValueError("omega must lie in [-1, 1]")
-        if not self.range_m > 0:
-            raise ValueError("range must be positive")
-
-    @property
-    def is_far(self) -> bool:
-        return math.isinf(self.range_m)
-
-
-@dataclass(frozen=True)
 class ChannelScenario:
     """Random multipath scenario: path 1 is the line of sight.
 
@@ -320,13 +301,6 @@ def _synthesize(cfg: ArrayConfig, gains, sines, ranges) -> ChannelRealization:
     for l in range(sines.shape[-1]):
         h += gains[..., l, None] * rows[..., l, :]
     return ChannelRealization(gains, sines, ranges, h, rows)
-
-
-def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
-    """The channel of given paths, h = sum_l g_l * alpha_l, with the alpha_l kept."""
-    return _synthesize(cfg, np.array([p.gain for p in paths], dtype=complex),
-                       np.array([p.omega for p in paths], dtype=float),
-                       np.array([p.range_m for p in paths], dtype=float))
 
 
 def sample_channels(cfg: ArrayConfig, rngs,

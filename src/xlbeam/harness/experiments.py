@@ -126,12 +126,10 @@ class _TrainingChunk:
         return self.book.column(np.asarray(codewords))
 
     def swept(self, baseline, first: int) -> tuple:
-        """Each trial's sweep baseline from 0-based column ``first`` on, one
-        trial after another; each points its winning codeword."""
-        runs = [baseline(self.book, h, self.noise, rng, signal=signal[first - self.first:])
-                for h, rng, signal in zip(self.channels.h, self.rngs, self.signals)]
-        return ([r.rough_omega for r in runs], [r.rough_range for r in runs],
-                runs[0].pilots, [r.best_index for r in runs])
+        """The chunk's sweep baseline from 0-based column ``first`` on, in
+        one stacked call; each trial points its winning codeword."""
+        run = baseline(self.book, self.signals[:, first - self.first:], self.noise, self.rngs)
+        return run.rough_omega, run.rough_range, run.pilots, run.best_index
 
 
 def _refined(c: _TrainingChunk) -> tuple:
@@ -338,10 +336,8 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
 
         def worker(indices, rngs, _book=book):
             channels = sample_channels(spec.cfg, rngs, scenario)
-            coarse = [baseline_hfbs(_book, h, signal=signal)
-                      for h, signal in zip(channels.h, sweep_signals(_book, channels.h))]
-            ref = refine_channels(spec.cfg, channels.h, [c.rough_omega for c in coarse],
-                                  [c.rough_range for c in coarse],
+            coarse = baseline_hfbs(_book, sweep_signals(_book, channels.h))
+            ref = refine_channels(spec.cfg, channels.h, coarse.rough_omega, coarse.rough_range,
                                   antenna_noise(rngs, spec.cfg.n_antennas, noise))
             return _position_error(channels, ref.omega, ref.range_m).tolist()
 

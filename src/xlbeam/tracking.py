@@ -652,10 +652,11 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
 
 
 def nearest_codeword(book: HybridCodebook, omega: float, r: float) -> int:
-    """Grid cell closest to (omega, r): nearest angle, then nearest ring."""
+    """Grid cell closest to (omega, r): nearest angle, then nearest ring,
+    or the far cell when it is nearer or the book has no rings."""
     q = int(np.clip(round((omega * book.n_angles + 1 + book.n_angles) / 2), 1,
                     book.n_angles))
-    if math.isinf(r):
+    if math.isinf(r) or book.n_rings == 0:
         return book.index_of(q, None)
     rings = book.distances[q - 1]
     gaps = np.abs(1.0 / rings - 1.0 / r)

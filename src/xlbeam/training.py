@@ -102,10 +102,11 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 class TrainingResult:
     """Outcome of one beam-training run.
 
-    A stacked run (:func:`stage2_select` on a stacked sweep) fills
-    ``best_index``, ``rough_omega`` and ``rough_range`` with one entry per
-    channel and ``powers`` with one row per channel (``is_far`` is for a
-    single result).
+    A stacked run (:func:`stage2_select` on a stacked sweep, or a sweep
+    baseline on a stack of signals) fills ``best_index``, ``rough_omega``
+    and ``rough_range`` with one entry per channel and ``powers`` with one
+    row per channel, a list of rows from a sweep baseline (``is_far`` is
+    for a single result).
     """
 
     scheme: str
@@ -189,15 +190,23 @@ def stage2_select(book: HybridCodebook, design: TrainedDesign,
         np.abs(_chain_sum(np.multiply(design.v, zz, out=zz)), out=out)
         np.square(out, out=out)
     best = np.argmax(powers, axis=-1) + 1                            # argmax = first max
+    return _result(book, "thbt", best, powers, sweep.pilots, stacked=sweep.z.ndim == 3)
+
+
+def _result(book: HybridCodebook, scheme: str, best, powers, pilots: int,
+            stacked: bool) -> TrainingResult:
+    """The result of channels whose 1-based winning codewords are ``best``
+    and whose codeword powers are the rows of ``powers``: stacked, or the
+    one channel's."""
     cws = [book.params(int(p)) for p in best]
-    if sweep.z.ndim == 2:
-        return TrainingResult(scheme="thbt", best_index=int(best[0]),
+    if not stacked:
+        return TrainingResult(scheme=scheme, best_index=int(best[0]),
                               rough_omega=cws[0].theta, rough_range=cws[0].distance,
-                              powers=powers[0], pilots=sweep.pilots)
-    return TrainingResult(scheme="thbt", best_index=best,
+                              powers=powers[0], pilots=pilots)
+    return TrainingResult(scheme=scheme, best_index=np.asarray(best),
                           rough_omega=np.array([cw.theta for cw in cws]),
                           rough_range=np.array([cw.distance for cw in cws]),
-                          powers=powers, pilots=sweep.pilots)
+                          powers=powers, pilots=pilots)
 
 
 def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
@@ -242,52 +251,53 @@ def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.nd
     return np.conjugate(y, out=y)[:n_rows, first:]
 
 
-def _column_sweep(book: HybridCodebook, channel, noise_power: float,
-                  rng: np.random.Generator | None, first: int,
-                  scheme: str, signal: np.ndarray | None) -> TrainingResult:
+def _column_sweep(book: HybridCodebook, signals: np.ndarray, noise_power: float,
+                  rngs, first: int, scheme: str) -> TrainingResult:
     """One ideal codeword-matched pilot per column, from 0-based column
     ``first`` to the last; the winner's grid cell is the coarse estimate.
 
-    ``signal`` is the channel's row of ``sweep_signals(book, ..., first)``
-    when a batch already computed it."""
-    if signal is None:
-        y = sweep_signals(book, h_of(channel), first)[0]
-    elif signal.shape == (book.n_columns - first,):
-        y = signal
-    else:
-        raise ValueError(f"{scheme} signal has shape {signal.shape}, "
-                         f"expected ({book.n_columns - first},)")
-    if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("noisy sweep needs an rng")
-        y = y + crandn(rng, y.shape[0]) * math.sqrt(noise_power)
-    powers = np.abs(y) ** 2
-    p_best = first + int(np.argmax(powers)) + 1
-    cw = book.params(p_best)
-    return TrainingResult(scheme=scheme, best_index=p_best, rough_omega=cw.theta,
-                          rough_range=cw.distance, powers=powers, pilots=y.shape[0])
+    ``signals`` are noiseless outputs ``sweep_signals(book, ..., first)``:
+    one channel's row with one generator, or a (T, P - first) stack with
+    one generator per row, which gives a stacked result.  Each row draws
+    its noise from its own generator, as ``crandn`` would, and keeps its
+    powers as an array of its own: ``powers`` is a list of rows, so no
+    (T, P) noise or power array is ever held.
+    """
+    signals = np.asarray(signals)
+    width = book.n_columns - first
+    if signals.shape[-1:] != (width,):
+        raise ValueError(f"{scheme} signals have shape {signals.shape}, "
+                         f"expected rows of {width}")
+    rows = signals.reshape(-1, width)
+    if signals.ndim == 1 or rngs is None:
+        rngs = [rngs] * len(rows)
+    powers = []
+    for y, rng in zip(rows, rngs, strict=True):
+        if noise_power > 0.0:
+            if rng is None:
+                raise ValueError("noisy sweep needs an rng")
+            y = y + crandn(rng, width) * math.sqrt(noise_power)
+        powers.append(np.abs(y) ** 2)
+    best = [first + int(np.argmax(row)) + 1 for row in powers]
+    return _result(book, scheme, best, powers, width, stacked=signals.ndim > 1)
 
 
-def baseline_hfbs(book: HybridCodebook, channel: ChannelRealization | np.ndarray,
-                  noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  signal: np.ndarray | None = None) -> TrainingResult:
+def baseline_hfbs(book: HybridCodebook, signals: np.ndarray, noise_power: float = 0.0,
+                  rngs=None) -> TrainingResult:
     """Exhaustive sweep: one ideal codeword-matched pilot per column.
 
     This is the upper-overhead baseline; it observes each codeword
     directly and is not constrained by the partially-connected hardware.
-    ``signal`` is an optional precomputed ``sweep_signals`` row (all P
-    columns).
+    ``signals`` are ``sweep_signals`` rows over all P columns (see
+    :func:`_column_sweep`).
     """
-    return _column_sweep(book, channel, noise_power, rng, 0, "hfbs", signal)
+    return _column_sweep(book, signals, noise_power, rngs, 0, "hfbs")
 
 
-def baseline_ffbs(book: HybridCodebook, channel: ChannelRealization | np.ndarray,
-                  noise_power: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  signal: np.ndarray | None = None) -> TrainingResult:
+def baseline_ffbs(book: HybridCodebook, signals: np.ndarray, noise_power: float = 0.0,
+                  rngs=None) -> TrainingResult:
     """Far-field-only sweep: Q ideal pilots over the plane-wave block.
 
-    ``signal`` is an optional precomputed ``sweep_signals`` row over the
-    last Q columns (``first = book.n_near``)."""
-    return _column_sweep(book, channel, noise_power, rng, book.n_near, "ffbs", signal)
+    ``signals`` are ``sweep_signals`` rows over the last Q columns
+    (``first = book.n_near``)."""
+    return _column_sweep(book, signals, noise_power, rngs, book.n_near, "ffbs")

@@ -1,6 +1,7 @@
 """Reference oracles for the chirp-sum, flat-top and phase-model claims,
-the paper's closed-form geometry formulas, the full codebook matrix and
-its design, and one-seed-at-a-time tracking with nothing cached.
+the paper's closed-form geometry formulas, the channel of given paths,
+the full codebook matrix and its design, and one-seed-at-a-time tracking
+with nothing cached.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
@@ -8,15 +9,39 @@ does not load scipy and the package holds only what runs.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from xlbeam.arrays import ArrayConfig, antenna_noise, crandn, steering
+from xlbeam.arrays import (ArrayConfig, ChannelRealization, _synthesize, antenna_noise, crandn,
+                           steering)
 from xlbeam.codebooks import HybridCodebook, SubarrayCodebook
 from xlbeam.combining import (CombinerPair, design_hybrid, hybrid_beam_gain, quantize_pointing,
                               row_dots, subarray_pointing)
 from xlbeam.tracking import measure_blocks
+
+
+@dataclass(frozen=True)
+class PathParams:
+    """One propagation path: complex gain, angle sine, and range."""
+
+    gain: complex
+    omega: float
+    range_m: float
+
+    def __post_init__(self):
+        if abs(self.omega) > 1:
+            raise ValueError("omega must lie in [-1, 1]")
+        if not self.range_m > 0:
+            raise ValueError("range must be positive")
+
+
+def realize(cfg: ArrayConfig, paths: list[PathParams]) -> ChannelRealization:
+    """The channel of given paths, h = sum_l g_l * alpha_l, with the alpha_l kept."""
+    return _synthesize(cfg, np.array([p.gain for p in paths], dtype=complex),
+                       np.array([p.omega for p in paths], dtype=float),
+                       np.array([p.range_m for p in paths], dtype=float))
 
 
 def rayleigh_distance(cfg: ArrayConfig) -> float:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rayleigh_distance
+from oracles import PathParams, rayleigh_distance, realize
 
-from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, PathParams,
-                    QuadraticPhase, crandn, element_distance, realize,
-                    sample_channel, sample_channels, steering, steering_far,
-                    steering_near, steering_quadratic)
+from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, QuadraticPhase, crandn,
+                    element_distance, sample_channel, sample_channels, steering,
+                    steering_far, steering_near, steering_quadratic)
 
 
 class TestGeometry:

@@ -41,3 +41,12 @@ def test_traced_run_reads_the_stored_codebook(tmp_path):
     assert record["errors"] == []
     # the near rings of 256 of the 512 angles, then the 512 far columns
     assert record["layers"]["codebooks.matrix_mb"] == 16 * 512 * (256 * 11 + 512) / 1e6
+
+
+def test_traced_run_times_the_sweep_baselines(tmp_path):
+    # the tracer wraps baseline_hfbs and baseline_ffbs by name; an experiment that
+    # stops calling them would leave their spans at zero
+    record = run_workload("train4", tmp_path, "--trace")
+    assert record["errors"] == []
+    assert record["layers"]["training.hfbs.self_s"] > 0
+    assert record["layers"]["training.ffbs.self_s"] > 0

@@ -144,6 +144,16 @@ class TestSweep:
         assert manifest["config"]["trials"] == 6     # what ran, not the file's 50
         assert manifest["config"]["seed"] == 11
 
+    def test_tracking_over_a_far_only_codebook(self, tmp_path):
+        # with no rings, hfns starts from and searches far cells only
+        cfgdict = with_key(BASE_CONFIGS["tracking"][1], "codebook.s", 0)
+        cfgdict["schemes"] = ["hfns"]
+        cfg = write_config(tmp_path, "cfg.json", cfgdict)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == 0
+        text = (out / "tracking.csv").read_text()
+        assert ",hfns," in text and ",perfect_csi," in text
+
     def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", sweep_config(experiment="nope"))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
@@ -479,6 +489,18 @@ class TestSingleRuns:
         text = (out / "overheads.csv").read_text()
         assert "training,hfbs,Q*(S+1),\"\"" not in text   # no stray quoting
         assert "6144" in text and "548" in text and "129" in text
+
+
+    def test_measured_report_of_a_far_only_codebook(self, tmp_path):
+        # S = 0: hfbs sweeps the Q far columns, and hfns tracks far cells
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 0}})
+        out = tmp_path / "res"
+        assert main(["--config", cfg, "--out", str(out), "report"]) == 0
+        rows = {tuple(line.split(",")[:2]): line.split(",")[-3:]
+                for line in (out / "overheads.csv").read_text().splitlines()}
+        assert rows["training", "hfbs"] == ["128", "true", "128"]
+        assert rows["tracking", "hfns"] == ["5", "true", "5"]
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))

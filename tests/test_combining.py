@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (analog_matrix, beam_center, chirp_sum, flat_top_gain,
-                     gain_loss_bound, rayleigh_distance)
+from oracles import (PathParams, analog_matrix, beam_center, chirp_sum, flat_top_gain,
+                     gain_loss_bound, rayleigh_distance, realize)
 from xlbeam import (ArrayConfig, FAR_FIELD, alignment_gain, antenna_noise,
                     build_subarray_codebook, crandn, design_hybrid, hybrid_beam_gain,
                     quantize_pointing, steering_far, steering_near, subarray_outputs,
                     subarray_pointing)
-from xlbeam.arrays import PathParams, QuadraticPhase, realize
+from xlbeam.arrays import QuadraticPhase
 
 EXAMPLE_THETA = -1 / 512
 EXAMPLE_DIST = 11.26395703125

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import rayleigh_distance, sequential_calibration, uncached_tracking_run
-from xlbeam import (FAR_FIELD, brpss_step, calibrate_measurement_cov, design_hybrid,
-                    ffbt_proxy_step, filter_update, hfns_step, hybrid_beam_gain,
+from xlbeam import (FAR_FIELD, brpss_step, build_hybrid_codebook, calibrate_measurement_cov,
+                    design_hybrid, ffbt_proxy_step, filter_update, hfns_step, hybrid_beam_gain,
                     measure_blocks, nfbt_step, predict, run_schemes, steering_far,
                     steering_near, steering_quadratic)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
@@ -286,3 +286,10 @@ class TestBaselines:
         cw = book.params(book.index_of(100, 3))
         assert nearest_codeword(book, cw.theta, cw.distance) == book.index_of(100, 3)
         assert book.params(nearest_codeword(book, 0.25, FAR_FIELD)).is_far
+
+    def test_nearest_codeword_without_rings_is_the_far_cell(self, cfg128):
+        book = build_hybrid_codebook(cfg128, 128, 0)
+        for r in (3.0, 40.0, FAR_FIELD):
+            p = nearest_codeword(book, 0.25, r)
+            assert p == book.index_of(book.params(p).q, None)
+            assert book.params(p).theta == pytest.approx(0.25, abs=1 / 128)

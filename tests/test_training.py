@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import full_matrix, full_matrix_design, gain_loss_bound, valid_placements
-from xlbeam import (ChannelScenario, FAR_FIELD, PathParams, assemble_reused,
-                    baseline_ffbs, baseline_hfbs, build_hybrid_codebook,
-                    build_subarray_codebook, realize, run_thbt, sample_channel,
-                    stage1_sweep, stage2_select, steering_far, subarray_pointing)
+from oracles import (PathParams, full_matrix, full_matrix_design, gain_loss_bound, realize,
+                     valid_placements)
+from xlbeam import (ChannelScenario, FAR_FIELD, assemble_reused, baseline_ffbs,
+                    baseline_hfbs, build_hybrid_codebook, build_subarray_codebook,
+                    run_thbt, sample_channel, stage1_sweep, stage2_select, steering_far,
+                    subarray_pointing)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
 from xlbeam.training import design_all, sweep_signals
 
@@ -174,7 +175,7 @@ class TestSelection:
                 continue
             h = self._single_path_channel(cfg128, book, p)
             thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, h))
-            hfbs = baseline_hfbs(book, h)
+            hfbs = baseline_hfbs(book, sweep_signals(book, h)[0])
             assert thbt.best_index == hfbs.best_index == p
 
     def test_zero_channel_tie_break(self, cfg128, desk_workspace):
@@ -290,20 +291,21 @@ class TestBaselines:
     def test_hfbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
         h = np.zeros(512, dtype=complex)
-        res = baseline_hfbs(book, h)
+        res = baseline_hfbs(book, sweep_signals(book, h)[0])
         assert res.pilots == 6144
 
     def test_ffbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
-        res = baseline_ffbs(book, np.zeros(512, dtype=complex))
+        res = baseline_ffbs(book, sweep_signals(book, np.zeros(512, dtype=complex),
+                                                book.n_near)[0])
         assert res.pilots == 512
 
     def test_ffbs_matches_hfbs_on_far_channel(self, cfg128, desk_workspace):
         book, _, _ = desk_workspace
         h = realize(cfg128, [PathParams(gain=1.0 + 0j, omega=0.63,
                                         range_m=FAR_FIELD)]).h
-        hfbs = baseline_hfbs(book, h)
-        ffbs = baseline_ffbs(book, h)
+        hfbs = baseline_hfbs(book, sweep_signals(book, h)[0])
+        ffbs = baseline_ffbs(book, sweep_signals(book, h, book.n_near)[0])
         assert hfbs.best_index == ffbs.best_index
         assert ffbs.is_far
 
@@ -319,7 +321,7 @@ class TestBaselines:
             ch = sample_channel(cfg128, rng,
                                 ChannelScenario(n_paths=1, gain_vars=(1.0,)))
             thbt = run_thbt(cfg128, book, design, ch)
-            hfbs = baseline_hfbs(book, ch)
+            hfbs = baseline_hfbs(book, sweep_signals(book, ch.h)[0])
             g_t = math.sqrt(thbt.powers[thbt.best_index - 1])
             g_h = math.sqrt(hfbs.powers[hfbs.best_index - 1])
             assert g_t >= floor * g_h
@@ -366,20 +368,48 @@ class TestSweepSignals:
         want = (stack.conj() @ full_matrix(book)).conj()
         y = sweep_signals(book, stack)
         np.testing.assert_allclose(y, want, rtol=0, atol=1e-13)
-        picks = [baseline_hfbs(book, h, signal=row).best_index for h, row in zip(stack, y)]
+        picks = baseline_hfbs(book, y).best_index.tolist()
         assert picks == (np.argmax(np.abs(want), axis=1) + 1).tolist()
 
     def test_precomputed_signal_gives_the_same_sweep(self, full_workspace, stack):
         book, _, _ = full_workspace
         y = sweep_signals(book, stack[:2])
         for scheme, first in ((baseline_hfbs, 0), (baseline_ffbs, book.n_near)):
-            given = scheme(book, stack[1], 1e-3, np.random.default_rng(3),
-                           signal=y[1, first:])
-            alone = scheme(book, stack[1], 1e-3, np.random.default_rng(3))
+            given = scheme(book, y[1, first:], 1e-3, np.random.default_rng(3))
+            alone = scheme(book, sweep_signals(book, stack[1], first)[0], 1e-3,
+                           np.random.default_rng(3))
             assert given.best_index == alone.best_index
             assert np.array_equal(given.powers, alone.powers)
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", ["hfbs", "ffbs"])
+    def test_stacked_sweep_equals_its_one_row_sweeps(self, full_workspace, stack, name,
+                                                     noise, n):
+        book, _, _ = full_workspace
+        scheme, first = {"hfbs": (baseline_hfbs, 0),
+                         "ffbs": (baseline_ffbs, book.n_near)}[name]
+        y = sweep_signals(book, stack[:n], first)
+        stacked_rngs = [np.random.default_rng(40 + k) for k in range(n)]
+        stacked = scheme(book, y, noise, stacked_rngs)
+        assert stacked.best_index.shape == (n,) and len(stacked.powers) == n
+        for k, rng in enumerate(stacked_rngs):
+            alone_rng = np.random.default_rng(40 + k)
+            alone = scheme(book, y[k], noise, alone_rng)
+            assert stacked.best_index[k] == alone.best_index
+            assert stacked.rough_omega[k] == alone.rough_omega
+            assert stacked.rough_range[k] == alone.rough_range
+            assert np.array_equal(stacked.powers[k], alone.powers)
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
+        assert stacked.pilots == alone.pilots == book.n_columns - first
+
+    def test_stack_needs_one_rng_per_row(self, full_workspace, stack):
+        book, _, _ = full_workspace
+        with pytest.raises(ValueError):
+            baseline_hfbs(book, sweep_signals(book, stack[:3]), 1e-3,
+                          [np.random.default_rng(0)] * 2)
 
     def test_signal_of_the_wrong_width_raises(self, full_workspace, stack):
         book, _, _ = full_workspace
         with pytest.raises(ValueError, match="ffbs signal"):
-            baseline_ffbs(book, stack[0], signal=sweep_signals(book, stack[0])[0])
+            baseline_ffbs(book, sweep_signals(book, stack[0])[0])
