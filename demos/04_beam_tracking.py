@@ -40,12 +40,11 @@ schemes = {"filtered": nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0]),
 logs = run_schemes(cfg, traj, tcfg, noise, scen,
                    [(step, [np.random.default_rng(seed) for seed in range(n_seeds)])
                     for step in schemes.values()])
-gains = {name: [[b.gain for b in log] for log in runs]
-         for name, runs in zip(schemes, logs)}
+# each log's gain is a (seeds, blocks) array
+mean = {name: log.gain.mean(axis=0) for name, log in zip(schemes, logs)}
 
 t_s = [(i + 1) * traj.dt for i in range(traj.n_blocks)]
 rows = []
-mean = {k: np.mean(v, axis=0) for k, v in gains.items()}
 for i, t in enumerate(t_s):
     rows.append({"t_s": t, "gain_filtered": float(mean["filtered"][i]),
                  "gain_per_block": float(mean["per_block"][i])})

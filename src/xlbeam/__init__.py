@@ -18,9 +18,10 @@ from .combining import (CombinerPair, alignment_gain, design_hybrid, gain_map,
 from .refinement import (RefinementResult, estimate_offsets, measure_subarrays,
                          phase_differences, refine, refine_channels, run_brpss)
 from .tracking import (LineOfSight, StepResult, TrackerConfig, TrackingScenario,
-                       TrackState, Trajectory, brpss_step, calibrate_measurement_cov,
-                       ffbt_proxy_step, filter_update, hfns_step, innovation_distances,
-                       line_of_sight, measure_blocks, nfbt_step, predict, run_schemes)
+                       TrackLog, TrackState, Trajectory, brpss_step,
+                       calibrate_measurement_cov, ffbt_proxy_step, filter_update,
+                       hfns_step, innovation_distances, line_of_sight, measure_blocks,
+                       nfbt_step, predict, run_schemes)
 from .training import (Stage1Sweep, TrainedDesign, TrainingResult, assemble_reused,
                        baseline_ffbs, baseline_hfbs, design_all, run_thbt,
                        stage1_sweep, stage2_select)

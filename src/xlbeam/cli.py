@@ -292,18 +292,17 @@ def cmd_track(config: dict, args) -> int:
     noise = snr_db_to_noise_power(snr_db, cfg)
     tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
-    [[log]] = run_schemes(cfg, traj, tcfg, noise, scen,
-                          [(step, [np.random.default_rng(seed)])])
+    [log] = run_schemes(cfg, traj, tcfg, noise, scen,
+                        [(step, [np.random.default_rng(seed)])])
     rows = []
-    for b in log:
-        rows.append({
-            "t_s": b.t_s, "truth_x": float(b.truth[0]), "truth_y": float(b.truth[1]),
-            "pred_x": float(b.predicted[0]), "pred_y": float(b.predicted[1]),
-            "meas_x": float(b.measured[0]) if b.measured is not None else math.nan,
-            "meas_y": float(b.measured[1]) if b.measured is not None else math.nan,
-            "filt_x": float(b.filtered[0]), "filt_y": float(b.filtered[1]),
-            "gain": b.gain, "se_bits": b.se_bits,
-        })
+    for j in range(tcfg.n_blocks):
+        row = {"t_s": (j + 1) * tcfg.dt, "gain": float(log.gain[0, j]),
+               "se_bits": float(log.se_bits[0, j])}
+        # a block without a fix has a NaN measured row
+        for name, pos in (("truth", traj.position(j + 1)), ("pred", log.predicted[0, j]),
+                          ("meas", log.measured[0, j]), ("filt", log.filtered[0, j])):
+            row[f"{name}_x"], row[f"{name}_y"] = pos.tolist()
+        rows.append(row)
     out = Path(args.out)
     write_csv(out / "track_blocks.csv", rows,
               ["t_s", "truth_x", "truth_y", "pred_x", "pred_y", "meas_x",

@@ -21,8 +21,8 @@ from ..codebooks import (HybridCodebook, SubarrayCodebook, build_hybrid_codebook
                          build_subarray_codebook, validate_quantization)
 from ..combining import alignment_gain, design_hybrid
 from ..refinement import refine_channels
-from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, Trajectory,
-                        brpss_step, ffbt_proxy_step, hfns_step, line_of_sight,
+from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, TrackLog,
+                        Trajectory, brpss_step, ffbt_proxy_step, hfns_step, line_of_sight,
                         nfbt_step, polar_to_cartesian, run_schemes, se_bits, signal_powers,
                         tracker_for_run)
 from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
@@ -368,16 +368,15 @@ TRACKING_SCHEMES = {
 
 
 def _tracking_run(spec: ExperimentSpec, schemes, noise: float, tcfg,
-                  indices) -> list[dict]:
-    """The block logs of every scheme for a chunk of seeds, run in lockstep:
-    one dict (scheme -> logs) per seed.  Each scheme's run of a seed draws
-    from its own ``trial_rng(spec.seed, seed)``."""
+                  indices) -> dict[str, TrackLog]:
+    """Every scheme's :class:`TrackLog` of a chunk of seeds, run in
+    lockstep.  Each scheme's run of a seed draws from its own
+    ``trial_rng(spec.seed, seed)``."""
     _, _, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
     runs = [(TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg),
              [trial_rng(spec.seed, i) for i in indices]) for scheme in schemes]
-    per_scheme = run_schemes(spec.cfg, spec.trajectory, tcfg, noise,
-                             spec.tracking_scenario, runs)
-    return [dict(zip(schemes, logs)) for logs in zip(*per_scheme)]
+    return dict(zip(schemes, run_schemes(spec.cfg, spec.trajectory, tcfg, noise,
+                                         spec.tracking_scenario, runs)))
 
 
 def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
@@ -415,24 +414,24 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     for k, (snr_db, noise) in enumerate(zip(spec.snr_grid_db, noises)):
         tcfg = tracker_for_run(spec.cfg, spec.tracker, spec.trajectory,
                                spec.tracking_scenario, noise, spec.seed)
-        results = run_trials(
-            lambda indices, rngs, _noise=noise, _tcfg=tcfg:
-                _tracking_run(spec, schemes, _noise, _tcfg, indices),
+        # run_trials merges results per seed: here each seed's (gain, se_bits,
+        # pilots) block rows, one triple per scheme
+        per_seed = run_trials(
+            lambda indices, rngs, _noise=noise, _tcfg=tcfg: zip(*(
+                zip(log.gain, log.se_bits, log.pilots)
+                for log in _tracking_run(spec, schemes, _noise, _tcfg, indices).values())),
             spec.trials, spec.seed, spec.workers)
-        for scheme in schemes:
-            logs = [r[scheme] for r in results]
-            gains = np.array([[b.gain for b in log] for log in logs])
-            ses = np.array([[b.se_bits for b in log] for log in logs])
-            pilots = {b.pilots for log in logs for b in log}
+        for scheme, runs in zip(schemes, zip(*per_seed)):
+            gains, ses, pilots = (np.array(part) for part in zip(*runs))
             budget = TRACKING_SCHEMES[scheme][0]
-            if pilots != {budget}:
+            if not (pilots == budget).all():
                 raise AssertionError(
-                    f"{scheme} pilot accounting drifted: {sorted(pilots)}")
+                    f"{scheme} pilot accounting drifted: {np.unique(pilots).tolist()}")
             if snr_db == primary_snr:
-                for j, b in enumerate(logs[0]):
+                for j in range(gains.shape[1]):
                     rows.append({
                         "experiment": "tracking_gain_vs_time", "scheme": scheme,
-                        "snr_db": snr_db, "t_s": b.t_s,
+                        "snr_db": snr_db, "t_s": (j + 1) * tcfg.dt,
                         "mean_gain": float(gains[:, j].mean()),
                         "mean_se_bits": float(ses[:, j].mean()),
                         "seeds": spec.trials,
@@ -523,9 +522,8 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
         spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s, schemes=(scheme,),
                               trials=1, seed=seed, trajectory=traj, tracker=tcfg,
                               tracking_scenario=scen)
-        log = _tracking_run(spec, (scheme,), noise, tcfg, [0])[0][scheme]
-        counts = {b.pilots for b in log}
-        per_block[scheme] = counts.pop() if len(counts) == 1 else sorted(counts)
+        counts = np.unique(_tracking_run(spec, (scheme,), noise, tcfg, [0])[scheme].pilots)
+        per_block[scheme] = counts.tolist() if len(counts) > 1 else int(counts[0])
     return {
         **{("training", scheme): r["pilots"] for scheme, r in trained.items()},
         **{("tracking", scheme): n for scheme, n in per_block.items()},

@@ -31,13 +31,22 @@ def fmt_value(x) -> str:
     return str(x)
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field: quoted, with its quotes doubled, only when it holds a
+    comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, rows: list[dict], columns: list[str]) -> None:
     """Write rows under a fixed header; missing keys render empty."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(fmt_value(row[c]) if c in row else "" for c in columns))
+        lines.append(",".join(_csv_field(fmt_value(row[c])) if c in row else ""
+                              for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 

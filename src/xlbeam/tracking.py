@@ -12,9 +12,10 @@ estimates.  The loop runs chunks of independent runs (seeds), of one
 scheme or of several in lockstep: each run draws only from its own
 generator, in the order a run alone would, so a run's blocks do not
 depend on the chunk it is in.  Every per-run quantity is a stack with a
-leading run axis, and each numpy call works on the whole stack.  The
-line of sight of a trajectory depends on nothing else, so it is built
-once (:func:`line_of_sight`).
+leading run axis, and each numpy call works on the whole stack; a
+scheme's whole run comes back as one :class:`TrackLog` of (runs, blocks)
+arrays.  The line of sight of a trajectory depends on nothing else, so
+it is built once (:func:`line_of_sight`).
 """
 
 from __future__ import annotations
@@ -174,13 +175,6 @@ def omega_range(pos) -> tuple[float, float]:
     return float(pos[1] / zeta), zeta
 
 
-def _positions(omega, range_m, valid) -> np.ndarray:
-    """Cartesian rows of the valid (omega, range) pairs; NaN rows elsewhere."""
-    pos = np.full((len(valid), 2), np.nan)
-    pos[valid] = polar_to_cartesian(omega[valid], range_m[valid])
-    return pos
-
-
 def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, omega_pred, range_pred,
                    noise: np.ndarray | None) -> Measurement:
     """One-pilot fixes for a (T, N) stack of channels, each refined around
@@ -193,19 +187,22 @@ def measure_blocks(cfg: ArrayConfig, hs: np.ndarray, omega_pred, range_pred,
     res = refine_channels(cfg, hs, omega_pred, range_pred, noise)
     ok = (res.refined & (np.abs(res.omega) <= 1.0)
           & np.isfinite(res.range_m) & (res.range_m > 0.0))
-    return Measurement(position=_positions(res.omega, res.range_m, ok), ok=ok)
+    pos = np.full((len(ok), 2), np.nan)
+    pos[ok] = polar_to_cartesian(res.omega[ok], res.range_m[ok])
+    return Measurement(position=pos, ok=ok)
 
 
-def _inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of each innovation covariance; a singular one is
-    regularized with 1e-9 * I and logged rather than aborting the run."""
+def _per_covariance(fn, s: np.ndarray, *rest) -> np.ndarray:
+    """``fn(s, *rest)`` for a stack of innovation covariances.  If one is
+    singular, each is taken alone: a singular one is regularized with
+    1e-9 * I and logged rather than aborting the run, the rest are exact."""
     try:
-        return np.linalg.inv(s)
+        return fn(s, *rest)
     except np.linalg.LinAlgError:
         if s.ndim > 2:
-            return np.stack([_inverse(one) for one in s])
+            return np.stack([_per_covariance(fn, *one) for one in zip(s, *rest)])
         log.warning("singular innovation covariance; regularizing")
-        return np.linalg.inv(s + 1e-9 * np.eye(2))
+        return fn(s + 1e-9 * np.eye(2), *rest)
 
 
 def filter_update(pred: TrackState, meas_pos: np.ndarray,
@@ -220,7 +217,7 @@ def filter_update(pred: TrackState, meas_pos: np.ndarray,
     h = MEAS_MATRIX
     r = np.asarray(tcfg.meas_cov, dtype=float)
     s = h @ pred.cov @ h.T + r
-    k = pred.cov @ h.T @ _inverse(s)
+    k = pred.cov @ h.T @ _per_covariance(np.linalg.inv, s)
     innov = meas_pos - _apply(h, pred.x)
     x = pred.x + _apply(k, innov)
     ikh = np.eye(4) - k @ h
@@ -231,11 +228,13 @@ def filter_update(pred: TrackState, meas_pos: np.ndarray,
 
 def innovation_distances(pred: TrackState, meas_pos: np.ndarray,
                          tcfg: TrackerConfig) -> np.ndarray:
-    """Squared Mahalanobis distance of each measurement from its prediction."""
+    """Squared Mahalanobis distance of each measurement from its prediction
+    (a singular innovation covariance is regularized as in the update)."""
     h = MEAS_MATRIX
     s = h @ pred.cov @ h.T + np.asarray(tcfg.meas_cov, dtype=float)
     innov = meas_pos - _apply(h, pred.x)
-    return (innov[..., None, :] @ np.linalg.solve(s, innov[..., None]))[..., 0, 0]
+    solved = _per_covariance(np.linalg.solve, s, innov[..., None])
+    return (innov[..., None, :] @ solved)[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +408,18 @@ def tracker_for_run(cfg: ArrayConfig, tcfg: TrackerConfig, traj: Trajectory,
 # the block loop and the per-scheme steps
 
 
-@dataclass
-class BlockLog:
-    t_s: float
-    truth: np.ndarray
-    predicted: np.ndarray | None
-    measured: np.ndarray | None
-    filtered: np.ndarray
-    gain: float
-    se_bits: float
-    pilots: int
+@dataclass(frozen=True)
+class TrackLog:
+    """One scheme's chunk of runs: ``gain[t, j]`` is run t's beam gain at
+    block j + 1, at ``(j + 1) * dt``.  Only a scheme that filters keeps
+    positions (None otherwise); a NaN ``measured`` row means no fix."""
+
+    gain: np.ndarray                    # (T, B)
+    se_bits: np.ndarray                 # (T, B)
+    pilots: np.ndarray                  # (T, B) int
+    predicted: np.ndarray | None        # (T, B, 2)
+    measured: np.ndarray | None         # (T, B, 2)
+    filtered: np.ndarray | None         # (T, B, 2)
 
 
 def se_bits(signal_power: np.ndarray, noise_power: float) -> np.ndarray:
@@ -454,38 +455,30 @@ class StepResult:
     """What one scheme did in one block, one entry per run.
 
     ``beam[t]`` is scored against the true geometry; the spectral-efficiency
-    combiner is designed at (``omega[t]``, ``range_m[t]``).  A NaN row of
-    ``measured`` means the run had no fix that block.
+    combiner is designed at (``omega[t]``, ``range_m[t]``).  Positions are
+    as in :class:`TrackLog`.
     """
 
-    beam: np.ndarray                 # (T, N)
-    omega: np.ndarray                # (T,)
-    range_m: np.ndarray              # (T,)
-    pilots: np.ndarray | int         # per run, or one count for all
-    predicted: np.ndarray | None     # (T, 2)
-    measured: np.ndarray             # (T, 2)
-    filtered: np.ndarray             # (T, 2)
-
-    @classmethod
-    def pointing(cls, beam, omega, range_m, pilots) -> StepResult:
-        """A filterless step: the geometry it points at is its only estimate."""
-        omega, range_m = np.asarray(omega, dtype=float), np.asarray(range_m, dtype=float)
-        pos = _positions(omega, range_m, np.isfinite(range_m))
-        return cls(beam=beam, omega=omega, range_m=range_m, pilots=pilots,
-                   predicted=None, measured=pos, filtered=pos)
+    beam: np.ndarray                        # (T, N)
+    omega: np.ndarray | list                # (T,)
+    range_m: np.ndarray | list              # (T,)
+    pilots: np.ndarray | int                # per run, or one count for all
+    predicted: np.ndarray | None = None     # (T, 2)
+    measured: np.ndarray | None = None      # (T, 2)
+    filtered: np.ndarray | None = None      # (T, 2)
 
 
 def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
                 noise_power: float, scen: TrackingScenario,
-                runs) -> list[list[list[BlockLog]]]:
+                runs) -> list[TrackLog]:
     """Run several schemes in lockstep, each over its own chunk of runs.
 
     ``runs`` holds one ``(step, rngs)`` pair per scheme.  Each block draws
     the channels of all runs of all schemes as one stack and scores all
     beams together; each step sees only its own rows.  A run still draws
-    only from its own generator, in the order it would alone.  Returns,
-    per scheme, each run's block logs.  One scheme passes ``[(step,
-    rngs)]``, and one run of it ``[(step, [rng])]``.
+    only from its own generator, in the order it would alone.  Returns
+    one :class:`TrackLog` per scheme, its runs in ``rngs`` order.  One
+    scheme passes ``[(step, rngs)]``, and one run of it ``[(step, [rng])]``.
 
     The run covers the tracker's ``n_blocks``, which may stop short of the
     trajectory's end or go past it along the same line: only the blocks
@@ -495,28 +488,25 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     all_rngs = [rng for _, rngs in runs for rng in rngs]
     edges = np.cumsum([0] + [len(rngs) for _, rngs in runs]).tolist()
     chan = TrackingChannel(cfg, traj, scen, all_rngs)
-    logs = [[[] for _ in rngs] for _, rngs in runs]
+    gains, ses, kept = [], [], []
     for i in range(1, tcfg.n_blocks + 1):
         hs = chan.at_block(i, all_rngs)
         outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
         rows = se_combiners(cfg, np.concatenate([out.omega for out in outs]),
                             np.concatenate([out.range_m for out in outs]))
-        ses = spectral_efficiency(rows, hs, noise_power).tolist()
+        ses.append(spectral_efficiency(rows, hs, noise_power))
         # |los^H beam| of every run's beam, in run order
-        gains = np.abs(row_dots(chan.los.steering[i].conj(),
-                                np.concatenate([out.beam for out in outs]))).tolist()
-        truth = traj.position(i)
-        for out, scheme_logs, a in zip(outs, logs, edges):
-            pilots = np.broadcast_to(out.pilots, len(scheme_logs)).tolist()
-            no_fix = np.isnan(out.measured).any(axis=1)
-            for t, run in enumerate(scheme_logs):
-                run.append(BlockLog(
-                    t_s=i * tcfg.dt, truth=truth,
-                    predicted=None if out.predicted is None else out.predicted[t],
-                    measured=None if no_fix[t] else out.measured[t],
-                    filtered=out.filtered[t], gain=gains[a + t], se_bits=ses[a + t],
-                    pilots=pilots[t]))
-    return logs
+        gains.append(np.abs(row_dots(chan.los.steering[i].conj(),
+                                     np.concatenate([out.beam for out in outs]))))
+        # all but the beams, which would hold a (T, N) stack per block
+        kept.append([(np.broadcast_to(out.pilots, b - a), out.predicted, out.measured,
+                      out.filtered) for out, a, b in zip(outs, edges, edges[1:])])
+    gains, ses = np.stack(gains, axis=1), np.stack(ses, axis=1)
+    # each scheme's pilots and positions, block by block, stacked as (T, B, ...)
+    return [TrackLog(gains[a:b], ses[a:b],
+                     *(None if field[0] is None else np.stack(field, axis=1)
+                       for field in zip(*blocks)))
+            for blocks, a, b in zip(zip(*kept), edges, edges[1:])]
 
 
 def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
@@ -574,8 +564,8 @@ def brpss_step(cfg: ArrayConfig, start, noise_power: float):
                               antenna_noise(rngs, cfg.n_antennas, noise_power))
         keep = res.refined & (np.abs(res.omega) <= 1.0)
         est = np.where(keep, [res.omega, res.range_m], est)
-        return StepResult.pointing(steering_quadratic(cfg, est[0], est[1]),
-                                   est[0], est[1], pilots=1)
+        return StepResult(steering_quadratic(cfg, est[0], est[1]), est[0], est[1],
+                          pilots=1)
 
     return step
 
@@ -607,9 +597,8 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         first = np.cumsum([0] + [len(c) for c in cands])
         p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
         cws = [book.params(p) for p in p_best]
-        omega, range_m = [cw.theta for cw in cws], [cw.distance for cw in cws]
-        return StepResult.pointing(book.column(np.asarray(p_best)), omega, range_m,
-                                   pilots=np.array([len(c) for c in cands]))
+        return StepResult(book.column(np.asarray(p_best)), [cw.theta for cw in cws],
+                          [cw.distance for cw in cws], pilots=np.diff(first))
 
     return step
 
@@ -645,8 +634,8 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
         first = np.cumsum([0] + [len(c) for c in cands])
         best = [a + int(np.argmax(powers[a:b])) for a, b in zip(first, first[1:])]
         q_best = [flat[k] for k in best]
-        return StepResult.pointing(cols[best], [float(book.theta[q - 1]) for q in q_best],
-                                   np.full(len(best), FAR_FIELD), pilots=np.diff(first))
+        return StepResult(cols[best], [float(book.theta[q - 1]) for q in q_best],
+                          np.full(len(best), FAR_FIELD), pilots=np.diff(first))
 
     return step
 

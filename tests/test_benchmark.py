@@ -50,3 +50,14 @@ def test_traced_run_times_the_sweep_baselines(tmp_path):
     assert record["errors"] == []
     assert record["layers"]["training.hfbs.self_s"] > 0
     assert record["layers"]["training.ffbs.self_s"] > 0
+
+
+def test_traced_track_run_times_the_tracking_layers(tmp_path):
+    # the tracer wraps the filter, the SE scoring, TrackingChannel.at_block and
+    # each chunk's tracking run by name; a block loop that stopped calling
+    # them through those names would leave these at zero
+    record = run_workload("track", tmp_path, "--trace")
+    assert record["errors"] == []
+    for name in ("tracking.filter.self_s", "tracking.spectral_efficiency.self_s",
+                 "tracking.at_block.self_s", "harness.trial_ms.p50"):
+        assert record["layers"][name] > 0, name

@@ -1,18 +1,22 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlbeam import tracking
 from xlbeam.cli import (check_trajectory, experiment_spec_of, main, parse_array,
                         scenario_of, tracker_config_of, tracking_scenario_of,
                         trajectory_of)
 from xlbeam.harness import ConfigError, runner
+from xlbeam.harness.io import fmt_value
 from xlbeam.tracking import Trajectory
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
@@ -467,6 +471,56 @@ class TestSingleRuns:
         assert lines[0].startswith("t_s,truth_x,truth_y,pred_x")
         assert len(lines) == 13
 
+    @staticmethod
+    def _track_rows(tmp_path, config) -> list[dict]:
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "res"
+        assert main(["--config", cfg, "--out", str(out), "track"]) == 0
+        with open(out / "track_blocks.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_track_columns(self, tmp_path, monkeypatch):
+        # meas_* is nan exactly on the blocks whose fix was invalid (here
+        # every third fix is also made invalid), and t_s and truth_* are the
+        # trajectory's
+        oks = []
+        measure = tracking.measure_blocks
+
+        def measure_some(*args):
+            meas = measure(*args)
+            ok = meas.ok & (len(oks) % 3 != 1)
+            oks.append(bool(ok[0]))
+            return tracking.Measurement(position=np.where(ok[:, None], meas.position, np.nan),
+                                        ok=ok)
+
+        monkeypatch.setattr(tracking, "measure_blocks", measure_some)
+        config = with_key(track_config(), "tracker.meas_cov", [[0.01, 0.0], [0.0, 0.01]])
+        rows = self._track_rows(tmp_path, config)
+        traj = trajectory_of(config)
+        assert len(rows) == len(oks) == 12 and oks.count(False) >= 4
+        for i, (row, ok) in enumerate(zip(rows, oks), start=1):
+            assert row["t_s"] == fmt_value(i * traj.dt)
+            assert [row["truth_x"], row["truth_y"]] == [fmt_value(v)
+                                                        for v in traj.position(i).tolist()]
+            assert (row["meas_x"] == "nan") == (row["meas_y"] == "nan") == (not ok)
+
+    def test_track_with_a_reject_all_gate_coasts(self, tmp_path):
+        # every fix is gated out, so the filter keeps its prediction each block
+        rows = self._track_rows(tmp_path, with_key(
+            track_config(), "tracker.innovation_gate", 1e-12))
+        assert all(r["meas_x"] != "nan" for r in rows)
+        assert all((r["filt_x"], r["filt_y"]) == (r["pred_x"], r["pred_y"]) for r in rows)
+
+    @pytest.mark.parametrize("gate", [13.8, None])
+    def test_track_with_singular_innovation_covariances(self, tmp_path, gate):
+        # no process noise, no initial uncertainty and an exact measurement model
+        # make every innovation covariance zero; the gate and the update both
+        # regularize it instead of aborting the run
+        config = track_config(tracker={"accel_intensity": 0, "init_cov_diag": [0, 0, 0, 0],
+                                       "meas_cov": [[0, 0], [0, 0]],
+                                       "innovation_gate": gate})
+        assert len(self._track_rows(tmp_path, config)) == 12
+
     def test_codebook(self, tmp_path):
         cfgdict = {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}
         cfg = write_config(tmp_path, "cfg.json", cfgdict)
@@ -489,6 +543,17 @@ class TestSingleRuns:
         text = (out / "overheads.csv").read_text()
         assert "training,hfbs,Q*(S+1),\"\"" not in text   # no stray quoting
         assert "6144" in text and "548" in text and "129" in text
+
+    def test_measured_report_parses_to_its_header(self, tmp_path):
+        # parameters such as Q=128,S=3 hold a comma, so they are quoted
+        cfg = write_config(tmp_path, "cfg.json", BASE_CONFIGS["report"][1])
+        out = tmp_path / "res"
+        assert main(["--config", cfg, "--out", str(out), "report"]) == 0
+        with open(out / "overheads.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 7 and all(len(row) == 7 for row in rows)
+        hfbs = dict(zip(header, rows[0]))
+        assert (hfbs["parameters"], hfbs["pilots"]) == ("Q=128,S=3", "512")
 
 
     def test_measured_report_of_a_far_only_codebook(self, tmp_path):

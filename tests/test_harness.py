@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -360,11 +361,13 @@ class TestTrackingExperiment:
             tcfg = replace(spec.tracker, meas_cov=np.eye(2) * 0.05)
             chunk = experiments._tracking_run(spec, spec.schemes, noise, tcfg, range(4))
             for scheme, (_, factory) in experiments.TRACKING_SCHEMES.items():
-                for s, logs in enumerate(chunk):
+                log = chunk[scheme]
+                for s in range(4):
                     ref = uncached_tracking_run(
                         cfg128, spec.trajectory, tcfg, noise, trial_rng(spec.seed, s),
                         spec.tracking_scenario, factory(spec, design, noise, tcfg))
-                    assert [(b.gain, b.se_bits) for b in logs[scheme]] == ref, (scheme, s)
+                    assert list(zip(log.gain[s].tolist(), log.se_bits[s].tolist())) == ref, (
+                        scheme, s)
         upper = experiments._perfect_csi_se(spec, noises, self.rngs(spec, 4))
         for s, per_noise in enumerate(upper):
             assert per_noise == [
@@ -393,12 +396,11 @@ class TestTrackingExperiment:
         chunk = experiments._tracking_run(spec, spec.schemes, noise, tcfg, range(64))
         for scheme in spec.schemes:
             for s in (0, 1, 31, 63):
-                [alone] = experiments._tracking_run(spec, (scheme,), noise, tcfg, [s])
-                for a, b in zip(alone[scheme], chunk[s][scheme]):
-                    for name in fields:
-                        x, y = getattr(a, name), getattr(b, name)
-                        assert (x is None and y is None) or np.array_equal(
-                            x, y, equal_nan=True), (scheme, s, name)
+                alone = experiments._tracking_run(spec, (scheme,), noise, tcfg, [s])[scheme]
+                for name in fields:
+                    x, y = getattr(alone, name), getattr(chunk[scheme], name)
+                    assert (x is None and y is None) or np.array_equal(
+                        x[0], y[s], equal_nan=True), (scheme, s, name)
 
     @pytest.mark.parametrize("trials", [1, 7, 70])
     def test_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace, tmp_path,
@@ -463,6 +465,14 @@ class TestIo:
         path = tmp_path / "out.csv"
         write_csv(path, [{"a": 1, "b": 0.25}, {"a": 2}], ["a", "b"])
         assert path.read_text() == "a,b\n1,0.25\n2,\n"
+
+    def test_write_csv_quotes_only_what_needs_it(self, tmp_path):
+        path = tmp_path / "out.csv"
+        fields = ["Q=512,S=11", 'say "hi"', "two\nlines", "plain"]
+        write_csv(path, [dict(zip("abcd", fields))], list("abcd"))
+        assert path.read_text().splitlines()[1] == '"Q=512,S=11","say ""hi""","two'
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [list("abcd"), fields]
 
     def test_manifest_round_trip(self, tmp_path):
         cfgdict = {"x": 1, "nested": {"y": [1, 2]}}

@@ -6,8 +6,8 @@ import pytest
 from oracles import rayleigh_distance, sequential_calibration, uncached_tracking_run
 from xlbeam import (FAR_FIELD, brpss_step, build_hybrid_codebook, calibrate_measurement_cov,
                     design_hybrid, ffbt_proxy_step, filter_update, hfns_step, hybrid_beam_gain,
-                    measure_blocks, nfbt_step, predict, run_schemes, steering_far,
-                    steering_near, steering_quadratic)
+                    innovation_distances, measure_blocks, nfbt_step, predict, run_schemes,
+                    steering_far, steering_near, steering_quadratic)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
                              Trajectory, nearest_codeword, neighbor_codewords,
                              process_noise, transition_matrix)
@@ -129,6 +129,41 @@ class TestFilteredChannel:
         assert abs(np.vdot(steering_far(cfg512, 0.6), f)) >= 0.999
 
 
+class TestSingularInnovation:
+    """A stack whose middle track has no position uncertainty: with an exact
+    measurement model its innovation covariance is zero, and only it is
+    regularized."""
+
+    OTHERS = [0, 2]
+
+    @staticmethod
+    def stack():
+        pred = TrackState(x=np.array([[1.0, 2.0, 0.1, 0.0], [3.0, 4.0, 0.0, 0.2],
+                                      [5.0, 6.0, -0.1, 0.0]]),
+                          cov=np.stack([np.eye(4) + 0.3, np.zeros((4, 4)),
+                                        np.diag([2.0, 0.5, 1.0, 1.0])]))
+        meas = np.array([[1.5, 2.5], [3.0, 4.0 + 1e-6], [4.0, 6.5]])
+        return pred, meas, make_tracker(meas_cov=np.zeros((2, 2)))
+
+    def test_gate(self, caplog):
+        pred, meas, tcfg = self.stack()
+        d = innovation_distances(pred, meas, tcfg)
+        assert np.array_equal(d[self.OTHERS], innovation_distances(
+            pred.rows(self.OTHERS), meas[self.OTHERS], tcfg))
+        assert d[1] == pytest.approx(1e-12 / 1e-9)
+        assert "singular innovation covariance" in caplog.text
+
+    def test_update(self, caplog):
+        pred, meas, tcfg = self.stack()
+        fused = filter_update(pred, meas, tcfg)
+        alone = filter_update(pred.rows(self.OTHERS), meas[self.OTHERS], tcfg)
+        assert np.array_equal(fused.x[self.OTHERS], alone.x)
+        assert np.array_equal(fused.cov[self.OTHERS], alone.cov)
+        # a track with no uncertainty has no gain: it keeps its prediction
+        assert np.array_equal(fused.x[1], pred.x[1]) and not fused.cov[1].any()
+        assert "singular innovation covariance" in caplog.text
+
+
 class TestMeasureBlock:
     def test_noiseless_at_prediction(self, cfg512):
         pos = np.array([25.0, 30.0])
@@ -150,11 +185,12 @@ class TestRunTracking:
         tcfg = TrackerConfig(dt=0.05, n_blocks=30, meas_cov=np.eye(2) * 1e-4)
         scen = TrackingScenario(fading=False, n_nlos=0)
         step = nfbt_step(cfg512, tcfg, 0.0, AT_REST)
-        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
-                              [(step, [np.random.default_rng(1)])])
-        assert len(log) == 30
-        assert all(b.gain >= 0.99 for b in log)
-        assert all(b.pilots == 1 for b in log)
+        [log] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                            [(step, [np.random.default_rng(1)])])
+        assert log.gain.shape == log.se_bits.shape == log.pilots.shape == (1, 30)
+        assert log.filtered.shape == (1, 30, 2)
+        assert (log.gain >= 0.99).all()
+        assert (log.pilots == 1).all()
 
     def test_gain_monotone_in_range_at_fixed_error(self, cfg512):
         # the same angular-plus-range tracking error costs more gain as
@@ -182,20 +218,20 @@ class TestRunTracking:
         tcfg = make_tracker(n_blocks=7)
         for make_step in (lambda: brpss_step(cfg512, traj.start, noise),
                           lambda: nfbt_step(cfg512, tcfg, noise, [*traj.start, -20.0, 0.0])):
-            [[log]] = run_schemes(cfg512, traj, tcfg, noise, scen,
-                                  [(make_step(), [np.random.default_rng(3)])])
-            assert len(log) == 7 and np.array_equal(log[-1].truth, traj.position(7))
+            [log] = run_schemes(cfg512, traj, tcfg, noise, scen,
+                                [(make_step(), [np.random.default_rng(3)])])
+            assert log.gain.shape == (1, 7)
             ref = uncached_tracking_run(cfg512, traj, tcfg, noise, np.random.default_rng(3),
                                         scen, make_step())
-            assert [(b.gain, b.se_bits) for b in log] == ref
+            assert list(zip(log.gain[0].tolist(), log.se_bits[0].tolist())) == ref
         # this trajectory crosses the range floor (6.1 m) after block 4
         toward = Trajectory(start=(10.0, 5.0), velocity=(-20.0, 0.0), dt=0.05, n_blocks=20)
         assert np.hypot(*toward.position(5)) > cfg512.range_floor
         assert np.hypot(*toward.position(7)) < cfg512.range_floor
-        [[log]] = run_schemes(cfg512, toward, make_tracker(n_blocks=5), noise, scen,
-                              [(brpss_step(cfg512, toward.start, noise),
-                                [np.random.default_rng(4)])])
-        assert len(log) == 5
+        [log] = run_schemes(cfg512, toward, make_tracker(n_blocks=5), noise, scen,
+                            [(brpss_step(cfg512, toward.start, noise),
+                              [np.random.default_rng(4)])])
+        assert log.gain.shape == (1, 5)
         with pytest.raises(ValueError, match="validity floor"):
             run_schemes(cfg512, toward, make_tracker(n_blocks=8), noise, scen,
                         [(brpss_step(cfg512, toward.start, noise), [np.random.default_rng(4)])])
@@ -209,10 +245,11 @@ class TestRunTracking:
         init = np.array([PAPER_TRAJ.start[0], PAPER_TRAJ.start[1],
                          PAPER_TRAJ.velocity[0], PAPER_TRAJ.velocity[1]])
         step = nfbt_step(cfg512, tcfg, 0.0, init)
-        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
-                              [(step, [np.random.default_rng(2)])])
-        for b in log:
-            assert np.allclose(b.filtered, b.truth, atol=1e-9)
+        [log] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                            [(step, [np.random.default_rng(2)])])
+        truth = np.array([PAPER_TRAJ.position(i) for i in range(1, 6)])
+        assert np.allclose(log.filtered[0], truth, atol=1e-9)
+        assert np.array_equal(log.filtered, log.predicted)
 
 
 class TestCalibration:
@@ -248,28 +285,30 @@ class TestBaselines:
         tcfg = TrackerConfig(dt=0.05, n_blocks=20, meas_cov=np.eye(2))
         scen = TrackingScenario(fading=False, n_nlos=0)
         step = brpss_step(cfg512, PAPER_TRAJ.start, 0.0)
-        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
-                              [(step, [np.random.default_rng(3)])])
-        assert all(b.pilots == 1 for b in log)
-        assert all(b.gain >= 0.98 for b in log)
+        [log] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0, scen,
+                            [(step, [np.random.default_rng(3)])])
+        assert (log.pilots == 1).all()
+        assert (log.gain >= 0.98).all()
+        # a filterless scheme keeps no positions
+        assert log.predicted is None and log.measured is None and log.filtered is None
 
     def test_hfns_pilots(self, cfg512, full_workspace):
         _, _, design = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
         step = hfns_step(cfg512, design, PAPER_TRAJ.start, 0.0)
-        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                              TrackingScenario(fading=False, n_nlos=0),
-                              [(step, [np.random.default_rng(4)])])
-        assert all(b.pilots == 5 for b in log)
+        [log] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                            TrackingScenario(fading=False, n_nlos=0),
+                            [(step, [np.random.default_rng(4)])])
+        assert (log.pilots == 5).all()
 
     def test_ffbt_proxy_pilots(self, cfg512, full_workspace):
         book, _, _ = full_workspace
         tcfg = TrackerConfig(dt=0.05, n_blocks=6, meas_cov=np.eye(2))
         step = ffbt_proxy_step(book, PAPER_TRAJ.start, 0.0)
-        [[log]] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
-                              TrackingScenario(fading=False, n_nlos=0),
-                              [(step, [np.random.default_rng(5)])])
-        assert all(b.pilots == 3 for b in log)
+        [log] = run_schemes(cfg512, PAPER_TRAJ, tcfg, 0.0,
+                            TrackingScenario(fading=False, n_nlos=0),
+                            [(step, [np.random.default_rng(5)])])
+        assert (log.pilots == 3).all()
 
     def test_neighbor_sets(self, full_workspace):
         book, _, _ = full_workspace
