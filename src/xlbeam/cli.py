@@ -369,6 +369,8 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
         # each entry becomes the upper end of the paths' range_range
         kwargs["r_max_grid"] = numbers_of(config["r_max_grid"], "r_max_grid",
                                           minimum=scen.range_range[0])
+        if not kwargs["r_max_grid"]:
+            raise ConfigError("r_max_grid must list at least one range")
     if kind == "tracking":
         traj = trajectory_of(config)
         kwargs["trajectory"] = traj
@@ -378,6 +380,8 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
     if kind == "refinement_grid":
         kwargs["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)
         kwargs["s_grid"] = integers_of(config.get("s_grid", []), "s_grid", 0)
+        if not kwargs["q_grid"] + kwargs["s_grid"]:
+            raise ConfigError("q_grid and s_grid must list at least one value between them")
         if "fixed_q" in config:
             kwargs["fixed_q"] = integer_of(config["fixed_q"], "fixed_q", 1)
         if "fixed_s" in config:

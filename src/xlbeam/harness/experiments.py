@@ -25,7 +25,7 @@ from ..tracking import (TrackerConfig, TrackingChannel, TrackingScenario, TrackL
                         Trajectory, brpss_step, ffbt_proxy_step, hfns_step, line_of_sight,
                         nfbt_step, polar_to_cartesian, run_schemes, se_bits, signal_powers,
                         tracker_for_run)
-from ..training import (TrainedDesign, TrainingResult, baseline_ffbs, baseline_hfbs,
+from ..training import (TrainedDesign, baseline_ffbs, baseline_hfbs,
                         design_all, stage1_sweep, stage2_select, sweep_signals)
 from .runner import run_trials, trial_rng
 
@@ -91,68 +91,8 @@ def _position_error(channels: ChannelRealization, omegas, ranges) -> np.ndarray:
     return np.where(ok, np.linalg.norm(est - los, axis=-1), math.inf)
 
 
-@dataclass
-class _TrainingChunk:
-    """A chunk's channel draws and what every training scheme measures them with."""
-
-    cfg: ArrayConfig
-    book: HybridCodebook
-    design: TrainedDesign
-    channels: ChannelRealization                    # a stack of T channels
-    noise: float
-    rngs: Sequence[np.random.Generator]
-    signals: np.ndarray | None = field(default=None, repr=False)  # sweep outputs from column `first` on
-    first: int = 0
-    _thbt: TrainingResult | None = None
-
-    @property
-    def thbt(self) -> TrainingResult:
-        """The chunk's one stacked two-stage run, shared by thbt and thbt_brpss.
-
-        Not a functools.cached_property: before Python 3.12 that holds one
-        lock for all instances, which would serialise worker threads."""
-        if self._thbt is None:
-            sweep = stage1_sweep(self.cfg, self.design.sub_book, self.channels.h, self.noise,
-                                 self.rngs)
-            self._thbt = stage2_select(self.book, self.design, sweep)
-        return self._thbt
-
-    def beams(self, omegas, ranges, codewords) -> np.ndarray:
-        """The beams a scheme points, one row per trial: the 1-based
-        ``codewords`` it swept to, or, when it swept none, the hybrid beams
-        designed with continuous subarray beams at each (omega, r)."""
-        if codewords is None:
-            return design_hybrid(self.cfg, omegas, ranges).combined_vector()
-        return self.book.column(np.asarray(codewords))
-
-    def swept(self, baseline, first: int) -> tuple:
-        """The chunk's sweep baseline from 0-based column ``first`` on, in
-        one stacked call; each trial points its winning codeword."""
-        run = baseline(self.book, self.signals[:, first - self.first:], self.noise, self.rngs)
-        return run.rough_omega, run.rough_range, run.pilots, run.best_index
-
-
-def _refined(c: _TrainingChunk) -> tuple:
-    """thbt's estimates refined with one pilot each; omega is clipped once,
-    before both the beam and the position error use it."""
-    thbt = c.thbt
-    ref = refine_channels(c.cfg, c.channels.h, thbt.rough_omega, thbt.rough_range,
-                          antenna_noise(c.rngs, c.cfg.n_antennas, c.noise))
-    return np.clip(ref.omega, -1.0, 1.0), ref.range_m, thbt.pilots + ref.pilots, None
-
-
-# scheme -> estimator(chunk) -> (omegas, ranges, pilots spent, codewords): the
-# (omega, r) each trial reports and, for a sweep baseline, the 1-based
-# codeword each trial's beam points (None: a continuous design at (omega, r)).
-# Estimators run in the order the schemes draw from each trial's rng.  They
-# look the training functions up when called, so rebinding a module
-# attribute reaches them.
-TRAINING_SCHEMES = {
-    "thbt": lambda c: (c.thbt.rough_omega, c.thbt.rough_range, c.thbt.pilots, None),
-    "thbt_brpss": _refined,
-    "hfbs": lambda c: c.swept(baseline_hfbs, 0),
-    "ffbs": lambda c: c.swept(baseline_ffbs, c.book.n_near),
-}
+# The training schemes, in the order they draw from each trial's rng.
+TRAINING_SCHEMES = ("thbt", "thbt_brpss", "hfbs", "ffbs")
 
 # What a training evaluation can report per trial and scheme: the alignment
 # gain of the beam the scheme points, the position error of the (omega, r)
@@ -162,17 +102,17 @@ SCORES = ("gain", "error_m", "pilots")
 
 def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float],
                              scenario: ChannelScenario, rngs, schemes: tuple[str, ...],
-                             scores: tuple[str, ...]) -> list[list[dict]]:
+                             scores: tuple[str, ...]) -> dict:
     """One channel draw per rng, all requested schemes measured on each, at
-    every noise power: one list of per-trial results per noise power.
+    every noise power: ``{(k, scheme, score): (T,) array}`` for the k-th
+    noise power, one entry per trial.
 
-    Each result maps a scheme to the ``scores`` asked for (names from
-    ``SCORES``), and only those are computed: a scheme's beams are made
-    only when its gain is scored.  Every scheme is scored the same way.
-    Each scheme runs once for the whole chunk, in ``TRAINING_SCHEMES``
-    order, and draws each trial's noise from that trial's rng, so each
-    trial uses its rng exactly as it would alone, whatever it scores: the
-    channel first, then the schemes in table order.
+    Only the ``scores`` asked for (names from ``SCORES``) are computed: a
+    scheme's beams are made only when its gain is scored.  Every scheme is
+    scored the same way.  Each scheme runs once for the whole chunk, in
+    ``TRAINING_SCHEMES`` order, and draws each trial's noise from that
+    trial's rng, so each trial uses its rng exactly as it would alone,
+    whatever it scores: the channel first, then the schemes in that order.
 
     The channels and the sweep baselines' noiseless outputs do not depend
     on the noise power, so they are drawn and computed once.  Each rng's
@@ -190,35 +130,43 @@ def evaluate_training_points(spec: ExperimentSpec, noise_powers: Sequence[float]
     # all from one codebook product
     first = 0 if "hfbs" in schemes else book.n_near if "ffbs" in schemes else None
     signals = None if first is None else sweep_signals(book, channels.h, first)
-    points = []
-    for noise_power in noise_powers:
+
+    def estimates(noise):
+        """(scheme, omegas, ranges, pilots spent, codewords) per requested
+        scheme: the (omega, r) each trial reports and, for a sweep baseline,
+        the 1-based codeword each trial's beam points (None: a continuous
+        design at (omega, r)).  thbt_brpss refines thbt's stacked run, and
+        its omega is clipped once, before both scores use it."""
+        if "thbt" in schemes or "thbt_brpss" in schemes:
+            thbt = stage2_select(book, design, stage1_sweep(cfg, design.sub_book, channels.h,
+                                                            noise, rngs))
+            if "thbt" in schemes:
+                yield "thbt", thbt.rough_omega, thbt.rough_range, thbt.pilots, None
+            if "thbt_brpss" in schemes:
+                ref = refine_channels(cfg, channels.h, thbt.rough_omega, thbt.rough_range,
+                                      antenna_noise(rngs, cfg.n_antennas, noise))
+                yield ("thbt_brpss", np.clip(ref.omega, -1.0, 1.0), ref.range_m,
+                       thbt.pilots + ref.pilots, None)
+        for scheme, baseline, column in (("hfbs", baseline_hfbs, 0),
+                                         ("ffbs", baseline_ffbs, book.n_near)):
+            if scheme in schemes:
+                run = baseline(book, signals[:, column - first:], noise, rngs)
+                yield scheme, run.rough_omega, run.rough_range, run.pilots, run.best_index
+
+    out = {}
+    for k, noise_power in enumerate(noise_powers):
         for rng, state in zip(rngs, drawn):
             rng.bit_generator.state = state
-        chunk = _TrainingChunk(cfg, book, design, channels, noise_power, rngs, signals,
-                               first or 0)
-        results = [{} for _ in rngs]
-        for scheme, estimate in TRAINING_SCHEMES.items():
-            if scheme in schemes:
-                omegas, ranges, pilots, codewords = estimate(chunk)
-                scored = {"pilots": [pilots] * len(rngs)}
-                if "gain" in scores:
-                    scored["gain"] = alignment_gain(
-                        channels, chunk.beams(omegas, ranges, codewords)).tolist()
-                if "error_m" in scores:
-                    scored["error_m"] = _position_error(channels, omegas, ranges).tolist()
-                for out, values in zip(results, zip(*(scored[s] for s in scores))):
-                    out[scheme] = dict(zip(scores, values))
-        points.append(results)
-    return points
-
-
-def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
-                             scenario: ChannelScenario, rngs, schemes: tuple[str, ...],
-                             scores: tuple[str, ...]) -> list[dict]:
-    """The one-point case of :func:`evaluate_training_points`."""
-    [results] = evaluate_training_points(spec, [noise_power], scenario, rngs, schemes,
-                                         scores)
-    return results
+        for scheme, omegas, ranges, pilots, codewords in estimates(noise_power):
+            if "gain" in scores:
+                beams = (design_hybrid(cfg, omegas, ranges).combined_vector()
+                         if codewords is None else book.column(np.asarray(codewords)))
+                out[k, scheme, "gain"] = alignment_gain(channels, beams)
+            if "error_m" in scores:
+                out[k, scheme, "error_m"] = _position_error(channels, omegas, ranges)
+            if "pilots" in scores:
+                out[k, scheme, "pilots"] = np.full(len(rngs), pilots)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +176,21 @@ def evaluate_training_trials(spec: ExperimentSpec, noise_power: float,
 def _gain_sweep(spec: ExperimentSpec, experiment: str, points) -> list[dict]:
     """Mean aligned gain per scheme at each swept point.
 
-    ``points`` holds one (row fields, per-trial results) per point.  Every
-    point runs the same trials: trial i's channel comes from the start of
+    ``points`` holds one (row fields, scores, k) per point: the point's
+    per-trial arrays are ``scores[k, scheme, score]``.  Every point runs
+    the same trials: trial i's channel comes from the start of
     ``trial_rng(spec.seed, i)`` and its scheme noise from the rest of that
     stream, whether the point runs alone or shares the chunk's channel
     draw with the other points of a grid.
     """
     rows = []
-    for fields, results in points:
+    for fields, scores, k in points:
         for scheme in spec.schemes:
-            gains = np.array([r[scheme]["gain"] for r in results])
+            gains = scores[k, scheme, "gain"]
             rows.append({
                 "experiment": experiment, "scheme": scheme, **fields,
                 "mean_gain": float(gains.mean()), "std_gain": float(gains.std()),
-                "trials": spec.trials, "pilots": results[0][scheme]["pilots"],
+                "trials": spec.trials, "pilots": int(scores[k, scheme, "pilots"][0]),
             })
     return rows
 
@@ -254,13 +203,12 @@ def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
 
     def worker(indices, rngs):
-        return zip(*evaluate_training_points(spec, noises, spec.scenario, rngs,
-                                             spec.schemes, ("gain", "pilots")))
+        return evaluate_training_points(spec, noises, spec.scenario, rngs, spec.schemes,
+                                        ("gain", "pilots"))
 
-    per_point = zip(*run_trials(worker, spec.trials, spec.seed, spec.workers))
+    scores = run_trials(worker, spec.trials, spec.seed, spec.workers)
     return _gain_sweep(spec, "gain_vs_snr", [
-        ({"snr_db": snr_db}, results)
-        for snr_db, results in zip(spec.snr_grid_db, per_point)])
+        ({"snr_db": snr_db}, scores, k) for k, snr_db in enumerate(spec.snr_grid_db)])
 
 
 def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
@@ -270,16 +218,16 @@ def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     r_min = spec.scenario.range_range[0]
 
-    def results_at(scenario):
+    def scores_at(scenario):
         def worker(indices, rngs):
-            return evaluate_training_trials(spec, noise, scenario, rngs, spec.schemes,
+            return evaluate_training_points(spec, [noise], scenario, rngs, spec.schemes,
                                             ("gain", "pilots"))
 
         return run_trials(worker, spec.trials, spec.seed, spec.workers)
 
     return _gain_sweep(spec, "gain_vs_distance", [
         ({"r_max_m": r_max, "snr_db": snr_db},
-         results_at(replace(spec.scenario, range_range=(r_min, r_max))))
+         scores_at(replace(spec.scenario, range_range=(r_min, r_max))), 0)
         for r_max in spec.r_max_grid])
 
 
@@ -300,14 +248,13 @@ def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
     schemes = tuple(s for s in spec.schemes if s in POSITIONING_SCHEMES)
 
     def worker(indices, rngs):
-        return evaluate_training_trials(spec, noise, spec.scenario, rngs, schemes,
+        return evaluate_training_points(spec, [noise], spec.scenario, rngs, schemes,
                                         ("error_m",))
 
-    results = run_trials(worker, spec.trials, spec.seed, spec.workers)
+    scores = run_trials(worker, spec.trials, spec.seed, spec.workers)
     rows = []
     for scheme in schemes:
-        errs = np.array([r[scheme]["error_m"] for r in results])
-        qs = np.quantile(errs, QUANTILE_GRID, method="lower")
+        qs = np.quantile(scores[0, scheme, "error_m"], QUANTILE_GRID, method="lower")
         for quant, err in zip(QUANTILE_GRID, qs):
             rows.append({
                 "experiment": "positioning_cdf", "scheme": scheme,
@@ -339,9 +286,9 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
             coarse = baseline_hfbs(_book, sweep_signals(_book, channels.h))
             ref = refine_channels(spec.cfg, channels.h, coarse.rough_omega, coarse.rough_range,
                                   antenna_noise(rngs, spec.cfg.n_antennas, noise))
-            return _position_error(channels, ref.omega, ref.range_m).tolist()
+            return {"error_m": _position_error(channels, ref.omega, ref.range_m)}
 
-        errs = np.array(run_trials(worker, spec.trials, spec.seed, spec.workers))
+        errs = run_trials(worker, spec.trials, spec.seed, spec.workers)["error_m"]
         report = validate_quantization(spec.cfg, q, s)
         rows.append({
             "experiment": "refinement_grid", "param": param,
@@ -379,9 +326,10 @@ def _tracking_run(spec: ExperimentSpec, schemes, noise: float, tcfg,
                                          spec.tracking_scenario, runs)))
 
 
-def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
+def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> np.ndarray:
     """Mean spectral efficiency with the true geometry every block the
-    schemes run, for a chunk of seeds: one value per seed and noise power.
+    schemes run, for a chunk of seeds: (T, K), one value per seed and
+    noise power.
 
     The channels do not depend on the noise power, so each seed's received
     signal powers are computed once and reused across the SNR grid.
@@ -391,8 +339,7 @@ def _perfect_csi_se(spec: ExperimentSpec, noises, rngs) -> list[list[float]]:
     signal = np.empty((len(rngs), traj.n_blocks))
     for i in range(1, traj.n_blocks + 1):
         signal[:, i - 1] = signal_powers(chan.los.combiner_rows[i], chan.at_block(i, rngs))
-    return np.stack([se_bits(signal, noise).mean(axis=1) for noise in noises],
-                    axis=1).tolist()
+    return np.stack([se_bits(signal, noise).mean(axis=1) for noise in noises], axis=1)
 
 
 def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -404,25 +351,26 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     if spec.trajectory is None or spec.tracker is None:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
+    logged = ("gain", "se_bits", "pilots")      # the TrackLog arrays the rows read
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
     # the line of sight is built once, before any worker needs it
     line_of_sight(spec.cfg, replace(spec.trajectory, n_blocks=spec.tracker.n_blocks))
-    upper = run_trials(lambda indices, rngs: _perfect_csi_se(spec, noises, rngs),
-                       spec.trials, spec.seed, spec.workers)
+    upper = run_trials(lambda indices, rngs: {"upper": _perfect_csi_se(spec, noises, rngs)},
+                       spec.trials, spec.seed, spec.workers)["upper"]
     rows = []
     primary_snr = spec.snr_grid_db[0]
     for k, (snr_db, noise) in enumerate(zip(spec.snr_grid_db, noises)):
         tcfg = tracker_for_run(spec.cfg, spec.tracker, spec.trajectory,
                                spec.tracking_scenario, noise, spec.seed)
-        # run_trials merges results per seed: here each seed's (gain, se_bits,
-        # pilots) block rows, one triple per scheme
-        per_seed = run_trials(
-            lambda indices, rngs, _noise=noise, _tcfg=tcfg: zip(*(
-                zip(log.gain, log.se_bits, log.pilots)
-                for log in _tracking_run(spec, schemes, _noise, _tcfg, indices).values())),
-            spec.trials, spec.seed, spec.workers)
-        for scheme, runs in zip(schemes, zip(*per_seed)):
-            gains, ses, pilots = (np.array(part) for part in zip(*runs))
+
+        def worker(indices, rngs, _noise=noise, _tcfg=tcfg):
+            logs = _tracking_run(spec, schemes, _noise, _tcfg, indices)
+            return {(scheme, name): getattr(logs[scheme], name)
+                    for scheme in schemes for name in logged}
+
+        runs = run_trials(worker, spec.trials, spec.seed, spec.workers)
+        for scheme in schemes:
+            gains, ses, pilots = (runs[scheme, name] for name in logged)
             budget = TRACKING_SCHEMES[scheme][0]
             if not (pilots == budget).all():
                 raise AssertionError(
@@ -447,7 +395,7 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
         rows.append({
             "experiment": "tracking_se_vs_snr", "scheme": "perfect_csi",
             "snr_db": snr_db, "t_s": "", "mean_gain": 1.0,
-            "mean_se_bits": float(np.mean([u[k] for u in upper])), "seeds": spec.trials,
+            "mean_se_bits": float(upper[:, k].mean()), "seeds": spec.trials,
             "pilots_per_block": 0,
         })
     return rows
@@ -507,9 +455,9 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
     noise = snr_db_to_noise_power(10.0, cfg)
     spec = ExperimentSpec(cfg=cfg, n_angles=q, n_rings=s,
                           schemes=tuple(TRAINING_SCHEMES))
-    [trained] = evaluate_training_trials(spec, noise, spec.scenario,
-                                         [np.random.default_rng(seed)], spec.schemes,
-                                         ("pilots",))
+    trained = evaluate_training_points(spec, [noise], spec.scenario,
+                                       [np.random.default_rng(seed)], spec.schemes,
+                                       ("pilots",))
 
     blocks = 3
     traj = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),
@@ -525,6 +473,7 @@ def _measured_overheads(cfg: ArrayConfig, q: int, s: int, seed: int) -> dict:
         counts = np.unique(_tracking_run(spec, (scheme,), noise, tcfg, [0])[scheme].pilots)
         per_block[scheme] = counts.tolist() if len(counts) > 1 else int(counts[0])
     return {
-        **{("training", scheme): r["pilots"] for scheme, r in trained.items()},
+        **{("training", scheme): int(trained[0, scheme, "pilots"][0])
+           for scheme in TRAINING_SCHEMES},
         **{("tracking", scheme): n for scheme, n in per_block.items()},
     }

@@ -3,8 +3,9 @@
 Every trial owns an RNG stream keyed by (root seed, trial index), so
 results are independent of worker count and scheduling order.  Trials
 run in contiguous chunks, so a worker can batch work shared by a chunk's
-trials (one codebook product instead of one per trial); aggregation
-merges by trial index.
+trials (one codebook product instead of one per trial).  A worker
+returns a dict of arrays with the chunk's trials on the leading axis,
+and each array is joined across chunks in trial order.
 """
 
 from __future__ import annotations
@@ -52,19 +53,21 @@ def trial_chunks(n_trials: int, workers: int = 1) -> list[range]:
             for k in range(n_chunks)]
 
 
-def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> list:
-    """Run ``worker(indices, rngs)`` once per chunk of trials; return the
-    per-trial results in index order.
+def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> dict:
+    """Run ``worker(indices, rngs)`` once per chunk of trials; return each
+    of its arrays joined across the chunks in index order.
 
     ``worker`` gets a chunk's trial indices and their generators and
-    returns one result per index.  The same per-trial streams are used
-    regardless of ``workers``, so a parallel run returns exactly the
-    sequential result.
+    returns a dict of arrays, each with one row per index.  The same
+    per-trial streams are used regardless of ``workers``, so a parallel
+    run returns exactly the sequential result.
     """
     def one(chunk):
-        out = list(worker(chunk, [trial_rng(seed, i) for i in chunk]))
-        if len(out) != len(chunk):
-            raise ValueError(f"worker returned {len(out)} results for {len(chunk)} trials")
+        out = worker(chunk, [trial_rng(seed, i) for i in chunk])
+        for key, rows in out.items():
+            if len(rows) != len(chunk):
+                raise ValueError(f"worker returned {len(rows)} rows of {key!r} "
+                                 f"for {len(chunk)} trials")
         return out
 
     chunks = trial_chunks(n_trials, workers)
@@ -73,4 +76,6 @@ def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> list:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, chunks))
-    return [r for part in parts for r in part]
+    if not parts:
+        return {}
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -40,6 +40,19 @@ MEAS_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0]])
 
 
+def _covariance_fault(cov: np.ndarray) -> str | None:
+    """What keeps a covariance (or each of a stack) from being symmetric
+    positive semidefinite, or None.
+
+    Symmetry is ``np.allclose(cov, cov.T, atol=1e-9)`` written out."""
+    cov_t = np.swapaxes(cov, -1, -2)
+    if not np.all(np.abs(cov - cov_t) <= 1e-9 + 1e-5 * np.abs(cov_t)):
+        return "symmetry"
+    if np.linalg.eigvalsh(cov).min() < -1e-9:
+        return "positive semidefiniteness"
+    return None
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Filter tuning knobs.
@@ -69,6 +82,12 @@ class TrackerConfig:
         scale = self.dt * self.dt * self.accel_intensity
         if not math.isfinite(scale * scale):
             raise ValueError("accel_intensity is too large for a finite process noise")
+        if self.meas_cov is not None and _covariance_fault(np.asarray(self.meas_cov, float)):
+            raise ValueError(f"meas_cov must be symmetric positive semidefinite, "
+                             f"got {np.asarray(self.meas_cov).tolist()}")
+        if self.innovation_gate is not None and self.innovation_gate < 0:
+            raise ValueError(f"innovation_gate must be non-negative, "
+                             f"got {self.innovation_gate}")
 
 
 @dataclass
@@ -104,14 +123,10 @@ class TrackState:
         return TrackState(x=self.x[idx], cov=self.cov[idx], block=self.block)
 
     def assert_valid(self) -> None:
-        """Covariance must stay symmetric positive semidefinite.
-
-        Symmetry is ``np.allclose(cov, cov.T, atol=1e-9)`` written out."""
-        cov_t = np.swapaxes(self.cov, -1, -2)
-        if not np.all(np.abs(self.cov - cov_t) <= 1e-9 + 1e-5 * np.abs(cov_t)):
-            raise AssertionError("covariance lost symmetry")
-        if np.linalg.eigvalsh(self.cov).min() < -1e-9:
-            raise AssertionError("covariance lost positive semidefiniteness")
+        """Covariance must stay symmetric positive semidefinite."""
+        fault = _covariance_fault(self.cov)
+        if fault is not None:
+            raise AssertionError(f"covariance lost {fault}")
 
 
 @functools.lru_cache(maxsize=16)

@@ -15,7 +15,7 @@ from xlbeam import (ArrayConfig, ChannelScenario, assemble_reused,
                     steering_near, subarray_pointing)
 from oracles import chirp_sum, full_matrix, gain_loss_bound, rayleigh_distance, valid_placements
 from xlbeam.harness import ExperimentSpec, overhead_report
-from xlbeam.harness.experiments import (evaluate_training_trials,
+from xlbeam.harness.experiments import (evaluate_training_points,
                                         tracking_experiment)
 from xlbeam.harness.runner import run_trials
 from oracles import psp_band_ok
@@ -179,12 +179,11 @@ def test_criterion_07_gain_orderings(cfg512, full_workspace):
         noise = 10.0 ** (-snr_db / 10.0) / cfg512.m_per_sub
 
         def worker(indices, rngs, _n=noise):
-            return evaluate_training_trials(spec, _n, spec.scenario, rngs,
+            return evaluate_training_points(spec, [_n], spec.scenario, rngs,
                                             spec.schemes, ("gain",))
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
-        means[snr_db] = {s: float(np.mean([r[s]["gain"] for r in results]))
-                         for s in spec.schemes}
+        means[snr_db] = {s: float(np.mean(results[0, s, "gain"])) for s in spec.schemes}
     hi, lo = means[10.0], means[-15.0]
     assert hi["thbt_brpss"] > hi["thbt"]
     assert hi["thbt"] >= 0.95 * hi["hfbs"]
@@ -207,12 +206,12 @@ def test_criterion_08_distance_robustness(cfg512, full_workspace):
                               scenario=ChannelScenario(range_range=(6.0, r_max)))
 
         def worker(indices, rngs):
-            return evaluate_training_trials(spec, noise, spec.scenario, rngs,
+            return evaluate_training_points(spec, [noise], spec.scenario, rngs,
                                             spec.schemes, ("gain",))
 
         results = run_trials(worker, spec.trials, spec.seed, spec.workers)
         for s in ("thbt", "ffbs"):
-            means[s][r_max] = float(np.mean([r[s]["gain"] for r in results]))
+            means[s][r_max] = float(np.mean(results[0, s, "gain"]))
     spread = max(means["thbt"].values()) - min(means["thbt"].values())
     ffbs_drop = means["ffbs"][400.0] - means["ffbs"][40.0]
     assert spread <= 0.05, means["thbt"]
@@ -231,12 +230,11 @@ def test_criterion_09_positioning_medians(cfg512, full_workspace):
     noise = 10.0 ** (-2.0) / cfg512.m_per_sub
 
     def worker(indices, rngs):
-        return evaluate_training_trials(spec, noise, spec.scenario, rngs,
+        return evaluate_training_points(spec, [noise], spec.scenario, rngs,
                                         spec.schemes, ("error_m",))
 
     results = run_trials(worker, spec.trials, spec.seed, spec.workers)
-    med = {s: float(np.quantile([r[s]["error_m"] for r in results], 0.5,
-                                method="lower"))
+    med = {s: float(np.quantile(results[0, s, "error_m"], 0.5, method="lower"))
            for s in spec.schemes}
     assert med["thbt_brpss"] < med["thbt"]
     assert abs(med["thbt"] - med["hfbs"]) <= 0.10 * max(med["thbt"], med["hfbs"])

@@ -41,6 +41,9 @@ def test_traced_run_reads_the_stored_codebook(tmp_path):
     assert record["errors"] == []
     # the near rings of 256 of the 512 angles, then the 512 far columns
     assert record["layers"]["codebooks.matrix_mb"] == 16 * 512 * (256 * 11 + 512) / 1e6
+    # the tracer wraps each worker that run_trials is handed; a run_trials
+    # that stopped calling it would time no trial
+    assert record["layers"]["harness.trial_ms.p50"] > 0
 
 
 def test_traced_run_times_the_sweep_baselines(tmp_path):
@@ -50,6 +53,7 @@ def test_traced_run_times_the_sweep_baselines(tmp_path):
     assert record["errors"] == []
     assert record["layers"]["training.hfbs.self_s"] > 0
     assert record["layers"]["training.ffbs.self_s"] > 0
+    assert record["layers"]["harness.trial_ms.p50"] > 0
 
 
 def test_traced_track_run_times_the_tracking_layers(tmp_path):

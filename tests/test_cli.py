@@ -264,12 +264,31 @@ class TestConfigErrors:
         # reaches the array at block 20, inside the range floor from block 17
         ("track", "trajectory", TOO_CLOSE),
         ("tracking", "trajectory", TOO_CLOSE),
+        # a measurement covariance that is not symmetric positive
+        # semidefinite, and a gate that rejects every fix
+        ("track", "tracker.meas_cov", [[-1.0, 0.0], [0.0, -1.0]]),
+        ("track", "tracker.meas_cov", [[1.0, 5.0], [0.0, 1.0]]),
+        ("track", "tracker.innovation_gate", -1.0),
+        # an empty grid writes a header-only CSV
+        ("gain_vs_distance", "r_max_grid", []),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
         cfg = write_config(tmp_path, "cfg.json", with_key(cfgdict, key, value))
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_grid, s_grid", [([], []), (None, None), ([], None)])
+    def test_an_empty_refinement_grid(self, tmp_path, capsys, q_grid, s_grid):
+        # None: the key is absent
+        _, cfgdict = BASE_CONFIGS["refinement_grid"]
+        for key, value in (("q_grid", q_grid), ("s_grid", s_grid)):
+            cfgdict = (without_key(cfgdict, key) if value is None
+                       else with_key(cfgdict, key, value))
+        cfg = write_config(tmp_path, "cfg.json", cfgdict)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
+        err = capsys.readouterr().err
+        assert "q_grid" in err and "s_grid" in err
 
     def test_a_start_at_the_array_is_rejected(self):
         cfg = parse_array(DESK_ARRAY, "array")

@@ -17,8 +17,7 @@ from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             tracking_experiment, trial_rng, write_csv,
                             write_manifest)
 from xlbeam.harness import experiments, runner
-from xlbeam.harness.experiments import (SCORES, evaluate_training_points,
-                                        evaluate_training_trials)
+from xlbeam.harness.experiments import SCORES, evaluate_training_points
 from xlbeam.harness.runner import CHUNK_TRIALS, MIN_CHUNK_TRIALS, trial_chunks
 from xlbeam.harness.io import config_digest, fmt_value, load_config
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
@@ -32,6 +31,22 @@ def desk_spec(cfg128, **kw):
     return ExperimentSpec(cfg=cfg128, n_angles=128, n_rings=3, **kw)
 
 
+def scores_at(spec, noise, rngs, schemes, scores):
+    """One noise power's training scores: {(scheme, score): (T,) array}."""
+    return {key[1:]: value for key, value in evaluate_training_points(
+        spec, [noise], spec.scenario, rngs, schemes, scores).items()}
+
+
+def joined(parts):
+    """Dicts of per-trial arrays, joined on the trial axis."""
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def same_arrays(a, b):
+    """Two dicts of arrays with the same keys and equal arrays."""
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
 class TestRunner:
     def test_per_trial_streams_are_stable(self):
         a = trial_rng(7, 3).standard_normal(4)
@@ -42,21 +57,26 @@ class TestRunner:
 
     def test_parallel_equals_sequential(self):
         def worker(indices, rngs):
-            return [(i, rng.standard_normal(8).sum()) for i, rng in zip(indices, rngs)]
+            return {"index": np.array(indices),
+                    "sum": np.array([rng.standard_normal(8).sum() for rng in rngs])}
 
         seq = run_trials(worker, 40, seed=9, workers=1)
         par = run_trials(worker, 40, seed=9, workers=3)
-        assert seq == par
+        assert same_arrays(seq, par)
 
     @pytest.mark.parametrize("n_trials", [1, 65, 130])
     def test_chunking_does_not_change_results(self, n_trials):
+        # a (T,) integer array and a (T, B) array per chunk
         def worker(indices, rngs):
-            return [(i, rng.standard_normal(3).tolist()) for i, rng in zip(indices, rngs)]
+            return {"index": np.array(indices),
+                    "draws": np.array([rng.standard_normal(3) for rng in rngs])}
 
         runs = [run_trials(worker, n_trials, seed=9, workers=w) for w in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
-        assert [i for i, _ in runs[0]] == list(range(n_trials))
-        assert runs[0][-1][1] == trial_rng(9, n_trials - 1).standard_normal(3).tolist()
+        assert same_arrays(runs[0], runs[1]) and same_arrays(runs[0], runs[2])
+        assert runs[0]["index"].tolist() == list(range(n_trials))
+        assert runs[0]["draws"].shape == (n_trials, 3)
+        assert (runs[0]["draws"][-1].tolist()
+                == trial_rng(9, n_trials - 1).standard_normal(3).tolist())
 
     @pytest.mark.parametrize("n_trials, workers, sizes", [
         (1, 3, [1]), (65, 1, [33, 32]), (130, 2, [33, 33, 32, 32]),
@@ -70,8 +90,9 @@ class TestRunner:
         assert len(sizes) == 1 or min(sizes) >= MIN_CHUNK_TRIALS
 
     def test_worker_must_return_one_result_per_trial(self):
-        with pytest.raises(ValueError, match="2 results for 3 trials"):
-            run_trials(lambda indices, rngs: [0, 0], 3, seed=1)
+        with pytest.raises(ValueError, match="2 rows of 'pilots' for 3 trials"):
+            run_trials(lambda indices, rngs: {"gain": np.zeros(3), "pilots": np.zeros(2)},
+                       3, seed=1)
 
 
 class TestTrainingExperiments:
@@ -98,38 +119,44 @@ class TestTrainingExperiments:
 
     def test_trial_rng_usage_is_scheme_ordered(self, cfg128, desk_workspace):
         spec = desk_spec(cfg128)
-        out1 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                        spec.schemes, SCORES)
-        out2 = evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                        spec.schemes, SCORES)
-        assert out1 == out2
+        out1 = scores_at(spec, 1e-4, [trial_rng(5, 0)], spec.schemes, SCORES)
+        out2 = scores_at(spec, 1e-4, [trial_rng(5, 0)], spec.schemes, SCORES)
+        assert same_arrays(out1, out2)
 
     @pytest.mark.parametrize("schemes", [("thbt", "thbt_brpss", "hfbs", "ffbs"),
                                          ("thbt", "ffbs")])
     def test_a_trial_scores_the_same_alone_or_in_a_chunk(self, cfg128, desk_workspace,
                                                          schemes):
         spec = desk_spec(cfg128)
-        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario,
-                                         [trial_rng(5, i) for i in range(7)], schemes, SCORES)
-        alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(5, i)],
-                                          schemes, SCORES)[0] for i in range(7)]
-        assert chunk == alone
+        chunk = scores_at(spec, 1e-3, [trial_rng(5, i) for i in range(7)], schemes, SCORES)
+        alone = [scores_at(spec, 1e-3, [trial_rng(5, i)], schemes, SCORES) for i in range(7)]
+        assert same_arrays(chunk, joined(alone))
+
+    def test_thbt_brpss_alone_runs_thbt_as_it_does_beside_thbt(self, cfg128,
+                                                                desk_workspace):
+        # thbt_brpss refines thbt's stacked run whether or not thbt is scored
+        spec = desk_spec(cfg128)
+        alone_rngs = [trial_rng(5, i) for i in range(7)]
+        alone = scores_at(spec, 1e-3, alone_rngs, ("thbt_brpss",), SCORES)
+        both_rngs = [trial_rng(5, i) for i in range(7)]
+        both = scores_at(spec, 1e-3, both_rngs, ("thbt", "thbt_brpss"), SCORES)
+        assert same_arrays(alone, {k: v for k, v in both.items() if k[0] == "thbt_brpss"})
+        assert ([rng.bit_generator.state for rng in alone_rngs]
+                == [rng.bit_generator.state for rng in both_rngs])
 
     def test_a_full_chunk_scores_each_trial_as_alone(self, cfg128, desk_workspace):
         # one 64-trial chunk draws, steers and scores its channels as arrays;
         # every row must equal that trial run alone, infinite errors included
         spec = desk_spec(cfg128)
         rngs = [trial_rng(9, i) for i in range(CHUNK_TRIALS)]
-        chunk = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes,
-                                         SCORES)
-        alone = [evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(9, i)],
-                                          spec.schemes, SCORES)[0]
+        chunk = scores_at(spec, 1e-3, rngs, spec.schemes, SCORES)
+        alone = [scores_at(spec, 1e-3, [trial_rng(9, i)], spec.schemes, SCORES)
                  for i in range(CHUNK_TRIALS)]
-        assert chunk == alone
+        assert same_arrays(chunk, joined(alone))
         # ffbs picks a far cell (r = inf) every time; thbt does some of the time
-        assert all(math.isinf(r["ffbs"]["error_m"]) for r in chunk)
-        assert any(math.isinf(r["thbt"]["error_m"]) for r in chunk)
-        assert all(math.isfinite(r[s]["gain"]) for r in chunk for s in spec.schemes)
+        assert np.isinf(chunk["ffbs", "error_m"]).all()
+        assert np.isinf(chunk["thbt", "error_m"]).any()
+        assert all(np.isfinite(chunk[s, "gain"]).all() for s in spec.schemes)
 
     def test_gain_csv_bytes_do_not_depend_on_workers(self, cfg128, desk_workspace,
                                                      tmp_path):
@@ -205,10 +232,10 @@ class TestTrainingExperiments:
         grid = [trial_rng(5, i) for i in range(7)]
         points = evaluate_training_points(spec, noises, spec.scenario, grid, spec.schemes,
                                           SCORES)
-        for noise, results in zip(noises, points):
+        for k, noise in enumerate(noises):
             alone = [trial_rng(5, i) for i in range(7)]
-            assert results == evaluate_training_trials(spec, noise, spec.scenario, alone,
-                                                       spec.schemes, SCORES)
+            assert same_arrays({key[1:]: v for key, v in points.items() if key[0] == k},
+                               scores_at(spec, noise, alone, spec.schemes, SCORES))
         assert ([rng.bit_generator.state for rng in grid]
                 == [rng.bit_generator.state for rng in alone])
 
@@ -217,7 +244,7 @@ class TestTrainingExperiments:
     def test_schemes_look_up_functions_when_called(self, cfg128, desk_workspace,
                                                    monkeypatch, name):
         # a rebound module attribute (as a tracer installs) must be the one
-        # the training-scheme table calls
+        # the training schemes call
         calls = []
         original = getattr(experiments, name)
 
@@ -227,8 +254,7 @@ class TestTrainingExperiments:
 
         monkeypatch.setattr(experiments, name, counted)
         spec = desk_spec(cfg128)
-        evaluate_training_trials(spec, 1e-4, spec.scenario, [trial_rng(5, 0)],
-                                 spec.schemes, ("gain",))
+        scores_at(spec, 1e-4, [trial_rng(5, 0)], spec.schemes, ("gain",))
         assert calls
 
     # (driver, scoring functions it must not call, one it must call)
@@ -255,13 +281,10 @@ class TestTrainingExperiments:
                                                          scores):
         spec = desk_spec(cfg128)
         full_rngs = [trial_rng(5, i) for i in range(7)]
-        full = evaluate_training_trials(spec, 1e-3, spec.scenario, full_rngs,
-                                        spec.schemes, SCORES)
+        full = scores_at(spec, 1e-3, full_rngs, spec.schemes, SCORES)
         rngs = [trial_rng(5, i) for i in range(7)]
-        some = evaluate_training_trials(spec, 1e-3, spec.scenario, rngs, spec.schemes,
-                                        scores)
-        assert some == [{scheme: {k: r[scheme][k] for k in scores} for scheme in r}
-                        for r in full]
+        some = scores_at(spec, 1e-3, rngs, spec.schemes, scores)
+        assert same_arrays(some, {key: v for key, v in full.items() if key[1] in scores})
         assert ([rng.bit_generator.state for rng in rngs]
                 == [rng.bit_generator.state for rng in full_rngs])
 
@@ -269,8 +292,7 @@ class TestTrainingExperiments:
     def test_unknown_scores_are_refused(self, cfg128, desk_workspace, scores):
         spec = desk_spec(cfg128)
         with pytest.raises(ValueError, match="scores"):
-            evaluate_training_trials(spec, 1e-3, spec.scenario, [trial_rng(5, 0)],
-                                     spec.schemes, scores)
+            scores_at(spec, 1e-3, [trial_rng(5, 0)], spec.schemes, scores)
 
     def test_a_training_chunk_stays_small(self, cfg512):
         # one full chunk of thbt and thbt_brpss at the reference array: the
@@ -282,8 +304,7 @@ class TestTrainingExperiments:
         rngs = [trial_rng(3, i) for i in range(CHUNK_TRIALS)]
         tracemalloc.start()
         try:
-            evaluate_training_trials(spec, snr_db_to_noise_power(20.0, cfg512),
-                                     spec.scenario, rngs, spec.schemes, SCORES)
+            scores_at(spec, snr_db_to_noise_power(20.0, cfg512), rngs, spec.schemes, SCORES)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -370,7 +391,7 @@ class TestTrackingExperiment:
                         scheme, s)
         upper = experiments._perfect_csi_se(spec, noises, self.rngs(spec, 4))
         for s, per_noise in enumerate(upper):
-            assert per_noise == [
+            assert per_noise.tolist() == [
                 uncached_perfect_csi_se(cfg128, spec.trajectory, spec.tracking_scenario,
                                         noise, trial_rng(spec.seed, s))
                 for noise in noises]
