@@ -89,11 +89,18 @@ def seed_of(node: dict, args, default=0) -> int:
     return integer_of(seed, "seed", 0)
 
 
-def node_of(config: dict, key: str) -> dict:
-    """The optional config object ``key``; absent reads as empty."""
+def node_of(config: dict, key: str, known: tuple[str, ...]) -> dict:
+    """The optional config object ``key``; absent reads as empty.
+
+    Every key of the object is optional, so one outside ``known`` (a
+    misspelling) is rejected rather than run with the default."""
     node = config.get(key, {})
     if not isinstance(node, dict):
         raise ConfigError(f"{key} must be an object, got {node!r}")
+    for name in node:
+        if name not in known:
+            raise ConfigError(f"unknown config key: {key}.{name} "
+                              f"(choose from {list(known)})")
     return node
 
 
@@ -217,7 +224,8 @@ def cmd_refine(config: dict, args) -> int:
 
 
 def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
-    node = node_of(config, "tracker")
+    node = node_of(config, "tracker", ("meas_cov", "innovation_gate", "accel_intensity",
+                                       "init_cov_diag"))
     cov = node.get("meas_cov")
     if cov is not None:
         if not isinstance(cov, list) or len(cov) != 2:
@@ -264,7 +272,7 @@ def check_trajectory(traj: Trajectory, cfg: ArrayConfig) -> None:
 
 
 def tracking_scenario_of(config: dict) -> TrackingScenario:
-    node = node_of(config, "tracking_channel")
+    node = node_of(config, "tracking_channel", ("fading", "n_nlos", "nlos_gain_var"))
     kwargs = {}
     if "fading" in node:
         if not isinstance(node["fading"], bool):

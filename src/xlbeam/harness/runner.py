@@ -6,10 +6,16 @@ run in contiguous chunks, so a worker can batch work shared by a chunk's
 trials (one codebook product instead of one per trial).  A worker
 returns a dict of arrays with the chunk's trials on the leading axis,
 and each array is joined across chunks in trial order.
+
+The calling thread takes chunks beside the pool's threads rather than
+idling: its malloc arena already holds what a set-up on that thread
+freed, so its share of the chunks reuses that memory, where a pool
+thread grows an arena of its own.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,7 +66,9 @@ def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> dict:
     ``worker`` gets a chunk's trial indices and their generators and
     returns a dict of arrays, each with one row per index.  The same
     per-trial streams are used regardless of ``workers``, so a parallel
-    run returns exactly the sequential result.
+    run returns exactly the sequential result.  With more than one chunk,
+    the calling thread and ``workers - 1`` pool threads take the next
+    chunk in turn until none is left.
     """
     def one(chunk):
         out = worker(chunk, [trial_rng(seed, i) for i in chunk])
@@ -71,11 +79,27 @@ def run_trials(worker, n_trials: int, seed: int, workers: int = 1) -> dict:
         return out
 
     chunks = trial_chunks(n_trials, workers)
-    if workers <= 1 or len(chunks) == 1:
+    takers = min(workers, len(chunks))
+    if takers <= 1:
         parts = [one(c) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, chunks))
+        parts = [None] * len(chunks)
+        pending = iter(range(len(chunks)))
+        lock = threading.Lock()
+
+        def take():
+            while True:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                parts[k] = one(chunks[k])
+
+        with ThreadPoolExecutor(max_workers=takers - 1) as pool:
+            helpers = [pool.submit(take) for _ in range(takers - 1)]
+            take()
+            for helper in helpers:
+                helper.result()
     if not parts:
         return {}
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -83,6 +83,15 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     bh = sub_book.matrix.conj().T                                   # (M, M)
     stored, mirrored = book.source(np.arange(1, p_total + 1))
     n, sources = cfg.n_antennas, book.matrix[:, :qs - book.n_stored_near]
+    # Do not stream these products in blocks of columns to save memory.
+    # The ~13 MiB they free stays in the main thread's malloc arena, and
+    # glibc raises its mmap threshold to their size (~6.8 MB), so the trial
+    # phase's arrays up to that size come from the heap without page faults.
+    # Measured with 256-column blocks (v bit-identical; 2 vCPUs, one BLAS
+    # thread): the `position` and `track` peaks fell to 82.1 and 75.1 MiB,
+    # but a warm `train4` call faulted ~7.7k pages instead of 0 and took
+    # 0.35 s of CPU, not 0.27 s, and `position` faulted 16.7k pages on
+    # every call.
     for t in range(n_rf):
         # a mirrored column's rows of subarray t are its source's rows of
         # subarray N_RF - 1 - t reversed; copied into columns of their own,

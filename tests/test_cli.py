@@ -312,6 +312,18 @@ class TestConfigErrors:
         assert main(["--config", cfg, "--out", str(tmp_path / "x"), "track"]) == 2
         assert "tracking_channel.fading" in capsys.readouterr().err
 
+    # every key of these nodes is optional, so a misspelled one would
+    # otherwise run with the default (the 13.8 gate, fading on)
+    @pytest.mark.parametrize("base", ["track", "tracking"])
+    @pytest.mark.parametrize("node, key, value", [("tracker", "innovaton_gate", 0.0),
+                                                  ("tracking_channel", "fadding", False)])
+    def test_an_unknown_tracking_key(self, tmp_path, capsys, base, node, key, value):
+        command, cfgdict = BASE_CONFIGS[base]
+        cfg = write_config(tmp_path, "cfg.json", with_key(cfgdict, node, {key: value}))
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
+        assert f"unknown config key: {node}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("gate", ["abc", True, [13.8]])
     def test_innovation_gate_not_a_number(self, tmp_path, capsys, gate):
         cfg = write_config(tmp_path, "cfg.json", with_key(

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -88,6 +90,53 @@ class TestRunner:
         assert [i for c in chunks for i in c] == list(range(n_trials))
         assert max(sizes) <= CHUNK_TRIALS
         assert len(sizes) == 1 or min(sizes) >= MIN_CHUNK_TRIALS
+
+    def test_the_calling_thread_takes_chunks(self):
+        # four chunks on two workers: the calling thread and one pool thread
+        # take them in turn; the sleep lets each take its share
+        def worker(indices, rngs):
+            time.sleep(0.01)
+            return {"thread": np.full(len(indices), threading.get_ident()),
+                    "draws": np.array([rng.standard_normal(3) for rng in rngs])}
+
+        assert len(trial_chunks(130, 2)) == 4
+        par = run_trials(worker, 130, seed=9, workers=2)
+        seq = run_trials(worker, 130, seed=9, workers=1)
+        caller = threading.get_ident()
+        assert caller in par["thread"]
+        assert len(set(par["thread"].tolist()) - {caller}) <= 1
+        assert set(seq["thread"].tolist()) == {caller}
+        assert np.array_equal(par["draws"], seq["draws"])
+
+    def test_each_chunk_runs_once_under_contention(self):
+        # more takers than cores and a short switch interval: a chunk taken
+        # twice or skipped would show in the calls or the joined indices
+        calls = []
+
+        def worker(indices, rngs):
+            calls.append(indices[0])
+            return {"index": np.array(indices)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_trials(worker, 600, seed=9, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == [c[0] for c in trial_chunks(600, 4)]
+        assert out["index"].tolist() == list(range(600))
+
+    def test_a_pool_thread_failure_is_raised(self):
+        caller = threading.get_ident()
+
+        def worker(indices, rngs):
+            if threading.get_ident() != caller:
+                raise RuntimeError(f"pool chunk {indices[0]} failed")
+            time.sleep(0.01)
+            return {"index": np.array(indices)}
+
+        with pytest.raises(RuntimeError, match="pool chunk"):
+            run_trials(worker, 130, seed=9, workers=2)
 
     def test_worker_must_return_one_result_per_trial(self):
         with pytest.raises(ValueError, match="2 rows of 'pilots' for 3 trials"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,12 +267,38 @@ class TestCalibration:
     @pytest.mark.parametrize("fading", [True, False])
     @pytest.mark.parametrize("noise", [1e-3, 0.0])
     def test_batched_equals_sequential(self, cfg512, fading, noise):
-        # all trials' normals drawn at once and refined as one stack give
+        # each block's normals drawn at once and refined as one stack give
         # exactly what drawing and refining one trial at a time gives
         scen = TrackingScenario(fading=fading)
         args = (cfg512, noise, 0.5, 40.0, scen)
         assert np.array_equal(calibrate_measurement_cov(*args, n_trials=60),
                               sequential_calibration(*args, n_trials=60))
+
+    @pytest.mark.parametrize("fading", [True, False])
+    @pytest.mark.parametrize("noise", [1e-3, 0.0])
+    def test_a_short_last_block_equals_sequential(self, cfg512, fading, noise):
+        # 130 trials run as blocks of 64, 64 and 2
+        scen = TrackingScenario(fading=fading)
+        args = (cfg512, noise, 0.5, 40.0, scen)
+        assert np.array_equal(calibrate_measurement_cov(*args, n_trials=130),
+                              sequential_calibration(*args, n_trials=130))
+
+    def test_calibration_stays_small(self, cfg512):
+        # 300 trials refine in blocks, so no (300, N) stack is held
+        scen = TrackingScenario()
+        tracemalloc.start()
+        try:
+            calibrate_measurement_cov(cfg512, 1e-3, 0.5, 55.0, scen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_too_few_fixes_fall_back_to_the_identity(self, cfg512, caplog):
+        scen = TrackingScenario()
+        cov = calibrate_measurement_cov(cfg512, 1e-3, 0.5, 40.0, scen, n_trials=7)
+        assert np.array_equal(cov, np.eye(2))
+        assert "calibration produced 7 usable fixes" in caplog.text
 
     def test_deterministic(self, cfg512):
         scen = TrackingScenario()
