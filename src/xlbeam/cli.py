@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
-from .codebooks import validate_quantization
+from .codebooks import build_hybrid_codebook, validate_quantization
 from .harness.experiments import (POSITIONING_SCHEMES, TRACKING_SCHEMES,
                                   TRAINING_SCHEMES, ExperimentSpec, gain_vs_distance,
                                   gain_vs_snr, overhead_report, positioning_cdf,
@@ -359,6 +359,8 @@ def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
             isinstance(name, str) and name in known for name in schemes):
         raise ConfigError(f"schemes must be a list of {kind} schemes "
                           f"(choose from {list(known)}), got {schemes!r}")
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError(f"schemes must name each scheme once, got {schemes!r}")
     # refinement_grid reads no scheme; positioning_cdf reports no ffbs position
     reported = POSITIONING_SCHEMES if kind == "positioning_cdf" else known
     if kind != "refinement_grid" and not any(name in reported for name in schemes):
@@ -440,7 +442,7 @@ def _sweep_svg(kind: str, rows: list[dict], path) -> None:
 def cmd_codebook(config: dict, args) -> int:
     cfg = parse_array(config.get("array"), "array")
     q, s = codebook_of(config)
-    book, _, _ = workspace(cfg, q, s)
+    book = build_hybrid_codebook(cfg, q, s)
     report = validate_quantization(cfg, q, s)
     meta = {
         "n_antennas": cfg.n_antennas, "n_rf": cfg.n_rf,

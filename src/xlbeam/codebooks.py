@@ -16,11 +16,18 @@ holds only the near columns of angles ``1 .. ceil(Q/2)`` (in the order
 above), then the far block: ``ceil(Q/2)*S + Q`` columns.  Every other near
 column is read from its mirror source with the antenna axis reversed
 (:meth:`HybridCodebook.source`).
+
+Held matrix.  :func:`build_hybrid_codebook` steers the matrix at once.  A
+caller that will read no stored column (an experiment driver none of whose
+schemes reads one) drops it with :meth:`HybridCodebook.release_matrix`,
+and the next read of ``matrix`` steers it again with :func:`steer_matrix`,
+the one routine that builds it: bit for bit the matrix first built.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +78,33 @@ class HybridCodebook:
     theta: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)        # (Q, S)
     below_floor: np.ndarray = field(repr=False)      # (Q, S) bool
-    matrix: np.ndarray = field(repr=False)           # (N, ceil(Q/2)*S + Q) stored columns
+    # (N, ceil(Q/2)*S + Q) stored columns; None while released
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _steering: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                      repr=False, compare=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The stored columns (see the module notes), steered again on the
+        first read after a release.  Threads that read a released matrix
+        together wait for one steering."""
+        matrix = self._matrix
+        if matrix is None:
+            with self._steering:
+                if self._matrix is None:
+                    self._matrix = steer_matrix(self.cfg, self.theta, self.distances)
+                matrix = self._matrix
+        return matrix
+
+    @property
+    def holds_matrix(self) -> bool:
+        """Whether the stored columns are held now; if not, a read steers them."""
+        return self._matrix is not None
+
+    def release_matrix(self) -> None:
+        """Drop the stored columns until the next read of ``matrix``.  A
+        reader that already has the array keeps it."""
+        self._matrix = None
 
     @property
     def n_near(self) -> int:
@@ -151,8 +184,16 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     # strict comparison up to rounding: the deepest ring at the angle grid
     # point nearest broadside sits essentially on the floor
     below = dist < cfg.range_floor * (1.0 - 1e-12)
-    # both blocks are written into one matrix, so no block is copied; only
-    # the near rings of angles 1..ceil(Q/2) are held (see the module notes)
+    return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta, distances=dist,
+                          below_floor=below, _matrix=steer_matrix(cfg, theta, dist))
+
+
+def steer_matrix(cfg: ArrayConfig, theta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The stored columns of the codebook with angles ``theta`` and (Q, S)
+    ring distances ``dist``: the near rings of angles 1..ceil(Q/2), then
+    the far block (see the module notes)."""
+    q, s = dist.shape
+    # both blocks are written into one matrix, so no block is copied
     half = (q + 1) // 2
     matrix = np.empty((cfg.n_antennas, half * s + q), dtype=complex)
     for qi in range(q):
@@ -162,8 +203,7 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
                 cfg, np.full(s, theta[qi]), dist[qi], validate=False).T
         # far columns one at a time, so no (Q, N) temporary is made
         matrix[:, half * s + qi] = steering_far(cfg, theta[qi])
-    return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta,
-                          distances=dist, below_floor=below, matrix=matrix)
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,21 @@ def clear_workspace_cache() -> None:
     _workspace_cache.clear()
 
 
+# The schemes that read stored codebook columns once the workspace is built:
+# the sweep baselines sweep them, and the codeword trackers point them.  The
+# others read only the trained design.  refinement_grid's coarse step is
+# hfbs, so it always reads them.
+READS_MATRIX = ("hfbs", "ffbs", "hfns", "ffbt_proxy")
+
+
+def _hold_matrix_for(spec: ExperimentSpec, schemes) -> None:
+    """Build spec's workspace, and drop its codebook matrix before the
+    trials unless one of ``schemes`` reads it (see ``READS_MATRIX``)."""
+    book, _, _ = workspace(spec.cfg, spec.n_angles, spec.n_rings)
+    if not set(schemes) & set(READS_MATRIX):
+        book.release_matrix()
+
+
 # ---------------------------------------------------------------------------
 # per-chunk scheme evaluation
 
@@ -201,6 +216,7 @@ def gain_vs_snr(spec: ExperimentSpec) -> list[dict]:
     The whole grid runs in one pass over the trials: each chunk draws its
     channels once and replays each trial's stream at every SNR point."""
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
+    _hold_matrix_for(spec, spec.schemes)
 
     def worker(indices, rngs):
         return evaluate_training_points(spec, noises, spec.scenario, rngs, spec.schemes,
@@ -217,6 +233,7 @@ def gain_vs_distance(spec: ExperimentSpec) -> list[dict]:
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     r_min = spec.scenario.range_range[0]
+    _hold_matrix_for(spec, spec.schemes)
 
     def scores_at(scenario):
         def worker(indices, rngs):
@@ -246,6 +263,7 @@ def positioning_cdf(spec: ExperimentSpec) -> list[dict]:
     snr_db = spec.snr_grid_db[0]
     noise = snr_db_to_noise_power(snr_db, spec.cfg)
     schemes = tuple(s for s in spec.schemes if s in POSITIONING_SCHEMES)
+    _hold_matrix_for(spec, schemes)
 
     def worker(indices, rngs):
         return evaluate_training_points(spec, [noise], spec.scenario, rngs, schemes,
@@ -351,6 +369,7 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     if spec.trajectory is None or spec.tracker is None:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
+    _hold_matrix_for(spec, schemes)
     logged = ("gain", "se_bits", "pilots")      # the TrackLog arrays the rows read
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
     # the line of sight is built once, before any worker needs it

@@ -87,11 +87,13 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     # The ~13 MiB they free stays in the main thread's malloc arena, and
     # glibc raises its mmap threshold to their size (~6.8 MB), so the trial
     # phase's arrays up to that size come from the heap without page faults.
-    # Measured with 256-column blocks (v bit-identical; 2 vCPUs, one BLAS
-    # thread): the `position` and `track` peaks fell to 82.1 and 75.1 MiB,
-    # but a warm `train4` call faulted ~7.7k pages instead of 0 and took
-    # 0.35 s of CPU, not 0.27 s, and `position` faulted 16.7k pages on
-    # every call.
+    # An experiment driver whose schemes read no stored column drops the
+    # matrix before its trials, so `position`'s peak is now the set-up's
+    # own: 75.1 MiB, these products' ~13 MiB included.  Measured with 256-column blocks (v
+    # bit-identical; 2 vCPUs, one BLAS thread, the benchmark's settings):
+    # the `position` and `track` peaks fell from 75.1 and 80.0 to 64.7 and
+    # 75.1 MiB, but a warm `train4` call faulted 6.2k-7.7k pages instead of
+    # 1, and a cold `position` call 4.3k instead of 2.5k.
     for t in range(n_rf):
         # a mirrored column's rows of subarray t are its source's rows of
         # subarray N_RF - 1 - t reversed; copied into columns of their own,

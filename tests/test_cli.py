@@ -271,6 +271,9 @@ class TestConfigErrors:
         ("track", "tracker.innovation_gate", -1.0),
         # an empty grid writes a header-only CSV
         ("gain_vs_distance", "r_max_grid", []),
+        # a repeated scheme writes each of its rows twice
+        ("sweep", "schemes", ["thbt", "thbt"]),
+        ("tracking", "schemes", ["nfbt", "nfbt"]),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 from xlbeam import (ArrayConfig, build_hybrid_codebook, build_subarray_codebook,
                     steering, steering_far, steering_near, validate_quantization)
 from oracles import full_matrix
-from xlbeam.codebooks import angle_grid, distance_grid
+from xlbeam import codebooks
+from xlbeam.codebooks import angle_grid, distance_grid, steer_matrix
 
 
 def far_block(cfg, q, s=2):
@@ -105,6 +109,18 @@ class TestHybridCodebook:
         assert book.matrix.flags.c_contiguous
         assert peak < 1.75 * book.matrix.nbytes
 
+    def test_steers_again_in_place(self, cfg128):
+        book = build_hybrid_codebook(cfg128, 128, 3)
+        book.release_matrix()
+        tracemalloc.start()
+        try:
+            matrix = book.matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.flags.c_contiguous
+        assert peak < 1.75 * matrix.nbytes
+
     def test_index_arithmetic(self, desk_workspace):
         book, _, _ = desk_workspace
         first = book.params(1)
@@ -169,6 +185,53 @@ class TestStoredLayout:
         assert book.n_stored_near == 256 * 11
         assert book.matrix.shape == (512, 256 * 11 + 512)
         assert book.matrix.nbytes == 16 * 512 * (256 * 11 + 512)
+
+    @pytest.mark.parametrize("array, q, s", [("cfg512", 512, 11), ("cfg128", 33, 2),
+                                             ("cfg128", 32, 0)])
+    def test_a_released_matrix_steers_again_bit_for_bit(self, request, array, q, s):
+        book = build_hybrid_codebook(request.getfixturevalue(array), q, s)
+        first = book.matrix
+        book.release_matrix()
+        assert not book.holds_matrix
+        again = book.matrix
+        assert book.holds_matrix and again is not first
+        assert again.dtype == first.dtype and again.shape == first.shape
+        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
+        assert book.matrix is again
+
+    def test_threads_reading_a_released_matrix_steer_it_once(self, cfg128, monkeypatch):
+        # more readers than cores, and a slow steering and a short switch
+        # interval widen the window in which a second steering could start
+        book = build_hybrid_codebook(cfg128, 33, 2)
+        book.release_matrix()
+        steered = []
+
+        def slow_steer(*args):
+            steered.append(args)
+            time.sleep(0.05)
+            return steer_matrix(*args)
+
+        monkeypatch.setattr(codebooks, "steer_matrix", slow_steer)
+        start = threading.Barrier(4)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append(book.matrix)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(steered) == 1
+        assert len(seen) == 4 and all(matrix is seen[0] for matrix in seen)
 
     def test_source_maps_mirror_pairs(self, cfg128):
         book = build_hybrid_codebook(cfg128, 5, 2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import uncached_perfect_csi_se, uncached_tracking_run
+from xlbeam import codebooks
 from xlbeam.arrays import snr_db_to_noise_power
 from xlbeam.harness import (ConfigError, ExperimentSpec, gain_vs_distance,
                             gain_vs_snr, overhead_report, positioning_cdf,
@@ -42,6 +43,21 @@ def scores_at(spec, noise, rngs, schemes, scores):
 def joined(parts):
     """Dicts of per-trial arrays, joined on the trial axis."""
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def counted_steering(monkeypatch) -> list:
+    """Give the test a cold workspace cache of its own, and return the list
+    that each steering of a codebook matrix appends its arguments to."""
+    steered = []
+    steer = codebooks.steer_matrix
+
+    def counted(*args):
+        steered.append(args)
+        return steer(*args)
+
+    monkeypatch.setattr(codebooks, "steer_matrix", counted)
+    monkeypatch.setattr(experiments, "_workspace_cache", {})
+    return steered
 
 
 def same_arrays(a, b):
@@ -379,6 +395,37 @@ class TestTrainingExperiments:
         positioning_cdf(desk_spec(cfg128, schemes=("thbt",), trials=4, workers=2))
         assert len(builds) == 1
 
+    # the sweep baselines read the stored columns; thbt and thbt_brpss read
+    # only the trained design
+    @pytest.mark.parametrize("driver, schemes, holds", [
+        (positioning_cdf, ("thbt", "thbt_brpss"), False),
+        (positioning_cdf, ("thbt", "hfbs"), True),
+        (gain_vs_snr, ("thbt",), False),
+        (gain_vs_snr, ("thbt", "ffbs"), True)])
+    def test_a_driver_holds_the_matrix_only_if_a_scheme_reads_it(self, cfg128, monkeypatch,
+                                                                 driver, schemes, holds):
+        steered = counted_steering(monkeypatch)
+        driver(desk_spec(cfg128, schemes=schemes, trials=8))
+        book, _, _ = experiments.workspace(cfg128, 128, 3)
+        assert book.holds_matrix == holds
+        assert len(steered) == 1
+
+    def test_a_sweep_after_a_release_steers_the_matrix_once(self, cfg128, monkeypatch):
+        # two chunk threads read the released matrix; one steers it
+        monkeypatch.setattr(runner, "MIN_CHUNK_TRIALS", 1)
+        spec = desk_spec(cfg128, schemes=("thbt", "hfbs"), trials=8, workers=2,
+                         snr_grid_db=(0.0, 10.0))
+        assert len(trial_chunks(spec.trials, spec.workers)) == 2
+        steered = counted_steering(monkeypatch)
+        held = gain_vs_snr(spec)
+        assert len(steered) == 1
+        monkeypatch.setattr(experiments, "_workspace_cache", {})
+        positioning_cdf(desk_spec(cfg128, schemes=("thbt", "thbt_brpss"), trials=8))
+        book, _, _ = experiments.workspace(cfg128, 128, 3)
+        assert not book.holds_matrix and len(steered) == 2
+        assert gain_vs_snr(spec) == held
+        assert book.holds_matrix and len(steered) == 3
+
     def test_refinement_grid_rows(self, cfg512):
         from xlbeam.arrays import ChannelScenario
 
@@ -419,6 +466,18 @@ class TestTrackingExperiment:
                                                   "ffbt_proxy", "perfect_csi"}
         budgets = {r["scheme"]: r["pilots_per_block"] for r in time_rows}
         assert budgets == {"nfbt": 1, "brpss": 1, "hfns": 5, "ffbt_proxy": 3}
+
+    # the codeword trackers read stored columns; nfbt and brpss do not
+    @pytest.mark.parametrize("schemes, holds", [(("nfbt", "brpss"), False),
+                                                (("nfbt", "ffbt_proxy"), True),
+                                                (("hfns",), True)])
+    def test_a_run_holds_the_matrix_only_if_a_scheme_reads_it(self, cfg128, monkeypatch,
+                                                              schemes, holds):
+        steered = counted_steering(monkeypatch)
+        tracking_experiment(replace(self.spec(cfg128, trials=1), schemes=schemes))
+        book, _, _ = experiments.workspace(cfg128, 128, 3)
+        assert book.holds_matrix == holds
+        assert len(steered) == 1
 
     def test_scatterer_cache_keeps_rows(self, cfg128, desk_workspace):
         # a chunk of seeds, sharing the line-of-sight stack and steering at
