@@ -1,7 +1,9 @@
 """Command-line harness: JSON configs in, CSV/JSON artifacts out.
 
 Subcommands: train, refine, track, sweep, codebook, report.  Exit codes:
-0 success, 1 runtime failure, 2 configuration error.
+0 success, 1 runtime failure, 2 configuration error: ``read_config`` reads
+every config through the table of the keys its command reads (``KEYS``,
+and ``SWEEP_KEYS`` per experiment kind), and any fault names its key.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,245 +20,246 @@ import numpy as np
 from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
                      snr_db_to_noise_power)
 from .codebooks import build_hybrid_codebook, validate_quantization
+from .combining import alignment_gain, design_hybrid
 from .harness.experiments import (POSITIONING_SCHEMES, TRACKING_SCHEMES,
                                   TRAINING_SCHEMES, ExperimentSpec, gain_vs_distance,
                                   gain_vs_snr, overhead_report, positioning_cdf,
                                   refinement_grid, tracking_experiment, workspace)
-from .harness.io import (ConfigError, fail, load_config, require_keys, write_csv,
-                         write_manifest)
+from .harness.io import ConfigError, fail, load_config, write_csv, write_manifest
 from .harness.svgplot import svg_line_plot
 from .refinement import run_brpss
 from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
                        run_schemes, tracker_for_run)
 from .training import run_thbt
 
+# ---------------------------------------------------------------------------
+# the key table
 
-def integer_of(value, key: str, minimum: int) -> int:
-    """A config integer: bools, floats and strings are configuration errors."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+INTEGER, NUMBER, BOOL, CHOICE, LIST, OBJECT = (
+    "integer", "number", "bool", "choice", "list", "object")
+
+
+@dataclass(frozen=True)
+class Key:
+    """How one config key is read: its kind and the bounds that apply.  An
+    absent optional key is left out, so the default of the model field it
+    feeds (``field``, when that is not the key's name) applies."""
+
+    kind: str
+    optional: bool = False
+    minimum: float | None = None        # integer, number
+    maximum: float | None = None        # number
+    positive: bool = False              # number
+    null: bool = False                  # number: null is read as None
+    choices: tuple[str, ...] = ()       # choice: the names it may take
+    item: Key | None = None             # list: how each entry is read
+    length: tuple[int, int | None] = (0, None)   # list: fewest, most entries
+    unique: bool = False                # list: no entry twice
+    keys: dict[str, Key] | None = None  # object: its own table
+    field: str | None = None
+
+
+PAIR = Key(LIST, item=Key(NUMBER), length=(2, 2))
+SEED = Key(INTEGER, optional=True, minimum=0)
+ARRAY = {"n_antennas": Key(INTEGER, minimum=1),
+         # phase refinement reads second differences across the subarrays
+         "n_rf": Key(INTEGER, minimum=3),
+         "wavelength": Key(NUMBER, positive=True)}
+PATHS = {"count": Key(INTEGER, minimum=1, field="n_paths"),
+         "gain_vars": Key(LIST, item=Key(NUMBER, minimum=0.0)),
+         "angle_range": PAIR, "range_range": PAIR}
+ARRAY_NODE = Key(OBJECT, keys=ARRAY, field="cfg")
+CODEBOOK = Key(OBJECT, keys={"q": Key(INTEGER, minimum=1), "s": Key(INTEGER, minimum=0)})
+SCENARIO = Key(OBJECT, keys={**ARRAY, "paths": Key(OBJECT, keys=PATHS),
+                             "snr_db": Key(NUMBER), "seed": SEED})
+# read by track and by the tracking experiment
+TRACKING = {
+    "trajectory": Key(OBJECT, keys={"start": PAIR, "velocity": PAIR,
+                                    "dt": Key(NUMBER, positive=True),
+                                    "blocks": Key(INTEGER, minimum=1, field="n_blocks")}),
+    "tracker": Key(OBJECT, optional=True, keys={
+        "meas_cov": Key(LIST, optional=True, item=PAIR, length=(2, 2)),
+        # null disables gating
+        "innovation_gate": Key(NUMBER, optional=True, null=True),
+        "accel_intensity": Key(NUMBER, optional=True, minimum=0.0),
+        "init_cov_diag": Key(LIST, optional=True, item=Key(NUMBER, minimum=0.0),
+                             length=(4, 4))}),
+    "tracking_channel": Key(OBJECT, optional=True, field="tracking_scenario", keys={
+        "fading": Key(BOOL, optional=True),
+        "n_nlos": Key(INTEGER, optional=True, minimum=0),
+        "nlos_gain_var": Key(NUMBER, optional=True, minimum=0.0)}),
+}
+
+KEYS = {
+    "train": {"scenario": SCENARIO, "codebook": CODEBOOK, "seed": SEED},
+    "refine": {"scenario": SCENARIO, "seed": SEED, "coarse": Key(OBJECT, keys={
+        "omega": Key(NUMBER, minimum=-1.0, maximum=1.0),
+        # null: a far-field coarse estimate
+        "range_m": Key(NUMBER, positive=True, null=True)})},
+    "track": {"array": ARRAY_NODE, "snr_db": Key(NUMBER), **TRACKING, "seed": SEED},
+    "codebook": {"array": ARRAY_NODE, "codebook": CODEBOOK},
+    "report": {"array": ARRAY_NODE, "codebook": CODEBOOK, "seed": SEED},
+}
+
+# experiment kind -> its driver and CSV columns
+EXPERIMENTS = {
+    "gain_vs_snr": (gain_vs_snr, ["experiment", "scheme", "snr_db", "mean_gain",
+                                  "std_gain", "trials", "pilots"]),
+    "gain_vs_distance": (gain_vs_distance, ["experiment", "scheme", "r_max_m", "snr_db",
+                                            "mean_gain", "std_gain", "trials", "pilots"]),
+    "positioning_cdf": (positioning_cdf, ["experiment", "scheme", "snr_db", "quantile",
+                                          "error_m", "trials"]),
+    "refinement_grid": (refinement_grid, ["experiment", "param", "value", "q", "s",
+                                          "snr_db", "median_error_m", "p90_error_m",
+                                          "density_ok", "trials"]),
+    "tracking": (tracking_experiment, ["experiment", "scheme", "snr_db", "t_s",
+                                       "mean_gain", "mean_se_bits", "seeds",
+                                       "pilots_per_block"]),
+}
+
+
+def _grid(item: Key, length=(0, None)) -> Key:
+    """An optional list of distinct values (a repeat would write its rows twice)."""
+    return Key(LIST, optional=True, item=item, length=length, unique=True)
+
+
+SWEEP = {"experiment": Key(CHOICE, choices=tuple(EXPERIMENTS)), "array": ARRAY_NODE,
+         "codebook": CODEBOOK, "seed": SEED, "trials": Key(INTEGER, optional=True, minimum=1)}
+GRID = _grid(Key(NUMBER), (1, None))
+ONE_SNR = _grid(Key(NUMBER), (1, 1))        # the kinds that read snr_grid_db[0] only
+TRAINING = {**SWEEP, "paths": Key(OBJECT, optional=True, keys=PATHS, field="scenario"),
+            "schemes": _grid(Key(CHOICE, choices=TRAINING_SCHEMES))}
+SWEEP_KEYS = {
+    "gain_vs_snr": {**TRAINING, "snr_grid_db": GRID},
+    # each r_max_grid entry becomes the upper end of the paths' range_range
+    "gain_vs_distance": {**TRAINING, "snr_grid_db": ONE_SNR, "r_max_grid": GRID},
+    "positioning_cdf": {**TRAINING, "snr_grid_db": ONE_SNR},
+    # reads no scheme, but its configs may name the one whose refinement it measures
+    "refinement_grid": {**TRAINING, "snr_grid_db": ONE_SNR,
+                        "q_grid": _grid(Key(INTEGER, minimum=1)),
+                        "s_grid": _grid(Key(INTEGER, minimum=0)),
+                        "fixed_q": Key(INTEGER, optional=True, minimum=1),
+                        "fixed_s": Key(INTEGER, optional=True, minimum=0)},
+    "tracking": {**SWEEP, "schemes": _grid(Key(CHOICE, choices=tuple(TRACKING_SCHEMES))),
+                 "snr_grid_db": GRID, **TRACKING},
+}
+
+# ---------------------------------------------------------------------------
+# the walker
+
+ABSENT = object()
+
+
+def keys_of(command: str, config: dict) -> dict[str, Key]:
+    """The table of the keys ``command`` reads.  A sweep's depends on its
+    experiment kind; while that is unknown, every kind's keys are read, so
+    that a misspelt key, or else the kind, is named."""
+    if command != "sweep":
+        return KEYS[command]
+    kind = config.get("experiment")
+    if isinstance(kind, str) and kind in SWEEP_KEYS:
+        return SWEEP_KEYS[kind]
+    return {name: key for keys in SWEEP_KEYS.values() for name, key in keys.items()}
+
+
+def read_config(node: dict, keys: dict[str, Key], overrides: dict, where: str = "") -> dict:
+    """Config object ``node``, at dotted path ``where``, read through its
+    table ``keys``: ``{field: value}`` for each key given, in table order.
+    ``overrides`` maps dotted keys to command-line values, read in place of
+    the config's unless None.  An absent required object reads as empty, so
+    the message names its first missing key."""
+    prefix = f"{where}." if where else ""
+    for name in node:
+        if name not in keys:
+            raise ConfigError(f"unknown config key: {prefix}{name} "
+                              f"(choose from {list(keys)})")
+    values = {}
+    for name, key in keys.items():
+        path = prefix + name
+        value = node.get(name, ABSENT) if overrides.get(path) is None else overrides[path]
+        if value is ABSENT:
+            if key.optional:
+                continue
+            if key.kind != OBJECT:
+                raise ConfigError(f"missing config key: {path}")
+            value = {}
+        values[key.field or name] = read_value(value, key, path, overrides)
+    return values
+
+
+def read_value(value, key: Key, path: str, overrides: dict):
+    """One config value, checked against its key's kind and bounds.  A
+    number is read as a float, and a list as a tuple."""
+    if key.kind == OBJECT:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        return read_config(value, key.keys, overrides, path)
+    if key.kind == LIST:
+        lo, hi = key.length
+        if not isinstance(value, list) or not lo <= len(value) <= (hi or len(value)):
+            count = f"{lo} " if lo == hi else f"{lo} or more " if lo else ""
+            raise ConfigError(f"{path} must be a list of {count}value{'s' * (hi != 1)}, "
+                              f"got {value!r}")
+        items = tuple(read_value(item, key.item, path, overrides) for item in value)
+        if key.unique and len(set(items)) < len(items):
+            raise ConfigError(f"{path} must not repeat a value, got {value!r}")
+        return items
+    if key.kind == BOOL:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path} must be true or false, got {value!r}")
+        return value
+    if key.kind == CHOICE:
+        if not isinstance(value, str) or value not in key.choices:
+            raise ConfigError(f"unknown {path}: {value!r} (choose from {list(key.choices)})")
+        return value
+    if value is None and key.null:
+        return None
+    if key.kind == INTEGER:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+          or not abs(value) <= sys.float_info.max):     # NaN, inf or a huge integer
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    else:
+        value = float(value)
+    if key.positive and not value > 0:
+        raise ConfigError(f"{path} must be positive, got {value}")
+    if key.minimum is not None and value < key.minimum:
+        raise ConfigError(f"{path} must be at least {key.minimum}, got {value}")
+    if key.maximum is not None and value > key.maximum:
+        raise ConfigError(f"{path} must be at most {key.maximum}, got {value}")
     return value
 
 
-def integers_of(values, key: str, minimum: int) -> tuple[int, ...]:
-    """A config list of integers, each checked by ``integer_of``."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
-    return tuple(integer_of(v, key, minimum) for v in values)
+def model_of(cls, values: dict, where: str, key_of: dict | None = None, **more):
+    """``cls`` made of the read values of node ``where`` and of ``more``.
 
-
-def number_of(value, key: str, minimum: float | None = None,
-              positive: bool = False) -> float:
-    """A config number: bools, strings, lists and non-finite values are
-    configuration errors, and so are values below ``minimum`` or, with
-    ``positive``, values not above zero."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-    return float(value)
-
-
-def numbers_of(values, key: str, length: int | None = None,
-               **bounds) -> tuple[float, ...]:
-    """A config list of numbers, each checked by ``number_of`` with the
-    same bounds; ``length`` fixes how many."""
-    if not isinstance(values, list) or (length is not None and len(values) != length):
-        count = "" if length is None else f"{length} "
-        raise ConfigError(f"{key} must be a list of {count}numbers, got {values!r}")
-    return tuple(number_of(v, key, **bounds) for v in values)
-
-
-def snr_of(value, key: str, cfg: ArrayConfig) -> float:
-    """A config SNR in dB: a finite number whose noise power is finite too
-    (below about -3080 dB it overflows)."""
-    snr_db = number_of(value, key)
+    A model's own check is a config error naming the dotted key: its message
+    starts with the field it rejects, which is read as key ``where.field``
+    unless ``key_of`` maps it to another dotted key."""
     try:
-        snr_db_to_noise_power(snr_db, cfg)
+        return cls(**values, **more)
+    except ValueError as exc:
+        name, _, why = str(exc).partition(" ")
+        raise ConfigError(f"{(key_of or {}).get(name, f'{where}.{name}')} {why}") from exc
+
+
+def noise_of(snr_db: float, key: str, cfg: ArrayConfig) -> float:
+    """The noise power of an SNR in dB; below about -3080 dB it overflows."""
+    try:
+        return snr_db_to_noise_power(snr_db, cfg)
     except OverflowError:
         raise ConfigError(f"{key} {snr_db} dB gives a noise power too large "
                           f"to represent") from None
-    return snr_db
 
 
-def seed_of(node: dict, args, default=0) -> int:
-    """The run's seed: ``--seed`` if given, else the config node's."""
-    seed = args.seed if args.seed is not None else node.get("seed", default)
-    return integer_of(seed, "seed", 0)
-
-
-def node_of(config: dict, key: str, known: tuple[str, ...]) -> dict:
-    """The optional config object ``key``; absent reads as empty.
-
-    Every key of the object is optional, so one outside ``known`` (a
-    misspelling) is rejected rather than run with the default."""
-    node = config.get(key, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"{key} must be an object, got {node!r}")
-    for name in node:
-        if name not in known:
-            raise ConfigError(f"unknown config key: {key}.{name} "
-                              f"(choose from {list(known)})")
-    return node
-
-
-def field_error(exc: ValueError, where: str, key_of: dict | None = None) -> ConfigError:
-    """A model's own check as a config error naming the dotted key.
-
-    The model's message starts with the field it rejects, which is read
-    as key ``where.field`` unless ``key_of`` maps it to another dotted key."""
-    name, _, why = str(exc).partition(" ")
-    return ConfigError(f"{(key_of or {}).get(name, f'{where}.{name}')} {why}")
-
-
-def parse_array(node: dict, where: str) -> ArrayConfig:
-    """The array described by config node ``where``.
-
-    Phase refinement reads second differences across the subarrays, so
-    the array needs at least three RF chains.
-    """
-    require_keys(node, ["n_antennas", "n_rf", "wavelength"], where)
-    n_antennas = integer_of(node["n_antennas"], f"{where}.n_antennas", 1)
-    n_rf = integer_of(node["n_rf"], f"{where}.n_rf", 3)
-    wavelength = number_of(node["wavelength"], f"{where}.wavelength", positive=True)
-    try:
-        return ArrayConfig(n_antennas=n_antennas, n_rf=n_rf, wavelength=wavelength)
-    except ValueError as exc:
-        raise field_error(exc, where) from exc
-
-
-def parse_paths(node: dict, where: str) -> ChannelScenario:
-    """The multipath scenario described by config node ``where``."""
-    require_keys(node, ["count", "gain_vars", "angle_range", "range_range"], where)
-    n_paths = integer_of(node["count"], f"{where}.count", 1)
-    gain_vars = numbers_of(node["gain_vars"], f"{where}.gain_vars", minimum=0.0)
-    angle_range = numbers_of(node["angle_range"], f"{where}.angle_range", length=2)
-    range_range = numbers_of(node["range_range"], f"{where}.range_range", length=2)
-    try:
-        return ChannelScenario(n_paths=n_paths, gain_vars=gain_vars,
-                               angle_range=angle_range, range_range=range_range)
-    except ValueError as exc:
-        raise field_error(exc, where, {"n_paths": f"{where}.count"}) from exc
-
-
-def scenario_of(config: dict, args) -> tuple[ArrayConfig, ChannelScenario, float, int]:
-    node = config.get("scenario")
-    cfg = parse_array(node, "scenario")
-    scen = parse_paths(node.get("paths"), "scenario.paths")
-    require_keys(node, ["snr_db"], "scenario")
-    snr_db = snr_of(node["snr_db"], "scenario.snr_db", cfg)
-    return cfg, scen, snr_db, seed_of(node, args, config.get("seed", 0))
-
-
-def codebook_of(config: dict) -> tuple[int, int]:
-    require_keys(config, ["codebook.q", "codebook.s"])
-    node = config["codebook"]
-    return integer_of(node["q"], "codebook.q", 1), integer_of(node["s"], "codebook.s", 0)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_train(config: dict, args) -> int:
-    cfg, scen, snr_db, seed = scenario_of(config, args)
-    q, s = codebook_of(config)
-    book, _, design = workspace(cfg, q, s)
-    rng = np.random.default_rng(seed)
-    channel = sample_channel(cfg, rng, scen)
-    noise = snr_db_to_noise_power(snr_db, cfg)
-    res = run_thbt(cfg, book, design, channel, noise, rng)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    from .combining import alignment_gain, design_hybrid
-
-    pair = design_hybrid(cfg, res.rough_omega, res.rough_range)
-    result = {
-        "best_index": res.best_index,
-        "rough_omega": res.rough_omega,
-        "rough_range_m": None if math.isinf(res.rough_range) else res.rough_range,
-        "far_field": res.is_far,
-        "gain": alignment_gain(channel, pair.combined_vector()),
-        "pilots": res.pilots,
-    }
-    (out / "train_result.json").write_text(json.dumps(result, sort_keys=True,
-                                                      indent=2) + "\n")
-    outputs = ["train_result.json"]
-    if args.powers:
-        rows = [{"p": int(p + 1), "power": float(v)}
-                for p, v in enumerate(res.powers)]
-        write_csv(out / "train_powers.csv", rows, ["p", "power"])
-        outputs.append("train_powers.csv")
-    write_manifest(out / "manifest.json", config, seed, outputs)
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def cmd_refine(config: dict, args) -> int:
-    cfg, scen, snr_db, seed = scenario_of(config, args)
-    require_keys(config, ["coarse.omega", "coarse.range_m"])
-    coarse_omega = number_of(config["coarse"]["omega"], "coarse.omega")
-    if abs(coarse_omega) > 1.0:
-        raise ConfigError(f"coarse.omega must lie in [-1, 1], got {coarse_omega}")
-    raw_range = config["coarse"]["range_m"]
-    coarse_range = (math.inf if raw_range in (None, "inf")
-                    else number_of(raw_range, "coarse.range_m", positive=True))
-    rng = np.random.default_rng(seed)
-    channel = sample_channel(cfg, rng, scen)
-    noise = snr_db_to_noise_power(snr_db, cfg)
-    res = run_brpss(cfg, channel, coarse_omega, coarse_range, noise, rng)
-    result = {
-        "k": res.k, "b": res.b, "omega": res.omega,
-        "range_m": None if math.isinf(res.range_m) else res.range_m,
-        "far_field": res.is_far, "refined": res.refined, "pilots": res.pilots,
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "refine_result.json").write_text(json.dumps(result, sort_keys=True,
-                                                       indent=2) + "\n")
-    write_manifest(out / "manifest.json", config, seed, ["refine_result.json"])
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def tracker_config_of(config: dict, traj: Trajectory) -> TrackerConfig:
-    node = node_of(config, "tracker", ("meas_cov", "innovation_gate", "accel_intensity",
-                                       "init_cov_diag"))
-    cov = node.get("meas_cov")
-    if cov is not None:
-        if not isinstance(cov, list) or len(cov) != 2:
-            raise ConfigError(f"tracker.meas_cov must be a 2x2 list of numbers, "
-                              f"got {cov!r}")
-        cov = np.array([numbers_of(row, "tracker.meas_cov", length=2) for row in cov])
-    gate = node.get("innovation_gate", 13.8)
-    if gate is not None:
-        gate = number_of(gate, "tracker.innovation_gate")
-    accel = number_of(node.get("accel_intensity", 1.0), "tracker.accel_intensity",
-                      minimum=0.0)
-    init_cov = numbers_of(node.get("init_cov_diag", [1.0, 1.0, 25.0, 25.0]),
-                          "tracker.init_cov_diag", length=4, minimum=0.0)
-    try:
-        return TrackerConfig(dt=traj.dt, n_blocks=traj.n_blocks, accel_intensity=accel,
-                             meas_cov=cov, init_cov_diag=init_cov, innovation_gate=gate)
-    except ValueError as exc:
-        raise field_error(exc, "tracker", {"dt": "trajectory.dt",
-                                           "n_blocks": "trajectory.blocks"}) from exc
-
-
-def trajectory_of(config: dict) -> Trajectory:
-    require_keys(config, ["trajectory.start", "trajectory.velocity",
-                          "trajectory.dt", "trajectory.blocks"])
-    node = config["trajectory"]
-    return Trajectory(start=numbers_of(node["start"], "trajectory.start", length=2),
-                      velocity=numbers_of(node["velocity"], "trajectory.velocity",
-                                          length=2),
-                      dt=number_of(node["dt"], "trajectory.dt", positive=True),
-                      n_blocks=integer_of(node["blocks"], "trajectory.blocks", 1))
+def single_run(values: dict) -> tuple[ArrayConfig, ChannelScenario, float, int]:
+    """The array, paths, noise power and seed of a train or refine scenario."""
+    node = values["scenario"]
+    cfg = model_of(ArrayConfig, {name: node[name] for name in ARRAY}, "scenario")
+    scen = model_of(ChannelScenario, node["paths"], "scenario.paths")
+    noise = noise_of(node["snr_db"], "scenario.snr_db", cfg)
+    return cfg, scen, noise, node.get("seed", values.get("seed", 0))
 
 
 def check_trajectory(traj: Trajectory, cfg: ArrayConfig) -> None:
@@ -271,34 +275,105 @@ def check_trajectory(traj: Trajectory, cfg: ArrayConfig) -> None:
                               f"{cfg.range_floor:.4g} m, and the start a non-zero range")
 
 
-def tracking_scenario_of(config: dict) -> TrackingScenario:
-    node = node_of(config, "tracking_channel", ("fading", "n_nlos", "nlos_gain_var"))
-    kwargs = {}
-    if "fading" in node:
-        if not isinstance(node["fading"], bool):
-            raise ConfigError(f"tracking_channel.fading must be true or false, "
-                              f"got {node['fading']!r}")
-        kwargs["fading"] = node["fading"]
-    if "n_nlos" in node:
-        kwargs["n_nlos"] = integer_of(node["n_nlos"], "tracking_channel.n_nlos", 0)
-    if "nlos_gain_var" in node:
-        kwargs["nlos_gain_var"] = number_of(node["nlos_gain_var"],
-                                            "tracking_channel.nlos_gain_var",
-                                            minimum=0.0)
-    return TrackingScenario(**kwargs)
-
-
-def cmd_track(config: dict, args) -> int:
-    cfg = parse_array(config.get("array"), "array")
-    require_keys(config, ["snr_db"])
-    snr_db = snr_of(config["snr_db"], "snr_db", cfg)
-    traj = trajectory_of(config)
-    tcfg = tracker_config_of(config, traj)
+def tracking_models(values: dict, cfg: ArrayConfig) -> None:
+    """Make the read trajectory, tracker and tracking channel models, in place."""
+    traj = values["trajectory"] = Trajectory(**values["trajectory"])
+    values["tracker"] = model_of(TrackerConfig, values.get("tracker", {}), "tracker",
+                                 {"dt": "trajectory.dt"}, dt=traj.dt, n_blocks=traj.n_blocks)
     check_trajectory(traj, cfg)
-    scen = tracking_scenario_of(config)
-    seed = seed_of(config, args)
-    noise = snr_db_to_noise_power(snr_db, cfg)
-    tcfg = tracker_for_run(cfg, tcfg, traj, scen, noise, seed)
+    values["tracking_scenario"] = TrackingScenario(**values.get("tracking_scenario", {}))
+
+
+def experiment_spec(values: dict, workers: int) -> tuple[str, ExperimentSpec]:
+    """The experiment kind and spec of a sweep's read values, whose nodes
+    become their models in place."""
+    kind, codebook = values.pop("experiment"), values.pop("codebook")
+    cfg = values["cfg"] = model_of(ArrayConfig, values["cfg"], "array")
+    if "scenario" in values:
+        values["scenario"] = model_of(ChannelScenario, values["scenario"], "paths")
+    if kind == "tracking":
+        tracking_models(values, cfg)
+    known = SWEEP_KEYS[kind]["schemes"].item.choices
+    values.setdefault("schemes", known)
+    spec = ExperimentSpec(n_angles=codebook["q"], n_rings=codebook["s"], workers=workers,
+                          **values)
+    for snr_db in spec.snr_grid_db:
+        noise_of(snr_db, "snr_grid_db", cfg)
+    # refinement_grid reads no scheme; positioning_cdf reports no ffbs position
+    reported = POSITIONING_SCHEMES if kind == "positioning_cdf" else known
+    if kind != "refinement_grid" and not set(spec.schemes) & set(reported):
+        raise ConfigError(f"schemes must name a scheme that {kind} reports "
+                          f"(choose from {list(reported)}), got {list(spec.schemes)}")
+    if kind == "gain_vs_distance" and min(spec.r_max_grid) < spec.scenario.range_range[0]:
+        raise ConfigError(f"r_max_grid must be at least paths.range_range[0] "
+                          f"{spec.scenario.range_range[0]}, got {list(spec.r_max_grid)}")
+    if kind == "refinement_grid" and not spec.q_grid + spec.s_grid:
+        raise ConfigError("q_grid and s_grid must list at least one value between them")
+    return kind, spec
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def write_result(out: Path, name: str, result: dict, config: dict, seed: int,
+                 outputs: list[str] = ()) -> int:
+    """Write a single run's ``result`` as JSON file ``name`` and the manifest
+    of it and ``outputs``, and print the result on one line."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    write_manifest(out / "manifest.json", config, seed, [name, *outputs])
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+def cmd_train(config: dict, values: dict, args) -> int:
+    cfg, scen, noise, seed = single_run(values)
+    codebook = values["codebook"]
+    book, _, design = workspace(cfg, codebook["q"], codebook["s"])
+    rng = np.random.default_rng(seed)
+    channel = sample_channel(cfg, rng, scen)
+    res = run_thbt(cfg, book, design, channel, noise, rng)
+    pair = design_hybrid(cfg, res.rough_omega, res.rough_range)
+    result = {
+        "best_index": res.best_index,
+        "rough_omega": res.rough_omega,
+        "rough_range_m": None if math.isinf(res.rough_range) else res.rough_range,
+        "far_field": res.is_far,
+        "gain": alignment_gain(channel, pair.combined_vector()),
+        "pilots": res.pilots,
+    }
+    if args.powers:
+        rows = [{"p": int(p + 1), "power": float(v)}
+                for p, v in enumerate(res.powers)]
+        write_csv(Path(args.out) / "train_powers.csv", rows, ["p", "power"])
+    return write_result(Path(args.out), "train_result.json", result, config, seed,
+                        ["train_powers.csv"] if args.powers else [])
+
+
+def cmd_refine(config: dict, values: dict, args) -> int:
+    cfg, scen, noise, seed = single_run(values)
+    coarse = values["coarse"]
+    coarse_range = math.inf if coarse["range_m"] is None else coarse["range_m"]
+    rng = np.random.default_rng(seed)
+    channel = sample_channel(cfg, rng, scen)
+    res = run_brpss(cfg, channel, coarse["omega"], coarse_range, noise, rng)
+    result = {
+        "k": res.k, "b": res.b, "omega": res.omega,
+        "range_m": None if math.isinf(res.range_m) else res.range_m,
+        "far_field": res.is_far, "refined": res.refined, "pilots": res.pilots,
+    }
+    return write_result(Path(args.out), "refine_result.json", result, config, seed)
+
+
+def cmd_track(config: dict, values: dict, args) -> int:
+    cfg = values["cfg"] = model_of(ArrayConfig, values["cfg"], "array")
+    noise = noise_of(values["snr_db"], "snr_db", cfg)
+    tracking_models(values, cfg)
+    traj, scen = values["trajectory"], values["tracking_scenario"]
+    seed = values.setdefault("seed", 0)
+    tcfg = values["tracker"] = tracker_for_run(cfg, values["tracker"], traj, scen, noise,
+                                               seed)
     step = nfbt_step(cfg, tcfg, noise, [*traj.start, 0.0, 0.0])
     [log] = run_schemes(cfg, traj, tcfg, noise, scen,
                         [(step, [np.random.default_rng(seed)])])
@@ -315,103 +390,30 @@ def cmd_track(config: dict, args) -> int:
     write_csv(out / "track_blocks.csv", rows,
               ["t_s", "truth_x", "truth_y", "pred_x", "pred_y", "meas_x",
                "meas_y", "filt_x", "filt_y", "gain", "se_bits"])
-    write_manifest(out / "manifest.json", config, seed, ["track_blocks.csv"])
+    # what ran: the models with their defaults, and the calibrated meas_cov
+    write_manifest(out / "manifest.json", config, seed, ["track_blocks.csv"], ran=values)
     print(f"tracked {len(rows)} blocks -> {out / 'track_blocks.csv'}")
     return 0
 
 
-EXPERIMENTS = {
-    "gain_vs_snr": gain_vs_snr,
-    "gain_vs_distance": gain_vs_distance,
-    "positioning_cdf": positioning_cdf,
-    "refinement_grid": refinement_grid,
-    "tracking": tracking_experiment,
-}
-
-CSV_COLUMNS = {
-    "gain_vs_snr": ["experiment", "scheme", "snr_db", "mean_gain", "std_gain",
-                    "trials", "pilots"],
-    "gain_vs_distance": ["experiment", "scheme", "r_max_m", "snr_db", "mean_gain",
-                         "std_gain", "trials", "pilots"],
-    "positioning_cdf": ["experiment", "scheme", "snr_db", "quantile", "error_m",
-                        "trials"],
-    "refinement_grid": ["experiment", "param", "value", "q", "s", "snr_db",
-                        "median_error_m", "p90_error_m", "density_ok", "trials"],
-    "tracking": ["experiment", "scheme", "snr_db", "t_s", "mean_gain",
-                 "mean_se_bits", "seeds", "pilots_per_block"],
-}
-
-
-def experiment_spec_of(config: dict, args) -> tuple[str, ExperimentSpec]:
-    require_keys(config, ["experiment"])
-    kind = config["experiment"]
-    if not isinstance(kind, str) or kind not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment: {kind} "
-                          f"(choose from {sorted(EXPERIMENTS)})")
-    cfg = parse_array(config.get("array"), "array")
-    q, s = codebook_of(config)
-    seed = seed_of(config, args)
-    trials = integer_of(args.trials if args.trials is not None
-                        else config.get("trials", 200), "trials", 1)
-    known = TRACKING_SCHEMES if kind == "tracking" else TRAINING_SCHEMES
-    schemes = config.get("schemes", list(known))
-    if not isinstance(schemes, list) or not all(
-            isinstance(name, str) and name in known for name in schemes):
-        raise ConfigError(f"schemes must be a list of {kind} schemes "
-                          f"(choose from {list(known)}), got {schemes!r}")
-    if len(set(schemes)) < len(schemes):
-        raise ConfigError(f"schemes must name each scheme once, got {schemes!r}")
-    # refinement_grid reads no scheme; positioning_cdf reports no ffbs position
-    reported = POSITIONING_SCHEMES if kind == "positioning_cdf" else known
-    if kind != "refinement_grid" and not any(name in reported for name in schemes):
-        raise ConfigError(f"schemes must name a scheme that {kind} reports "
-                          f"(choose from {list(reported)}), got {schemes!r}")
-    scen = (parse_paths(config["paths"], "paths") if "paths" in config
-            else ChannelScenario())
-    snr_grid = tuple(snr_of(snr_db, "snr_grid_db", cfg) for snr_db in
-                     numbers_of(config.get("snr_grid_db", [10.0]), "snr_grid_db"))
-    if not snr_grid:
-        raise ConfigError("snr_grid_db must list at least one SNR")
-    kwargs = dict(cfg=cfg, n_angles=q, n_rings=s, schemes=tuple(schemes), trials=trials,
-                  seed=seed, workers=args.threads, snr_grid_db=snr_grid,
-                  scenario=scen)
-    if "r_max_grid" in config:
-        # each entry becomes the upper end of the paths' range_range
-        kwargs["r_max_grid"] = numbers_of(config["r_max_grid"], "r_max_grid",
-                                          minimum=scen.range_range[0])
-        if not kwargs["r_max_grid"]:
-            raise ConfigError("r_max_grid must list at least one range")
-    if kind == "tracking":
-        traj = trajectory_of(config)
-        kwargs["trajectory"] = traj
-        kwargs["tracker"] = tracker_config_of(config, traj)
-        check_trajectory(traj, cfg)
-        kwargs["tracking_scenario"] = tracking_scenario_of(config)
-    if kind == "refinement_grid":
-        kwargs["q_grid"] = integers_of(config.get("q_grid", []), "q_grid", 1)
-        kwargs["s_grid"] = integers_of(config.get("s_grid", []), "s_grid", 0)
-        if not kwargs["q_grid"] + kwargs["s_grid"]:
-            raise ConfigError("q_grid and s_grid must list at least one value between them")
-        if "fixed_q" in config:
-            kwargs["fixed_q"] = integer_of(config["fixed_q"], "fixed_q", 1)
-        if "fixed_s" in config:
-            kwargs["fixed_s"] = integer_of(config["fixed_s"], "fixed_s", 0)
-    return kind, ExperimentSpec(**kwargs)
-
-
-def cmd_sweep(config: dict, args) -> int:
-    kind, spec = experiment_spec_of(config, args)
-    rows = EXPERIMENTS[kind](spec)
+def cmd_sweep(config: dict, values: dict, args) -> int:
+    kind, spec = experiment_spec(values, args.threads)
+    driver, columns = EXPERIMENTS[kind]
+    rows = driver(spec)
     out = Path(args.out)
     csv_name = f"{kind}.csv"
-    write_csv(out / csv_name, rows, CSV_COLUMNS[kind])
+    write_csv(out / csv_name, rows, columns)
     outputs = [csv_name]
     if args.svg:
         svg_name = f"{kind}.svg"
         _sweep_svg(kind, rows, out / svg_name)
         outputs.append(svg_name)
-    ran = dict(config, trials=spec.trials, seed=spec.seed)   # after CLI overrides
-    write_manifest(out / "manifest.json", ran, spec.seed, outputs)
+    # what ran: the spec fields the kind reads, after overrides, defaults filled in
+    read = {key.field or name for name, key in SWEEP_KEYS[kind].items()}
+    ran = {name: value for name, value in vars(spec).items()
+           if name in read | {"n_angles", "n_rings"}}
+    write_manifest(out / "manifest.json", config, spec.seed, outputs,
+                   ran={"experiment": kind, **ran})
     print(f"{kind}: {len(rows)} rows -> {out / csv_name}")
     return 0
 
@@ -439,9 +441,9 @@ def _sweep_svg(kind: str, rows: list[dict], path) -> None:
     svg_line_plot(path, series, title=kind, xlabel=xlabel, ylabel=ylabel)
 
 
-def cmd_codebook(config: dict, args) -> int:
-    cfg = parse_array(config.get("array"), "array")
-    q, s = codebook_of(config)
+def cmd_codebook(config: dict, values: dict, args) -> int:
+    cfg = model_of(ArrayConfig, values["cfg"], "array")
+    q, s = values["codebook"]["q"], values["codebook"]["s"]
     book = build_hybrid_codebook(cfg, q, s)
     report = validate_quantization(cfg, q, s)
     meta = {
@@ -452,11 +454,6 @@ def cmd_codebook(config: dict, args) -> int:
         "below_floor_columns": int(book.below_floor.sum()),
         "density_ok": bool(report.ok), "s_min": report.s_min,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "codebook_meta.json").write_text(json.dumps(meta, sort_keys=True,
-                                                       indent=2) + "\n")
-    outputs = ["codebook_meta.json"]
     if args.columns:
         rows = []
         for p in range(1, book.n_columns + 1):
@@ -466,19 +463,17 @@ def cmd_codebook(config: dict, args) -> int:
                          "theta": cw.theta,
                          "distance_m": cw.distance if math.isfinite(cw.distance)
                          else math.inf})
-        write_csv(out / "codebook_columns.csv", rows,
+        write_csv(Path(args.out) / "codebook_columns.csv", rows,
                   ["p", "kind", "q", "s", "theta", "distance_m"])
-        outputs.append("codebook_columns.csv")
-    write_manifest(out / "manifest.json", config, 0, outputs)
-    print(json.dumps(meta, sort_keys=True))
-    return 0
+    return write_result(Path(args.out), "codebook_meta.json", meta, config, 0,
+                        ["codebook_columns.csv"] if args.columns else [])
 
 
-def cmd_report(config: dict, args) -> int:
-    cfg = parse_array(config.get("array"), "array")
-    q, s = codebook_of(config)
-    seed = seed_of(config, args)
-    rows = overhead_report(cfg, q, s, measure=not args.no_measure, seed=seed)
+def cmd_report(config: dict, values: dict, args) -> int:
+    cfg = model_of(ArrayConfig, values["cfg"], "array")
+    seed = values.get("seed", 0)
+    rows = overhead_report(cfg, values["codebook"]["q"], values["codebook"]["s"],
+                           measure=not args.no_measure, seed=seed)
     out = Path(args.out)
     write_csv(out / "overheads.csv", rows,
               ["table", "scheme", "formula", "parameters", "pilots",
@@ -541,7 +536,10 @@ def main(argv=None) -> int:
         parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         config = load_config(args.config)
-        return COMMANDS[args.command](config, args)
+        # --seed stands in for a single run's scenario.seed too
+        values = read_config(config, keys_of(args.command, config), {
+            "seed": args.seed, "scenario.seed": args.seed, "trials": args.trials})
+        return COMMANDS[args.command](config, values, args)
     except ConfigError as exc:
         return fail(str(exc), 2)
     except Exception as exc:  # runtime failures map to exit 1

@@ -92,6 +92,14 @@ def _hold_matrix_for(spec: ExperimentSpec, schemes) -> None:
         book.release_matrix()
 
 
+def _tracking_design(spec: ExperimentSpec, schemes) -> TrainedDesign | None:
+    """The trained design that the codeword trackers among ``schemes``
+    read, or None: a run of nfbt and brpss alone builds no workspace."""
+    if not set(schemes) & set(READS_MATRIX):
+        return None
+    return workspace(spec.cfg, spec.n_angles, spec.n_rings)[2]
+
+
 # ---------------------------------------------------------------------------
 # per-chunk scheme evaluation
 
@@ -337,7 +345,7 @@ def _tracking_run(spec: ExperimentSpec, schemes, noise: float, tcfg,
     """Every scheme's :class:`TrackLog` of a chunk of seeds, run in
     lockstep.  Each scheme's run of a seed draws from its own
     ``trial_rng(spec.seed, seed)``."""
-    _, _, design = workspace(spec.cfg, spec.n_angles, spec.n_rings)
+    design = _tracking_design(spec, schemes)
     runs = [(TRACKING_SCHEMES[scheme][1](spec, design, noise, tcfg),
              [trial_rng(spec.seed, i) for i in indices]) for scheme in schemes]
     return dict(zip(schemes, run_schemes(spec.cfg, spec.trajectory, tcfg, noise,
@@ -369,7 +377,7 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     if spec.trajectory is None or spec.tracker is None:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
-    _hold_matrix_for(spec, schemes)
+    _tracking_design(spec, schemes)      # built before any worker needs it
     logged = ("gain", "se_bits", "pilots")      # the TrackLog arrays the rows read
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
     # the line of sight is built once, before any worker needs it

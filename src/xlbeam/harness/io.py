@@ -6,6 +6,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -58,10 +59,12 @@ def config_digest(config: dict) -> str:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def write_manifest(path, config: dict, seed: int, outputs: list[str]) -> None:
+def write_manifest(path, config: dict, seed: int, outputs: list[str],
+                   ran: dict | None = None) -> None:
     """Record what produced the artifacts: config, its hash, seed, versions,
     and the host's CPU count and BLAS thread settings (which can change
-    speed but never the numbers)."""
+    speed but never the numbers), and ``ran``, the models the run was made
+    of, when given."""
     import numpy
 
     from .. import __version__
@@ -75,9 +78,16 @@ def write_manifest(path, config: dict, seed: int, outputs: list[str]) -> None:
         "host": {"cpu_count": os.cpu_count(),
                  **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}},
     }
+    if ran is not None:
+        manifest["ran"] = ran
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_plain) + "\n")
+
+
+def _plain(obj):
+    """A dataclass or numpy value as JSON-ready data."""
+    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else obj.tolist()
 
 
 def load_config(path) -> dict:
@@ -95,21 +105,6 @@ def load_config(path) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
     return config
-
-
-def require_keys(config: dict, paths: list[str], where: str = "") -> None:
-    """Raise ConfigError naming the first missing dotted key path.
-
-    ``config`` is the node at dotted path ``where`` (the root when empty),
-    which the message prefixes; a node that is not a dict lacks every key.
-    """
-    prefix = f"{where}." if where else ""
-    for keypath in paths:
-        node = config
-        for part in keypath.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"missing config key: {prefix}{keypath}")
-            node = node[part]
 
 
 def fail(msg: str, code: int) -> int:

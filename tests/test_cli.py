@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -12,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlbeam import tracking
-from xlbeam.cli import (check_trajectory, experiment_spec_of, main, parse_array,
-                        scenario_of, tracker_config_of, tracking_scenario_of,
-                        trajectory_of)
+from xlbeam.arrays import ArrayConfig
+from xlbeam.cli import (INTEGER, KEYS, OBJECT, Key, check_trajectory, experiment_spec,
+                        keys_of, main, read_config, single_run, tracking_models)
 from xlbeam.harness import ConfigError, runner
 from xlbeam.harness.io import fmt_value
-from xlbeam.tracking import Trajectory
+from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
 DESK_PATHS = {"count": 3, "gain_vars": [1.0, 0.01, 0.01],
@@ -57,6 +56,46 @@ def track_config(**extra):
     return cfgdict
 
 
+def parent_of(cfgdict, key):
+    """A deep copy of the config, the object holding the dotted ``key`` in
+    it, and the key's own name."""
+    out = json.loads(json.dumps(cfgdict))
+    *parents, leaf = key.split(".")
+    node = out
+    for name in parents:
+        node = node[name]
+    return out, node, leaf
+
+
+def with_key(cfgdict, key, value):
+    """A deep copy of the config with the dotted ``key`` set to ``value``."""
+    out, node, leaf = parent_of(cfgdict, key)
+    node[leaf] = value
+    return out
+
+
+def without_key(cfgdict, key):
+    """A deep copy of the config with the dotted ``key`` removed."""
+    out, node, leaf = parent_of(cfgdict, key)
+    del node[leaf]
+    return out
+
+
+def misspelt(key, how):
+    """The dotted ``key`` with the last letter of its own name case-swapped,
+    dropped or doubled."""
+    where, dot, name = key.rpartition(".")
+    return where + dot + {"case": name[:-1] + name[-1].swapcase(), "drop": name[:-1],
+                          "double": name + name[-1]}[how]
+
+
+def with_misspelt_key(cfgdict, key, how):
+    """A deep copy of the config with the dotted ``key`` misspelt."""
+    out, node, leaf = parent_of(cfgdict, key)
+    node[misspelt(key, how).rpartition(".")[2]] = node.pop(leaf)
+    return out
+
+
 # a trajectory that reaches the array at block 20
 TOO_CLOSE = {"start": [5.0, 0.0], "velocity": [-5.0, 0.0], "dt": 0.05, "blocks": 40}
 
@@ -74,33 +113,11 @@ BASE_CONFIGS = {
     "refine": ("refine", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
                           "coarse": {"omega": 0.0, "range_m": 5.0}}),
     "codebook": ("codebook", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
-    "tracking": ("sweep", sweep_config(
+    "tracking": ("sweep", without_key(sweep_config(
         experiment="tracking", schemes=["nfbt"], trials=1,
-        trajectory=track_config()["trajectory"])),
+        trajectory=track_config()["trajectory"]), "paths")),
     "report": ("report", {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}),
 }
-
-
-def with_key(cfgdict, key, value):
-    """A deep copy of the config with the dotted ``key`` set to ``value``."""
-    out = json.loads(json.dumps(cfgdict))
-    *parents, leaf = key.split(".")
-    node = out
-    for name in parents:
-        node = node[name]
-    node[leaf] = value
-    return out
-
-
-def without_key(cfgdict, key):
-    """A deep copy of the config with the dotted ``key`` removed."""
-    out = json.loads(json.dumps(cfgdict))
-    *parents, leaf = key.split(".")
-    node = out
-    for name in parents:
-        node = node[name]
-    del node[leaf]
-    return out
 
 
 class TestSweep:
@@ -145,8 +162,28 @@ class TestSweep:
         assert ",6," in text              # trials column reflects the override
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
-        assert manifest["config"]["trials"] == 6     # what ran, not the file's 50
-        assert manifest["config"]["seed"] == 11
+        assert manifest["ran"]["trials"] == 6     # what ran, not the file's 50
+        assert manifest["ran"]["seed"] == 11
+        assert manifest["config"]["trials"] == 50    # the config as written
+
+    def test_manifest_records_the_defaults_that_ran(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", without_key(sweep_config(), "snr_grid_db"))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == 0
+        ran = json.loads((out / "manifest.json").read_text())["ran"]
+        assert ran["experiment"] == "gain_vs_snr" and ran["snr_grid_db"] == [10.0]
+        assert (ran["n_angles"], ran["n_rings"], ran["cfg"]["n_antennas"]) == (128, 3, 128)
+        assert ran["scenario"]["n_paths"] == 3
+        assert "r_max_grid" not in ran and "trajectory" not in ran   # not read by the kind
+
+    def test_track_manifest_records_the_tracker_that_ran(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", track_config(tracker={}))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "track"]) == 0
+        ran = json.loads((out / "manifest.json").read_text())["ran"]
+        assert ran["tracker"]["innovation_gate"] == TrackerConfig.innovation_gate
+        assert np.array(ran["tracker"]["meas_cov"]).shape == (2, 2)    # calibrated
+        assert ran["tracking_scenario"]["fading"] is False and ran["seed"] == 4
 
     def test_tracking_over_a_far_only_codebook(self, tmp_path):
         # with no rings, hfns starts from and searches far cells only
@@ -271,9 +308,25 @@ class TestConfigErrors:
         ("track", "tracker.innovation_gate", -1.0),
         # an empty grid writes a header-only CSV
         ("gain_vs_distance", "r_max_grid", []),
-        # a repeated scheme writes each of its rows twice
+        # a repeated scheme or grid value writes each of its rows twice
         ("sweep", "schemes", ["thbt", "thbt"]),
         ("tracking", "schemes", ["nfbt", "nfbt"]),
+        ("sweep", "snr_grid_db", [10, 10]),
+        ("tracking", "snr_grid_db", [10, 10.0]),
+        ("gain_vs_distance", "r_max_grid", [12, 12]),
+        ("refinement_grid", "q_grid", [128, 128]),
+        ("refinement_grid", "s_grid", [3, 3]),
+        # these kinds read the first SNR only
+        ("gain_vs_distance", "snr_grid_db", [10, -20]),
+        ("refinement_grid", "snr_grid_db", [20, 10]),
+        ("gain_vs_distance", "r_max_grid", ["x"]),
+        ("gain_vs_distance", "r_max_grid", "40"),
+        ("gain_vs_distance", "r_max_grid", [40, False]),
+        # a JSON integer too large for a float
+        pytest.param("track", "array.wavelength", 10**400, id="track-array.wavelength-huge"),
+        # a key the kind does not read (the r_max_grid cases on "sweep" above too)
+        ("sweep", "r_max_grid", [12.0]),
+        ("tracking", "paths", DESK_PATHS),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
@@ -293,8 +346,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "q_grid" in err and "s_grid" in err
 
+    def test_a_default_distance_grid_below_the_paths_range(self, tmp_path, capsys):
+        # the default r_max_grid starts at 40 m, below these paths' 50 m
+        _, cfgdict = BASE_CONFIGS["gain_vs_distance"]
+        cfgdict = with_key(without_key(cfgdict, "r_max_grid"), "paths.range_range", [50, 150])
+        cfg = write_config(tmp_path, "cfg.json", cfgdict)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "sweep"]) == 2
+        assert "r_max_grid" in capsys.readouterr().err
+
     def test_a_start_at_the_array_is_rejected(self):
-        cfg = parse_array(DESK_ARRAY, "array")
+        cfg = ArrayConfig(**DESK_ARRAY)
         with pytest.raises(ConfigError, match="trajectory .* at block 0"):
             check_trajectory(Trajectory((0.0, 0.0), (20.0, 0.0), 0.05, 3), cfg)
         # only the blocks the tracker runs are held to the range floor
@@ -426,15 +487,19 @@ EDGE_VALUES = [True, False, "abc", "", None, [], [[1.0, 2.0]], {}, -1, -0.5,
 
 
 def run_one_bad_key(data, bases):
-    """Replace one drawn key of one drawn base config with one drawn bad value
-    and run its subcommand: it must exit 0, or 2 naming the key."""
+    """Replace one drawn key of one drawn base config with one drawn bad value,
+    or misspell the key in one drawn way, and run its subcommand: a bad value
+    must exit 0, or 2 naming the key, and a misspelt key 2 naming it."""
     command, base = data.draw(st.sampled_from(bases), label="base")
     key = data.draw(st.sampled_from(sorted(config_keys(base))), label="key")
     value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
+    typo = data.draw(st.sampled_from([None, "case", "drop", "double"]), label="typo")
     threads = data.draw(st.sampled_from([-1, 0, 1, 2]), label="threads")
+    if typo is not None:
+        base, key = with_misspelt_key(base, key, typo), misspelt(key, typo)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(with_key(base, key, value)))
+        path.write_text(json.dumps(base if typo else with_key(base, key, value)))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
@@ -443,7 +508,7 @@ def run_one_bad_key(data, bases):
             except SystemExit as exc:       # argparse rejects --threads < 1
                 code = exc.code
     message = err.getvalue()
-    assert code in (0, 2), message
+    assert code in ((0, 2) if typo is None else (2,)), message
     if code == 2:
         assert (key in message if threads >= 1 else "--threads" in message), message
 
@@ -484,6 +549,7 @@ class TestSingleRuns:
                                         "angle_range": [-0.5, 0.5],
                                         "range_range": [2.0, 10.0]}
         cfgdict["coarse"] = {"omega": 0.0, "range_m": 5.0}
+        del cfgdict["codebook"]     # refine reads none
         cfg = write_config(tmp_path, "cfg.json", cfgdict)
         out = tmp_path / "res"
         assert main(["--config", cfg, "--out", str(out), "refine"]) == 0
@@ -530,7 +596,7 @@ class TestSingleRuns:
         monkeypatch.setattr(tracking, "measure_blocks", measure_some)
         config = with_key(track_config(), "tracker.meas_cov", [[0.01, 0.0], [0.0, 0.01]])
         rows = self._track_rows(tmp_path, config)
-        traj = trajectory_of(config)
+        traj = Trajectory(**read_config(config, KEYS["track"], {})["trajectory"])
         assert len(rows) == len(oks) == 12 and oks.count(False) >= 4
         for i, (row, ok) in enumerate(zip(rows, oks), start=1):
             assert row["t_s"] == fmt_value(i * traj.dt)
@@ -609,22 +675,49 @@ def test_configs_are_shipped():
     assert len(SHIPPED_CONFIGS) >= 8
 
 
+# the subcommand that reads each shipped config; the others are sweeps
+SHIPPED_COMMANDS = {"codebook.json": "codebook", "refine_single_run.json": "refine",
+                    "track_single_run.json": "track", "train_single_run.json": "train"}
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_is_accepted(path):
     # read each shipped config the way its subcommand does, without running it
     config = json.loads(path.read_text())
-    args = argparse.Namespace(seed=None, trials=None, threads=1)
-    if "experiment" in config:
-        kind, spec = experiment_spec_of(config, args)
+    command = SHIPPED_COMMANDS.get(path.name, "sweep")
+    values = read_config(config, keys_of(command, config), {})
+    if command == "sweep":
+        kind, spec = experiment_spec(values, 1)
         assert kind == config["experiment"]
         assert spec.trials == config["trials"]
         assert spec.schemes == tuple(config["schemes"])
     elif "scenario" in config:
-        _, _, _, seed = scenario_of(config, args)
+        _, _, _, seed = single_run(values)
         assert seed == config["scenario"]["seed"]
+    elif command == "track":
+        tracking_models(values, ArrayConfig(**values["cfg"]))
+        assert values["trajectory"].n_blocks == config["trajectory"]["blocks"]
+        assert isinstance(values["tracker"], TrackerConfig)
+        assert isinstance(values["tracking_scenario"], TrackingScenario)
     else:
-        parse_array(config["array"], "array")
-        traj = trajectory_of(config)
-        assert traj.n_blocks == config["trajectory"]["blocks"]
-        tracker_config_of(config, traj)
-        tracking_scenario_of(config)
+        assert ArrayConfig(**values["cfg"]).n_antennas == config["array"]["n_antennas"]
+
+
+@pytest.mark.parametrize("path, key", [
+    pytest.param(path, key, id=f"{path.name}-{key}") for path in SHIPPED_CONFIGS
+    for key in config_keys(json.loads(path.read_text()))])
+def test_a_misspelt_key_of_a_shipped_config_is_named(tmp_path, capsys, path, key):
+    # every key of every node, its last letter's case swapped as in snr_grid_dB
+    cfg = write_config(tmp_path, "cfg.json",
+                       with_misspelt_key(json.loads(path.read_text()), key, "case"))
+    command = SHIPPED_COMMANDS.get(path.name, "sweep")
+    assert main(["--config", cfg, "--out", str(tmp_path / "x"), command]) == 2
+    assert f"unknown config key: {misspelt(key, 'case')} " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_read_config_names_the_missing_path():
+    keys = {"paths": Key(OBJECT, keys={"count": Key(INTEGER)})}
+    for config in ({"paths": {}}, {}):       # an absent object reads as empty
+        with pytest.raises(ConfigError, match=r"missing config key: paths\.count"):
+            read_config(config, keys, {})
