@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from xlbeam import (ArrayConfig, build_hybrid_codebook, run_brpss,
-                    snr_db_to_noise_power, steering_near)
+from xlbeam import (ArrayConfig, antenna_noise, build_hybrid_codebook,
+                    refine_channels, snr_db_to_noise_power, steering_near)
 from xlbeam.harness import write_csv
 from xlbeam.training import sweep_signals
 
@@ -40,10 +40,12 @@ for snr_db in (0.0, 10.0, 20.0, 30.0):
         cw = book.params(p)
         truth = position(omega, r)
         coarse_err.append(np.linalg.norm(position(cw.theta, cw.distance) - truth))
-        res = run_brpss(cfg, h, cw.theta, cw.distance, noise, rng)
-        if res.refined and math.isfinite(res.range_m) and abs(res.omega) <= 1:
-            fine_err.append(np.linalg.norm(position(res.omega, res.range_m)
-                                           - truth))
+        # refine a stack of one channel
+        res = refine_channels(cfg, h[None], [cw.theta], [cw.distance],
+                              antenna_noise([rng], cfg.n_antennas, noise))
+        omega_hat, r_hat = float(res.omega[0]), float(res.range_m[0])
+        if res.refined[0] and math.isfinite(r_hat) and abs(omega_hat) <= 1:
+            fine_err.append(np.linalg.norm(position(omega_hat, r_hat) - truth))
         else:
             fine_err.append(coarse_err[-1])
     rows.append({

@@ -231,30 +231,20 @@ class ChannelScenario:
 
 @dataclass
 class ChannelRealization:
-    """Sampled paths, their steering vectors, and the synthesized channel.
+    """Sampled paths, their steering vectors, and the synthesized channels.
 
-    One channel has (L,) path ``gains``, ``sines`` and ``ranges`` (path 0
-    is the line of sight), an (N,) ``h`` and an (L, N) ``steering``; a
-    stack of T channels adds a leading trial axis to each.  The steering
-    rows are read-only, kept so that scoring a beam against the paths does
-    not steer at them again.
+    A stack of T channels has (T, L) path ``gains``, ``sines`` and
+    ``ranges`` (path 0 is the line of sight), a (T, N) ``h`` and a
+    (T, L, N) ``steering``.  The steering rows are read-only, kept so that
+    scoring a beam against the paths does not steer at them again.
+    Synthesized from (L,) path parameters, the arrays lack the T axis.
     """
 
-    gains: np.ndarray = field(repr=False)      # (..., L) complex
-    sines: np.ndarray = field(repr=False)      # (..., L)
-    ranges: np.ndarray = field(repr=False)     # (..., L); inf marks a far path
-    h: np.ndarray = field(repr=False)          # (..., N)
-    steering: np.ndarray = field(repr=False)   # (..., L, N)
-
-    def row(self, t: int) -> ChannelRealization:
-        """Channel t of a stack."""
-        return ChannelRealization(self.gains[t], self.sines[t], self.ranges[t],
-                                  self.h[t], self.steering[t])
-
-
-def h_of(channel) -> np.ndarray:
-    """The channel vector of a realization, or the given vector itself."""
-    return channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
+    gains: np.ndarray = field(repr=False)      # (T, L) complex
+    sines: np.ndarray = field(repr=False)      # (T, L)
+    ranges: np.ndarray = field(repr=False)     # (T, L); inf marks a far path
+    h: np.ndarray = field(repr=False)          # (T, N)
+    steering: np.ndarray = field(repr=False)   # (T, L, N)
 
 
 def _complex_normal(re, im):
@@ -280,7 +270,7 @@ def antenna_noise(rngs, n_antennas: int, noise_power: float) -> np.ndarray | Non
     """
     if not noise_power > 0.0:
         return None
-    if any(rng is None for rng in rngs):
+    if rngs is None or any(rng is None for rng in rngs):
         raise ValueError("noisy measurement needs an rng")
     normals = np.empty((len(rngs), 2, n_antennas))
     row = 0
@@ -322,12 +312,6 @@ def sample_channels(cfg: ArrayConfig, rngs,
     gains = (_complex_normal(draws[..., 0], draws[..., 1])
              * np.sqrt(scenario.gain_vars[:scenario.n_paths]))
     return _synthesize(cfg, gains, draws[..., 2], draws[..., 3])
-
-
-def sample_channel(cfg: ArrayConfig, rng: np.random.Generator,
-                   scenario: ChannelScenario = ChannelScenario()) -> ChannelRealization:
-    """Draw one multipath channel: the one-generator case of :func:`sample_channels`."""
-    return sample_channels(cfg, [rng], scenario).row(0)
 
 
 def snr_db_to_noise_power(snr_db: float, cfg: ArrayConfig) -> float:

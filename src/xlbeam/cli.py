@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (ArrayConfig, ChannelScenario, sample_channel,
+from .arrays import (ArrayConfig, ChannelScenario, antenna_noise, sample_channels,
                      snr_db_to_noise_power)
 from .codebooks import build_hybrid_codebook, validate_quantization
 from .combining import alignment_gain, design_hybrid
@@ -27,10 +27,10 @@ from .harness.experiments import (POSITIONING_SCHEMES, TRACKING_SCHEMES,
                                   refinement_grid, tracking_experiment, workspace)
 from .harness.io import ConfigError, fail, load_config, write_csv, write_manifest
 from .harness.svgplot import svg_line_plot
-from .refinement import run_brpss
+from .refinement import refine_channels
 from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
                        run_schemes, tracker_for_run)
-from .training import run_thbt
+from .training import stage1_sweep, stage2_select
 
 # ---------------------------------------------------------------------------
 # the key table
@@ -127,15 +127,14 @@ SWEEP = {"experiment": Key(CHOICE, choices=tuple(EXPERIMENTS)), "array": ARRAY_N
          "codebook": CODEBOOK, "seed": SEED, "trials": Key(INTEGER, optional=True, minimum=1)}
 GRID = _grid(Key(NUMBER), (1, None))
 ONE_SNR = _grid(Key(NUMBER), (1, 1))        # the kinds that read snr_grid_db[0] only
-TRAINING = {**SWEEP, "paths": Key(OBJECT, optional=True, keys=PATHS, field="scenario"),
-            "schemes": _grid(Key(CHOICE, choices=TRAINING_SCHEMES))}
+CHANNELS = {**SWEEP, "paths": Key(OBJECT, optional=True, keys=PATHS, field="scenario")}
+TRAINING = {**CHANNELS, "schemes": _grid(Key(CHOICE, choices=TRAINING_SCHEMES))}
 SWEEP_KEYS = {
     "gain_vs_snr": {**TRAINING, "snr_grid_db": GRID},
     # each r_max_grid entry becomes the upper end of the paths' range_range
     "gain_vs_distance": {**TRAINING, "snr_grid_db": ONE_SNR, "r_max_grid": GRID},
     "positioning_cdf": {**TRAINING, "snr_grid_db": ONE_SNR},
-    # reads no scheme, but its configs may name the one whose refinement it measures
-    "refinement_grid": {**TRAINING, "snr_grid_db": ONE_SNR,
+    "refinement_grid": {**CHANNELS, "snr_grid_db": ONE_SNR,
                         "q_grid": _grid(Key(INTEGER, minimum=1)),
                         "s_grid": _grid(Key(INTEGER, minimum=0)),
                         "fixed_q": Key(INTEGER, optional=True, minimum=1),
@@ -293,15 +292,16 @@ def experiment_spec(values: dict, workers: int) -> tuple[str, ExperimentSpec]:
         values["scenario"] = model_of(ChannelScenario, values["scenario"], "paths")
     if kind == "tracking":
         tracking_models(values, cfg)
-    known = SWEEP_KEYS[kind]["schemes"].item.choices
+    schemes = SWEEP_KEYS[kind].get("schemes")      # None: the kind runs no schemes
+    known = () if schemes is None else schemes.item.choices
     values.setdefault("schemes", known)
     spec = ExperimentSpec(n_angles=codebook["q"], n_rings=codebook["s"], workers=workers,
                           **values)
     for snr_db in spec.snr_grid_db:
         noise_of(snr_db, "snr_grid_db", cfg)
-    # refinement_grid reads no scheme; positioning_cdf reports no ffbs position
+    # positioning_cdf reports no ffbs position
     reported = POSITIONING_SCHEMES if kind == "positioning_cdf" else known
-    if kind != "refinement_grid" and not set(spec.schemes) & set(reported):
+    if known and not set(spec.schemes) & set(reported):
         raise ConfigError(f"schemes must name a scheme that {kind} reports "
                           f"(choose from {list(reported)}), got {list(spec.schemes)}")
     if kind == "gain_vs_distance" and min(spec.r_max_grid) < spec.scenario.range_range[0]:
@@ -331,21 +331,24 @@ def cmd_train(config: dict, values: dict, args) -> int:
     cfg, scen, noise, seed = single_run(values)
     codebook = values["codebook"]
     book, _, design = workspace(cfg, codebook["q"], codebook["s"])
-    rng = np.random.default_rng(seed)
-    channel = sample_channel(cfg, rng, scen)
-    res = run_thbt(cfg, book, design, channel, noise, rng)
+    # a stack of one channel
+    rngs = [np.random.default_rng(seed)]
+    channels = sample_channels(cfg, rngs, scen)
+    res = stage2_select(book, design,
+                        stage1_sweep(cfg, design.sub_book, channels.h, noise, rngs))
     pair = design_hybrid(cfg, res.rough_omega, res.rough_range)
+    rough_range = float(res.rough_range[0])
     result = {
-        "best_index": res.best_index,
-        "rough_omega": res.rough_omega,
-        "rough_range_m": None if math.isinf(res.rough_range) else res.rough_range,
-        "far_field": res.is_far,
-        "gain": alignment_gain(channel, pair.combined_vector()),
+        "best_index": int(res.best_index[0]),
+        "rough_omega": float(res.rough_omega[0]),
+        "rough_range_m": None if math.isinf(rough_range) else rough_range,
+        "far_field": math.isinf(rough_range),
+        "gain": float(alignment_gain(channels, pair.combined_vector())[0]),
         "pilots": res.pilots,
     }
     if args.powers:
         rows = [{"p": int(p + 1), "power": float(v)}
-                for p, v in enumerate(res.powers)]
+                for p, v in enumerate(res.powers[0])]
         write_csv(Path(args.out) / "train_powers.csv", rows, ["p", "power"])
     return write_result(Path(args.out), "train_result.json", result, config, seed,
                         ["train_powers.csv"] if args.powers else [])
@@ -355,13 +358,17 @@ def cmd_refine(config: dict, values: dict, args) -> int:
     cfg, scen, noise, seed = single_run(values)
     coarse = values["coarse"]
     coarse_range = math.inf if coarse["range_m"] is None else coarse["range_m"]
-    rng = np.random.default_rng(seed)
-    channel = sample_channel(cfg, rng, scen)
-    res = run_brpss(cfg, channel, coarse["omega"], coarse_range, noise, rng)
+    # a stack of one channel
+    rngs = [np.random.default_rng(seed)]
+    channels = sample_channels(cfg, rngs, scen)
+    res = refine_channels(cfg, channels.h, [coarse["omega"]], [coarse_range],
+                          antenna_noise(rngs, cfg.n_antennas, noise))
+    range_m = float(res.range_m[0])
     result = {
-        "k": res.k, "b": res.b, "omega": res.omega,
-        "range_m": None if math.isinf(res.range_m) else res.range_m,
-        "far_field": res.is_far, "refined": res.refined, "pilots": res.pilots,
+        "k": float(res.k[0]), "b": float(res.b[0]), "omega": float(res.omega[0]),
+        "range_m": None if math.isinf(range_m) else range_m,
+        "far_field": math.isinf(range_m), "refined": bool(res.refined[0]),
+        "pilots": res.pilots,
     }
     return write_result(Path(args.out), "refine_result.json", result, config, seed)
 

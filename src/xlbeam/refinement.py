@@ -10,12 +10,11 @@ differences give db.  Everything is O(N_RF) arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, QuadraticPhase, antenna_noise, h_of
+from .arrays import ArrayConfig, QuadraticPhase
 from .combining import subarray_outputs
 
 
@@ -79,29 +78,23 @@ def estimate_offsets(cfg: ArrayConfig, d1: np.ndarray, d2: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Refined chirp parameters and their geometric reading.
+    """Refined chirp parameters and their geometric reading, one entry per
+    channel of a stack."""
 
-    :func:`refine_channels` fills every field with one entry per channel
-    (``is_far`` is for a single result).
-    """
-
-    k: float
-    b: float
-    omega: float
-    range_m: float          # inf when k >= 0 (far-field consistent)
-    refined: bool           # False when the coarse estimate was returned as-is
+    k: np.ndarray           # (T,)
+    b: np.ndarray           # (T,)
+    omega: np.ndarray       # (T,)
+    range_m: np.ndarray     # (T,); inf where k >= 0 (far-field consistent)
+    refined: np.ndarray     # (T,); False where the coarse estimate was returned as-is
     pilots: int = 1
-
-    @property
-    def is_far(self) -> bool:
-        return math.isinf(self.range_m)
 
 
 def refine(cfg: ArrayConfig, k0, b0, dk, db) -> RefinementResult:
     """Apply the offsets and invert the chirp back to (omega, range).
 
     ``k >= 0`` has no finite-range reading and reports the far field
-    rather than a negative range.
+    rather than a negative range.  The fields take the offsets' shape,
+    with ``refined`` True.
     """
     k, b = k0 + dk, b0 + db
     omega, r = QuadraticPhase(k, b).to_geometry(cfg)
@@ -138,20 +131,3 @@ def refine_channels(cfg: ArrayConfig, h: np.ndarray, coarse_omega, coarse_range,
                             range_m=np.where(refined, result.range_m, coarse_range),
                             refined=refined)
 
-
-def run_brpss(cfg: ArrayConfig, channel, coarse_omega: float, coarse_range: float,
-              noise_power: float = 0.0,
-              rng: np.random.Generator | None = None) -> RefinementResult:
-    """One-pilot refinement around a coarse (omega, range) estimate: the
-    one-channel case of :func:`refine_channels`.
-
-    A vanishing subarray output has no phase to read: the coarse estimate
-    then comes back tagged ``refined=False`` so downstream consumers
-    degrade gracefully.  An array of fewer than three subarrays cannot be
-    refined at all and raises ``ValueError``.
-    """
-    res = refine_channels(cfg, h_of(channel)[None], [coarse_omega], [coarse_range],
-                          antenna_noise([rng], cfg.n_antennas, noise_power))
-    return RefinementResult(k=float(res.k[0]), b=float(res.b[0]),
-                            omega=float(res.omega[0]), range_m=float(res.range_m[0]),
-                            refined=bool(res.refined[0]))

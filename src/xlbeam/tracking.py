@@ -486,9 +486,9 @@ class StepResult:
     """
 
     beam: np.ndarray                        # (T, N)
-    omega: np.ndarray | list                # (T,)
-    range_m: np.ndarray | list              # (T,)
-    pilots: np.ndarray | int                # per run, or one count for all
+    omega: np.ndarray                       # (T,)
+    range_m: np.ndarray                     # (T,)
+    pilots: np.ndarray                      # (T,) int
     predicted: np.ndarray | None = None     # (T, 2)
     measured: np.ndarray | None = None      # (T, 2)
     filtered: np.ndarray | None = None      # (T, 2)
@@ -525,8 +525,8 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
         gains.append(np.abs(row_dots(chan.los.steering[i].conj(),
                                      np.concatenate([out.beam for out in outs]))))
         # all but the beams, which would hold a (T, N) stack per block
-        kept.append([(np.broadcast_to(out.pilots, b - a), out.predicted, out.measured,
-                      out.filtered) for out, a, b in zip(outs, edges, edges[1:])])
+        kept.append([(out.pilots, out.predicted, out.measured, out.filtered)
+                     for out in outs])
     gains, ses = np.stack(gains, axis=1), np.stack(ses, axis=1)
     # each scheme's pilots and positions, block by block, stacked as (T, B, ...)
     return [TrackLog(gains[a:b], ses[a:b],
@@ -567,8 +567,9 @@ def nfbt_step(cfg: ArrayConfig, tcfg: TrackerConfig, noise_power: float,
         state.assert_valid()
         omega, range_m = state.geometry()
         return StepResult(beam=steering_quadratic(cfg, omega, range_m), omega=omega,
-                          range_m=range_m, pilots=1, predicted=pred_pos,
-                          measured=meas.position, filtered=state.position.copy())
+                          range_m=range_m, pilots=np.ones(len(rngs), dtype=int),
+                          predicted=pred_pos, measured=meas.position,
+                          filtered=state.position.copy())
 
     return step
 
@@ -591,7 +592,7 @@ def brpss_step(cfg: ArrayConfig, start, noise_power: float):
         keep = res.refined & (np.abs(res.omega) <= 1.0)
         est = np.where(keep, [res.omega, res.range_m], est)
         return StepResult(steering_quadratic(cfg, est[0], est[1]), est[0], est[1],
-                          pilots=1)
+                          pilots=np.ones(len(rngs), dtype=int))
 
     return step
 
@@ -623,8 +624,9 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
         first = np.cumsum([0] + [len(c) for c in cands])
         p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
         cws = [book.params(p) for p in p_best]
-        return StepResult(book.column(np.asarray(p_best)), [cw.theta for cw in cws],
-                          [cw.distance for cw in cws], pilots=np.diff(first))
+        return StepResult(book.column(np.asarray(p_best)),
+                          np.array([cw.theta for cw in cws]),
+                          np.array([cw.distance for cw in cws]), pilots=np.diff(first))
 
     return step
 
@@ -660,7 +662,7 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
         first = np.cumsum([0] + [len(c) for c in cands])
         best = [a + int(np.argmax(powers[a:b])) for a, b in zip(first, first[1:])]
         q_best = [flat[k] for k in best]
-        return StepResult(cols[best], [float(book.theta[q - 1]) for q in q_best],
+        return StepResult(cols[best], book.theta[np.asarray(q_best) - 1],
                           np.full(len(best), FAR_FIELD), pilots=np.diff(first))
 
     return step
@@ -701,8 +703,4 @@ def neighbor_codewords(book: HybridCodebook, p: int) -> list[int]:
                 cands.append(book.index_of(cw.q, s))
             elif s == 0:
                 cands.append(book.index_of(cw.q, None))   # shallower than ring 1: far
-    seen = []
-    for c in cands:
-        if c not in seen:
-            seen.append(c)
-    return seen[:5]
+    return cands

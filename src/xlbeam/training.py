@@ -25,16 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, ChannelRealization, antenna_noise, crandn, h_of
+from .arrays import ArrayConfig, antenna_noise, crandn
 from .codebooks import HybridCodebook, SubarrayCodebook
 from .combining import CombinerPair, quantize_pointing, subarray_pointing
 
 
 @dataclass
 class Stage1Sweep:
-    """All stage-1 measurements: z[m, t] is beam m's output on RF chain t."""
+    """All stage-1 measurements of a stack of channels: z[k, m, t] is beam
+    m's output on RF chain t for channel k."""
 
-    z: np.ndarray = field(repr=False)        # (M, N_RF) complex; (T, M, N_RF) stacked
+    z: np.ndarray = field(repr=False)        # (T, M, N_RF) complex
     signal: np.ndarray = field(repr=False)   # noiseless part
     noise: np.ndarray = field(repr=False)    # added; i.i.d. CN(0, M sigma^2) per RF output
     pilots: int = 0
@@ -111,43 +112,33 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 
 @dataclass
 class TrainingResult:
-    """Outcome of one beam-training run.
+    """Outcome of training a stack of T channels, one entry per channel.
 
-    A stacked run (:func:`stage2_select` on a stacked sweep, or a sweep
-    baseline on a stack of signals) fills ``best_index``, ``rough_omega``
-    and ``rough_range`` with one entry per channel and ``powers`` with one
-    row per channel, a list of rows from a sweep baseline (``is_far`` is
-    for a single result).
+    ``powers`` holds each channel's codeword powers: a (T, P) array from
+    :func:`stage2_select`, a list of T rows from a sweep baseline.
     """
 
     scheme: str
-    best_index: int                       # 1-based codeword index
-    rough_omega: float
-    rough_range: float                    # inf when a far codeword won
-    powers: np.ndarray = field(repr=False)
+    best_index: np.ndarray                # (T,) 1-based codeword indices
+    rough_omega: np.ndarray               # (T,)
+    rough_range: np.ndarray               # (T,); inf where a far codeword won
+    powers: np.ndarray | list = field(repr=False)
     pilots: int = 0
 
-    @property
-    def is_far(self) -> bool:
-        return math.isinf(self.rough_range)
 
+def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, hs: np.ndarray,
+                 noise_power: float = 0.0, rngs: Sequence | None = None) -> Stage1Sweep:
+    """Sweep all M DFT beams on each channel of a (T, N) stack; every
+    subarray applies beam m on pilot m.
 
-def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
-                 noise_power: float = 0.0,
-                 rng: np.random.Generator | Sequence | None = None) -> Stage1Sweep:
-    """Sweep all M DFT beams; every subarray applies beam m on pilot m.
-
-    ``h`` may be a (T, N) stack of channels, with ``rng`` a sequence of one
-    generator per channel: ``z``, ``signal`` and ``noise`` then get a
-    leading trial axis, and each channel's noise comes from its own
-    generator.  The sweeps of a stack are one stacked matrix product.
+    ``rngs`` holds one generator per channel (None: noiseless), and each
+    channel's noise comes from its own.  The sweeps of the stack are one
+    stacked matrix product.
     """
     m, n_rf = cfg.m_per_sub, cfg.n_rf
-    h = np.asarray(h)
-    h_blocks = h.reshape(*h.shape[:-1], n_rf, m).swapaxes(-1, -2)   # (..., M, N_RF)
-    signal = sub_book.matrix.conj().T @ h_blocks                     # (..., M, N_RF)
+    h_blocks = np.asarray(hs).reshape(len(hs), n_rf, m).swapaxes(-1, -2)   # (T, M, N_RF)
+    signal = sub_book.matrix.conj().T @ h_blocks                           # (T, M, N_RF)
     # the RF-output noise has the law of M x N_RF antenna samples of power M sigma^2
-    rngs = [rng] if h.ndim == 1 or rng is None else rng
     noise = antenna_noise(rngs, m * n_rf, m * noise_power)
     noise = np.zeros_like(signal) if noise is None else noise.reshape(signal.shape)
     return Stage1Sweep(z=signal + noise, signal=signal, noise=noise, pilots=m)
@@ -155,7 +146,7 @@ def stage1_sweep(cfg: ArrayConfig, sub_book: SubarrayCodebook, h: np.ndarray,
 
 def assemble_reused(z: np.ndarray, design: TrainedDesign, p=None) -> np.ndarray:
     """Reassemble codeword p's RF outputs from one channel's stage-1
-    measurements ``z`` (a sweep's (M, N_RF) ``z``).
+    measurements ``z`` (a sweep's (M, N_RF) ``z[k]``).
 
     Entry t is copied from measurement ``z[m_t(p), t]``; no pilot is
     consumed.  ``p`` is 1-based; an array of indices gives one row of N_RF
@@ -188,45 +179,28 @@ def stage2_select(book: HybridCodebook, design: TrainedDesign,
                   sweep: Stage1Sweep) -> TrainingResult:
     """Test every codeword digitally and pick the largest combined power.
 
-    Exact power ties break toward the smaller codeword index.  A stacked
-    sweep gives a stacked result (see :class:`TrainingResult`); its
+    Exact power ties break toward the smaller codeword index.  The sweep's
     channels are scored one after another, so the (P, N_RF) reassembled
     outputs are held for one channel at a time.
     """
-    z = sweep.z.reshape(-1, *sweep.z.shape[-2:])                    # (T, M, N_RF)
-    powers = np.empty((len(z), book.n_columns))
-    for z_t, out in zip(z, powers):
+    powers = np.empty((len(sweep.z), book.n_columns))
+    for z_t, out in zip(sweep.z, powers):
         zz = assemble_reused(z_t, design)                           # (P, N_RF)
         # |sum_t v * zz| ** 2, computed in place
         np.abs(_chain_sum(np.multiply(design.v, zz, out=zz)), out=out)
         np.square(out, out=out)
     best = np.argmax(powers, axis=-1) + 1                            # argmax = first max
-    return _result(book, "thbt", best, powers, sweep.pilots, stacked=sweep.z.ndim == 3)
+    return _result(book, "thbt", best, powers, sweep.pilots)
 
 
-def _result(book: HybridCodebook, scheme: str, best, powers, pilots: int,
-            stacked: bool) -> TrainingResult:
+def _result(book: HybridCodebook, scheme: str, best, powers, pilots: int) -> TrainingResult:
     """The result of channels whose 1-based winning codewords are ``best``
-    and whose codeword powers are the rows of ``powers``: stacked, or the
-    one channel's."""
+    and whose codeword powers are the rows of ``powers``."""
     cws = [book.params(int(p)) for p in best]
-    if not stacked:
-        return TrainingResult(scheme=scheme, best_index=int(best[0]),
-                              rough_omega=cws[0].theta, rough_range=cws[0].distance,
-                              powers=powers[0], pilots=pilots)
     return TrainingResult(scheme=scheme, best_index=np.asarray(best),
                           rough_omega=np.array([cw.theta for cw in cws]),
                           rough_range=np.array([cw.distance for cw in cws]),
                           powers=powers, pilots=pilots)
-
-
-def run_thbt(cfg: ArrayConfig, book: HybridCodebook, design: TrainedDesign,
-             channel: ChannelRealization | np.ndarray, noise_power: float = 0.0,
-             rng: np.random.Generator | None = None) -> TrainingResult:
-    """Full two-stage training of one channel: M pilots swept, zero pilots
-    in stage 2."""
-    sweep = stage1_sweep(cfg, design.sub_book, h_of(channel), noise_power, rng)
-    return stage2_select(book, design, sweep)
 
 
 def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.ndarray:
@@ -265,32 +239,32 @@ def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.nd
 def _column_sweep(book: HybridCodebook, signals: np.ndarray, noise_power: float,
                   rngs, first: int, scheme: str) -> TrainingResult:
     """One ideal codeword-matched pilot per column, from 0-based column
-    ``first`` to the last; the winner's grid cell is the coarse estimate.
+    ``first`` to the last; each channel's winning grid cell is its coarse
+    estimate.
 
-    ``signals`` are noiseless outputs ``sweep_signals(book, ..., first)``:
-    one channel's row with one generator, or a (T, P - first) stack with
-    one generator per row, which gives a stacked result.  Each row draws
-    its noise from its own generator, as ``crandn`` would, and keeps its
-    powers as an array of its own: ``powers`` is a list of rows, so no
-    (T, P) noise or power array is ever held.
+    ``signals`` are the (T, P - first) noiseless outputs
+    ``sweep_signals(book, ..., first)``, and ``rngs`` one generator per row
+    (None: noiseless).  Each row draws its noise from its own generator,
+    as ``crandn`` would, and keeps its powers as an array of its own:
+    ``powers`` is a list of rows, so no (T, P) noise or power array is
+    ever held.
     """
     signals = np.asarray(signals)
     width = book.n_columns - first
-    if signals.shape[-1:] != (width,):
+    if signals.ndim != 2 or signals.shape[1] != width:
         raise ValueError(f"{scheme} signals have shape {signals.shape}, "
                          f"expected rows of {width}")
-    rows = signals.reshape(-1, width)
-    if signals.ndim == 1 or rngs is None:
-        rngs = [rngs] * len(rows)
+    if rngs is None:
+        rngs = [None] * len(signals)
     powers = []
-    for y, rng in zip(rows, rngs, strict=True):
+    for y, rng in zip(signals, rngs, strict=True):
         if noise_power > 0.0:
             if rng is None:
                 raise ValueError("noisy sweep needs an rng")
             y = y + crandn(rng, width) * math.sqrt(noise_power)
         powers.append(np.abs(y) ** 2)
     best = [first + int(np.argmax(row)) + 1 for row in powers]
-    return _result(book, scheme, best, powers, width, stacked=signals.ndim > 1)
+    return _result(book, scheme, best, powers, width)
 
 
 def baseline_hfbs(book: HybridCodebook, signals: np.ndarray, noise_power: float = 0.0,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xlbeam import (ArrayConfig, ChannelScenario, assemble_reused,
-                    build_subarray_codebook, quantize_pointing, run_brpss,
+                    build_subarray_codebook, quantize_pointing, refine_channels,
                     steering_near, subarray_pointing)
 from oracles import chirp_sum, full_matrix, gain_loss_bound, rayleigh_distance, valid_placements
 from xlbeam.harness import ExperimentSpec, overhead_report
@@ -88,30 +88,29 @@ def test_criterion_04_noiseless_exactness(cfg128, cfg512, desk_workspace,
     at N=512.  The reuse identity is checked bit-exactly along the way.
     """
     book, sub, design = desk_workspace
-    for p in range(1, book.n_columns + 1):
-        h = book.column(p)
-        res = stage2_select(book, design, stage1_sweep(cfg128, sub, h))
-        assert res.best_index == p, f"N=128 codeword {p} -> {res.best_index}"
+    every = np.arange(1, book.n_columns + 1)
+    res = stage2_select(book, design, stage1_sweep(cfg128, sub, book.column(every)))
+    for p, best in zip(every, res.best_index):
+        assert best == p, f"N=128 codeword {p} -> {best}"
 
     book5, sub5, design5 = full_workspace
     valid = valid_placements(book5)
     rng = np.random.default_rng(42)
     picks = rng.choice(valid, size=500, replace=False)
-    for p in picks:
-        sweep = stage1_sweep(cfg512, sub5, book5.column(int(p)))
-        res = stage2_select(book5, design5, sweep)
-        assert res.best_index == int(p), f"N=512 codeword {p} -> {res.best_index}"
+    res = stage2_select(book5, design5, stage1_sweep(cfg512, sub5, book5.column(picks)))
+    for p, best in zip(picks, res.best_index):
+        assert best == p, f"N=512 codeword {p} -> {best}"
 
     # reuse identity with noise replayed: assembled entries are bit-equal
     # to the direct measurement of the reassembled combiner
     n_rf = cfg512.n_rf
-    for p in picks[:25]:
-        sweep = stage1_sweep(cfg512, sub5, book5.column(int(p)),
-                             noise_power=0.01, rng=np.random.default_rng(p))
+    sweep = stage1_sweep(cfg512, sub5, book5.column(picks[:25]), noise_power=0.01,
+                         rngs=[np.random.default_rng(p) for p in picks[:25]])
+    for k, p in enumerate(picks[:25]):
         rows = design5.m_idx[int(p) - 1]
-        direct = (sweep.signal[rows, np.arange(n_rf)]
-                  + sweep.noise[rows, np.arange(n_rf)])
-        assert np.array_equal(assemble_reused(sweep.z, design5, int(p)), direct)
+        direct = (sweep.signal[k, rows, np.arange(n_rf)]
+                  + sweep.noise[k, rows, np.arange(n_rf)])
+        assert np.array_equal(assemble_reused(sweep.z[k], design5, int(p)), direct)
     report("4 noiseless exactness",
            f"{book.n_columns} desk codewords + {len(picks)} full-scale")
 
@@ -128,19 +127,22 @@ def test_criterion_05_refinement_recovery(cfg512, full_workspace):
     book, _, design = full_workspace
     matrix = full_matrix(book)
     rng = np.random.default_rng(1234)
-    ok = 0
     trials = 1000
+    truth, hs, coarse = [], [], []
     for _ in range(trials):
         omega = rng.uniform(-SQ32, SQ32)
         r = rng.uniform(10.0, 30.0)
         h = steering_near(cfg512, omega, r)
         p_best = int(np.argmax(np.abs(h.conj() @ matrix))) + 1
         cw = book.params(p_best)
-        res = run_brpss(cfg512, h, cw.theta, cw.distance)
-        if (res.refined and math.isfinite(res.range_m)
-                and abs(res.omega - omega) <= 1e-3
-                and abs(res.range_m - r) / r <= 0.02):
-            ok += 1
+        truth.append((omega, r))
+        hs.append(h)
+        coarse.append((cw.theta, cw.distance))
+    omega, r = np.array(truth).T
+    res = refine_channels(cfg512, np.array(hs), *np.array(coarse).T)
+    ok = int(np.sum(res.refined & np.isfinite(res.range_m)
+                    & (np.abs(res.omega - omega) <= 1e-3)
+                    & (np.abs(res.range_m - r) / r <= 0.02)))
     assert ok >= 0.99 * trials, f"only {ok}/{trials} placements recovered"
     report("5 refinement recovery", f"{ok}/{trials} within tolerance")
 

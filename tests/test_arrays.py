@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import PathParams, rayleigh_distance, realize
 
 from xlbeam import (ArrayConfig, ChannelScenario, FAR_FIELD, QuadraticPhase, crandn,
-                    element_distance, sample_channel, sample_channels, steering,
+                    element_distance, sample_channels, steering,
                     steering_far, steering_near, steering_quadratic)
 
 
@@ -229,15 +229,15 @@ class TestQuadraticPhase:
 
 class TestChannel:
     def test_default_scenario_shape(self, cfg512, rng):
-        ch = sample_channel(cfg512, rng)
-        assert ch.gains.shape == ch.sines.shape == ch.ranges.shape == (3,)
-        assert ch.h.shape == (512,)
-        assert ch.steering.shape == (3, 512)
+        ch = sample_channels(cfg512, [rng])
+        assert ch.gains.shape == ch.sines.shape == ch.ranges.shape == (1, 3)
+        assert ch.h.shape == (1, 512)
+        assert ch.steering.shape == (1, 3, 512)
         assert not ch.steering.flags.writeable
 
     def test_gain_variances(self, cfg512):
         rng = np.random.default_rng(3)
-        gains = np.array([sample_channel(cfg512, rng).gains for _ in range(4000)])
+        gains = np.concatenate([sample_channels(cfg512, [rng]).gains for _ in range(4000)])
         var = np.mean(np.abs(gains) ** 2, axis=0)
         assert var[0] == pytest.approx(1.0, rel=0.1)
         assert var[1] == pytest.approx(0.01, rel=0.15)
@@ -246,34 +246,33 @@ class TestChannel:
     def test_draw_bounds(self, cfg512):
         rng = np.random.default_rng(5)
         lim = math.sqrt(3) / 2
-        for _ in range(200):
-            ch = sample_channel(cfg512, rng)
-            assert np.all((-lim <= ch.sines) & (ch.sines <= lim))
-            assert np.all((cfg512.range_floor <= ch.ranges) & (ch.ranges <= 150.0))
+        ch = sample_channels(cfg512, [rng] * 200)
+        assert np.all((-lim <= ch.sines) & (ch.sines <= lim))
+        assert np.all((cfg512.range_floor <= ch.ranges) & (ch.ranges <= 150.0))
 
     def test_single_path_degenerate(self, cfg512, rng):
         scen = ChannelScenario(n_paths=1, gain_vars=(1.0,))
-        ch = sample_channel(cfg512, rng, scen)
-        expect = ch.gains[0] * steering_near(cfg512, ch.sines[0], ch.ranges[0])
-        assert np.allclose(ch.h, expect, rtol=1e-12)
+        ch = sample_channels(cfg512, [rng], scen)
+        expect = ch.gains[0, 0] * steering_near(cfg512, ch.sines[0, 0], ch.ranges[0, 0])
+        assert np.allclose(ch.h[0], expect, rtol=1e-12)
 
     FIELDS = ("gains", "sines", "ranges", "steering", "h")
 
     def test_one_channel_is_row_0_of_a_stack(self, cfg512):
         one_rng, stack_rng = np.random.default_rng(11), np.random.default_rng(11)
-        one = sample_channel(cfg512, one_rng)
-        stack = sample_channels(cfg512, [stack_rng])
+        one = sample_channels(cfg512, [one_rng])
+        stack = sample_channels(cfg512, [stack_rng, np.random.default_rng(12)])
         for name in self.FIELDS:
-            assert np.array_equal(getattr(one, name), getattr(stack, name)[0]), name
+            assert np.array_equal(getattr(one, name)[0], getattr(stack, name)[0]), name
         # per-path scalar draws, path by path: the gain's normals, the sine,
         # the range; both leave the generator where those draws leave it
         ref_rng = np.random.default_rng(11)
         scen = ChannelScenario()
         for l, var in enumerate(scen.gain_vars):
             re, im = ref_rng.standard_normal(), ref_rng.standard_normal()
-            assert one.gains[l] == (re + 1j * im) * math.sqrt(0.5) * math.sqrt(var)
-            assert one.sines[l] == ref_rng.uniform(*scen.angle_range)
-            assert one.ranges[l] == ref_rng.uniform(cfg512.range_floor, 150.0)
+            assert one.gains[0, l] == (re + 1j * im) * math.sqrt(0.5) * math.sqrt(var)
+            assert one.sines[0, l] == ref_rng.uniform(*scen.angle_range)
+            assert one.ranges[0, l] == ref_rng.uniform(cfg512.range_floor, 150.0)
         assert one_rng.random() == stack_rng.random() == ref_rng.random()
 
     def test_a_channel_does_not_depend_on_its_stack(self, cfg512):
@@ -281,9 +280,9 @@ class TestChannel:
         stack = sample_channels(cfg512, [np.random.default_rng(s) for s in range(9)], scen)
         assert stack.h.shape == (9, 512) and stack.steering.shape == (9, 3, 512)
         for s in range(9):
-            one = sample_channel(cfg512, np.random.default_rng(s), scen)
+            one = sample_channels(cfg512, [np.random.default_rng(s)], scen)
             for name in self.FIELDS:
-                assert np.array_equal(getattr(one, name), getattr(stack.row(s), name)), name
+                assert np.array_equal(getattr(one, name)[0], getattr(stack, name)[s]), name
 
     def test_synthesize_far_marker(self, cfg512):
         path = PathParams(gain=1.0 + 0j, omega=0.3, range_m=FAR_FIELD)

@@ -103,9 +103,9 @@ TOO_CLOSE = {"start": [5.0, 0.0], "velocity": [-5.0, 0.0], "dt": 0.05, "blocks":
 BASE_CONFIGS = {
     "track": ("track", track_config()),
     "sweep": ("sweep", sweep_config()),
-    "refinement_grid": ("sweep", sweep_config(
-        experiment="refinement_grid", schemes=["thbt_brpss"], q_grid=[128],
-        s_grid=[3], fixed_q=128, fixed_s=3)),
+    "refinement_grid": ("sweep", without_key(sweep_config(
+        experiment="refinement_grid", q_grid=[128], s_grid=[3], fixed_q=128, fixed_s=3),
+        "schemes")),
     "gain_vs_distance": ("sweep", sweep_config(experiment="gain_vs_distance",
                                                r_max_grid=[12.0])),
     "train": ("train", {"scenario": {**DESK_ARRAY, "paths": DESK_PATHS, "snr_db": 10},
@@ -327,6 +327,8 @@ class TestConfigErrors:
         # a key the kind does not read (the r_max_grid cases on "sweep" above too)
         ("sweep", "r_max_grid", [12.0]),
         ("tracking", "paths", DESK_PATHS),
+        # refinement_grid runs no list of schemes
+        ("refinement_grid", "schemes", ["thbt_brpss"]),
     ])
     def test_integer_keys(self, tmp_path, capsys, base, key, value):
         command, cfgdict = BASE_CONFIGS[base]
@@ -690,7 +692,7 @@ def test_shipped_config_is_accepted(path):
         kind, spec = experiment_spec(values, 1)
         assert kind == config["experiment"]
         assert spec.trials == config["trials"]
-        assert spec.schemes == tuple(config["schemes"])
+        assert spec.schemes == tuple(config.get("schemes", ()))
     elif "scenario" in config:
         _, _, _, seed = single_run(values)
         assert seed == config["scenario"]["seed"]

@@ -6,12 +6,12 @@ import pytest
 from oracles import chirp_sum, full_matrix, psp_band_ok, psp_model_oracle
 from xlbeam import (ArrayConfig, FAR_FIELD, QuadraticPhase, antenna_noise,
                     estimate_offsets, measure_subarrays, phase_differences, refine,
-                    run_brpss, steering_near, steering_quadratic)
+                    refine_channels, steering_near, steering_quadratic)
 from xlbeam.refinement import wrap_pi
 
 
 class TestInitialKb:
-    # the coarse (k, b) that run_brpss starts from is
+    # the coarse (k, b) that refine_channels starts from is
     # QuadraticPhase.from_geometry; refine inverts it with to_geometry
     def test_round_trip_with_chirp_params(self, cfg512):
         omega, r = -0.37, 47.0
@@ -166,7 +166,7 @@ class TestRefine:
 
     def test_nonnegative_curvature_reports_far(self, cfg512):
         res = refine(cfg512, -1e-6, 0.2 + 1e-6 * 513, 2e-6, 0.0)
-        assert res.k > 0 and res.is_far
+        assert res.k > 0 and math.isinf(res.range_m)
 
     def test_far_limit_is_smooth(self, cfg512):
         # k -> 0- sends the range to infinity through finite values
@@ -176,10 +176,10 @@ class TestRefine:
         assert ranges[0] < ranges[1] < ranges[2] < math.inf
 
 
-class TestRunBrpss:
+class TestRefineChannels:
     def test_single_pilot(self, cfg512):
-        h = steering_near(cfg512, 0.1, 20.0)
-        res = run_brpss(cfg512, h, 0.1, 20.0)
+        h = steering_near(cfg512, [0.1], [20.0])
+        res = refine_channels(cfg512, h, [0.1], [20.0])
         assert res.pilots == 1
 
     def test_noiseless_off_grid_recovery(self, cfg512, full_workspace):
@@ -187,38 +187,46 @@ class TestRunBrpss:
         book, _, _ = full_workspace
         matrix = full_matrix(book)
         rng = np.random.default_rng(10)
+        truth, hs, cws = [], [], []
         for _ in range(20):
             omega = rng.uniform(-math.sqrt(3) / 2, math.sqrt(3) / 2)
             r = rng.uniform(10.0, 30.0)
             h = steering_near(cfg512, omega, r)
             powers = np.abs(h.conj() @ matrix)
-            cw = book.params(int(np.argmax(powers)) + 1)
-            res = run_brpss(cfg512, h, cw.theta, cw.distance)
-            assert res.refined
-            assert abs(res.omega - omega) <= 1e-3
-            assert abs(res.range_m - r) / r <= 0.02
+            truth.append((omega, r))
+            hs.append(h)
+            cws.append(book.params(int(np.argmax(powers)) + 1))
+        omega, r = np.array(truth).T
+        res = refine_channels(cfg512, np.array(hs), [cw.theta for cw in cws],
+                              [cw.distance for cw in cws])
+        assert res.refined.all()
+        assert np.all(np.abs(res.omega - omega) <= 1e-3)
+        assert np.all(np.abs(res.range_m - r) / r <= 0.02)
 
     def test_failure_returns_coarse(self, cfg512):
-        res = run_brpss(cfg512, np.zeros(512, dtype=complex), 0.2, 30.0)
-        assert not res.refined
-        assert res.omega == 0.2 and res.range_m == 30.0
+        # a dead channel keeps its coarse estimate; the rest of its stack refines
+        hs = np.stack([np.zeros(512, dtype=complex), steering_near(cfg512, 0.1, 20.0)])
+        res = refine_channels(cfg512, hs, [0.2, 0.1], [30.0, 21.0])
+        assert res.refined.tolist() == [False, True]
+        assert res.omega[0] == 0.2 and res.range_m[0] == 30.0
+        assert abs(res.range_m[1] - 20.0) <= 0.02 * 20.0
 
     def test_two_subarrays_raise(self):
         # too few subarrays is a setup fault, not a per-pilot degradation
         cfg = ArrayConfig(64, 2, 0.003)
-        h = steering_near(cfg, 0.1, 5.0)
+        h = steering_near(cfg, [0.1], [5.0])
         with pytest.raises(ValueError, match="three subarrays"):
-            run_brpss(cfg, h, 0.1, 5.0)
+            refine_channels(cfg, h, [0.1], [5.0])
 
     def test_far_coarse_estimates_curvature(self, cfg512):
         # training returned a far codeword but the source is near: the
         # refinement still recovers the range from scratch
         omega, r = 0.01, 150.0
-        h = steering_near(cfg512, omega, r)
-        res = run_brpss(cfg512, h, omega, FAR_FIELD)
-        assert res.refined and math.isfinite(res.range_m)
-        assert abs(res.range_m - r) / r <= 0.05
-        assert abs(res.omega - omega) <= 1e-3
+        h = steering_near(cfg512, [omega], [r])
+        res = refine_channels(cfg512, h, [omega], [FAR_FIELD])
+        assert res.refined[0] and math.isfinite(res.range_m[0])
+        assert abs(res.range_m[0] - r) / r <= 0.05
+        assert abs(res.omega[0] - omega) <= 1e-3
 
 
 class TestPspOracle:

@@ -337,7 +337,7 @@ class TestBaselines:
                             [(step, [np.random.default_rng(5)])])
         assert (log.pilots == 3).all()
 
-    def test_neighbor_sets(self, full_workspace):
+    def test_neighbor_sets(self, cfg128, full_workspace):
         book, _, _ = full_workspace
         p_near = book.index_of(256, 6)
         cands = neighbor_codewords(book, p_near)
@@ -346,6 +346,14 @@ class TestBaselines:
         cands = neighbor_codewords(book, p_far)
         assert p_far in cands and len(cands) == 5
         assert all(book.params(c).is_far for c in cands)
+        # every cell of the 66 codebooks Q 1-11 x S 0-5: the cell first,
+        # then at most four distinct neighbours, clipped at the grid's edges
+        for q in range(1, 12):
+            for s in range(6):
+                small = build_hybrid_codebook(cfg128, q, s)
+                for p in range(1, small.n_columns + 1):
+                    cands = neighbor_codewords(small, p)
+                    assert cands[0] == p and len(set(cands)) == len(cands) <= 5, (q, s, p)
 
     def test_nearest_codeword_round_trip(self, full_workspace):
         book, _, _ = full_workspace

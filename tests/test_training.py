@@ -7,7 +7,7 @@ from oracles import (PathParams, full_matrix, full_matrix_design, gain_loss_boun
                      valid_placements)
 from xlbeam import (ChannelScenario, FAR_FIELD, assemble_reused, baseline_ffbs,
                     baseline_hfbs, build_hybrid_codebook, build_subarray_codebook,
-                    run_thbt, sample_channel, stage1_sweep, stage2_select, steering_far,
+                    sample_channels, stage1_sweep, stage2_select, steering_far,
                     subarray_pointing)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
 from xlbeam.training import design_all, sweep_signals
@@ -16,14 +16,14 @@ from xlbeam.training import design_all, sweep_signals
 class TestStage1:
     def test_pilot_budget(self, cfg128, desk_workspace):
         _, sub, _ = desk_workspace
-        h = np.zeros(128, dtype=complex)
+        h = np.zeros((1, 128), dtype=complex)
         sweep = stage1_sweep(cfg128, sub, h)
         assert sweep.pilots == cfg128.m_per_sub
-        assert sweep.z.shape == (cfg128.m_per_sub, cfg128.n_rf)
+        assert sweep.z.shape == (1, cfg128.m_per_sub, cfg128.n_rf)
 
     def test_zero_channel_noiseless(self, cfg128, desk_workspace):
         _, sub, _ = desk_workspace
-        sweep = stage1_sweep(cfg128, sub, np.zeros(128, dtype=complex))
+        sweep = stage1_sweep(cfg128, sub, np.zeros((1, 128), dtype=complex))
         assert np.all(sweep.z == 0)
 
     def test_aligned_far_path_peak(self, cfg128, desk_workspace):
@@ -33,9 +33,9 @@ class TestStage1:
         m = cfg128.m_per_sub
         m_star = 11
         g = 1.7
-        h = g * steering_far(cfg128, sub.angles[m_star - 1])
+        h = g * steering_far(cfg128, [sub.angles[m_star - 1]])
         sweep = stage1_sweep(cfg128, sub, h)
-        mags = np.abs(sweep.z)
+        mags = np.abs(sweep.z[0])
         per_chain = math.sqrt(m) * g / math.sqrt(cfg128.n_rf)
         assert np.allclose(mags[m_star - 1], per_chain, rtol=1e-9)
         assert np.all(mags.argmax(axis=0) == m_star - 1)
@@ -43,8 +43,8 @@ class TestStage1:
     def test_noise_is_stored(self, cfg128, desk_workspace):
         _, sub, _ = desk_workspace
         rng = np.random.default_rng(9)
-        h = np.zeros(128, dtype=complex)
-        sweep = stage1_sweep(cfg128, sub, h, noise_power=0.1, rng=rng)
+        h = np.zeros((1, 128), dtype=complex)
+        sweep = stage1_sweep(cfg128, sub, h, noise_power=0.1, rngs=[rng])
         assert np.array_equal(sweep.z, sweep.signal + sweep.noise)
         assert np.any(sweep.noise != 0)
 
@@ -76,14 +76,14 @@ class TestStage1NoiseLaw:
     def test_second_moments(self, cfg128, desk_workspace, draw):
         _, sub, _ = desk_workspace
         rng = np.random.default_rng(2024)
-        h = np.zeros(cfg128.n_antennas, dtype=complex)
         if draw == "direct":
-            samples = [stage1_sweep(cfg128, sub, h, self.NOISE_POWER, rng).z
-                       for _ in range(self.SWEEPS)]
+            # one generator for every sweep: each draws after the one before
+            hs = np.zeros((self.SWEEPS, cfg128.n_antennas), dtype=complex)
+            samples = stage1_sweep(cfg128, sub, hs, self.NOISE_POWER, [rng] * self.SWEEPS).z
         else:
-            samples = [projected_sweep_noise(cfg128, sub, self.NOISE_POWER, rng)
-                       for _ in range(self.SWEEPS)]
-        n = np.stack(samples).reshape(self.SWEEPS, -1)
+            samples = np.stack([projected_sweep_noise(cfg128, sub, self.NOISE_POWER, rng)
+                                for _ in range(self.SWEEPS)])
+        n = samples.reshape(self.SWEEPS, -1)
         n = n / math.sqrt(cfg128.m_per_sub * self.NOISE_POWER)
 
         power = np.mean(np.abs(n) ** 2, axis=0)
@@ -99,13 +99,13 @@ class TestReuse:
     def test_noiseless_assembly_equals_direct(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
         rng = np.random.default_rng(1)
-        ch = sample_channel(cfg128, rng)
+        ch = sample_channels(cfg128, [rng])
         sweep = stage1_sweep(cfg128, sub, ch.h)
         for p in (1, 57, book.n_columns):
-            z_p = assemble_reused(sweep.z, design, p)
+            z_p = assemble_reused(sweep.z[0], design, p)
             pair = design.combiner(p)
             direct = np.einsum("tm,tm->t", pair.w_blocks,
-                               ch.h.reshape(cfg128.n_rf, cfg128.m_per_sub))
+                               ch.h[0].reshape(cfg128.n_rf, cfg128.m_per_sub))
             assert np.allclose(z_p, direct, rtol=1e-12)
 
     def test_noisy_assembly_replays_stored_draws(self, cfg128, desk_workspace):
@@ -113,25 +113,26 @@ class TestReuse:
         # bit-identical to the direct measurement recomputed entrywise
         book, sub, design = desk_workspace
         rng = np.random.default_rng(2)
-        ch = sample_channel(cfg128, rng)
-        sweep = stage1_sweep(cfg128, sub, ch.h, noise_power=0.05, rng=rng)
+        ch = sample_channels(cfg128, [rng])
+        sweep = stage1_sweep(cfg128, sub, ch.h, noise_power=0.05, rngs=[rng])
         for p in (5, 200, book.n_columns - 3):
-            z_p = assemble_reused(sweep.z, design, p)
+            z_p = assemble_reused(sweep.z[0], design, p)
             rows = design.m_idx[p - 1]
-            direct = (sweep.signal[rows, np.arange(cfg128.n_rf)]
-                      + sweep.noise[rows, np.arange(cfg128.n_rf)])
+            direct = (sweep.signal[0, rows, np.arange(cfg128.n_rf)]
+                      + sweep.noise[0, rows, np.arange(cfg128.n_rf)])
             assert np.array_equal(z_p, direct)
 
     def test_array_of_codewords_stacks_rows(self, cfg128, desk_workspace):
         # stage 2 gathers every codeword at once with an index array
         book, sub, design = desk_workspace
-        h = sample_channel(cfg128, np.random.default_rng(6)).h
+        h = sample_channels(cfg128, [np.random.default_rng(6)]).h
         sweep = stage1_sweep(cfg128, sub, h, noise_power=0.05,
-                             rng=np.random.default_rng(7))
+                             rngs=[np.random.default_rng(7)])
+        z = sweep.z[0]
         ps = np.arange(1, book.n_columns + 1)
-        stacked = np.array([assemble_reused(sweep.z, design, int(p)) for p in ps])
-        assert np.array_equal(assemble_reused(sweep.z, design, ps), stacked)
-        assert np.array_equal(assemble_reused(sweep.z, design), stacked)
+        stacked = np.array([assemble_reused(z, design, int(p)) for p in ps])
+        assert np.array_equal(assemble_reused(z, design, ps), stacked)
+        assert np.array_equal(assemble_reused(z, design), stacked)
 
     def test_worked_example_reuse_rows(self, cfg512, full_workspace):
         # the worked-example codeword reuses exactly sweeps {63, 64, 65, 66}
@@ -142,26 +143,27 @@ class TestReuse:
 
 class TestSelection:
     def _single_path_channel(self, cfg, book, p, gain=1.0):
+        """A stack of one channel: codeword p's path."""
         cw = book.params(p)
-        return gain * book.column(p) if cw.kind == "near" else \
-            gain * steering_far(cfg, cw.theta)
+        return gain * book.column(np.array([p])) if cw.kind == "near" else \
+            gain * steering_far(cfg, [cw.theta])
 
     def test_noiseless_near_codeword_recovery(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
         p = book.index_of(40, 2)
-        h = book.column(p)
+        h = book.column(np.array([p]))
         sweep = stage1_sweep(cfg128, sub, h)
         res = stage2_select(book, design, sweep)
-        assert res.best_index == p
+        assert res.best_index.tolist() == [p]
         assert res.pilots == cfg128.m_per_sub
 
     def test_noiseless_far_codeword_recovery(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
         p = book.index_of(100, None)
-        sweep = stage1_sweep(cfg128, sub, book.column(p))
+        sweep = stage1_sweep(cfg128, sub, book.column(np.array([p])))
         res = stage2_select(book, design, sweep)
-        assert res.best_index == p
-        assert res.is_far
+        assert res.best_index.tolist() == [p]
+        assert math.isinf(res.rough_range[0])
 
     def test_agreement_with_exhaustive_baseline(self, cfg128, desk_workspace):
         # on noiseless single-path channels the digital reassembly must
@@ -175,24 +177,25 @@ class TestSelection:
                 continue
             h = self._single_path_channel(cfg128, book, p)
             thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, h))
-            hfbs = baseline_hfbs(book, sweep_signals(book, h)[0])
-            assert thbt.best_index == hfbs.best_index == p
+            hfbs = baseline_hfbs(book, sweep_signals(book, h))
+            assert thbt.best_index[0] == hfbs.best_index[0] == p
 
     def test_zero_channel_tie_break(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
-        sweep = stage1_sweep(cfg128, sub, np.zeros(128, dtype=complex))
+        sweep = stage1_sweep(cfg128, sub, np.zeros((1, 128), dtype=complex))
         res = stage2_select(book, design, sweep)
-        assert res.best_index == 1          # all-zero powers: smallest index
+        assert res.best_index.tolist() == [1]   # all-zero powers: smallest index
 
     def test_determinism(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
         noise = snr_db_to_noise_power(0.0, cfg128)
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(77)
-            ch = sample_channel(cfg128, rng)
-            runs.append(run_thbt(cfg128, book, design, ch, noise, rng))
-        assert runs[0].best_index == runs[1].best_index
+            rngs = [np.random.default_rng(77)]
+            ch = sample_channels(cfg128, rngs)
+            runs.append(stage2_select(book, design,
+                                      stage1_sweep(cfg128, sub, ch.h, noise, rngs)))
+        assert np.array_equal(runs[0].best_index, runs[1].best_index)
         assert np.array_equal(runs[0].powers, runs[1].powers)
 
 
@@ -205,8 +208,8 @@ class TestStackedTraining:
         book, sub, design = desk_workspace
         rng = np.random.default_rng(21)
         far = book.index_of(7, None)
-        hs = np.stack([sample_channel(cfg128, rng).h for _ in range(7)]
-                      + [book.column(far), np.zeros(128, dtype=complex)])
+        hs = np.concatenate([sample_channels(cfg128, [rng] * 7).h,
+                             [book.column(far), np.zeros(128, dtype=complex)]])
         seeds = range(100, 100 + len(hs))
         sweep = stage1_sweep(cfg128, sub, hs, noise_power,
                              [np.random.default_rng(s) for s in seeds])
@@ -214,15 +217,15 @@ class TestStackedTraining:
         assert sweep.z.shape == (9, cfg128.m_per_sub, cfg128.n_rf)
         assert stacked.powers.shape == (9, book.n_columns)
         for k, seed in enumerate(seeds):
-            alone_sweep = stage1_sweep(cfg128, sub, hs[k], noise_power,
-                                       np.random.default_rng(seed))
-            alone = run_thbt(cfg128, book, design, hs[k], noise_power,
-                             np.random.default_rng(seed))
-            assert np.array_equal(sweep.z[k], alone_sweep.z)
-            assert stacked.best_index[k] == alone.best_index
-            assert stacked.rough_omega[k] == alone.rough_omega
-            assert stacked.rough_range[k] == alone.rough_range
-            assert np.array_equal(stacked.powers[k], alone.powers)
+            # channel k alone: a stack of one
+            alone_sweep = stage1_sweep(cfg128, sub, hs[k:k + 1], noise_power,
+                                       [np.random.default_rng(seed)])
+            alone = stage2_select(book, design, alone_sweep)
+            assert np.array_equal(sweep.z[k], alone_sweep.z[0])
+            assert stacked.best_index[k] == alone.best_index[0]
+            assert stacked.rough_omega[k] == alone.rough_omega[0]
+            assert stacked.rough_range[k] == alone.rough_range[0]
+            assert np.array_equal(stacked.powers[k], alone.powers[0])
         if noise_power == 0.0:
             assert stacked.best_index[7] == far and math.isinf(stacked.rough_range[7])
             assert stacked.best_index[8] == 1           # all-zero powers: smallest index
@@ -290,24 +293,37 @@ class TestRoughPosition:
 class TestBaselines:
     def test_hfbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
-        h = np.zeros(512, dtype=complex)
-        res = baseline_hfbs(book, sweep_signals(book, h)[0])
+        h = np.zeros((1, 512), dtype=complex)
+        res = baseline_hfbs(book, sweep_signals(book, h))
         assert res.pilots == 6144
 
     def test_ffbs_pilot_budget(self, full_workspace):
         book, _, _ = full_workspace
-        res = baseline_ffbs(book, sweep_signals(book, np.zeros(512, dtype=complex),
-                                                book.n_near)[0])
+        res = baseline_ffbs(book, sweep_signals(book, np.zeros((1, 512), dtype=complex),
+                                                book.n_near))
         assert res.pilots == 512
 
     def test_ffbs_matches_hfbs_on_far_channel(self, cfg128, desk_workspace):
         book, _, _ = desk_workspace
         h = realize(cfg128, [PathParams(gain=1.0 + 0j, omega=0.63,
                                         range_m=FAR_FIELD)]).h
-        hfbs = baseline_hfbs(book, sweep_signals(book, h)[0])
-        ffbs = baseline_ffbs(book, sweep_signals(book, h, book.n_near)[0])
-        assert hfbs.best_index == ffbs.best_index
-        assert ffbs.is_far
+        hfbs = baseline_hfbs(book, sweep_signals(book, h))
+        ffbs = baseline_ffbs(book, sweep_signals(book, h, book.n_near))
+        assert hfbs.best_index[0] == ffbs.best_index[0]
+        assert math.isinf(ffbs.rough_range[0])
+
+    @pytest.mark.parametrize("sweep", ["stage1", "hfbs", "ffbs"])
+    def test_noisy_sweep_without_generators_raises(self, cfg128, desk_workspace, sweep):
+        # noise is drawn from one generator per channel: none is a fault,
+        # not a noiseless sweep
+        book, sub, _ = desk_workspace
+        hs = np.zeros((2, 128), dtype=complex)
+        run = {"stage1": lambda: stage1_sweep(cfg128, sub, hs, 1e-3),
+               "hfbs": lambda: baseline_hfbs(book, sweep_signals(book, hs), 1e-3),
+               "ffbs": lambda: baseline_ffbs(book, sweep_signals(book, hs, book.n_near),
+                                             1e-3)}[sweep]
+        with pytest.raises(ValueError, match="needs an rng"):
+            run()
 
     def test_thbt_within_loss_bound_of_hfbs(self, cfg128, desk_workspace):
         # noiseless selection gains: the reassembled measurement of the
@@ -317,13 +333,13 @@ class TestBaselines:
         book, sub, design = desk_workspace
         rng = np.random.default_rng(4)
         floor = (1.0 - gain_loss_bound(cfg128) - 0.01) * (2.0 / math.pi)
-        for _ in range(60):
-            ch = sample_channel(cfg128, rng,
-                                ChannelScenario(n_paths=1, gain_vars=(1.0,)))
-            thbt = run_thbt(cfg128, book, design, ch)
-            hfbs = baseline_hfbs(book, sweep_signals(book, ch.h)[0])
-            g_t = math.sqrt(thbt.powers[thbt.best_index - 1])
-            g_h = math.sqrt(hfbs.powers[hfbs.best_index - 1])
+        chs = sample_channels(cfg128, [rng] * 60,
+                              ChannelScenario(n_paths=1, gain_vars=(1.0,)))
+        thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, chs.h))
+        hfbs = baseline_hfbs(book, sweep_signals(book, chs.h))
+        for k in range(60):
+            g_t = math.sqrt(thbt.powers[k, thbt.best_index[k] - 1])
+            g_h = math.sqrt(hfbs.powers[k][hfbs.best_index[k] - 1])
             assert g_t >= floor * g_h
 
 
@@ -331,8 +347,7 @@ class TestSweepSignals:
     @pytest.fixture(scope="class")
     def stack(self, cfg512):
         rng = np.random.default_rng(12)
-        return np.stack([sample_channel(cfg512, rng, ChannelScenario()).h
-                         for _ in range(64)])
+        return sample_channels(cfg512, [rng] * 64, ChannelScenario()).h
 
     @pytest.mark.parametrize("k", [0, 17, 63])
     def test_padded_row_equals_row_in_full_stack(self, full_workspace, stack, k):
@@ -375,11 +390,11 @@ class TestSweepSignals:
         book, _, _ = full_workspace
         y = sweep_signals(book, stack[:2])
         for scheme, first in ((baseline_hfbs, 0), (baseline_ffbs, book.n_near)):
-            given = scheme(book, y[1, first:], 1e-3, np.random.default_rng(3))
-            alone = scheme(book, sweep_signals(book, stack[1], first)[0], 1e-3,
-                           np.random.default_rng(3))
-            assert given.best_index == alone.best_index
-            assert np.array_equal(given.powers, alone.powers)
+            given = scheme(book, y[1:2, first:], 1e-3, [np.random.default_rng(3)])
+            alone = scheme(book, sweep_signals(book, stack[1], first), 1e-3,
+                           [np.random.default_rng(3)])
+            assert given.best_index[0] == alone.best_index[0]
+            assert np.array_equal(given.powers[0], alone.powers[0])
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
@@ -395,11 +410,11 @@ class TestSweepSignals:
         assert stacked.best_index.shape == (n,) and len(stacked.powers) == n
         for k, rng in enumerate(stacked_rngs):
             alone_rng = np.random.default_rng(40 + k)
-            alone = scheme(book, y[k], noise, alone_rng)
-            assert stacked.best_index[k] == alone.best_index
-            assert stacked.rough_omega[k] == alone.rough_omega
-            assert stacked.rough_range[k] == alone.rough_range
-            assert np.array_equal(stacked.powers[k], alone.powers)
+            alone = scheme(book, y[k:k + 1], noise, [alone_rng])
+            assert stacked.best_index[k] == alone.best_index[0]
+            assert stacked.rough_omega[k] == alone.rough_omega[0]
+            assert stacked.rough_range[k] == alone.rough_range[0]
+            assert np.array_equal(stacked.powers[k], alone.powers[0])
             assert rng.bit_generator.state == alone_rng.bit_generator.state
         assert stacked.pilots == alone.pilots == book.n_columns - first
 
@@ -412,4 +427,7 @@ class TestSweepSignals:
     def test_signal_of_the_wrong_width_raises(self, full_workspace, stack):
         book, _, _ = full_workspace
         with pytest.raises(ValueError, match="ffbs signal"):
-            baseline_ffbs(book, sweep_signals(book, stack[0])[0])
+            baseline_ffbs(book, sweep_signals(book, stack[:1]))
+        # one channel's row is not a stack of rows
+        with pytest.raises(ValueError, match="ffbs signal"):
+            baseline_ffbs(book, sweep_signals(book, stack[0], book.n_near)[0])
