@@ -30,21 +30,23 @@ rows = []
 rng = np.random.default_rng(7)
 for snr_db in (0.0, 10.0, 20.0, 30.0):
     noise = snr_db_to_noise_power(snr_db, cfg)
-    coarse_err, fine_err = [], []
+    # each trial draws its angle, range and pilot noise in turn, then all
+    # 300 channels are swept and refined as one stack
+    omegas, ranges, noise_rows = [], [], []
     for _ in range(300):
-        omega = rng.uniform(-math.sqrt(3) / 2, math.sqrt(3) / 2)
-        r = rng.uniform(10.0, 30.0)
-        h = steering_near(cfg, omega, r)
-        # coarse: the codeword best fitting the channel
-        p = int(np.argmax(np.abs(sweep_signals(book, h)[0]))) + 1
-        cw = book.params(p)
-        truth = position(omega, r)
-        coarse_err.append(np.linalg.norm(position(cw.theta, cw.distance) - truth))
-        # refine a stack of one channel
-        res = refine_channels(cfg, h[None], [cw.theta], [cw.distance],
-                              antenna_noise([rng], cfg.n_antennas, noise))
-        omega_hat, r_hat = float(res.omega[0]), float(res.range_m[0])
-        if res.refined[0] and math.isfinite(r_hat) and abs(omega_hat) <= 1:
+        omegas.append(rng.uniform(-math.sqrt(3) / 2, math.sqrt(3) / 2))
+        ranges.append(rng.uniform(10.0, 30.0))
+        noise_rows.append(antenna_noise([rng], cfg.n_antennas, noise))
+    hs = steering_near(cfg, omegas, ranges)
+    # coarse: the codeword best fitting each channel
+    theta, distance = book.geometry(np.argmax(np.abs(sweep_signals(book, hs)), axis=1) + 1)
+    res = refine_channels(cfg, hs, theta, distance, np.concatenate(noise_rows))
+    coarse_err, fine_err = [], []
+    for t in range(300):
+        truth = position(omegas[t], ranges[t])
+        coarse_err.append(np.linalg.norm(position(theta[t], distance[t]) - truth))
+        omega_hat, r_hat = float(res.omega[t]), float(res.range_m[t])
+        if res.refined[t] and math.isfinite(r_hat) and abs(omega_hat) <= 1:
             fine_err.append(np.linalg.norm(position(omega_hat, r_hat) - truth))
         else:
             fine_err.append(coarse_err[-1])

@@ -278,7 +278,13 @@ def antenna_noise(rngs, n_antennas: int, noise_power: float) -> np.ndarray | Non
         count = sum(1 for _ in pilots)
         rng.standard_normal(out=normals[row:row + count])
         row += count
-    return _complex_normal(normals[:, 0], normals[:, 1]) * math.sqrt(noise_power)
+    # scaled in place as _complex_normal(re, im) * sqrt(noise_power) scales
+    # each part: first by sqrt(1/2), then by sqrt(noise_power)
+    normals *= math.sqrt(0.5)
+    normals *= math.sqrt(noise_power)
+    noise = np.empty((len(rngs), n_antennas), dtype=complex)
+    noise.real, noise.imag = normals[:, 0], normals[:, 1]
+    return noise
 
 
 def _synthesize(cfg: ArrayConfig, gains, sines, ranges) -> ChannelRealization:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, ChannelScenario, antenna_noise, sample_channels,
                      snr_db_to_noise_power)
-from .codebooks import build_hybrid_codebook, validate_quantization
+from .codebooks import hybrid_codebook_geometry, validate_quantization
 from .combining import alignment_gain, design_hybrid
 from .harness.experiments import (POSITIONING_SCHEMES, TRACKING_SCHEMES,
                                   TRAINING_SCHEMES, ExperimentSpec, gain_vs_distance,
@@ -451,7 +451,7 @@ def _sweep_svg(kind: str, rows: list[dict], path) -> None:
 def cmd_codebook(config: dict, values: dict, args) -> int:
     cfg = model_of(ArrayConfig, values["cfg"], "array")
     q, s = values["codebook"]["q"], values["codebook"]["s"]
-    book = build_hybrid_codebook(cfg, q, s)
+    book = hybrid_codebook_geometry(cfg, q, s)       # the grids only: no column is read
     report = validate_quantization(cfg, q, s)
     meta = {
         "n_antennas": cfg.n_antennas, "n_rf": cfg.n_rf,

@@ -17,11 +17,15 @@ above), then the far block: ``ceil(Q/2)*S + Q`` columns.  Every other near
 column is read from its mirror source with the antenna axis reversed
 (:meth:`HybridCodebook.source`).
 
-Held matrix.  :func:`build_hybrid_codebook` steers the matrix at once.  A
-caller that will read no stored column (an experiment driver none of whose
-schemes reads one) drops it with :meth:`HybridCodebook.release_matrix`,
-and the next read of ``matrix`` steers it again with :func:`steer_matrix`,
-the one routine that builds it: bit for bit the matrix first built.
+Held matrix.  :func:`build_hybrid_codebook` steers the matrix at once;
+:func:`hybrid_codebook_geometry` builds the same book without it, for a
+caller that reads only the grids.  A caller that will read no stored column
+(an experiment driver none of whose schemes reads one) drops it with
+:meth:`HybridCodebook.release_matrix`, and the next read of ``matrix``
+steers it again with :func:`steer_matrix`, the one routine that builds it:
+bit for bit the matrix first built.  A caller that reads a few columns
+steers each alone with :meth:`HybridCodebook.steer_column`, as
+:func:`steer_matrix` steers it, without the matrix.
 """
 
 from __future__ import annotations
@@ -134,6 +138,24 @@ class HybridCodebook:
         q = p - qs
         return CodewordParams("far", float(self.theta[q - 1]), FAR_FIELD, q, None)
 
+    def cells(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """The grid cells (q, s) of columns p (1-based, an array), with
+        s = 0 for a far column."""
+        i = np.asarray(p) - 1
+        far = i >= self.n_near
+        rings = max(self.n_rings, 1)
+        return (np.where(far, i - self.n_near, i // rings) + 1,
+                np.where(far, 0, i % rings + 1))
+
+    def geometry(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, distance) of columns p (1-based, an array), as ``params``
+        gives them: an infinite distance for a far column."""
+        q, s = self.cells(p)
+        near = s > 0
+        distance = np.full(q.shape, FAR_FIELD)
+        distance[near] = self.distances[q[near] - 1, s[near] - 1]
+        return self.theta[q - 1], distance
+
     def index_of(self, q: int, s: int | None = None) -> int:
         """Column index of near cell (q, s), or of far angle q with s=None."""
         if s is None:
@@ -165,10 +187,32 @@ class HybridCodebook:
         rows[mirrored] = rows[mirrored, ::-1]
         return rows
 
+    def steer_column(self, p: int) -> np.ndarray:
+        """Column p (1-based) steered alone, without reading ``matrix``:
+        its stored column steered by the call :func:`steer_matrix` makes
+        for that angle, reversed for a mirrored p, so bit for bit
+        ``column(p)``."""
+        stored, mirrored = self.source(p)
+        stored = int(stored)
+        if stored >= self.n_stored_near:
+            return steering_far(self.cfg, self.theta[stored - self.n_stored_near])
+        q, s = divmod(stored, self.n_rings)
+        col = steering_near(self.cfg, self.theta[q], self.distances[q, s], validate=False)
+        return col[::-1] if mirrored else col
+
 
 def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     """Build the hybrid codebook {near block, far block} with Q*S+Q columns,
-    of which ``matrix`` holds ceil(Q/2)*S+Q (see the module notes).
+    of which ``matrix`` holds ceil(Q/2)*S+Q (see the module notes), steered
+    at once."""
+    book = hybrid_codebook_geometry(cfg, q, s)
+    book._matrix = steer_matrix(cfg, book.theta, book.distances)
+    return book
+
+
+def hybrid_codebook_geometry(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
+    """The hybrid codebook's grids, with no matrix held: the first read of
+    ``matrix`` steers it.
 
     ``s = 0`` degenerates to the far-only codebook of Q columns.  Near
     columns whose ring distance falls below the validity floor (extreme
@@ -185,7 +229,7 @@ def build_hybrid_codebook(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook:
     # point nearest broadside sits essentially on the floor
     below = dist < cfg.range_floor * (1.0 - 1e-12)
     return HybridCodebook(cfg=cfg, n_angles=q, n_rings=s, theta=theta, distances=dist,
-                          below_floor=below, _matrix=steer_matrix(cfg, theta, dist))
+                          below_floor=below)
 
 
 def steer_matrix(cfg: ArrayConfig, theta: np.ndarray, dist: np.ndarray) -> np.ndarray:

@@ -78,10 +78,14 @@ def clear_workspace_cache() -> None:
 
 
 # The schemes that read stored codebook columns once the workspace is built:
-# the sweep baselines sweep them, and the codeword trackers point them.  The
-# others read only the trained design.  refinement_grid's coarse step is
-# hfbs, so it always reads them.
-READS_MATRIX = ("hfbs", "ffbs", "hfns", "ffbt_proxy")
+# the sweep baselines sweep them.  The others read only the trained design,
+# and the codeword trackers steer the few columns they point themselves
+# (tracking.hfns_step).  refinement_grid's coarse step is hfbs, so it always
+# reads them.
+READS_MATRIX = ("hfbs", "ffbs")
+
+# The tracking schemes that read the trained design: the codeword trackers.
+READS_DESIGN = ("hfns", "ffbt_proxy")
 
 
 def _hold_matrix_for(spec: ExperimentSpec, schemes) -> None:
@@ -95,7 +99,7 @@ def _hold_matrix_for(spec: ExperimentSpec, schemes) -> None:
 def _tracking_design(spec: ExperimentSpec, schemes) -> TrainedDesign | None:
     """The trained design that the codeword trackers among ``schemes``
     read, or None: a run of nfbt and brpss alone builds no workspace."""
-    if not set(schemes) & set(READS_MATRIX):
+    if not set(schemes) & set(READS_DESIGN):
         return None
     return workspace(spec.cfg, spec.n_angles, spec.n_rings)[2]
 
@@ -377,7 +381,10 @@ def tracking_experiment(spec: ExperimentSpec) -> list[dict]:
     if spec.trajectory is None or spec.tracker is None:
         raise ValueError("tracking_experiment needs a trajectory and tracker config")
     schemes = tuple(s for s in spec.schemes if s in TRACKING_SCHEMES)
-    _tracking_design(spec, schemes)      # built before any worker needs it
+    # built before any worker needs it; no tracker reads the matrix
+    design = _tracking_design(spec, schemes)
+    if design is not None:
+        design.book.release_matrix()
     logged = ("gain", "se_bits", "pilots")      # the TrackLog arrays the rows read
     noises = [snr_db_to_noise_power(snr_db, spec.cfg) for snr_db in spec.snr_grid_db]
     # the line of sight is built once, before any worker needs it

@@ -481,17 +481,48 @@ class StepResult:
     """What one scheme did in one block, one entry per run.
 
     ``beam[t]`` is scored against the true geometry; the spectral-efficiency
-    combiner is designed at (``omega[t]``, ``range_m[t]``).  Positions are
-    as in :class:`TrackLog`.
+    combiner is designed at (``omega[t]``, ``range_m[t]``).  A step that
+    points codebook columns reports them in ``codeword`` (1-based), and
+    the geometry is then the codeword's.  Positions are as in
+    :class:`TrackLog`.
     """
 
     beam: np.ndarray                        # (T, N)
     omega: np.ndarray                       # (T,)
     range_m: np.ndarray                     # (T,)
     pilots: np.ndarray                      # (T,) int
+    codeword: np.ndarray | None = None      # (T,) int
     predicted: np.ndarray | None = None     # (T, 2)
     measured: np.ndarray | None = None      # (T, 2)
     filtered: np.ndarray | None = None      # (T, 2)
+
+
+def _se_rows(cfg: ArrayConfig, outs, by_codeword) -> np.ndarray:
+    """Every run's SE combiner (:func:`se_combiners`), in run order.
+
+    A continuous step's rows are designed every block, all in one call.  A
+    step that points codewords has each codeword's row designed on its
+    first visit and kept in its dict of ``by_codeword``, one per step: a
+    row comes out bit for bit the same alone or in any stack.
+    """
+    continuous = [out for out in outs if out.codeword is None]
+    if continuous:
+        designed = se_combiners(cfg, np.concatenate([out.omega for out in continuous]),
+                                np.concatenate([out.range_m for out in continuous]))
+    parts, first = [], 0
+    for out, rows in zip(outs, by_codeword):
+        if out.codeword is None:
+            parts.append(designed[first:first + len(out.omega)])
+            first += len(out.omega)
+            continue
+        codewords, where = np.unique(out.codeword, return_index=True)
+        new = [k for k, p in enumerate(codewords.tolist()) if p not in rows]
+        if new:
+            at = where[new]
+            rows.update(zip(codewords[new].tolist(),
+                            se_combiners(cfg, out.omega[at], out.range_m[at])))
+        parts.append(np.stack([rows[p] for p in out.codeword.tolist()]))
+    return np.concatenate(parts)
 
 
 def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
@@ -515,12 +546,11 @@ def run_schemes(cfg: ArrayConfig, traj: Trajectory, tcfg: TrackerConfig,
     edges = np.cumsum([0] + [len(rngs) for _, rngs in runs]).tolist()
     chan = TrackingChannel(cfg, traj, scen, all_rngs)
     gains, ses, kept = [], [], []
+    se_rows = [{} for _ in runs]        # each step's SE row per codeword it has pointed
     for i in range(1, tcfg.n_blocks + 1):
         hs = chan.at_block(i, all_rngs)
         outs = [step(hs[a:b], rngs) for (step, rngs), a, b in zip(runs, edges, edges[1:])]
-        rows = se_combiners(cfg, np.concatenate([out.omega for out in outs]),
-                            np.concatenate([out.range_m for out in outs]))
-        ses.append(spectral_efficiency(rows, hs, noise_power))
+        ses.append(spectral_efficiency(_se_rows(cfg, outs, se_rows), hs, noise_power))
         # |los^H beam| of every run's beam, in run order
         gains.append(np.abs(row_dots(chan.los.steering[i].conj(),
                                      np.concatenate([out.beam for out in outs]))))
@@ -597,6 +627,33 @@ def brpss_step(cfg: ArrayConfig, start, noise_power: float):
     return step
 
 
+def _visited_columns(book: HybridCodebook):
+    """A lookup of codebook columns, ``columns(p)`` for an array of 1-based
+    indices, that steers each column on its first visit
+    (:meth:`HybridCodebook.steer_column`, bit for bit its stored column)
+    and keeps it: a tracker holds the columns its runs visit, not the
+    matrix."""
+    kept = {}
+
+    def columns(p: np.ndarray) -> np.ndarray:
+        p = p.tolist()
+        for one in p:
+            if one not in kept:
+                kept[one] = book.steer_column(one)
+        return np.stack([kept[one] for one in p])
+
+    return columns
+
+
+def _best_candidates(cands: np.ndarray, runs: np.ndarray, slots: np.ndarray,
+                     powers: np.ndarray) -> np.ndarray:
+    """Each run's candidate of largest power, the first on ties: the
+    candidates ``cands[runs, slots]`` were measured as ``powers``."""
+    table = np.full(cands.shape, -1.0)      # below every power, so no masked slot wins
+    table[runs, slots] = powers
+    return cands[np.arange(len(cands)), np.argmax(table, axis=1)]
+
+
 def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float):
     """Neighbor search in the hybrid codebook: 5 pilots per block.
 
@@ -608,25 +665,22 @@ def hfns_step(cfg: ArrayConfig, design: TrainedDesign, start, noise_power: float
     book = design.book
     p_start = nearest_codeword(book, *omega_range(start))
     p_best = None
+    columns = _visited_columns(book)
 
     def step(hs, rngs):
         nonlocal p_best
         if p_best is None:
-            p_best = [p_start] * len(rngs)
-        cands = [neighbor_codewords(book, p) for p in p_best]
+            p_best = np.full(len(rngs), p_start)
+        cands, valid = neighbor_codewords(book, p_best)
         # every (run, candidate) pilot as one stack, each run's in order
-        runs = [t for t, c in enumerate(cands) for _ in c]
-        pairs = design.combiner(np.concatenate(cands))
+        runs, slots = np.nonzero(valid)
+        pairs = design.combiner(cands[runs, slots])
         z = subarray_outputs(cfg, pairs.w_blocks, hs[runs],
-                             antenna_noise([rngs[t] for t in runs], cfg.n_antennas,
+                             antenna_noise([rngs[t] for t in runs.tolist()], cfg.n_antennas,
                                            noise_power))
-        powers = signal_powers(pairs.v, z)
-        first = np.cumsum([0] + [len(c) for c in cands])
-        p_best = [c[int(np.argmax(powers[a:b]))] for c, a, b in zip(cands, first, first[1:])]
-        cws = [book.params(p) for p in p_best]
-        return StepResult(book.column(np.asarray(p_best)),
-                          np.array([cw.theta for cw in cws]),
-                          np.array([cw.distance for cw in cws]), pilots=np.diff(first))
+        p_best = _best_candidates(cands, runs, slots, signal_powers(pairs.v, z))
+        return StepResult(columns(p_best), *book.geometry(p_best),
+                          pilots=valid.sum(axis=1), codeword=p_best)
 
     return step
 
@@ -641,29 +695,27 @@ def ffbt_proxy_step(book: HybridCodebook, start, noise_power: float):
     """
     q_start = book.params(nearest_codeword(book, omega_range(start)[0], FAR_FIELD)).q
     q_best = None
+    columns = _visited_columns(book)
 
     def step(hs, rngs):
         nonlocal q_best
         if q_best is None:
-            q_best = [q_start] * len(rngs)
-        cands = [[q for q in (q_t - 1, q_t, q_t + 1) if 1 <= q <= book.n_angles]
-                 for q_t in q_best]
+            q_best = np.full(len(rngs), q_start)
+        cands = q_best[:, None] + np.array([-1, 0, 1])
+        valid = (cands >= 1) & (cands <= book.n_angles)
         # every (run, candidate) pilot as one stack, each run's in order
-        runs = [t for t, c in enumerate(cands) for _ in c]
-        flat = [q for c in cands for q in c]
-        cols = book.column(book.index_of(np.asarray(flat), None))
-        ys = row_dots(cols.conj(), hs[runs])
+        runs, slots = np.nonzero(valid)
+        ys = row_dots(columns(book.index_of(cands[runs, slots], None)).conj(), hs[runs])
+        pilots = valid.sum(axis=1)
         if noise_power > 0.0:
             # crandn(rng) per pilot, in order: one draw of each run's normals
-            normals = np.concatenate([rng.standard_normal(2 * len(c))
-                                      for rng, c in zip(rngs, cands)])
+            normals = np.concatenate([rng.standard_normal(2 * n)
+                                      for rng, n in zip(rngs, pilots.tolist())])
             ys = ys + _complex_normal(normals[0::2], normals[1::2]) * math.sqrt(noise_power)
-        powers = np.abs(ys) ** 2
-        first = np.cumsum([0] + [len(c) for c in cands])
-        best = [a + int(np.argmax(powers[a:b])) for a, b in zip(first, first[1:])]
-        q_best = [flat[k] for k in best]
-        return StepResult(cols[best], book.theta[np.asarray(q_best) - 1],
-                          np.full(len(best), FAR_FIELD), pilots=np.diff(first))
+        q_best = _best_candidates(cands, runs, slots, np.abs(ys) ** 2)
+        p_best = book.index_of(q_best, None)
+        return StepResult(columns(p_best), book.theta[q_best - 1],
+                          np.full(len(q_best), FAR_FIELD), pilots=pilots, codeword=p_best)
 
     return step
 
@@ -683,24 +735,24 @@ def nearest_codeword(book: HybridCodebook, omega: float, r: float) -> int:
     return book.index_of(q, int(np.argmin(gaps)) + 1)
 
 
-def neighbor_codewords(book: HybridCodebook, p: int) -> list[int]:
-    """The codeword plus four grid neighbors, clipped at grid edges."""
-    cw = book.params(p)
-    cands = [p]
-    if cw.is_far:
-        for dq in (-2, -1, 1, 2):
-            q = cw.q + dq
-            if 1 <= q <= book.n_angles:
-                cands.append(book.index_of(q, None))
-    else:
-        for dq in (-1, 1):
-            q = cw.q + dq
-            if 1 <= q <= book.n_angles:
-                cands.append(book.index_of(q, cw.s))
-        for ds in (-1, 1):
-            s = cw.s + ds
-            if 1 <= s <= book.n_rings:
-                cands.append(book.index_of(cw.q, s))
-            elif s == 0:
-                cands.append(book.index_of(cw.q, None))   # shallower than ring 1: far
-    return cands
+# Each candidate's (angle, ring) step from a near cell and from a far cell.
+# A near cell's ring 0 is its angle's far cell (shallower than ring 1).
+NEAR_STEPS = (np.array([0, -1, 1, 0, 0]), np.array([0, 0, 0, -1, 1]))
+FAR_STEPS = (np.array([0, -2, -1, 1, 2]), np.zeros(5, dtype=int))
+
+
+def neighbor_codewords(book: HybridCodebook, p) -> tuple[np.ndarray, np.ndarray]:
+    """Each codeword of the (T,) array ``p`` (1-based) and its four grid
+    neighbors: a (T, 5) index array, the codeword first, and the (T, 5)
+    mask of the candidates inside the grid (a masked index means nothing).
+
+    A near cell (q, s) has (q - 1, s), (q + 1, s), (q, s - 1) and
+    (q, s + 1), with the far cell of angle q for ring 0; a far cell has the
+    far cells of angles q - 2, q - 1, q + 1 and q + 2.
+    """
+    q, s = book.cells(p)
+    far = (s == 0)[:, None]
+    q = q[:, None] + np.where(far, FAR_STEPS[0], NEAR_STEPS[0])
+    s = s[:, None] + np.where(far, FAR_STEPS[1], NEAR_STEPS[1])
+    valid = (q >= 1) & (q <= book.n_angles) & (s <= book.n_rings)
+    return np.where(s == 0, book.index_of(q, None), book.index_of(q, s)), valid

@@ -1,7 +1,7 @@
 """Reference oracles for the chirp-sum, flat-top and phase-model claims,
 the paper's closed-form geometry formulas, the channel of given paths,
-the full codebook matrix and its design, and one-seed-at-a-time tracking
-with nothing cached.
+the full codebook matrix and its design, the codeword trackers' neighbour
+sets, and one-seed-at-a-time tracking with nothing cached.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
@@ -260,6 +260,29 @@ def uncached_perfect_csi_se(cfg: ArrayConfig, traj, scen, noise_power: float,
         h, omega, zeta = _uncached_block(cfg, traj, scen, scatterers, rng, i)
         ses.append(_uncached_se(cfg, h, omega, zeta, noise_power))
     return float(np.mean(ses))
+
+
+def neighbor_list(book: HybridCodebook, p: int) -> list[int]:
+    """Codeword p and its four grid neighbours, one cell at a time and
+    clipped at the grid's edges: the reference for the (T, 5) candidate
+    table ``tracking.neighbor_codewords`` builds."""
+    cw = book.params(p)
+    cands = [p]
+    if cw.is_far:
+        for dq in (-2, -1, 1, 2):
+            if 1 <= cw.q + dq <= book.n_angles:
+                cands.append(book.index_of(cw.q + dq, None))
+        return cands
+    for dq in (-1, 1):
+        if 1 <= cw.q + dq <= book.n_angles:
+            cands.append(book.index_of(cw.q + dq, cw.s))
+    for ds in (-1, 1):
+        s = cw.s + ds
+        if 1 <= s <= book.n_rings:
+            cands.append(book.index_of(cw.q, s))
+        elif s == 0:
+            cands.append(book.index_of(cw.q, None))   # shallower than ring 1: far
+    return cands
 
 
 def sequential_calibration(cfg: ArrayConfig, noise_power: float, omega: float,

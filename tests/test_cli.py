@@ -17,6 +17,7 @@ from xlbeam.cli import (INTEGER, KEYS, OBJECT, Key, check_trajectory, experiment
 from xlbeam.harness import ConfigError, runner
 from xlbeam.harness.io import fmt_value
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
+from test_harness import counted_steering
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
 DESK_PATHS = {"count": 3, "gain_vars": [1.0, 0.01, 0.01],
@@ -623,12 +624,14 @@ class TestSingleRuns:
                                        "innovation_gate": gate})
         assert len(self._track_rows(tmp_path, config)) == 12
 
-    def test_codebook(self, tmp_path):
+    def test_codebook(self, tmp_path, monkeypatch):
         cfgdict = {"array": DESK_ARRAY, "codebook": {"q": 128, "s": 3}}
         cfg = write_config(tmp_path, "cfg.json", cfgdict)
         out = tmp_path / "res"
+        steered = counted_steering(monkeypatch)
         assert main(["--config", cfg, "--out", str(out), "codebook",
                      "--columns"]) == 0
+        assert steered == []        # geometry only: no matrix is steered
         meta = json.loads((out / "codebook_meta.json").read_text())
         assert meta["columns"] == 128 * 3 + 128
         lines = (out / "codebook_columns.csv").read_text().splitlines()

@@ -199,6 +199,22 @@ class TestStoredLayout:
         assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
         assert book.matrix is again
 
+    @pytest.mark.parametrize("array, q, s", [("cfg512", 512, 11), ("cfg128", 33, 2),
+                                             ("cfg128", 32, 0)])
+    def test_a_column_steered_alone_is_its_stored_column(self, request, array, q, s,
+                                                          monkeypatch):
+        book = build_hybrid_codebook(request.getfixturevalue(array), q, s)
+        held = book.matrix
+        book.release_matrix()
+        monkeypatch.setattr(codebooks, "steer_matrix", None)    # no matrix is steered
+        for p in range(1, book.n_columns + 1):
+            stored, mirrored = book.source(p)
+            want = held[:, int(stored)][::-1] if mirrored else held[:, int(stored)]
+            col, want = np.ascontiguousarray(book.steer_column(p)), np.ascontiguousarray(want)
+            assert col.dtype == want.dtype and col.shape == want.shape
+            assert np.array_equal(col.view(np.uint64), want.view(np.uint64)), p
+        assert not book.holds_matrix
+
     def test_threads_reading_a_released_matrix_steer_it_once(self, cfg128, monkeypatch):
         # more readers than cores, and a slow steering and a short switch
         # interval widen the window in which a second steering could start

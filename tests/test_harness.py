@@ -467,20 +467,22 @@ class TestTrackingExperiment:
         budgets = {r["scheme"]: r["pilots_per_block"] for r in time_rows}
         assert budgets == {"nfbt": 1, "brpss": 1, "hfns": 5, "ffbt_proxy": 3}
 
-    # the codeword trackers read stored columns; nfbt and brpss read no
-    # workspace at all, so a run of those alone steers no matrix
-    @pytest.mark.parametrize("schemes, holds", [(("nfbt", "brpss"), False),
-                                                (("nfbt", "ffbt_proxy"), True),
-                                                (("hfns",), True)])
+    # the codeword trackers read the trained design, whose build steers the
+    # matrix once, and steer the few columns they point themselves; nfbt and
+    # brpss read no workspace at all.  No tracking scheme reads the matrix,
+    # so no run holds it.
+    @pytest.mark.parametrize("schemes, builds", [(("nfbt", "brpss"), False),
+                                                 (("nfbt", "ffbt_proxy"), True),
+                                                 (("hfns",), True)])
     def test_a_run_holds_the_matrix_only_if_a_scheme_reads_it(self, cfg128, monkeypatch,
-                                                              schemes, holds):
+                                                              schemes, builds):
         steered = counted_steering(monkeypatch)
         tracking_experiment(replace(self.spec(cfg128, trials=1), schemes=schemes))
-        assert len(steered) == int(holds)
-        assert bool(experiments._workspace_cache) == holds
-        if holds:
+        assert len(steered) == int(builds)
+        assert bool(experiments._workspace_cache) == builds
+        if builds:
             book, _, _ = experiments.workspace(cfg128, 128, 3)
-            assert book.holds_matrix
+            assert not book.holds_matrix
             assert len(steered) == 1
 
     def test_scatterer_cache_keeps_rows(self, cfg128, desk_workspace):

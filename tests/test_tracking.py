@@ -4,14 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import rayleigh_distance, sequential_calibration, uncached_tracking_run
+from oracles import (neighbor_list, rayleigh_distance, sequential_calibration,
+                     uncached_tracking_run)
+from xlbeam import tracking
 from xlbeam import (FAR_FIELD, brpss_step, build_hybrid_codebook, calibrate_measurement_cov,
                     design_hybrid, ffbt_proxy_step, filter_update, hfns_step, hybrid_beam_gain,
                     innovation_distances, measure_blocks, nfbt_step, predict, run_schemes,
                     steering_far, steering_near, steering_quadratic)
 from xlbeam.tracking import (TrackerConfig, TrackState, TrackingScenario,
                              Trajectory, nearest_codeword, neighbor_codewords,
-                             process_noise, transition_matrix)
+                             process_noise, se_combiners, transition_matrix)
+from xlbeam.arrays import snr_db_to_noise_power
 
 PAPER_TRAJ = Trajectory(start=(50.0, 50.0 * math.sqrt(3)),
                         velocity=(-5.0, -5.0 * math.sqrt(3)),
@@ -339,21 +342,52 @@ class TestBaselines:
 
     def test_neighbor_sets(self, cfg128, full_workspace):
         book, _, _ = full_workspace
-        p_near = book.index_of(256, 6)
-        cands = neighbor_codewords(book, p_near)
-        assert p_near in cands and len(cands) == 5
-        p_far = book.index_of(256, None)
-        cands = neighbor_codewords(book, p_far)
-        assert p_far in cands and len(cands) == 5
-        assert all(book.params(c).is_far for c in cands)
+        p_near, p_far = book.index_of(256, 6), book.index_of(256, None)
+        cands, valid = neighbor_codewords(book, np.array([p_near, p_far]))
+        assert valid.all() and cands[:, 0].tolist() == [p_near, p_far]
+        assert all(book.params(int(c)).is_far for c in cands[1])
         # every cell of the 66 codebooks Q 1-11 x S 0-5: the cell first,
-        # then at most four distinct neighbours, clipped at the grid's edges
+        # then at most four distinct neighbours, clipped at the grid's edges,
+        # as the one-cell oracle lists them
         for q in range(1, 12):
             for s in range(6):
                 small = build_hybrid_codebook(cfg128, q, s)
-                for p in range(1, small.n_columns + 1):
-                    cands = neighbor_codewords(small, p)
-                    assert cands[0] == p and len(set(cands)) == len(cands) <= 5, (q, s, p)
+                p = np.arange(1, small.n_columns + 1)
+                cands, valid = neighbor_codewords(small, p)
+                assert cands.shape == valid.shape == (len(p), 5)
+                for one, row, inside in zip(p.tolist(), cands, valid):
+                    got = row[inside].tolist()
+                    assert got == neighbor_list(small, one), (q, s, one)
+                    assert got[0] == one and len(set(got)) == len(got) <= 5, (q, s, one)
+
+    @pytest.mark.parametrize("scheme", ["hfns", "ffbt_proxy"])
+    def test_each_codeword_row_is_designed_once(self, cfg512, full_workspace, monkeypatch,
+                                                scheme):
+        # a codeword tracker's SE combiner is designed on the first block that
+        # points its codeword, once per run_schemes call
+        book, _, design = full_workspace
+        noise = snr_db_to_noise_power(0.0, cfg512)
+        step = (hfns_step(cfg512, design, PAPER_TRAJ.start, noise) if scheme == "hfns"
+                else ffbt_proxy_step(book, PAPER_TRAJ.start, noise))
+        pointed, designed = [], []
+
+        def recorded(hs, rngs):
+            out = step(hs, rngs)
+            pointed.extend(out.codeword.tolist())
+            return out
+
+        def counted(cfg, omega, zeta):
+            designed.extend(zip(np.asarray(omega).tolist(), np.asarray(zeta).tolist()))
+            return se_combiners(cfg, omega, zeta)
+
+        monkeypatch.setattr(tracking, "se_combiners", counted)
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        run_schemes(cfg512, PAPER_TRAJ, make_tracker(n_blocks=60), noise,
+                    TrackingScenario(), [(recorded, rngs)])
+        visited = sorted(set(pointed))
+        assert len(visited) > 1 and len(pointed) == 3 * 60
+        theta, distance = book.geometry(np.array(visited))
+        assert sorted(designed) == sorted(zip(theta.tolist(), distance.tolist()))
 
     def test_nearest_codeword_round_trip(self, full_workspace):
         book, _, _ = full_workspace
