@@ -737,8 +737,8 @@ def nearest_codeword(book: HybridCodebook, omega: float, r: float) -> int:
 
 # Each candidate's (angle, ring) step from a near cell and from a far cell.
 # A near cell's ring 0 is its angle's far cell (shallower than ring 1).
-NEAR_STEPS = (np.array([0, -1, 1, 0, 0]), np.array([0, 0, 0, -1, 1]))
-FAR_STEPS = (np.array([0, -2, -1, 1, 2]), np.zeros(5, dtype=int))
+_NEAR_STEPS = (np.array([0, -1, 1, 0, 0]), np.array([0, 0, 0, -1, 1]))
+_FAR_STEPS = (np.array([0, -2, -1, 1, 2]), np.zeros(5, dtype=int))
 
 
 def neighbor_codewords(book: HybridCodebook, p) -> tuple[np.ndarray, np.ndarray]:
@@ -752,7 +752,7 @@ def neighbor_codewords(book: HybridCodebook, p) -> tuple[np.ndarray, np.ndarray]
     """
     q, s = book.cells(p)
     far = (s == 0)[:, None]
-    q = q[:, None] + np.where(far, FAR_STEPS[0], NEAR_STEPS[0])
-    s = s[:, None] + np.where(far, FAR_STEPS[1], NEAR_STEPS[1])
+    q = q[:, None] + np.where(far, _FAR_STEPS[0], _NEAR_STEPS[0])
+    s = s[:, None] + np.where(far, _FAR_STEPS[1], _NEAR_STEPS[1])
     valid = (q >= 1) & (q <= book.n_angles) & (s <= book.n_rings)
     return np.where(s == 0, book.index_of(q, None), book.index_of(q, s)), valid

@@ -196,11 +196,10 @@ def stage2_select(book: HybridCodebook, design: TrainedDesign,
 def _result(book: HybridCodebook, scheme: str, best, powers, pilots: int) -> TrainingResult:
     """The result of channels whose 1-based winning codewords are ``best``
     and whose codeword powers are the rows of ``powers``."""
-    cws = [book.params(int(p)) for p in best]
-    return TrainingResult(scheme=scheme, best_index=np.asarray(best),
-                          rough_omega=np.array([cw.theta for cw in cws]),
-                          rough_range=np.array([cw.distance for cw in cws]),
-                          powers=powers, pilots=pilots)
+    best = np.asarray(best, dtype=int)
+    rough_omega, rough_range = book.geometry(best)
+    return TrainingResult(scheme=scheme, best_index=best, rough_omega=rough_omega,
+                          rough_range=rough_range, powers=powers, pilots=pilots)
 
 
 def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.ndarray:
