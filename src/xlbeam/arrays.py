@@ -48,11 +48,11 @@ class ArrayConfig:
         if self.n_antennas % self.n_rf != 0:
             raise ValueError(
                 f"n_antennas {self.n_antennas} is not divisible by n_rf {self.n_rf}")
-        # range_floor cubes the aperture; a cube that overflows leaves no floor
+        # range_floor cubes the aperture, which may overflow or underflow to 0
         if not (self.wavelength > 0
-                and math.isfinite(self.aperture * self.aperture * self.aperture)):
-            raise ValueError("wavelength must be positive, and small enough "
-                             "for a finite range floor")
+                and math.isfinite(self.aperture * self.aperture * self.aperture)
+                and 0 < self.range_floor < math.inf):
+            raise ValueError("wavelength must be positive, with a positive and finite range floor")
 
     @property
     def m_per_sub(self) -> int:

@@ -30,7 +30,7 @@ from .harness.svgplot import svg_line_plot
 from .refinement import refine_channels
 from .tracking import (TrackerConfig, TrackingScenario, Trajectory, nfbt_step,
                        run_schemes, tracker_for_run)
-from .training import stage1_sweep, stage2_select
+from .training import codeword_powers, stage1_sweep, stage2_select
 
 # ---------------------------------------------------------------------------
 # the key table
@@ -334,8 +334,8 @@ def cmd_train(config: dict, values: dict, args) -> int:
     # a stack of one channel
     rngs = [np.random.default_rng(seed)]
     channels = sample_channels(cfg, rngs, scen)
-    res = stage2_select(book, design,
-                        stage1_sweep(cfg, design.sub_book, channels.h, noise, rngs))
+    sweep = stage1_sweep(cfg, design.sub_book, channels.h, noise, rngs)
+    res = stage2_select(book, design, sweep)
     pair = design_hybrid(cfg, res.rough_omega, res.rough_range)
     rough_range = float(res.rough_range[0])
     result = {
@@ -348,7 +348,7 @@ def cmd_train(config: dict, values: dict, args) -> int:
     }
     if args.powers:
         rows = [{"p": int(p + 1), "power": float(v)}
-                for p, v in enumerate(res.powers[0])]
+                for p, v in enumerate(codeword_powers(design, sweep.z[0]))]
         write_csv(Path(args.out) / "train_powers.csv", rows, ["p", "power"])
     return write_result(Path(args.out), "train_result.json", result, config, seed,
                         ["train_powers.csv"] if args.powers else [])

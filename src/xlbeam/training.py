@@ -66,12 +66,26 @@ class TrainedDesign:
                             v=self.v[np.asarray(p) - 1])
 
 
+# design_all copies this many stored columns at a time into one reused
+# (DESIGN_BLOCK, N) array, 5.2 MB at N = 512.  Freeing it raises glibc's
+# mmap threshold to its size, so a train4 chunk's (50, 6144) sweep rows
+# (4.9 MB) later come from the heap without page faults.  At the benchmark's
+# settings, 64 or 256 columns left a warm train4 call faulting 5.9k pages,
+# and 640 none; the set-up's peak is then 69.8 MiB (896 columns: 72.3).
+DESIGN_BLOCK = 640
+
+
 def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesign:
-    """Vectorized hybrid-combiner design for every codeword in the book."""
+    """The stage-2 design of every codeword in the book.
+
+    Codeword p's digital row is matched to N_RF numbers, one dot product
+    each: its subarray-t rows with its picked DFT beam ``m_idx[p, t]``.  A
+    mirrored codeword reads its source's rows of subarray N_RF - 1 - t
+    reversed, so each entry sums the products of its full column in order.
+    """
     cfg = book.cfg
     n_rf, m = cfg.n_rf, cfg.m_per_sub
-    p_total = book.n_columns
-    qs = book.n_near
+    p_total, qs = book.n_columns, book.n_near
 
     psi = np.empty((p_total, n_rf))
     psi[:qs] = subarray_pointing(cfg, np.repeat(book.theta, book.n_rings),
@@ -80,30 +94,20 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 
     m_idx = quantize_pointing(psi.reshape(-1), sub_book).reshape(p_total, n_rf) - 1
 
-    fc = np.empty((p_total, n_rf), dtype=complex)
     bh = sub_book.matrix.conj().T                                   # (M, M)
     stored, mirrored = book.source(np.arange(1, p_total + 1))
-    n, sources = cfg.n_antennas, book.matrix[:, :qs - book.n_stored_near]
-    # Do not stream these products in blocks of columns to save memory.
-    # The ~13 MiB they free stays in the main thread's malloc arena, and
-    # glibc raises its mmap threshold to their size (~6.8 MB), so the trial
-    # phase's arrays up to that size come from the heap without page faults.
-    # An experiment driver whose schemes read no stored column drops the
-    # matrix before its trials, so `position`'s peak is now the set-up's
-    # own: 75.1 MiB, these products' ~13 MiB included.  Measured with 256-column blocks (v
-    # bit-identical; 2 vCPUs, one BLAS thread, the benchmark's settings):
-    # the `position` and `track` peaks fell from 75.1 and 80.0 to 64.7 and
-    # 75.1 MiB, but a warm `train4` call faulted 6.2k-7.7k pages instead of
-    # 1, and a cold `position` call 4.3k instead of 2.5k.
-    for t in range(n_rf):
-        # a mirrored column's rows of subarray t are its source's rows of
-        # subarray N_RF - 1 - t reversed; copied into columns of their own,
-        # each entry sums the products a full matrix's column would, in order
-        for cols, block in ((~mirrored, book.matrix[t * m:(t + 1) * m]),
-                            (mirrored, sources[n - (t + 1) * m:n - t * m][::-1])):
-            gt = bh @ np.ascontiguousarray(block)                   # (M, columns of block)
-            fc[cols, t] = gt[m_idx[cols, t], stored[cols]]
-            del gt      # so no two products coexist
+    # the codewords read straight from, and mirrored from, stored columns 0, 1, ...
+    direct = np.flatnonzero(~mirrored)
+    mirror = np.flatnonzero(mirrored)[np.argsort(stored[mirrored])]
+    fc = np.empty((p_total, n_rf), dtype=complex)
+    block = np.empty((min(DESIGN_BLOCK, len(direct)), cfg.n_antennas), dtype=complex)
+    for start in range(0, len(direct), DESIGN_BLOCK):
+        cols = slice(start, start + DESIGN_BLOCK)
+        rows = block[:len(direct[cols])]
+        rows[...] = book.matrix[:, cols].T                          # stored columns as rows
+        for t in range(n_rf):
+            for p, x in ((direct[cols], rows), (mirror[cols], rows[:, ::-1])):
+                fc[p, t] = np.einsum("cm,cm->c", bh[m_idx[p, t]], x[:len(p), t * m:(t + 1) * m])
     norms = np.linalg.norm(fc, axis=1)
     v = fc.conj() / (math.sqrt(m) * norms[:, None])
     return TrainedDesign(book=book, sub_book=sub_book, psi=psi, m_idx=m_idx, v=v,
@@ -113,16 +117,12 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
 @dataclass
 class TrainingResult:
     """Outcome of training a stack of T channels, one entry per channel.
-
-    ``powers`` holds each channel's codeword powers: a (T, P) array from
-    :func:`stage2_select`, a list of T rows from a sweep baseline.
-    """
+    No codeword powers are kept; :func:`codeword_powers` scores a row."""
 
     scheme: str
     best_index: np.ndarray                # (T,) 1-based codeword indices
     rough_omega: np.ndarray               # (T,)
     rough_range: np.ndarray               # (T,); inf where a far codeword won
-    powers: np.ndarray | list = field(repr=False)
     pilots: int = 0
 
 
@@ -175,31 +175,32 @@ def _chain_sum(x: np.ndarray) -> np.ndarray:
                             (s[0] + s[1]) + (s[2] + s[3]))
 
 
+def codeword_powers(design: TrainedDesign, z: np.ndarray, out=None) -> np.ndarray:
+    """Every codeword's power ``|sum_t v * zz| ** 2`` on one channel's
+    stage-1 outputs ``z`` (a sweep's ``z[k]``), into ``out`` when given."""
+    zz = assemble_reused(z, design)                                 # (P, N_RF)
+    out = np.abs(_chain_sum(np.multiply(design.v, zz, out=zz)), out=out)
+    return np.square(out, out=out)
+
+
 def stage2_select(book: HybridCodebook, design: TrainedDesign,
                   sweep: Stage1Sweep) -> TrainingResult:
     """Test every codeword digitally and pick the largest combined power.
 
     Exact power ties break toward the smaller codeword index.  The sweep's
-    channels are scored one after another, so the (P, N_RF) reassembled
-    outputs are held for one channel at a time.
+    channels are scored one after another into one reused row of P powers.
     """
-    powers = np.empty((len(sweep.z), book.n_columns))
-    for z_t, out in zip(sweep.z, powers):
-        zz = assemble_reused(z_t, design)                           # (P, N_RF)
-        # |sum_t v * zz| ** 2, computed in place
-        np.abs(_chain_sum(np.multiply(design.v, zz, out=zz)), out=out)
-        np.square(out, out=out)
-    best = np.argmax(powers, axis=-1) + 1                            # argmax = first max
-    return _result(book, "thbt", best, powers, sweep.pilots)
+    row = np.empty(book.n_columns)
+    best = [int(np.argmax(codeword_powers(design, z_t, row))) + 1 for z_t in sweep.z]
+    return _result(book, "thbt", best, sweep.pilots)
 
 
-def _result(book: HybridCodebook, scheme: str, best, powers, pilots: int) -> TrainingResult:
-    """The result of channels whose 1-based winning codewords are ``best``
-    and whose codeword powers are the rows of ``powers``."""
+def _result(book: HybridCodebook, scheme: str, best, pilots: int) -> TrainingResult:
+    """The result of channels whose 1-based winning codewords are ``best``."""
     best = np.asarray(best, dtype=int)
     rough_omega, rough_range = book.geometry(best)
     return TrainingResult(scheme=scheme, best_index=best, rough_omega=rough_omega,
-                          rough_range=rough_range, powers=powers, pilots=pilots)
+                          rough_range=rough_range, pilots=pilots)
 
 
 def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.ndarray:
@@ -244,9 +245,8 @@ def _column_sweep(book: HybridCodebook, signals: np.ndarray, noise_power: float,
     ``signals`` are the (T, P - first) noiseless outputs
     ``sweep_signals(book, ..., first)``, and ``rngs`` one generator per row
     (None: noiseless).  Each row draws its noise from its own generator,
-    as ``crandn`` would, and keeps its powers as an array of its own:
-    ``powers`` is a list of rows, so no (T, P) noise or power array is
-    ever held.
+    as ``crandn`` would, and is scored into one reused row of powers, so
+    no (T, P) noise or power array is ever held.
     """
     signals = np.asarray(signals)
     width = book.n_columns - first
@@ -255,15 +255,14 @@ def _column_sweep(book: HybridCodebook, signals: np.ndarray, noise_power: float,
                          f"expected rows of {width}")
     if rngs is None:
         rngs = [None] * len(signals)
-    powers = []
+    row, best = np.empty(width), []
     for y, rng in zip(signals, rngs, strict=True):
         if noise_power > 0.0:
             if rng is None:
                 raise ValueError("noisy sweep needs an rng")
             y = y + crandn(rng, width) * math.sqrt(noise_power)
-        powers.append(np.abs(y) ** 2)
-    best = [first + int(np.argmax(row)) + 1 for row in powers]
-    return _result(book, scheme, best, powers, width)
+        best.append(first + int(np.argmax(np.square(np.abs(y, out=row), out=row))) + 1)
+    return _result(book, scheme, best, width)
 
 
 def baseline_hfbs(book: HybridCodebook, signals: np.ndarray, noise_power: float = 0.0,

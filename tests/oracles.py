@@ -1,7 +1,8 @@
 """Reference oracles for the chirp-sum, flat-top and phase-model claims,
 the paper's closed-form geometry formulas, the channel of given paths,
-the full codebook matrix and its design, the codeword trackers' neighbour
-sets, and one-seed-at-a-time tracking with nothing cached.
+the full codebook matrix and its design, each codeword's training power,
+the codeword trackers' neighbour sets, and one-seed-at-a-time tracking
+with nothing cached.
 
 Brute-force and quadrature evaluations that the tests check the runtime
 against.  They live here, not in the package, so that ``import xlbeam``
@@ -20,6 +21,7 @@ from xlbeam.codebooks import HybridCodebook, SubarrayCodebook
 from xlbeam.combining import (CombinerPair, design_hybrid, hybrid_beam_gain, quantize_pointing,
                               row_dots, subarray_pointing)
 from xlbeam.tracking import measure_blocks
+from xlbeam.training import TrainedDesign
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,9 @@ def full_matrix(book: HybridCodebook) -> np.ndarray:
 
 
 def full_matrix_design(book: HybridCodebook, sub_book: SubarrayCodebook):
-    """``design_all``'s ``(m_idx, v)`` computed from the full matrix: one
-    projection of each subarray's rows of every column."""
+    """``design_all``'s ``(m_idx, v)`` computed from the full matrix: each
+    entry is one dot product of a column's subarray rows with its picked
+    DFT beam."""
     cfg = book.cfg
     n_rf, m = cfg.n_rf, cfg.m_per_sub
     psi = np.empty((book.n_columns, n_rf))
@@ -97,10 +100,28 @@ def full_matrix_design(book: HybridCodebook, sub_book: SubarrayCodebook):
     psi[book.n_near:] = book.theta[:, None]
     m_idx = quantize_pointing(psi.reshape(-1), sub_book).reshape(-1, n_rf) - 1
     full = full_matrix(book)
-    fc = np.stack([(sub_book.matrix.conj().T @ full[t * m:(t + 1) * m])[
-        m_idx[:, t], np.arange(book.n_columns)] for t in range(n_rf)], axis=1)
+    beams = sub_book.matrix.conj().T
+    fc = np.stack([np.einsum("pm,mp->p", beams[m_idx[:, t]], full[t * m:(t + 1) * m])
+                   for t in range(n_rf)], axis=1)
     v = fc.conj() / (math.sqrt(m) * np.linalg.norm(fc, axis=1)[:, None])
     return m_idx, v
+
+
+def stage2_powers(design: TrainedDesign, z: np.ndarray) -> np.ndarray:
+    """Every codeword's combined power ``|sum_t v[p, t] z[m_t(p), t]|^2``
+    with numpy's own sum: one sweep's (M, N_RF) outputs give a (P,) row, a
+    (T, M, N_RF) stack a (T, P) array."""
+    zz = z[..., design.m_idx, np.arange(design.m_idx.shape[1])]      # (..., P, N_RF)
+    # laid out row by row, so each codeword's sum runs as a lone row's would
+    return np.abs(np.multiply(design.v, zz, order="C").sum(axis=-1)) ** 2
+
+
+def sweep_powers(y: np.ndarray, noise_power: float = 0.0, rng=None) -> np.ndarray:
+    """One column-sweep row's powers ``|y + noise|^2``, the noise drawn
+    from ``rng`` as ``crandn`` draws it (none when ``noise_power`` is 0)."""
+    if noise_power > 0.0:
+        y = y + crandn(rng, y.shape[-1]) * math.sqrt(noise_power)
+    return np.abs(y) ** 2
 
 
 def valid_placements(book: HybridCodebook) -> list[int]:

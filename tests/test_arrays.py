@@ -44,6 +44,9 @@ class TestGeometry:
             ArrayConfig(8, 4, -1.0)
         with pytest.raises(ValueError):
             ArrayConfig(0, 1, 0.003)
+        for wavelength in (1e-200, 5e-324):     # a range floor that underflows to 0
+            with pytest.raises(ValueError, match="^wavelength .* range floor"):
+                ArrayConfig(512, 4, wavelength)
 
 
 class TestElementDistance:

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlbeam import tracking
-from xlbeam.arrays import ArrayConfig
+from xlbeam.arrays import ArrayConfig, ChannelScenario, sample_channels, snr_db_to_noise_power
 from xlbeam.cli import (INTEGER, KEYS, OBJECT, Key, check_trajectory, experiment_spec,
                         keys_of, main, read_config, single_run, tracking_models)
 from xlbeam.harness import ConfigError, runner
+from xlbeam.harness.experiments import workspace
 from xlbeam.harness.io import fmt_value
 from xlbeam.tracking import TrackerConfig, TrackingScenario, Trajectory
+from xlbeam.training import stage1_sweep
+from oracles import stage2_powers
 from test_harness import counted_steering
 
 DESK_ARRAY = {"n_antennas": 128, "n_rf": 4, "wavelength": 0.003}
@@ -289,6 +292,9 @@ class TestConfigErrors:
         ("track", "tracker", "abc"),
         ("track", "tracking_channel", [None]),
         ("track", "array.wavelength", 1e300),
+        # a range floor that underflows to 0: NaN rows, or exit 1
+        ("sweep", "array.wavelength", 1e-200),
+        ("sweep", "array.wavelength", 5e-324),
         ("track", "trajectory.dt", 1e300),
         ("track", "tracker.accel_intensity", 1e300),
         # a silent line of sight, which alignment gains divide by
@@ -545,6 +551,16 @@ class TestSingleRuns:
         powers = (out / "train_powers.csv").read_text().splitlines()
         assert powers[0] == "p,power"
         assert len(powers) == 1 + 128 * 3 + 128
+        # the row is the recomputed stage-2 powers of the run's one channel
+        cfg = ArrayConfig(**DESK_ARRAY)
+        book, sub, design = workspace(cfg, 128, 3)
+        rngs = [np.random.default_rng(2)]
+        scen = ChannelScenario(3, (1.0, 0.01, 0.01), (-0.866, 0.866), (1.0, 20.0))
+        sweep = stage1_sweep(cfg, sub, sample_channels(cfg, rngs, scen).h,
+                             snr_db_to_noise_power(10, cfg), rngs)
+        want = stage2_powers(design, sweep.z[0])
+        assert powers[1:] == [f"{p},{fmt_value(float(v))}" for p, v in enumerate(want, 1)]
+        assert result["best_index"] == np.argmax(want) + 1
 
     def test_refine(self, tmp_path):
         cfgdict = self._scenario()

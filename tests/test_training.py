@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (PathParams, full_matrix, full_matrix_design, gain_loss_bound, realize,
-                     valid_placements)
+                     stage2_powers, sweep_powers, valid_placements)
 from xlbeam import (ChannelScenario, FAR_FIELD, assemble_reused, baseline_ffbs,
                     baseline_hfbs, build_hybrid_codebook, build_subarray_codebook,
                     sample_channels, stage1_sweep, stage2_select, steering_far,
                     subarray_pointing)
 from xlbeam.arrays import crandn, snr_db_to_noise_power
-from xlbeam.training import design_all, sweep_signals
+from xlbeam.training import codeword_powers, design_all, sweep_signals
 
 
 class TestStage1:
@@ -189,14 +190,15 @@ class TestSelection:
     def test_determinism(self, cfg128, desk_workspace):
         book, sub, design = desk_workspace
         noise = snr_db_to_noise_power(0.0, cfg128)
-        runs = []
+        runs, sweeps = [], []
         for _ in range(2):
             rngs = [np.random.default_rng(77)]
             ch = sample_channels(cfg128, rngs)
-            runs.append(stage2_select(book, design,
-                                      stage1_sweep(cfg128, sub, ch.h, noise, rngs)))
+            sweeps.append(stage1_sweep(cfg128, sub, ch.h, noise, rngs))
+            runs.append(stage2_select(book, design, sweeps[-1]))
         assert np.array_equal(runs[0].best_index, runs[1].best_index)
-        assert np.array_equal(runs[0].powers, runs[1].powers)
+        assert np.array_equal(stage2_powers(design, sweeps[0].z),
+                              stage2_powers(design, sweeps[1].z))
 
 
 class TestStackedTraining:
@@ -214,8 +216,10 @@ class TestStackedTraining:
         sweep = stage1_sweep(cfg128, sub, hs, noise_power,
                              [np.random.default_rng(s) for s in seeds])
         stacked = stage2_select(book, design, sweep)
+        powers = stage2_powers(design, sweep.z)
         assert sweep.z.shape == (9, cfg128.m_per_sub, cfg128.n_rf)
-        assert stacked.powers.shape == (9, book.n_columns)
+        assert powers.shape == (9, book.n_columns)
+        assert np.array_equal(stacked.best_index, np.argmax(powers, axis=1) + 1)
         for k, seed in enumerate(seeds):
             # channel k alone: a stack of one
             alone_sweep = stage1_sweep(cfg128, sub, hs[k:k + 1], noise_power,
@@ -225,10 +229,18 @@ class TestStackedTraining:
             assert stacked.best_index[k] == alone.best_index[0]
             assert stacked.rough_omega[k] == alone.rough_omega[0]
             assert stacked.rough_range[k] == alone.rough_range[0]
-            assert np.array_equal(stacked.powers[k], alone.powers[0])
+            assert np.array_equal(powers[k], stage2_powers(design, alone_sweep.z)[0])
         if noise_power == 0.0:
             assert stacked.best_index[7] == far and math.isinf(stacked.rough_range[7])
             assert stacked.best_index[8] == 1           # all-zero powers: smallest index
+
+    def test_codeword_powers_equal_the_oracle(self, cfg128, desk_workspace):
+        # the row that `train --powers` writes, bit for bit
+        book, sub, design = desk_workspace
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        sweep = stage1_sweep(cfg128, sub, sample_channels(cfg128, rngs).h, 1e-3, rngs)
+        for z, want in zip(sweep.z, stage2_powers(design, sweep.z)):
+            assert np.array_equal(codeword_powers(design, z), want)
 
     def test_chain_sum_adds_as_numpy_sums(self):
         # the stage-2 sum over RF chains, as whole-array additions, must round
@@ -250,15 +262,29 @@ class TestDesignAll:
             assert np.array_equal(design.psi[p - 1],
                                   subarray_pointing(cfg128, cw.theta, cw.distance)), p
 
-    @pytest.mark.parametrize("q, s", [(128, 3), (33, 2)])
+    @pytest.mark.parametrize("q, s", [(128, 3), (33, 2), (2, 1), (3, 1)])
     def test_design_equals_full_matrix_design(self, cfg128, q, s):
-        # a mirrored column's operand is laid out as the full matrix's, so
-        # each projection entry sums the same products in the same order
+        # a mirrored column's rows are read reversed, so each entry sums the
+        # products of the full matrix's column in its order, whatever the
+        # codebook's size
         book, sub = build_hybrid_codebook(cfg128, q, s), build_subarray_codebook(cfg128)
         design = design_all(book, sub)
         m_idx, v = full_matrix_design(book, sub)
         assert np.array_equal(design.m_idx, m_idx)
         assert np.array_equal(design.v, v)
+
+    def test_reference_design_takes_no_whole_matrix_product(self, full_workspace):
+        # one block of stored columns at a time: an (M, columns) product of
+        # every column per subarray would take the peak back to 12.1 MiB
+        book, sub, _ = full_workspace
+        assert book.matrix.shape == (512, 256 * 11 + 512)       # steered before tracing
+        tracemalloc.start()
+        try:
+            design_all(book, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_reference_design_equals_full_matrix_design(self, full_workspace):
         book, sub, design = full_workspace
@@ -335,11 +361,14 @@ class TestBaselines:
         floor = (1.0 - gain_loss_bound(cfg128) - 0.01) * (2.0 / math.pi)
         chs = sample_channels(cfg128, [rng] * 60,
                               ChannelScenario(n_paths=1, gain_vars=(1.0,)))
-        thbt = stage2_select(book, design, stage1_sweep(cfg128, sub, chs.h))
-        hfbs = baseline_hfbs(book, sweep_signals(book, chs.h))
+        sweep = stage1_sweep(cfg128, sub, chs.h)
+        thbt = stage2_select(book, design, sweep)
+        signals = sweep_signals(book, chs.h)
+        hfbs = baseline_hfbs(book, signals)
+        thbt_powers = stage2_powers(design, sweep.z)
         for k in range(60):
-            g_t = math.sqrt(thbt.powers[k, thbt.best_index[k] - 1])
-            g_h = math.sqrt(hfbs.powers[k][hfbs.best_index[k] - 1])
+            g_t = math.sqrt(thbt_powers[k, thbt.best_index[k] - 1])
+            g_h = math.sqrt(sweep_powers(signals[k])[hfbs.best_index[k] - 1])
             assert g_t >= floor * g_h
 
 
@@ -390,11 +419,14 @@ class TestSweepSignals:
         book, _, _ = full_workspace
         y = sweep_signals(book, stack[:2])
         for scheme, first in ((baseline_hfbs, 0), (baseline_ffbs, book.n_near)):
+            alone_y = sweep_signals(book, stack[1], first)
             given = scheme(book, y[1:2, first:], 1e-3, [np.random.default_rng(3)])
-            alone = scheme(book, sweep_signals(book, stack[1], first), 1e-3,
-                           [np.random.default_rng(3)])
+            alone = scheme(book, alone_y, 1e-3, [np.random.default_rng(3)])
             assert given.best_index[0] == alone.best_index[0]
-            assert np.array_equal(given.powers[0], alone.powers[0])
+            given_powers = sweep_powers(y[1, first:], 1e-3, np.random.default_rng(3))
+            assert np.array_equal(given_powers,
+                                  sweep_powers(alone_y[0], 1e-3, np.random.default_rng(3)))
+            assert given.best_index[0] == first + np.argmax(given_powers) + 1
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
@@ -407,14 +439,18 @@ class TestSweepSignals:
         y = sweep_signals(book, stack[:n], first)
         stacked_rngs = [np.random.default_rng(40 + k) for k in range(n)]
         stacked = scheme(book, y, noise, stacked_rngs)
-        assert stacked.best_index.shape == (n,) and len(stacked.powers) == n
+        powers = [sweep_powers(row, noise, np.random.default_rng(40 + k))
+                  for k, row in enumerate(y)]
+        assert stacked.best_index.shape == (n,) and len(powers) == n
         for k, rng in enumerate(stacked_rngs):
             alone_rng = np.random.default_rng(40 + k)
             alone = scheme(book, y[k:k + 1], noise, [alone_rng])
             assert stacked.best_index[k] == alone.best_index[0]
             assert stacked.rough_omega[k] == alone.rough_omega[0]
             assert stacked.rough_range[k] == alone.rough_range[0]
-            assert np.array_equal(stacked.powers[k], alone.powers[0])
+            assert np.array_equal(powers[k], sweep_powers(y[k:k + 1][0], noise,
+                                                          np.random.default_rng(40 + k)))
+            assert stacked.best_index[k] == first + np.argmax(powers[k]) + 1
             assert rng.bit_generator.state == alone_rng.bit_generator.state
         assert stacked.pilots == alone.pilots == book.n_columns - first
 
