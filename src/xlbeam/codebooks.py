@@ -15,7 +15,8 @@ the antennas reversed, bit for bit.  ``HybridCodebook.matrix`` therefore
 holds only the near columns of angles ``1 .. ceil(Q/2)`` (in the order
 above), then the far block: ``ceil(Q/2)*S + Q`` columns.  Every other near
 column is read from its mirror source with the antenna axis reversed
-(:meth:`HybridCodebook.source`).
+(:meth:`HybridCodebook.source`).  ``matrix`` is the transpose of one array
+of C-contiguous rows, so a column is read in place.
 
 Held matrix.  :func:`build_hybrid_codebook` steers the matrix at once;
 :func:`hybrid_codebook_geometry` builds the same book without it, for a
@@ -82,7 +83,7 @@ class HybridCodebook:
     theta: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)        # (Q, S)
     below_floor: np.ndarray = field(repr=False)      # (Q, S) bool
-    # (N, ceil(Q/2)*S + Q) stored columns; None while released
+    # (N, ceil(Q/2)*S + Q) stored columns, rows transposed; None while released
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _steering: threading.Lock = field(default_factory=threading.Lock, init=False,
                                       repr=False, compare=False)
@@ -177,11 +178,12 @@ class HybridCodebook:
         return stored, mirrored
 
     def column(self, p) -> np.ndarray:
-        """Column p (1-based): a view of the stored column, reversed for a
-        mirrored p.  An array of indices gives a new array, one row per column."""
+        """Column p (1-based): a view of the stored row, reversed for a
+        mirrored p.  An array of indices gives a new C-contiguous array, one
+        row per column."""
         stored, mirrored = self.source(p)
         if np.ndim(p) == 0:
-            col = self.matrix[:, int(stored)]
+            col = self.matrix.T[int(stored)]
             return col[::-1] if mirrored else col
         rows = self.matrix.T[stored]
         rows[mirrored] = rows[mirrored, ::-1]
@@ -235,19 +237,19 @@ def hybrid_codebook_geometry(cfg: ArrayConfig, q: int, s: int) -> HybridCodebook
 def steer_matrix(cfg: ArrayConfig, theta: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """The stored columns of the codebook with angles ``theta`` and (Q, S)
     ring distances ``dist``: the near rings of angles 1..ceil(Q/2), then
-    the far block (see the module notes)."""
+    the far block (see the module notes), as the transpose of their rows."""
     q, s = dist.shape
-    # both blocks are written into one matrix, so no block is copied
+    # both blocks are written into one array, so no block is copied
     half = (q + 1) // 2
-    matrix = np.empty((cfg.n_antennas, half * s + q), dtype=complex)
+    rows = np.empty((half * s + q, cfg.n_antennas), dtype=complex)
     for qi in range(q):
         if qi < half:
             # one stacked call per angle: its S rings as rows
-            matrix[:, qi * s:(qi + 1) * s] = steering_near(
-                cfg, np.full(s, theta[qi]), dist[qi], validate=False).T
-        # far columns one at a time, so no (Q, N) temporary is made
-        matrix[:, half * s + qi] = steering_far(cfg, theta[qi])
-    return matrix
+            rows[qi * s:(qi + 1) * s] = steering_near(
+                cfg, np.full(s, theta[qi]), dist[qi], validate=False)
+        # far rows one at a time, so no (Q, N) temporary is made
+        rows[half * s + qi] = steering_far(cfg, theta[qi])
+    return rows.T
 
 
 @dataclass(frozen=True)

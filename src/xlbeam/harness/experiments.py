@@ -319,6 +319,7 @@ def refinement_grid(spec: ExperimentSpec) -> list[dict]:
             return {"error_m": _position_error(channels, ref.omega, ref.range_m)}
 
         errs = run_trials(worker, spec.trials, spec.seed, spec.workers)["error_m"]
+        book.release_matrix()        # the cached workspace outlives this point
         report = validate_quantization(spec.cfg, q, s)
         rows.append({
             "experiment": "refinement_grid", "param": param,

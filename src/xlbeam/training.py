@@ -66,12 +66,9 @@ class TrainedDesign:
                             v=self.v[np.asarray(p) - 1])
 
 
-# design_all copies this many stored columns at a time into one reused
-# (DESIGN_BLOCK, N) array, 5.2 MB at N = 512.  Freeing it raises glibc's
-# mmap threshold to its size, so a train4 chunk's (50, 6144) sweep rows
-# (4.9 MB) later come from the heap without page faults.  At the benchmark's
-# settings, 64 or 256 columns left a warm train4 call faulting 5.9k pages,
-# and 640 none; the set-up's peak is then 69.8 MiB (896 columns: 72.3).
+# design_all gathers the picked DFT beams of this many codewords at a time:
+# a (DESIGN_BLOCK, M) array, 1.3 MB at M = 128, against 6.8 MB for all 3328
+# stored codewords of the reference codebook at once.
 DESIGN_BLOCK = 640
 
 
@@ -100,11 +97,9 @@ def design_all(book: HybridCodebook, sub_book: SubarrayCodebook) -> TrainedDesig
     direct = np.flatnonzero(~mirrored)
     mirror = np.flatnonzero(mirrored)[np.argsort(stored[mirrored])]
     fc = np.empty((p_total, n_rf), dtype=complex)
-    block = np.empty((min(DESIGN_BLOCK, len(direct)), cfg.n_antennas), dtype=complex)
     for start in range(0, len(direct), DESIGN_BLOCK):
         cols = slice(start, start + DESIGN_BLOCK)
-        rows = block[:len(direct[cols])]
-        rows[...] = book.matrix[:, cols].T                          # stored columns as rows
+        rows = book.matrix.T[cols]                                  # stored rows, in place
         for t in range(n_rf):
             for p, x in ((direct[cols], rows), (mirror[cols], rows[:, ::-1])):
                 fc[p, t] = np.einsum("cm,cm->c", bh[m_idx[p, t]], x[:len(p), t * m:(t + 1) * m])
@@ -208,8 +203,9 @@ def sweep_signals(book: HybridCodebook, hs: np.ndarray, first: int = 0) -> np.nd
     channels: row k of the (T, P - first) result belongs to ``hs[k]``.
 
     Matrix-matrix products serve the whole stack: the stack against the
-    stored near and far blocks, and the antenna-reversed stack against the
-    mirror sources (see :mod:`xlbeam.codebooks`).  A mirrored entry sums
+    stored near and far rows, which BLAS reads transposed in place, and the
+    antenna-reversed stack against the mirror sources (see
+    :mod:`xlbeam.codebooks`).  A mirrored entry sums
     the products a full matrix's column would, in reverse order; the far
     block's product is the same whatever ``first`` is.  A one-row stack is
     padded with a zero row: numpy hands a (1, N) product to the

@@ -98,15 +98,15 @@ class TestHybridCodebook:
             build_hybrid_codebook(cfg128, q, s)
 
     def test_builds_in_place(self, cfg128):
-        # both blocks are written into the one matrix: the build's peak
-        # stays well under a second copy of it
+        # both blocks are written into the one array of rows: the build's
+        # peak stays well under a second copy of it
         tracemalloc.start()
         try:
             book = build_hybrid_codebook(cfg128, 128, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert book.matrix.flags.c_contiguous
+        assert book.matrix.T.flags.c_contiguous
         assert peak < 1.75 * book.matrix.nbytes
 
     def test_steers_again_in_place(self, cfg128):
@@ -118,7 +118,7 @@ class TestHybridCodebook:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert matrix.flags.c_contiguous
+        assert matrix.T.flags.c_contiguous
         assert peak < 1.75 * matrix.nbytes
 
     def test_index_arithmetic(self, desk_workspace):
@@ -196,7 +196,8 @@ class TestStoredLayout:
         again = book.matrix
         assert book.holds_matrix and again is not first
         assert again.dtype == first.dtype and again.shape == first.shape
-        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
+        # the stored rows, compared as raw 64-bit words
+        assert np.array_equal(again.T.view(np.uint64), first.T.view(np.uint64))
         assert book.matrix is again
 
     @pytest.mark.parametrize("array, q, s", [("cfg512", 512, 11), ("cfg128", 33, 2),
@@ -214,6 +215,19 @@ class TestStoredLayout:
             assert col.dtype == want.dtype and col.shape == want.shape
             assert np.array_equal(col.view(np.uint64), want.view(np.uint64)), p
         assert not book.holds_matrix
+
+    @pytest.mark.parametrize("array, q, s", [("cfg512", 512, 11), ("cfg128", 33, 2),
+                                             ("cfg128", 32, 0)])
+    def test_columns_gather_contiguous_rows(self, request, array, q, s):
+        # an index array gathers whole stored rows, mirrors reversed: one
+        # C-contiguous row per column, each its column steered alone
+        book = build_hybrid_codebook(request.getfixturevalue(array), q, s)
+        p = np.arange(1, book.n_columns + 1)
+        rows = book.column(p)
+        assert rows.flags.c_contiguous and rows.shape == (book.n_columns, book.cfg.n_antennas)
+        want = np.stack([book.steer_column(int(k)) for k in p])
+        assert rows.dtype == want.dtype
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
     def test_threads_reading_a_released_matrix_steer_it_once(self, cfg128, monkeypatch):
         # more readers than cores, and a slow steering and a short switch

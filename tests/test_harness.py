@@ -426,6 +426,18 @@ class TestTrainingExperiments:
         assert gain_vs_snr(spec) == held
         assert book.holds_matrix and len(steered) == 3
 
+    def test_refinement_grid_holds_no_matrix_after_its_points(self, cfg128, monkeypatch):
+        # each point drops its matrix once its trials are done, so the cached
+        # books hold none, and the point (128, 3), visited by both sweeps,
+        # steers its matrix again
+        steered = counted_steering(monkeypatch)
+        spec = desk_spec(cfg128, trials=8, snr_grid_db=(20.0,), s_grid=(2, 3),
+                         q_grid=(64, 128), fixed_q=128, fixed_s=3)
+        assert len(refinement_grid(spec)) == 4
+        books = [book for book, _, _ in experiments._workspace_cache.values()]
+        assert len(books) == 3 and not any(book.holds_matrix for book in books)
+        assert len(steered) == 4
+
     def test_refinement_grid_rows(self, cfg512):
         from xlbeam.arrays import ChannelScenario
 

@@ -7,17 +7,22 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import xlbeam
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the test oracles; the runtime package must not pull it in
-    src = str(Path(xlbeam.__file__).resolve().parent.parent)
+def test_import_loads_no_third_party_module_but_numpy():
+    # scipy and the other test dependencies serve only the tests, and what
+    # the import loads sits under every run's peak.  -S keeps the site
+    # hooks (.pth files) out, so the paths to xlbeam and numpy are given.
+    paths = [str(Path(m.__file__).resolve().parent.parent) for m in (xlbeam, np)]
     code = ("import sys, xlbeam; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "[]"
+            "std = {'__main__', *sys.stdlib_module_names, *sys.builtin_module_names}; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} - std))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)), check=True)
+    assert out.stdout.strip() == "['numpy', 'xlbeam']"
 
 
 def test_names_the_benchmark_uses_exist():

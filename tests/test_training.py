@@ -286,6 +286,20 @@ class TestDesignAll:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_reference_design_reads_the_stored_rows_in_place(self, full_workspace):
+        # no block of stored columns is copied: what remains is the gathered
+        # DFT beams of one block and the (P, N_RF) design arrays.  A reused
+        # (640, N) copy of the rows takes the peak to 7.7 MiB.
+        book, sub, _ = full_workspace
+        assert book.matrix.shape == (512, 256 * 11 + 512)       # steered before tracing
+        tracemalloc.start()
+        try:
+            design_all(book, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_reference_design_equals_full_matrix_design(self, full_workspace):
         book, sub, design = full_workspace
         m_idx, v = full_matrix_design(book, sub)
